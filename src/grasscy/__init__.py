@@ -27,4 +27,4 @@ from .registry import RegistryCase, registry_load
 from .series import LogSeries, PowerSeries, Q, TruncationError, series_from_json, series_to_json
 from .toric import CYCase, build_delta, degree_grassmannian, facets_and_reflexivity
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

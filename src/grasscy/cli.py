@@ -1,21 +1,20 @@
 """Command-line front end.  Every subcommand prints a JSON report; exit
 codes are 0 on success/pass, 1 on a verification mismatch, 2 on usage
-errors.  The environment variable GRASSCY_MAX_ORDER caps every truncation
-order accepted on the command line (default 200)."""
+errors.  Every truncation order accepted on the command line is capped at
+hypergeom.MAX_ORDER."""
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
-from .dop import dop_to_json, pf_fit
-from .hypergeom import ASeriesSpec, FactorialBundle, a_series, factorial_trick
+from .dop import GUARD, dop_to_json, pf_fit
+from .hypergeom import MAX_ORDER, ASeriesSpec, FactorialBundle, a_series, factorial_trick
 from .laurent import laurent_from_json, laurent_to_json
 from .laxmirror import canonical_gauge_coeffs, lax_operator, mirror_system, period_ct
-from .pipeline import rational_series, run_case
+from .mirror_analysis import yukawa_z
+from .pipeline import fit_operator, rational_series, run_case
 from .qh import scalar_operator, verify_conjecture
 from .registry import registry_load
 from .series import qstr, series_from_json, series_to_json
@@ -26,19 +25,11 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
 
-def _max_order() -> int:
-    try:
-        return int(os.environ.get("GRASSCY_MAX_ORDER", "200"))
-    except ValueError:
-        return 200
-
-
 def _check_order(value: int, what: str = "order"):
-    cap = _max_order()
     if value < 0:
         raise SystemExit(f"{what} must be >= 0")
-    if value > cap:
-        raise SystemExit(f"{what} {value} exceeds resource cap {cap} (GRASSCY_MAX_ORDER)")
+    if value > MAX_ORDER:
+        raise SystemExit(f"{what} {value} exceeds resource cap {MAX_ORDER}")
 
 
 def _emit(obj) -> None:
@@ -144,13 +135,7 @@ def cmd_yukawa(args) -> int:
     if args.case not in reg:
         raise SystemExit(f"unknown case {args.case!r}; have {sorted(reg)}")
     rc = reg[args.case]
-    case = rc.case
-    a = a_series(ASeriesSpec(case.k, case.n, rc.series_order))
-    phi = factorial_trick(a, FactorialBundle(case.degrees))
-    op = pf_fit(phi, max_order=4, max_zdeg=rc.pf_max_zdeg)
-    from .mirror_analysis import yukawa_z
-
-    kz3 = yukawa_z(op, case.n0, args.order)
+    kz3 = yukawa_z(fit_operator(rc), rc.case.n0, args.order)
     fixture = rational_series(rc.kz3_numerator, rc.kz3_denominator, "z", args.order)
     ok = kz3 == fixture
     _emit({
@@ -223,13 +208,7 @@ def cmd_mirror_system(args) -> int:
 def cmd_verify_all(args) -> int:
     _check_order(args.count, "count")
     reg = _registry(args)
-    names = sorted(reg)
-
-    def worker(name):
-        return run_case(reg[name], count=args.count)
-
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        reports = list(pool.map(worker, names))
+    reports = [run_case(reg[name], count=args.count) for name in sorted(reg)]
     merged = {
         "cases": [r.to_json() for r in reports],
         "pass": all(r.passed for r in reports),
@@ -240,7 +219,6 @@ def cmd_verify_all(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="grasscy", description=__doc__)
-    p.add_argument("--json", action="store_true", help="emit JSON (always on; accepted for compatibility)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("toric", help="polytope vertices, equations, facets")
@@ -268,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--series", required=True)
     sp.add_argument("--max-order", type=int, required=True)
     sp.add_argument("--max-degree", type=int, required=True)
-    sp.add_argument("--guard", type=int, default=10)
+    sp.add_argument("--guard", type=int, default=GUARD)
     sp.set_defaults(func=cmd_pf_fit)
 
     sp = sub.add_parser("qh-operator", help="quantum-cohomology scalar operator")
@@ -316,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-all", help="run every registry case")
     sp.add_argument("--count", type=int, default=5)
-    sp.add_argument("--jobs", type=int, default=None)
     sp.add_argument("--registry", default=None)
     sp.set_defaults(func=cmd_verify_all)
 

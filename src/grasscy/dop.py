@@ -16,6 +16,7 @@ from .linalg import nullspace
 from .series import LogSeries, PowerSeries, Q, qparse, qstr
 
 ZERO = Q(0)
+GUARD = 10  # rows beyond the unknowns that certify a fitted operator
 
 
 class NoAnnihilator(ValueError):
@@ -179,14 +180,6 @@ class DOp:
         assert acc is not None
         return acc
 
-    def d_derivative(self) -> "DOp":
-        """Formal derivative with respect to D: c z^i D^j -> c j z^i D^{j-1}."""
-        out: dict = {}
-        for (i, j), c in self.terms.items():
-            if j > 0:
-                out[(i, j - 1)] = out.get((i, j - 1), ZERO) + c * j
-        return DOp(out)
-
 
 # Stirling numbers of the second kind, for D^j = sum_t S(j,t) z^t (d/dz)^t
 
@@ -236,14 +229,20 @@ def from_ddz_form(b: list[list[Q]]) -> DOp:
     return out
 
 
-def pf_fit(f: PowerSeries, max_order: int, max_zdeg: int, guard: int = 10) -> DOp:
+def fit_trunc(max_order: int, max_zdeg: int, guard: int = GUARD) -> int:
+    """Series truncation pf_fit needs for these bounds: the unknowns of the
+    largest candidate, (max_order+1)(max_zdeg+1), plus `guard` rows."""
+    return (max_order + 1) * (max_zdeg + 1) + guard
+
+
+def pf_fit(f: PowerSeries, max_order: int, max_zdeg: int, guard: int = GUARD) -> DOp:
     """Smallest operator (graded by order+zdeg, then order) annihilating f.
 
     Sets up sum_{i,j} c_{i,j} (m-i)^j b_{m-i} = 0 for every m <= f.trunc and
     takes the first candidate (r, d) whose exact nullspace is nonzero; the
     rows beyond (r+1)(d+1) act as the certificate.
     """
-    if f.trunc < (max_order + 1) * (max_zdeg + 1) + guard:
+    if f.trunc < fit_trunc(max_order, max_zdeg, guard):
         raise ValueError(
             f"series truncation {f.trunc} too small for bounds "
             f"({max_order},{max_zdeg}) with guard {guard}"
@@ -254,8 +253,6 @@ def pf_fit(f: PowerSeries, max_order: int, max_zdeg: int, guard: int = 10) -> DO
             candidates.append((r, d))
     candidates.sort(key=lambda rd: (rd[0] + rd[1], rd[0]))
     for r, d in candidates:
-        if f.trunc < (r + 1) * (d + 1) + guard:
-            continue
         cols = [(i, j) for i in range(d + 1) for j in range(r + 1)]
         rows = []
         for m in range(f.trunc + 1):

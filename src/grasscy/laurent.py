@@ -96,24 +96,28 @@ def _mul_pruned(acc: dict, poly: LaurentPoly, bound: tuple[int, ...]) -> dict:
     return {e: c for e, c in out.items() if c != 0}
 
 
-def laurent_pow_ct(L: LaurentPoly, m: int) -> Q:
-    """Constant term of L**m.
+def laurent_pow_pruned(L: LaurentPoly, m: int, param_box: tuple[int, ...] = ()) -> dict:
+    """The terms of L**m that can matter for a constant term over the
+    leading (torus) coordinates; the trailing len(param_box) coordinates
+    are tracked parameters, each kept within its entry of param_box.
 
-    Iterative convolution; after t factors, an exponent can still return to
-    zero only if each coordinate is within (m - t) * max|exponent|, so
-    anything outside that box is pruned.
+    Iterative convolution; after t factors, a torus exponent can still
+    return to zero only if each coordinate is within (m - t) * max|exponent|,
+    so anything outside that box is pruned.
     """
-    if m < 0:
-        raise ValueError("power must be non-negative")
-    if m == 0:
-        return Q(1)
-    reach = L.max_reach()
+    reach = L.max_reach()[: L.nvars - len(param_box)]
     acc = {(0,) * L.nvars: Q(1)}
     for t in range(m):
         remaining = m - t - 1
-        bound = tuple(remaining * r for r in reach)
-        acc = _mul_pruned(acc, L, bound)
-    return acc.get((0,) * L.nvars, ZERO)
+        acc = _mul_pruned(acc, L, tuple(remaining * r for r in reach) + param_box)
+    return acc
+
+
+def laurent_pow_ct(L: LaurentPoly, m: int) -> Q:
+    """Constant term of L**m."""
+    if m < 0:
+        raise ValueError("power must be non-negative")
+    return laurent_pow_pruned(L, m).get((0,) * L.nvars, ZERO)
 
 
 def laurent_pow_ct_bruteforce(L: LaurentPoly, m: int) -> Q:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly, _mul_pruned
+from .laurent import LaurentPoly, laurent_pow_pruned
 from .linalg import solve
 from .series import PowerSeries, Q
 from .toric import flat_index, nef_partition_sets, vertex_vector
@@ -100,14 +100,8 @@ def period_ct(g: LaurentPoly, nparams: int, order: int) -> PowerSeries | dict:
 
     def ct_at(m: int) -> dict:
         """Parameter-degree -> CT over the torus coordinates of g^m."""
-        reach = g.max_reach()
-        acc = {(0,) * g.nvars: Q(1)}
-        for t in range(m):
-            remaining = m - t - 1
-            bound = tuple(remaining * x for x in reach[:nv]) + (order,) * nparams
-            acc = _mul_pruned(acc, g, bound)
         out: dict = {}
-        for e, c in acc.items():
+        for e, c in laurent_pow_pruned(g, m, (order,) * nparams).items():
             if all(x == 0 for x in e[:nv]):
                 out[e[nv:]] = out.get(e[nv:], ZERO) + c
         return out

@@ -1,13 +1,21 @@
 """End-to-end instanton pipeline for one registry case:
 hypergeometric series -> factorial modification -> Picard-Fuchs fit ->
-Frobenius pair -> mirror map -> Yukawa coupling -> instanton numbers."""
+Frobenius pair -> mirror map -> Yukawa coupling -> instanton numbers.
+
+No truncation is stored; each follows from the request:
+- the A-series runs to the fit bound (max_order+1)(max_zdeg+1)+guard
+  (`dop.fit_trunc`), with max_order 4 and the case's pf_max_zdeg;
+- the Frobenius pair, mirror map and Yukawa coupling run to
+  max(12, count + 1): 12 is the order of the K_z fixtures, and pushing
+  K_z to the flat coordinate loses one degree.
+"""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
 
-from .dop import DOp, dop_to_json, pf_fit
+from .dop import DOp, dop_to_json, fit_trunc, pf_fit
 from .hypergeom import ASeriesSpec, FactorialBundle, a_series, factorial_trick
 from .mirror_analysis import (
     extract_instantons,
@@ -21,6 +29,8 @@ from .series import PowerSeries, Q, series_to_json
 from .toric import hodge_after_transition, node_count
 
 ZERO = Q(0)
+PF_MAX_ORDER = 4
+KZ_ORDER = 12
 
 
 def rational_series(numerator, denominator, var: str, order: int) -> PowerSeries:
@@ -78,17 +88,23 @@ class RunReport:
         }
 
 
-def run_case(rc: RegistryCase, count: int = 5, yukawa_order: int = 12,
-             guard: int = 10) -> RunReport:
+def fit_operator(rc: RegistryCase) -> DOp:
+    """The Picard-Fuchs operator of a case: A-series -> phi -> pf_fit."""
+    case = rc.case
+    a = a_series(ASeriesSpec(case.k, case.n, fit_trunc(PF_MAX_ORDER, rc.pf_max_zdeg)))
+    phi = factorial_trick(a, FactorialBundle(case.degrees))
+    return pf_fit(phi, max_order=PF_MAX_ORDER, max_zdeg=rc.pf_max_zdeg)
+
+
+def run_case(rc: RegistryCase, count: int = 5) -> RunReport:
     t0 = time.monotonic()
     case = rc.case
-    a = a_series(ASeriesSpec(case.k, case.n, rc.series_order))
-    phi = factorial_trick(a, FactorialBundle(case.degrees))
-    op = pf_fit(phi, max_order=4, max_zdeg=rc.pf_max_zdeg, guard=guard)
-    fp = frobenius(op, rc.series_order)
+    order = max(KZ_ORDER, count + 1)
+    op = fit_operator(rc)
+    fp = frobenius(op, order)
     maps = mirror_map(fp)
-    kz3 = yukawa_z(op, case.n0, yukawa_order)
-    fixture = rational_series(rc.kz3_numerator, rc.kz3_denominator, "z", yukawa_order)
+    kz3 = yukawa_z(op, case.n0, order)
+    fixture = rational_series(rc.kz3_numerator, rc.kz3_denominator, "z", order)
     kq3 = yukawa_q(kz3, fp, maps)
     inst = extract_instantons(kq3, count)
     report = RunReport(

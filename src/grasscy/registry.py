@@ -20,7 +20,6 @@ class RegistryCase:
     kz3_numerator: tuple
     kz3_denominator: tuple
     pf_max_zdeg: int
-    series_order: int
 
 
 class RegistryError(ValueError):
@@ -67,6 +66,5 @@ def registry_load(path: str | Path | None = None) -> dict[str, RegistryCase]:
             kz3_numerator=tuple(qparse(c) for c in rec["kz3_numerator"]),
             kz3_denominator=tuple(qparse(c) for c in rec["kz3_denominator"]),
             pf_max_zdeg=rec["pf_max_zdeg"],
-            series_order=rec["series_order"],
         )
     return out

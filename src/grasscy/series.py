@@ -176,10 +176,6 @@ class PowerSeries:
         return self * (ONE / Q(other))
 
 
-def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    return a * b
-
-
 def series_exp(a: PowerSeries) -> PowerSeries:
     """Formal exponential; requires a(0) = 0."""
     if a.coeffs[0] != 0:
@@ -210,14 +206,6 @@ def series_log(a: PowerSeries) -> PowerSeries:
                 acc -= Q(j) * out[j] * a.coeffs[m - j]
         out[m] = acc / m
     return PowerSeries(a.var, tuple(out))
-
-
-def series_exp_log(a: PowerSeries, mode: str) -> PowerSeries:
-    if mode == "exp":
-        return series_exp(a)
-    if mode == "log":
-        return series_log(a)
-    raise ValueError(f"mode must be 'exp' or 'log', got {mode!r}")
 
 
 def series_compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:

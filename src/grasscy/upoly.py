@@ -5,7 +5,6 @@ entries are polynomials in q and the elimination happens over Q(q)."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 Q = Fraction
 
@@ -100,25 +99,6 @@ def pshift(a: Poly, i: int) -> Poly:
 def ptheta(a: Poly) -> Poly:
     """q d/dq."""
     return pnorm(tuple(Q(i) * x for i, x in enumerate(a)))
-
-
-def peval(a: Poly, x) -> Q:
-    acc = Q(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
-def pcontent(a: Poly) -> Q:
-    """Positive rational c with a/c primitive integer; 0 for the zero poly."""
-    if not a:
-        return Q(0)
-    num = 0
-    den = 1
-    for x in a:
-        num = gcd(num, x.numerator)
-        den = den * x.denominator // gcd(den, x.denominator)
-    return Q(num, den)
 
 
 class RatFunc:

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from grasscy.cli import main
+from grasscy.hypergeom import MAX_ORDER
 from grasscy.registry import RegistryError, registry_load
 
 
@@ -128,10 +129,25 @@ def test_cli_usage_errors(capsys):
     assert main(["instanton", "--case", "NOPE"]) == 2
 
 
-def test_cli_resource_cap(capsys, monkeypatch):
-    monkeypatch.setenv("GRASSCY_MAX_ORDER", "10")
-    code = main(["aseries", "2", "4", "--order", "11"])
+def test_cli_resource_cap(capsys):
+    code = main(["aseries", "2", "4", "--order", str(MAX_ORDER + 1)])
     assert code == 2
+
+
+def test_cli_instanton_count_beyond_kz_order(capsys):
+    """count 12 needs Yukawa order 13, one past the K_z fixture order."""
+    code, out = run_cli(["instanton", "--case", "X113_G25", "--count", "12"], capsys)
+    assert code == 0
+    assert out["pass"] is True
+    assert len(out["instantons"]) == 12
+    assert out["instantons"][:5] == [540, 12555, 621315, 44892765, 3995437590]
+
+
+def test_cli_yukawa_fixture(capsys):
+    code, out = run_cli(["yukawa", "--case", "X113_G25"], capsys)
+    assert code == 0
+    assert out["fixture_match"] is True
+    assert out["kz3"]["trunc"] == 12
 
 
 def test_cli_verify_all_deterministic():
