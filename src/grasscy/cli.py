@@ -13,9 +13,9 @@ from .dop import GUARD, dop_to_json, pf_fit
 from .hypergeom import MAX_ORDER, ASeriesSpec, FactorialBundle, a_series, factorial_trick
 from .laurent import laurent_from_json, laurent_to_json
 from .laxmirror import canonical_gauge_coeffs, lax_operator, mirror_system, period_ct
-from .mirror_analysis import yukawa_z
+from .mirror_analysis import NonIntegralInstanton, yukawa_z
 from .pipeline import fit_operator, rational_series, run_case
-from .qh import scalar_operator, verify_conjecture
+from .qh import NoDependence, scalar_operator, verify_conjecture
 from .registry import registry_load
 from .series import qstr, series_from_json, series_to_json
 from .toric import binomial_equations, build_delta, facets_and_reflexivity
@@ -313,6 +313,9 @@ def main(argv=None) -> int:
             print(json.dumps({"error": e.code}), file=sys.stderr)
             return EXIT_USAGE
         return e.code if isinstance(e.code, int) else EXIT_USAGE
+    except (NonIntegralInstanton, NoDependence) as e:
+        print(json.dumps({"error": f"{type(e).__name__}: {e}"}), file=sys.stderr)
+        return EXIT_MISMATCH
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
         print(json.dumps({"error": f"{type(e).__name__}: {e}"}), file=sys.stderr)
         return EXIT_USAGE

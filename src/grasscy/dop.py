@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .linalg import nullspace
 from .series import LogSeries, PowerSeries, Q, qparse, qstr
 
 ZERO = Q(0)
 GUARD = 10  # rows beyond the unknowns that certify a fitted operator
+SCREEN_PRIME = 2**61 - 1  # Mersenne prime; pf_fit's rank screen works modulo it
 
 
 class NoAnnihilator(ValueError):
@@ -177,7 +178,8 @@ class DOp:
                 for i, c in by_j[j].items():
                     piece = power.shift(i) * c
                     acc = piece if acc is None else acc + piece
-        assert acc is not None
+        if acc is None:
+            raise ValueError("cannot apply the zero operator to a log series")
         return acc
 
 
@@ -235,18 +237,54 @@ def fit_trunc(max_order: int, max_zdeg: int, guard: int = GUARD) -> int:
     return (max_order + 1) * (max_zdeg + 1) + guard
 
 
+def _full_rank_mod_p(rows: list[list[int]], ncols: int) -> bool:
+    """Whether the integer matrix has rank `ncols` modulo SCREEN_PRIME,
+    adding rows to an echelon basis until it does."""
+    p = SCREEN_PRIME
+    echelon: dict[int, list[int]] = {}  # pivot column -> row, 1 at the pivot
+    for row in rows:
+        row = [x % p for x in row]
+        for c in range(ncols):
+            x = row[c]
+            if not x:
+                continue
+            prow = echelon.get(c)
+            if prow is None:
+                inv = pow(x, -1, p)
+                echelon[c] = [y * inv % p for y in row]
+                if len(echelon) == ncols:
+                    return True
+                break
+            row = [(a - x * b) % p for a, b in zip(row, prow)]
+    return False
+
+
 def pf_fit(f: PowerSeries, max_order: int, max_zdeg: int, guard: int = GUARD) -> DOp:
     """Smallest operator (graded by order+zdeg, then order) annihilating f.
 
     Sets up sum_{i,j} c_{i,j} (m-i)^j b_{m-i} = 0 for every m <= f.trunc and
     takes the first candidate (r, d) whose exact nullspace is nonzero; the
     rows beyond (r+1)(d+1) act as the certificate.
+
+    The system is built once, for the largest column set, with each row's
+    denominators cleared; a candidate takes its columns from it.  A
+    candidate of full column rank modulo SCREEN_PRIME has full rank over Q,
+    so it is skipped without the exact nullspace; only the others reach it.
     """
     if f.trunc < fit_trunc(max_order, max_zdeg, guard):
         raise ValueError(
             f"series truncation {f.trunc} too small for bounds "
             f"({max_order},{max_zdeg}) with guard {guard}"
         )
+    b = f.coeffs
+    system = []  # row m: column (i, j) at index i * (max_order + 1) + j
+    for m in range(f.trunc + 1):
+        den = lcm(*(b[m - i].denominator for i in range(min(m, max_zdeg) + 1)))
+        row = []
+        for i in range(max_zdeg + 1):
+            x = b[m - i].numerator * (den // b[m - i].denominator) if m >= i else 0
+            row.extend(x * (m - i) ** j for j in range(max_order + 1))
+        system.append(row)
     candidates = []
     for r in range(1, max_order + 1):
         for d in range(0, max_zdeg + 1):
@@ -254,15 +292,10 @@ def pf_fit(f: PowerSeries, max_order: int, max_zdeg: int, guard: int = GUARD) ->
     candidates.sort(key=lambda rd: (rd[0] + rd[1], rd[0]))
     for r, d in candidates:
         cols = [(i, j) for i in range(d + 1) for j in range(r + 1)]
-        rows = []
-        for m in range(f.trunc + 1):
-            row = []
-            for i, j in cols:
-                if m - i < 0:
-                    row.append(ZERO)
-                else:
-                    row.append(Fraction(m - i) ** j * f.coeffs[m - i])
-            rows.append(row)
+        index = [i * (max_order + 1) + j for i, j in cols]
+        rows = [[row[t] for t in index] for row in system]
+        if _full_rank_mod_p(rows, len(cols)):
+            continue
         basis = nullspace(rows)
         basis = [v for v in basis if any(x != 0 for x in v)]
         if not basis:

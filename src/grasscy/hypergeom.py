@@ -6,6 +6,12 @@ The coefficient of q^m is a sum over a (k-1) x (n-k-1) grid of integers
 0 <= s_{i,j} <= m with s_{i,j} read as m outside the grid; each grid cell
 contributes binomial(s_{i+1,j}, s_{i,j}) * binomial(s_{i,j+1}, s_{i,j}),
 and the whole sum is divided by (m!)^n.
+
+The specialized series sums the grid by a transfer over its cells: only
+the values a later cell still reads are kept, so the state is one value
+for k = 2 (a chain) and at most k - 1 values in general.  Listing every
+grid assignment is kept for the multivariate series, which needs each
+assignment's exponent vector.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from math import comb, factorial
 
 from .series import MultiSeries, PowerSeries, Q
 
-MAX_ORDER = 200  # resource bound; grid sums grow like m^(grid size)
+MAX_ORDER = 200  # resource bound on every truncation order
 
 
 @dataclass(frozen=True)
@@ -75,22 +81,64 @@ def _grid_sum(k: int, n: int, m: int, collect):
     rec(0, 1)
 
 
+def _frontiers(k: int, n: int):
+    """One step per cell of `_grid_positions`, in that order: the state
+    slots of the cell's `up` and `right` neighbours (None outside the
+    grid, where the value is m), the state slots a later cell still reads,
+    and whether a later cell reads the new value.  The kept slots followed
+    by the new value, when kept, form the next state."""
+    pos = _grid_positions(k, n)
+    last_read = {}
+    for idx, (i, j) in enumerate(pos):
+        for cell in ((i + 1, j), (i, j + 1)):
+            if cell[0] <= k - 1 and cell[1] <= n - k - 1:
+                last_read[cell] = idx
+    steps = []
+    live: list[tuple[int, int]] = []
+    for idx, (i, j) in enumerate(pos):
+        slot = {cell: t for t, cell in enumerate(live)}
+        keep = tuple(t for t, cell in enumerate(live) if last_read[cell] > idx)
+        kept_new = last_read.get((i, j), -1) > idx
+        steps.append((slot.get((i + 1, j)), slot.get((i, j + 1)), keep, kept_new))
+        live = [live[t] for t in keep] + ([(i, j)] if kept_new else [])
+    return steps
+
+
+def _transfer_sum(steps, m: int, binom: list[list[int]]) -> int:
+    """Grid sum of the weights for one m, by transfer over the frontier
+    states (tuples of cell values -> summed weight); binom[a][s] = C(a, s)."""
+    states = {(): 1}
+    for up_slot, right_slot, keep, kept_new in steps:
+        nxt: dict[tuple, int] = {}
+        for state, w in states.items():
+            up = m if up_slot is None else state[up_slot]
+            right = m if right_slot is None else state[right_slot]
+            bu, br = binom[up], binom[right]
+            base = tuple(state[t] for t in keep)
+            if kept_new:
+                for s in range(min(up, right) + 1):
+                    key = base + (s,)
+                    nxt[key] = nxt.get(key, 0) + w * bu[s] * br[s]
+            else:
+                total = sum(bu[s] * br[s] for s in range(min(up, right) + 1))
+                nxt[base] = nxt.get(base, 0) + w * total
+        states = nxt
+    return states[()]
+
+
 def a_series(spec: ASeriesSpec):
     """A-series of the toric degeneration; PowerSeries in q when
     keep_params is off, MultiSeries over the auxiliary variables otherwise."""
     k, n, N = spec.k, spec.n, spec.trunc
     grid = [(i, j) for i in range(1, k) for j in range(1, n - k)]
     if not spec.keep_params:
-        coeffs = []
-        for m in range(N + 1):
-            total = 0
-
-            def add(w, _values, _m=m):
-                nonlocal total
-                total += w
-
-            _grid_sum(k, n, m, add)
-            coeffs.append(Q(total, factorial(m) ** n))
+        steps = _frontiers(k, n)
+        binom = [[1]]  # Pascal rows 0..m
+        coeffs = [Q(1)]  # m = 0: the all-zero grid, weight 1
+        for m in range(1, N + 1):
+            prev = binom[-1]
+            binom.append([1] + [a + b for a, b in zip(prev, prev[1:])] + [1])
+            coeffs.append(Q(_transfer_sum(steps, m, binom), factorial(m) ** n))
         return PowerSeries("q", tuple(coeffs))
 
     bound = spec.param_degree_bound

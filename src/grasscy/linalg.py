@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Q = Fraction
 
@@ -32,20 +33,62 @@ def rref(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:
     return m, pivots
 
 
+def _integer_rows(rows) -> list[list[int]]:
+    """Each row scaled by the lcm of its denominators, then divided by the
+    gcd of its entries: integer rows with the same row space."""
+    out = []
+    for r in rows:
+        r = [Q(x) for x in r]
+        den = lcm(*(x.denominator for x in r))
+        ints = [x.numerator * (den // x.denominator) for x in r]
+        g = gcd(*ints)
+        out.append([x // g for x in ints] if g > 1 else ints)
+    return out
+
+
 def nullspace(rows: list[list[Q]], ncols: int | None = None) -> list[list[Q]]:
-    """Basis of the right nullspace of the matrix."""
+    """Basis of the right nullspace of the matrix: one vector per free
+    column f, with 1 at f, 0 at the other free columns, read off the
+    reduced row echelon form.
+
+    The elimination is fraction-free Gauss-Jordan on integer rows with each
+    row divided by its content after every update; since the reduced row
+    echelon form is unique, the basis is the one `rref` gives.
+    """
     if not rows:
         n = ncols or 0
         return [[Q(1) if j == i else Q(0) for j in range(n)] for i in range(n)]
     n = len(rows[0])
-    m, pivots = rref(rows)
-    free = [c for c in range(n) if c not in pivots]
+    m = _integer_rows(rows)
+    nrows = len(m)
+    pivots = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        prow = m[r]
+        p = prow[c]
+        for i in range(nrows):
+            f = m[i][c]
+            if i != r and f:
+                row = [p * a - f * b for a, b in zip(m[i], prow)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    pivot_set = set(pivots)
     basis = []
-    for f in free:
+    for f in range(n):
+        if f in pivot_set:
+            continue
         v = [Q(0)] * n
         v[f] = Q(1)
-        for r, p in enumerate(pivots):
-            v[p] = -m[r][f]
+        for i, p in enumerate(pivots):
+            v[p] = Q(-m[i][f], m[i][p])
         basis.append(v)
     return basis
 

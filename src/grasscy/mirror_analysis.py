@@ -119,7 +119,8 @@ def frobenius(P: DOp, order_n: int) -> FrobeniusPair:
         raise NotMUM("operator order must be >= 2")
     phi0 = basis[0].component(0)
     psi = basis[1].component(0)
-    assert basis[1].component(1) == phi0
+    if basis[1].component(1) != phi0:
+        raise NotMUM("the log coefficient of the first log solution differs from phi0")
     return FrobeniusPair(phi0, psi)
 
 

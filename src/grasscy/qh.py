@@ -172,7 +172,8 @@ def scalar_operator(k: int, n: int, guard: int = 20) -> DOp:
         polys = [pdivmod(p, gpoly)[0] if p else PZERO for p in polys]
     op = DOp({(i, j): c for j, p in enumerate(polys) for i, c in enumerate(p) if c != 0})
     op = op.canonical()
-    assert op.order == rho
+    if op.order != rho:
+        raise NoDependence(f"operator for G({k},{n}) has order {op.order}, expected {rho}")
 
     if guard:
         from .hypergeom import a_series_qspecialized

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 Q = Fraction
@@ -223,17 +224,25 @@ def series_compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:
 def series_revert(a: PowerSeries) -> PowerSeries:
     """Compositional inverse g with a(g(t)) = t to truncation.
 
-    Requires a(0) = 0 and a'(0) != 0.  Solved degree by degree.
+    Requires a(0) = 0 and a'(0) != 0.  Lagrange inversion: with
+    h = t / a(t), g_m = [t^(m-1)] h^m / m, one product with h per degree.
     """
     if a.coeffs[0] != 0:
         raise ValueError("revert needs constant term 0")
     if a.trunc < 1 or a.coeffs[1] == 0:
         raise ValueError("revert needs a nonzero linear coefficient")
     n = a.trunc
-    g = [ZERO, ONE / a.coeffs[1]] + [ZERO] * (n - 1)
-    for m in range(2, n + 1):
-        comp = series_compose(a.truncate(m), PowerSeries(a.var, tuple(g[: m + 1])))
-        g[m] = -comp.coeffs[m] / a.coeffs[1]
+    h = PowerSeries(a.var, a.coeffs[1:]).reciprocal().coeffs  # degrees 0..n-1
+    # h = H / den with H integral, so h^m = power / den^m in integers
+    den = lcm(*(c.denominator for c in h))
+    H = [c.numerator * (den // c.denominator) for c in h]
+    g = [ZERO] * (n + 1)
+    power, scale = H, den
+    for m in range(1, n + 1):
+        if m > 1:
+            power = [sum(power[i] * H[d - i] for i in range(d + 1)) for d in range(n)]
+            scale *= den
+        g[m] = Q(power[m - 1], m * scale)
     return PowerSeries(a.var, tuple(g))
 
 

@@ -81,7 +81,9 @@ def build_delta(k: int, n: int) -> DeltaKN:
     _check_kn(k, n)
     labels = tuple(vertex_labels(k, n))
     verts = tuple(vertex_vector(k, n, lab) for lab in labels)
-    assert len(verts) == 2 * (k - 1) * (n - k - 1) + n
+    if len(verts) != 2 * (k - 1) * (n - k - 1) + n:
+        raise RuntimeError(f"Delta({k},{n}) has {len(verts)} vertices, expected "
+                           f"{2 * (k - 1) * (n - k - 1) + n}")
     return DeltaKN(k, n, labels, verts)
 
 
@@ -173,7 +175,8 @@ def nef_partition_sets(k: int, n: int) -> list[list[Label]]:
     for j in range(1, n - k):
         sets.append([("v", i, j) for i in range(1, k + 1)])
     sets.append([("v", k, n - k)])
-    assert len(sets) == n
+    if len(sets) != n:
+        raise RuntimeError(f"nef partition of G({k},{n}) has {len(sets)} sets, expected {n}")
     return sets
 
 
@@ -185,7 +188,8 @@ def degree_grassmannian(k: int, n: int) -> int:
     for i in range(k):
         frac *= Fraction(factorial(i), factorial(n - k + i))
     result = num * frac
-    assert result.denominator == 1
+    if result.denominator != 1:
+        raise ArithmeticError(f"degree of G({k},{n}) came out as {result}, not an integer")
     return int(result)
 
 

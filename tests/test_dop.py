@@ -110,6 +110,34 @@ def test_pf_fit_no_annihilator():
         pf_fit(f, 1, 0, guard=5)
 
 
+def test_pf_fit_screen_fallback(monkeypatch):
+    """Scaling the series by the screening prime makes every candidate
+    fail the rank screen, so each one reaches the exact nullspace; the fit
+    must not change.  The unscaled series reaches it only for the winner."""
+    from math import comb, factorial
+
+    import grasscy.dop as dop
+
+    calls = []
+    exact = dop.nullspace
+
+    def counting_nullspace(rows, *args):
+        calls.append(len(rows[0]))
+        return exact(rows, *args)
+
+    monkeypatch.setattr(dop, "nullspace", counting_nullspace)
+    # the quartic in G(2,4): phi_m = (4m)! C(2m,m) / (m!)^2, an order-4 operator
+    phi = PowerSeries("z", tuple(Q(factorial(4 * m) * comb(2 * m, m), factorial(m) ** 2)
+                                 for m in range(21)))
+    P = pf_fit(phi, 4, 1)
+    assert calls == [10]  # only the winner, (r, d) = (4, 1)
+    assert P.order == 4 and P.apply(phi).is_zero()
+    calls.clear()
+    scaled = PowerSeries("z", tuple(c * dop.SCREEN_PRIME for c in phi.coeffs))
+    assert pf_fit(scaled, 4, 1) == P
+    assert len(calls) == 8  # every candidate up to and including (4, 1)
+
+
 def test_json_roundtrip():
     P = D**4 - 3 * z * (2 * D + 1)
     assert dop_from_json(dop_to_json(P)) == P

@@ -44,6 +44,31 @@ def test_g36_matches_operator_recurrence():
     assert phi.coeffs[:3] == (Q(1), Q(6), Q(126))
 
 
+def test_g27_g36_grid_sums_pinned():
+    # (m!)^n a_m, the grid sums themselves, for the two largest grids
+    for (k, n), sums in {
+        (2, 7): [1, 5, 109, 3317, 121501, 4954505, 216867925],
+        (3, 6): [1, 6, 126, 3948, 149310, 6300756, 285675516],
+    }.items():
+        f = a_series_qspecialized(k, n, len(sums) - 1)
+        assert f.coeffs == tuple(Q(s, factorial(m) ** n) for m, s in enumerate(sums))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=3, max_value=8),
+    st.integers(min_value=0, max_value=3),
+)
+def test_transfer_matches_enumerator(k, n, m):
+    """The frontier transfer of the specialized series against the
+    enumeration of every grid assignment (the multivariate series at 1)."""
+    if not k < n:
+        return
+    full = a_series(ASeriesSpec(k, n, m, keep_params=True))
+    assert a_series_qspecialized(k, n, m) == full.specialize_ones()
+
+
 def test_keep_params_specializes_to_q_series():
     full = a_series(ASeriesSpec(2, 5, 4, keep_params=True))
     assert full.specialize_ones() == a_series_qspecialized(2, 5, 4)

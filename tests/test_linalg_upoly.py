@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grasscy.linalg import nullspace, rank, solve
+from grasscy.linalg import nullspace, rank, rref, solve
 from grasscy.upoly import (
     PZERO,
     RatFunc,
@@ -41,11 +41,35 @@ def test_rank():
     assert rank([[Q(1), Q(0)], [Q(0), Q(1)]]) == 2
 
 
+def rref_nullspace(rows):
+    """The nullspace basis read off the Fraction rref: 1 at each free
+    column, minus that column of the reduced rows at the pivots."""
+    n = len(rows[0])
+    m, pivots = rref(rows)
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [Q(0)] * n
+        v[f] = Q(1)
+        for r, p in enumerate(pivots):
+            v[p] = -m[r][f]
+        basis.append(v)
+    return basis
+
+
 @settings(max_examples=200)
-@given(st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=1, max_size=4))
-def test_nullspace_vectors_annihilate(rows):
+@given(
+    st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), rationals), max_size=2),
+)
+def test_nullspace_vectors_annihilate(rows, combos):
     rows = [[Q(x) for x in r] for r in rows]
-    for v in nullspace(rows):
+    # dependent rows: row a plus c times row b
+    for a, b, c in combos:
+        if a < len(rows) and b < len(rows):
+            rows.append([x + c * y for x, y in zip(rows[a], rows[b])])
+    basis = nullspace(rows)
+    assert basis == rref_nullspace(rows)
+    for v in basis:
         assert any(x != 0 for x in v)
         for r in rows:
             assert sum(a * b for a, b in zip(r, v)) == 0

@@ -1,11 +1,15 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction as Q
 
 import pytest
 
+import grasscy.cli as cli
 from grasscy.cli import main
 from grasscy.hypergeom import MAX_ORDER
+from grasscy.mirror_analysis import NonIntegralInstanton
+from grasscy.qh import NoDependence
 from grasscy.registry import RegistryError, registry_load
 
 
@@ -132,6 +136,27 @@ def test_cli_usage_errors(capsys):
 def test_cli_resource_cap(capsys):
     code = main(["aseries", "2", "4", "--order", str(MAX_ORDER + 1)])
     assert code == 2
+
+
+def _raise(exc):
+    def fn(*args, **kwargs):
+        raise exc
+
+    return fn
+
+
+def test_cli_non_integral_instanton_is_mismatch(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_case", _raise(NonIntegralInstanton(3, Q(1, 2))))
+    assert main(["instanton", "--case", "X113_G25"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"].startswith("NonIntegralInstanton: instanton number n_3 = 1/2")
+
+
+def test_cli_no_dependence_is_mismatch(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "scalar_operator", _raise(NoDependence("no dependence")))
+    assert main(["qh-operator", "2", "5"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NoDependence: no dependence"
 
 
 def test_cli_instanton_count_beyond_kz_order(capsys):
