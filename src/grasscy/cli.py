@@ -9,20 +9,26 @@ import argparse
 import json
 import sys
 
-from .dop import GUARD, dop_to_json, pf_fit
+from .dop import GUARD, AmbiguousAnnihilator, NoAnnihilator, dop_to_json, pf_fit
 from .hypergeom import MAX_ORDER, ASeriesSpec, FactorialBundle, a_series, factorial_trick
 from .laurent import laurent_from_json, laurent_to_json
 from .laxmirror import canonical_gauge_coeffs, lax_operator, mirror_system, period_ct
-from .mirror_analysis import NonIntegralInstanton, yukawa_z
+from .mirror_analysis import NonIntegralInstanton, NotMUM, yukawa_z
 from .pipeline import fit_operator, rational_series, run_case
 from .qh import NoDependence, scalar_operator, verify_conjecture
 from .registry import registry_load
 from .series import qstr, series_from_json, series_to_json
 from .toric import binomial_equations, build_delta, facets_and_reflexivity
+from .upoly import InexactDivision
 
 EXIT_PASS = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+
+# the computation ran on valid input but its result failed a check; several
+# of these subclass ValueError, so they are caught before the usage errors
+MISMATCH_ERRORS = (NonIntegralInstanton, NoDependence, InexactDivision, NoAnnihilator,
+                   AmbiguousAnnihilator, NotMUM)
 
 
 def _check_order(value: int, what: str = "order"):
@@ -313,7 +319,7 @@ def main(argv=None) -> int:
             print(json.dumps({"error": e.code}), file=sys.stderr)
             return EXIT_USAGE
         return e.code if isinstance(e.code, int) else EXIT_USAGE
-    except (NonIntegralInstanton, NoDependence) as e:
+    except MISMATCH_ERRORS as e:
         print(json.dumps({"error": f"{type(e).__name__}: {e}"}), file=sys.stderr)
         return EXIT_MISMATCH
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 from .linalg import nullspace
-from .series import LogSeries, PowerSeries, Q, qparse, qstr
+from .series import LogSeries, PowerSeries, Q, qstr
 
 ZERO = Q(0)
 GUARD = 10  # rows beyond the unknowns that certify a fitted operator
@@ -189,14 +189,7 @@ class DOp:
 def stirling2(j: int, t: int) -> int:
     if t == 0:
         return 1 if j == 0 else 0
-    return sum((-1) ** (t - i) * comb(t, i) * i**j for i in range(t + 1)) // _fact(t)
-
-
-def _fact(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+    return sum((-1) ** (t - i) * comb(t, i) * i**j for i in range(t + 1)) // factorial(t)
 
 
 def to_ddz_form(P: DOp) -> list[list[Q]]:
@@ -320,4 +313,4 @@ def dop_to_json(P: DOp, varname: str = "z") -> dict:
 
 
 def dop_from_json(d: dict) -> DOp:
-    return DOp({(t["qdeg"], t["ddeg"]): qparse(t["coeff"]) for t in d["terms"]})
+    return DOp({(t["qdeg"], t["ddeg"]): Q(t["coeff"]) for t in d["terms"]})

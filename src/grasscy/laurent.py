@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .series import Q, qparse, qstr
+from .series import Q, qstr
 
 ZERO = Q(0)
 
@@ -134,4 +134,4 @@ def laurent_to_json(L: LaurentPoly) -> dict:
 
 
 def laurent_from_json(d: dict) -> LaurentPoly:
-    return LaurentPoly(d["nvars"], {tuple(t["exp"]): qparse(t["c"]) for t in d["terms"]})
+    return LaurentPoly(d["nvars"], {tuple(t["exp"]): Q(t["c"]) for t in d["terms"]})

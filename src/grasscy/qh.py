@@ -12,11 +12,13 @@ operators reproduce the published quantum differential operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from math import comb
 
 from .dop import DOp
+from .hypergeom import a_series_qspecialized
 from .series import PowerSeries
-from .upoly import PONE, PZERO, Poly, RatFunc, padd, pmul, pnorm, pshift, ptheta
+from .upoly import PONE, PZERO, Poly, padd, pdivexact, pdivmod, pgcd, pmul, psub, pshift, ptheta
 
 DIM_BOUND = 35  # covers C(7,2)
 
@@ -84,32 +86,17 @@ def build_qh_matrix(k: int, n: int) -> QHMatrix:
     return QHMatrix(k, n, basis, tuple(tuple(row) for row in entries))
 
 
-def _matvec_left(row: list[Poly], M: QHMatrix) -> list[Poly]:
-    dim = M.dim
-    out = [PZERO] * dim
-    for col in range(dim):
-        acc = PZERO
-        for mid in range(dim):
+def next_functional(l: list[Poly], M: QHMatrix) -> list[Poly]:
+    """l_{j+1} = l_j M + theta(l_j); l_0 extracts the top Schubert coefficient."""
+    out = []
+    for col in range(M.dim):
+        acc = ptheta(l[col])
+        for mid in range(M.dim):
             e = M.entries[mid][col]
-            if e and row[mid]:
-                acc = padd(acc, pmul(row[mid], e))
-        out[col] = acc
+            if e and l[mid]:
+                acc = padd(acc, pmul(l[mid], e))
+        out.append(acc)
     return out
-
-
-def functional_sequence(M: QHMatrix, count: int) -> list[list[Poly]]:
-    """l_0 extracts the top Schubert coefficient; l_{j+1} = l_j M + theta(l_j)."""
-    top = (M.n - M.k,) * M.k
-    top_idx = M.basis.index(top)
-    l0 = [PZERO] * M.dim
-    l0[top_idx] = PONE
-    seq = [l0]
-    for _ in range(count):
-        prev = seq[-1]
-        nxt = _matvec_left(prev, M)
-        nxt = [padd(a, ptheta(b)) for a, b in zip(nxt, prev)]
-        seq.append(nxt)
-    return seq
 
 
 class NoDependence(RuntimeError):
@@ -117,67 +104,54 @@ class NoDependence(RuntimeError):
     one must exist at order <= dim)."""
 
 
+def _cross(p: Poly, a: Poly, f: Poly, b: Poly, d: Poly) -> Poly:
+    """(p a - f b) / d, exact in Z[q]."""
+    return pdivexact(psub(pmul(p, a), pmul(f, b)), d)
+
+
 def scalar_operator(k: int, n: int, guard: int = 20) -> DOp:
     """Minimal-order operator sum_j c_j(q) D^j annihilating the pairing with
-    the fundamental class, found by exact elimination over Q(q).
+    the fundamental class, found by fraction-free (Bareiss) elimination over
+    Z[q].  Each new functional l_j and its trace (its combination of
+    l_0..l_j) are reduced against the stored pivot rows in order,
+    row <- (p_i row - row[c_i] prow_i) / p_{i-1}, with p_i the i-th pivot
+    entry and p_{-1} = 1; by Sylvester's identity every division is exact.
 
     guard: order to which the result is re-checked against the specialized
     hypergeometric series (0 disables the check).
     """
     M = build_qh_matrix(k, n)
     dim = M.dim
-    # incremental elimination; pivots chosen as lowest-degree nonzero entry
-    pivot_rows: list[tuple[int, list[RatFunc], list[RatFunc]]] = []
-    seq: list[list[Poly]] = functional_sequence(M, 0)
-    coeffs = None
-    rho = None
-    for j in range(dim + 1):
-        if j >= len(seq):
-            seq = functional_sequence(M, j)
-        row = [RatFunc(p) for p in seq[j]]
-        trace = [RatFunc.const(1 if t == j else 0) for t in range(j + 1)]
-        for pcol, prow, ptrace in pivot_rows:
+    l = [PZERO] * dim
+    l[M.basis.index((n - k,) * k)] = PONE
+    pivots: list[tuple[int, Poly, list[Poly], list[Poly]]] = []  # (column, entry, row, trace)
+    for rho in range(dim + 1):
+        row, trace = l, [PZERO] * rho + [PONE]
+        prev = PONE
+        for pcol, piv, prow, ptrace in pivots:
             f = row[pcol]
-            if f.is_zero():
-                continue
-            row = [a - f * b for a, b in zip(row, prow)]
-            for t in range(len(ptrace)):
-                trace[t] = trace[t] - f * ptrace[t]
-        if all(r.is_zero() for r in row):
-            coeffs = trace
-            rho = j
+            row = [_cross(piv, a, f, b, prev) for a, b in zip(row, prow)]
+            trace = [_cross(piv, a, f, b, prev)
+                     for a, b in zip_longest(trace, ptrace, fillvalue=PZERO)]
+            prev = piv
+        if not any(row):
             break
-        cand = [(len(row[c].num), c) for c in range(dim) if not row[c].is_zero()]
-        _, pcol = min(cand)
-        inv = row[pcol]
-        row = [a / inv for a in row]
-        trace = [a / inv for a in trace]
-        pivot_rows.append((pcol, row, trace))
-    if coeffs is None:
+        _, pcol = min((len(e), c) for c, e in enumerate(row) if e)  # lowest degree
+        pivots.append((pcol, row[pcol], row, trace))
+        l = next_functional(l, M)
+    else:
         raise NoDependence(f"no dependence among l_0..l_{dim} for G({k},{n})")
 
-    # clear denominators to polynomials, then remove overall content
-    from .upoly import pdivmod, pgcd
-
-    den = PONE
-    for c in coeffs:
-        if not c.is_zero():
-            g = pgcd(den, c.den)
-            den = pdivmod(pmul(den, c.den), g)[0]
-    polys = [pdivmod(pmul(c.num, den), c.den)[0] if not c.is_zero() else PZERO for c in coeffs]
-    gpoly = PZERO
-    for p in polys:
-        gpoly = pgcd(gpoly, p) if gpoly else pnorm(p)
-    if len(gpoly) > 1:
-        polys = [pdivmod(p, gpoly)[0] if p else PZERO for p in polys]
-    op = DOp({(i, j): c for j, p in enumerate(polys) for i, c in enumerate(p) if c != 0})
-    op = op.canonical()
+    # remove the polynomial content of the dependence
+    content = PZERO
+    for t in trace:
+        content = pgcd(content, t)
+    op = DOp({(i, j): c for j, t in enumerate(trace)
+              for i, c in enumerate(pdivmod(t, content)[0])}).canonical()
     if op.order != rho:
         raise NoDependence(f"operator for G({k},{n}) has order {op.order}, expected {rho}")
 
     if guard:
-        from .hypergeom import a_series_qspecialized
-
         a = a_series_qspecialized(k, n, guard)
         if not op.apply(a).is_zero():
             raise NoDependence(
@@ -202,8 +176,6 @@ def verify_conjecture(k: int, n: int, order: int, operator: DOp | None = None,
                       series: PowerSeries | None = None) -> ConjectureReport:
     """Apply the quantum-cohomology operator to the specialized
     hypergeometric series and report the residual coefficients."""
-    from .hypergeom import a_series_qspecialized
-
     if operator is None:
         operator = scalar_operator(k, n, guard=0)
     if series is None:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .series import qparse
+from .series import Q
 from .toric import CYCase, node_count
 
 
@@ -63,8 +63,8 @@ def registry_load(path: str | Path | None = None) -> dict[str, RegistryCase]:
             expected_Y=ey,
             expected_alpha=rec["alpha"],
             expected_p=rec["p"],
-            kz3_numerator=tuple(qparse(c) for c in rec["kz3_numerator"]),
-            kz3_denominator=tuple(qparse(c) for c in rec["kz3_denominator"]),
+            kz3_numerator=tuple(Q(c) for c in rec["kz3_numerator"]),
+            kz3_denominator=tuple(Q(c) for c in rec["kz3_denominator"]),
             pf_max_zdeg=rec["pf_max_zdeg"],
         )
     return out

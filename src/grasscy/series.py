@@ -36,10 +36,6 @@ def qstr(x: Q) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def qparse(s: str) -> Q:
-    return Q(s)
-
-
 @dataclass(frozen=True)
 class PowerSeries:
     var: str
@@ -386,7 +382,7 @@ def series_to_json(f: PowerSeries) -> dict:
 
 
 def series_from_json(d: dict) -> PowerSeries:
-    f = PowerSeries(d["var"], tuple(qparse(c) for c in d["coeffs"]))
+    f = PowerSeries(d["var"], tuple(Q(c) for c in d["coeffs"]))
     if f.trunc != d["trunc"]:
         raise ValueError("trunc field disagrees with coefficient count")
     return f

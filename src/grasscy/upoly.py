@@ -1,6 +1,7 @@
-"""Dense univariate polynomials over Q and the rational functions built on
-them.  Used for the quantum differential system reduction, where vector
-entries are polynomials in q and the elimination happens over Q(q)."""
+"""Dense univariate polynomials, coefficient of q^i at index i.  Integer
+coefficients stay integers under +, -, x and exact division, which is what
+the fraction-free reduction of the quantum differential system works in;
+pdivmod and pgcd work over Q."""
 
 from __future__ import annotations
 
@@ -8,21 +9,21 @@ from fractions import Fraction
 
 Q = Fraction
 
-Poly = tuple  # tuple of Fractions, coefficient of q^i at index i; () is zero
+Poly = tuple  # coefficient of q^i at index i; () is zero
 
 PZERO: Poly = ()
-PONE: Poly = (Q(1),)
+PONE: Poly = (1,)
+
+
+class InexactDivision(ArithmeticError):
+    """A division that must be exact in Z[q] left a remainder."""
 
 
 def pnorm(c) -> Poly:
     c = list(c)
     while c and c[-1] == 0:
         c.pop()
-    return tuple(Q(x) for x in c)
-
-
-def pdeg(a: Poly) -> int:
-    return len(a) - 1  # -1 for zero
+    return tuple(c)
 
 
 def padd(a: Poly, b: Poly) -> Poly:
@@ -34,18 +35,14 @@ def padd(a: Poly, b: Poly) -> Poly:
     return pnorm(out)
 
 
-def pneg(a: Poly) -> Poly:
-    return tuple(-x for x in a)
-
-
 def psub(a: Poly, b: Poly) -> Poly:
-    return padd(a, pneg(b))
+    return padd(a, tuple(-x for x in b))
 
 
 def pmul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return PZERO
-    out = [Q(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -54,14 +51,29 @@ def pmul(a: Poly, b: Poly) -> Poly:
     return pnorm(out)
 
 
-def pscale(a: Poly, c) -> Poly:
-    c = Q(c)
-    if c == 0:
-        return PZERO
-    return tuple(x * c for x in a)
+def pdivexact(a: Poly, b: Poly) -> Poly:
+    """a / b for integer polynomials, raising InexactDivision unless the
+    quotient lies in Z[q]."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(a)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    lb = b[-1]
+    for i in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[i + len(b) - 1], lb)
+        if rem:
+            raise InexactDivision(f"{b} does not divide {a} in Z[q]")
+        if c:
+            q[i] = c
+            for j, y in enumerate(b):
+                r[i + j] -= c * y
+    if any(r):
+        raise InexactDivision(f"{b} does not divide {a} in Z[q]")
+    return pnorm(q)
 
 
 def pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Quotient and remainder over Q."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     r = list(a)
@@ -70,7 +82,7 @@ def pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     for i in range(len(a) - len(b), -1, -1):
         if len(r) < i + len(b):
             continue
-        c = r[i + len(b) - 1] / lb
+        c = Q(r[i + len(b) - 1]) / lb
         if c == 0:
             continue
         q[i] = c
@@ -82,72 +94,19 @@ def pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
 
 
 def pgcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd over Q; () when both are zero."""
     while b:
         a, b = b, pdivmod(a, b)[1]
-    if not a:
-        return PZERO
-    return pscale(a, 1 / a[-1])  # monic
+    return tuple(x / Q(a[-1]) for x in a) if a else PZERO
 
 
 def pshift(a: Poly, i: int) -> Poly:
     """Multiply by q^i."""
     if not a:
         return PZERO
-    return (Q(0),) * i + a
+    return (0,) * i + a
 
 
 def ptheta(a: Poly) -> Poly:
     """q d/dq."""
-    return pnorm(tuple(Q(i) * x for i, x in enumerate(a)))
-
-
-class RatFunc:
-    """num/den with den monic nonzero, reduced by gcd."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly = PONE):
-        num, den = pnorm(num), pnorm(den)
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            self.num, self.den = PZERO, PONE
-            return
-        g = pgcd(num, den)
-        if pdeg(g) > 0:
-            num = pdivmod(num, g)[0]
-            den = pdivmod(den, g)[0]
-        lc = den[-1]
-        self.num = pscale(num, 1 / lc)
-        self.den = pscale(den, 1 / lc)
-
-    @classmethod
-    def const(cls, c) -> "RatFunc":
-        c = Q(c)
-        return cls((c,) if c else PZERO)
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def __add__(self, o):
-        return RatFunc(padd(pmul(self.num, o.den), pmul(o.num, self.den)), pmul(self.den, o.den))
-
-    def __sub__(self, o):
-        return RatFunc(psub(pmul(self.num, o.den), pmul(o.num, self.den)), pmul(self.den, o.den))
-
-    def __neg__(self):
-        return RatFunc(pneg(self.num), self.den)
-
-    def __mul__(self, o):
-        return RatFunc(pmul(self.num, o.num), pmul(self.den, o.den))
-
-    def __truediv__(self, o):
-        if o.is_zero():
-            raise ZeroDivisionError
-        return RatFunc(pmul(self.num, o.den), pmul(self.den, o.num))
-
-    def __eq__(self, o):
-        return isinstance(o, RatFunc) and self.num == o.num and self.den == o.den
-
-    def __repr__(self):
-        return f"RatFunc({self.num}, {self.den})"
+    return pnorm(i * x for i, x in enumerate(a))

@@ -1,13 +1,15 @@
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grasscy.linalg import nullspace, rank, rref, solve
 from grasscy.upoly import (
     PZERO,
-    RatFunc,
+    InexactDivision,
     padd,
+    pdivexact,
     pdivmod,
     pgcd,
     pmul,
@@ -88,7 +90,7 @@ def test_solve_satisfies_system(rows, x):
     assert [sum(a * b for a, b in zip(r, sol)) for r in rows] == rhs
 
 
-# -- univariate polynomials / rational functions ------------------------------
+# -- univariate polynomials ---------------------------------------------------
 
 
 def P(*cs):
@@ -120,18 +122,29 @@ def test_divmod_identity(a, b):
     assert len(r) < len(b) or r == PZERO
 
 
-def test_ratfunc_field_ops():
-    x = RatFunc(P(0, 1))
-    one = RatFunc.const(1)
-    y = (x + one) / (x - one)
-    assert (y * (x - one) - (x + one)).is_zero()
-    assert (y - y).is_zero()
+def test_pdivexact():
+    # (q^2 - 1) / (q - 1) = q + 1, with integer coefficients throughout
+    quo = pdivexact((-1, 0, 1), (-1, 1))
+    assert quo == (1, 1) and all(type(c) is int for c in quo)
+    with pytest.raises(InexactDivision):  # remainder 2
+        pdivexact((1, 0, 1), (-1, 1))
+    with pytest.raises(InexactDivision):  # quotient q/2 is not in Z[q]
+        pdivexact((0, 1), (2,))
+    with pytest.raises(InexactDivision):  # divisor of higher degree
+        pdivexact((3,), (0, 1))
+
+
+ints = st.integers(min_value=-50, max_value=50)
 
 
 @settings(max_examples=200)
-@given(st.lists(rationals, min_size=1, max_size=3), st.lists(rationals, min_size=1, max_size=3))
-def test_ratfunc_mul_div_roundtrip(a, b):
-    ra, rb = RatFunc(pnorm(tuple(a))), RatFunc(pnorm(tuple(b)))
-    if rb.is_zero():
+@given(st.lists(ints, max_size=5), st.lists(ints, min_size=1, max_size=4))
+def test_pdivexact_inverts_pmul(a, b):
+    a, b = pnorm(a), pnorm(b)
+    if b == PZERO:
         return
-    assert ((ra / rb) * rb - ra).is_zero()
+    quo = pdivexact(pmul(a, b), b)
+    assert quo == a and all(type(c) is int for c in quo)
+    if len(b) > 1 or abs(b[0]) > 1:
+        with pytest.raises(InexactDivision):
+            pdivexact(padd(pmul(a, b), (1,)), b)

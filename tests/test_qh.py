@@ -115,9 +115,32 @@ def test_scalar_operator_g36():
     assert scalar_operator(3, 6) == exp
 
 
+# G(2,7): sum_i q^i P_i(D), as q-power -> (lowest D-power, coefficients of
+# P_i from that power up); the operator the former elimination over Q(q) gave
+G27_OPERATOR = {
+    0: (11, [158184, -1344564, 5101434, -11369475, 16470909, -16194087, 10934469,
+             -5002569, 1482975, -257049, 19773]),
+    1: (7, [98865, 375687, 72501, -1219335, 20213037, -158100189, 543142275,
+            -1087473933, 1422117372, -1269219198, 781381224, -327390960, 89284026,
+            -14303016, 1021644]),
+    2: (3, [-4429152, -20247552, -32902272, -22857588, -12626445, 31590, 40469624,
+            4725396, -55097310, -279797608, 969493686, -1604525931, 1841691999,
+            -1502966661, 849860361, -328425587, 82942545, -12353145, 823543]),
+    3: (0, [59319, -36504, 32058, -65997438, -416382252, -934884210, -882442470,
+            -292860465, -25350885, 7048993, 72210075, -43916691, -108825325,
+            140825853, -46941951]),
+    4: (0, [1787682, -569478, 419832, -14497238, -114859038, -353417596, -476007854,
+            -238003927]),
+    5: (0, [823543]),
+}
+
+
 def test_scalar_operator_g27_order_bounded_by_dim():
     op = scalar_operator(2, 7, guard=15)
-    assert op.order == comb(7, 2)
+    exp = DOp({(i, lo + t): c for i, (lo, cs) in G27_OPERATOR.items() for t, c in enumerate(cs)})
+    assert op == exp
+    assert (op.order, op.zdeg) == (comb(7, 2), 5)
+    assert max(abs(c).numerator.bit_length() for c in op.terms.values()) == 31
 
 
 def test_verify_conjecture_reports():

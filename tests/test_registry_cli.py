@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction as Q
@@ -7,10 +8,12 @@ import pytest
 
 import grasscy.cli as cli
 from grasscy.cli import main
+from grasscy.dop import AmbiguousAnnihilator
 from grasscy.hypergeom import MAX_ORDER
-from grasscy.mirror_analysis import NonIntegralInstanton
+from grasscy.mirror_analysis import NonIntegralInstanton, NotMUM
 from grasscy.qh import NoDependence
 from grasscy.registry import RegistryError, registry_load
+from grasscy.upoly import InexactDivision
 
 
 def test_registry_has_six_cases(registry):
@@ -157,6 +160,30 @@ def test_cli_no_dependence_is_mismatch(monkeypatch, capsys):
     assert main(["qh-operator", "2", "5"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "NoDependence: no dependence"
+
+
+def test_cli_pf_fit_no_annihilator_is_mismatch(tmp_path, capsys):
+    """A fit that finds no operator is a mismatch (1), not a usage error (2)."""
+    rng = random.Random(0)
+    coeffs = [1] + [rng.randint(-1000, 1000) for _ in range(29)]
+    f = tmp_path / "series.json"
+    f.write_text(json.dumps({"var": "z", "trunc": 29, "coeffs": [str(c) for c in coeffs]}))
+    code = main(["pf-fit", "--series", str(f), "--max-order", "1", "--max-degree", "1"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"].startswith("NoAnnihilator: no annihilator within bounds (1,1)")
+
+
+@pytest.mark.parametrize("target,argv,exc", [
+    ("run_case", ["instanton", "--case", "X113_G25"], AmbiguousAnnihilator("dimension 2")),
+    ("run_case", ["instanton", "--case", "X113_G25"], NotMUM("not MUM")),
+    ("scalar_operator", ["qh-operator", "2", "5"], InexactDivision("(2,) does not divide (0, 1)")),
+])
+def test_cli_failed_check_is_mismatch(monkeypatch, capsys, target, argv, exc):
+    monkeypatch.setattr(cli, target, _raise(exc))
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == f"{type(exc).__name__}: {exc}"
 
 
 def test_cli_instanton_count_beyond_kz_order(capsys):
