@@ -18,7 +18,7 @@ from .pipeline import fit_operator, rational_series, run_case
 from .qh import NoDependence, scalar_operator, verify_conjecture
 from .registry import registry_load
 from .series import qstr, series_from_json, series_to_json
-from .toric import binomial_equations, build_delta, facets_and_reflexivity
+from .toric import MAX_HULL_DIM, binomial_equations, build_delta, facets_and_reflexivity
 from .upoly import InexactDivision
 
 EXIT_PASS = 0
@@ -51,6 +51,9 @@ def _parse_degrees(text: str) -> tuple[int, ...]:
 
 
 def cmd_toric(args) -> int:
+    if args.facets and args.k * (args.n - args.k) > MAX_HULL_DIM:
+        raise SystemExit(f"facets of G({args.k},{args.n}): dimension {args.k * (args.n - args.k)} "
+                         f"exceeds hull cap {MAX_HULL_DIM}")
     delta = build_delta(args.k, args.n)
     out = {
         "k": args.k,
@@ -230,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("toric", help="polytope vertices, equations, facets")
     sp.add_argument("k", type=int)
     sp.add_argument("n", type=int)
-    sp.add_argument("--facets", action="store_true", help="also enumerate facets (small dimensions only)")
+    sp.add_argument("--facets", action="store_true",
+                    help=f"also enumerate facets (dimension k(n-k) <= {MAX_HULL_DIM})")
     sp.set_defaults(func=cmd_toric)
 
     sp = sub.add_parser("aseries", help="specialized hypergeometric series")

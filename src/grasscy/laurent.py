@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
+from operator import add, le
 
 from .series import Q, qstr
 
@@ -75,49 +77,62 @@ class LaurentPoly:
     def constant_term(self) -> Q:
         return self.terms.get((0,) * self.nvars, ZERO)
 
-    def max_reach(self) -> tuple[int, ...]:
-        """Per coordinate, the largest |exponent| over all terms."""
-        reach = [0] * self.nvars
-        for e in self.terms:
-            for c, x in enumerate(e):
-                reach[c] = max(reach[c], abs(x))
-        return tuple(reach)
 
-
-def _mul_pruned(acc: dict, poly: LaurentPoly, bound: tuple[int, ...]) -> dict:
-    """One convolution step, dropping exponents outside the box |e_c| <= bound_c."""
+def _times(acc: dict, terms: list, lo: tuple, hi: tuple) -> dict:
+    """acc * P in integers, keeping the exponents inside the box lo <= e <= hi."""
     out: dict = {}
     for e1, c1 in acc.items():
-        for e2, c2 in poly.terms.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            if any(abs(x) > bx for x, bx in zip(e, bound)):
-                continue
-            out[e] = out.get(e, ZERO) + c1 * c2
-    return {e: c for e, c in out.items() if c != 0}
+        for e2, c2 in terms:
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c and all(map(le, lo, e)) and all(map(le, e, hi))}
 
 
-def laurent_pow_pruned(L: LaurentPoly, m: int, param_box: tuple[int, ...] = ()) -> dict:
-    """The terms of L**m that can matter for a constant term over the
-    leading (torus) coordinates; the trailing len(param_box) coordinates
-    are tracked parameters, each kept within its entry of param_box.
+def ct_by_param_degree(L: LaurentPoly, m: int, nparams: int = 0, bound: int = 0) -> dict:
+    """Constant term of L**m over the leading (torus) coordinates, collected
+    by the exponents of the trailing nparams coordinates (tracked
+    parameters, non-negative, each kept <= bound): parameter-degree tuple ->
+    coefficient, zeros left out.
 
-    Iterative convolution; after t factors, a torus exponent can still
-    return to zero only if each coordinate is within (m - t) * max|exponent|,
-    so anything outside that box is pruned.
+    Meet in the middle: with a = m // 2 and b = m - a,
+    CT(L^m) = sum_e [L^a]_e [L^b]_(-e) over torus parts e; L^a is computed
+    once and L^b from it with at most one more product.  The products run in
+    integers on P = D L, D the lcm of L's denominators: L^m = P^m / D^m.
     """
-    reach = L.max_reach()[: L.nvars - len(param_box)]
-    acc = {(0,) * L.nvars: Q(1)}
-    for t in range(m):
-        remaining = m - t - 1
-        acc = _mul_pruned(acc, L, tuple(remaining * r for r in reach) + param_box)
-    return acc
+    if m < 0:
+        raise ValueError("power must be non-negative")
+    nv = L.nvars - nparams
+    den = lcm(*(c.denominator for c in L.terms.values()))
+    terms = [(e, c.numerator * (den // c.denominator)) for e, c in L.terms.items()]
+    # per factor a torus coordinate moves by at most +up / -down, so after t
+    # factors it must lie where the m - t factors left can bring it back to 0
+    up = [max([0] + [e[c] for e in L.terms]) for c in range(nv)]
+    down = [max([0] + [-e[c] for e in L.terms]) for c in range(nv)]
+
+    def box(left: int) -> tuple[tuple, tuple]:
+        return (tuple(-left * u for u in up) + (0,) * nparams,
+                tuple(left * d for d in down) + (bound,) * nparams)
+
+    half = {(0,) * L.nvars: 1}
+    for t in range(1, m // 2 + 1):
+        half = _times(half, terms, *box(m - t))
+    other = half if m % 2 == 0 else _times(half, terms, *box(m // 2))
+    by_torus: dict = {}
+    for e, c in other.items():
+        by_torus.setdefault(e[:nv], []).append((e[nv:], c))
+    out: dict = {}
+    for e, c1 in half.items():
+        for t2, c2 in by_torus.get(tuple(-x for x in e[:nv]), ()):
+            t = tuple(map(add, e[nv:], t2))
+            if all(x <= bound for x in t):
+                out[t] = out.get(t, 0) + c1 * c2
+    scale = den**m
+    return {t: Q(c, scale) for t, c in out.items() if c}
 
 
 def laurent_pow_ct(L: LaurentPoly, m: int) -> Q:
     """Constant term of L**m."""
-    if m < 0:
-        raise ValueError("power must be non-negative")
-    return laurent_pow_pruned(L, m).get((0,) * L.nvars, ZERO)
+    return ct_by_param_degree(L, m).get((), ZERO)
 
 
 def laurent_pow_ct_bruteforce(L: LaurentPoly, m: int) -> Q:

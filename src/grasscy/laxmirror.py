@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly, laurent_pow_pruned
+from .laurent import LaurentPoly, ct_by_param_degree
 from .linalg import solve
 from .series import PowerSeries, Q
 from .toric import flat_index, nef_partition_sets, vertex_vector
@@ -98,14 +98,6 @@ def period_ct(g: LaurentPoly, nparams: int, order: int) -> PowerSeries | dict:
         raise ValueError("tracked parameter exponents must be non-negative")
     _, mu = _grading(g, nparams)
 
-    def ct_at(m: int) -> dict:
-        """Parameter-degree -> CT over the torus coordinates of g^m."""
-        out: dict = {}
-        for e, c in laurent_pow_pruned(g, m, (order,) * nparams).items():
-            if all(x == 0 for x in e[:nv]):
-                out[e[nv:]] = out.get(e[nv:], ZERO) + c
-        return out
-
     if nparams == 1:
         coeffs = [ZERO] * (order + 1)
         coeffs[0] = Q(1)
@@ -113,7 +105,7 @@ def period_ct(g: LaurentPoly, nparams: int, order: int) -> PowerSeries | dict:
             m = mu[0] * d
             if m.denominator != 1:
                 continue
-            coeffs[d] = ct_at(int(m)).get((d,), ZERO)
+            coeffs[d] = ct_by_param_degree(g, int(m), 1, d).get((d,), ZERO)
         return PowerSeries("q", tuple(coeffs))
 
     result: dict = {(0,) * nparams: Q(1)}
@@ -125,7 +117,7 @@ def period_ct(g: LaurentPoly, nparams: int, order: int) -> PowerSeries | dict:
             m = sum(mi * di for mi, di in zip(mu, dvec))
             if m.denominator == 1 and int(m) not in seen_m:
                 seen_m.add(int(m))
-                for dd, c in ct_at(int(m)).items():
+                for dd, c in ct_by_param_degree(g, int(m), nparams, order).items():
                     if sum(dd) <= order and any(dd):
                         result[dd] = c
     return result

@@ -210,11 +210,20 @@ def series_compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     if g.coeffs[0] != 0:
         raise ValueError("composition needs inner constant term 0")
     n = min(f.trunc, g.trunc)
-    gg = g.truncate(n)
-    out = PowerSeries.zero(g.var, n) + f.coeffs[n]
-    for m in range(n - 1, -1, -1):  # Horner
-        out = out * gg + f.coeffs[m]
-    return out
+    # f = F / E and g = G / D with F, G integral; Horner in integers,
+    # acc <- acc G + F_m D^(n-m), ends at E D^n f(g)
+    E = lcm(*(c.denominator for c in f.coeffs[: n + 1]))
+    D = lcm(*(c.denominator for c in g.coeffs[: n + 1]))
+    F = [c.numerator * (E // c.denominator) for c in f.coeffs[: n + 1]]
+    G = [c.numerator * (D // c.denominator) for c in g.coeffs[: n + 1]]
+    acc = [F[n]] + [0] * n
+    dpow = 1
+    for m in range(n - 1, -1, -1):
+        dpow *= D
+        acc = [sum(acc[i] * G[d - i] for i in range(d)) for d in range(n + 1)]  # G[0] = 0
+        acc[0] += F[m] * dpow
+    scale = E * dpow
+    return PowerSeries(g.var, tuple(Q(c, scale) for c in acc))
 
 
 def series_revert(a: PowerSeries) -> PowerSeries:

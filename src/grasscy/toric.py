@@ -9,10 +9,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
 
-from .linalg import rank, solve
-from .series import Q
+from .linalg import rank
 
 Label = tuple[str, int, int]  # ("u"|"v", i, j)
+
+# facet enumeration solves every dim-subset of vertices; above this
+# dimension the subsets are too many
+MAX_HULL_DIM = 10
 
 
 def _check_kn(k: int, n: int):
@@ -87,45 +90,71 @@ def build_delta(k: int, n: int) -> DeltaKN:
     return DeltaKN(k, n, labels, verts)
 
 
-def facets_and_reflexivity(delta: DeltaKN, dim_cap: int = 10):
+def _solve_ones(rows: list[list[int]]) -> tuple[list[int], int] | None:
+    """Integer x and den > 0 with rows . (x / den) = (1, ..., 1), by
+    fraction-free (Bareiss) elimination; None when the square matrix is
+    singular."""
+    d = len(rows)
+    m = [list(r) + [1] for r in rows]
+    prev = 1
+    for c in range(d):
+        piv = next((i for i in range(c, d) if m[i][c]), None)
+        if piv is None:
+            return None
+        m[c], m[piv] = m[piv], m[c]
+        p = m[c][c]
+        for i in range(c + 1, d):
+            f = m[i][c]
+            m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], m[c])]
+        prev = p
+    den = prev  # +-det: den * rows^-1 . 1 is integral (Cramer)
+    x = [0] * d
+    for i in range(d - 1, -1, -1):
+        x[i] = (den * m[i][d] - sum(m[i][j] * x[j] for j in range(i + 1, d))) // m[i][i]
+    if den < 0:
+        x, den = [-v for v in x], -den
+    return x, den
+
+
+def facets_and_reflexivity(delta: DeltaKN):
     """Enumerate facet inequalities and test reflexivity.
 
     Every facet misses the origin (it is interior), so a facet hyperplane can
     be written a.x = 1 with a rational; it is found by solving through each
-    affinely spanning dim-subset of vertices.  Returns (facets, reflexive)
-    where facets is a list of (m, c) with <m, x> >= -c over the polytope, m a
-    primitive integer vector.
+    linearly independent dim-subset of vertices, in integers: a = x / den,
+    and a.v <= 1 is tested as x.v <= den.  A subset inside the contact set
+    of a facet already found would only find that facet again, so it is
+    skipped; every facet is still reached, through an independent subset of
+    its own vertices.  Returns (facets, reflexive) where facets is a list of
+    (m, c) with <m, x> >= -c over the polytope, m a primitive integer
+    vector.  Dimensions above MAX_HULL_DIM are refused.
     """
     d = delta.dim
-    if d > dim_cap:
-        raise ValueError(f"dimension {d} exceeds hull cap {dim_cap}")
+    if d > MAX_HULL_DIM:
+        raise ValueError(f"dimension {d} exceeds hull cap {MAX_HULL_DIM}")
     verts = delta.vertices
     facets: dict[tuple, Fraction] = {}
+    contacts: list[int] = []  # vertex bitmasks of the facets found
     for subset in itertools.combinations(range(len(verts)), d):
-        rows = [[Q(x) for x in verts[s]] for s in subset]
-        a = solve(rows, [Q(1)] * d)
-        if a is None:
+        mask = sum(1 << s for s in subset)
+        if any(mask & ~cm == 0 for cm in contacts):
             continue
-        vals = [sum(ai * x for ai, x in zip(a, v)) for v in verts]
-        if any(val > 1 for val in vals):
+        sol = _solve_ones([list(verts[s]) for s in subset])
+        if sol is None:
+            continue
+        x, den = sol
+        vals = [sum(xi * vi for xi, vi in zip(x, v)) for v in verts]
+        if any(val > den for val in vals):
             continue
         # the contact set must affinely span the hyperplane, else this is a
         # supporting hyperplane of a lower-dimensional face
-        contact = [[Q(x) for x in v] + [Q(1)] for v, val in zip(verts, vals) if val == 1]
-        if rank(contact) < d:
+        on = [i for i, val in enumerate(vals) if val == den]
+        if rank([list(verts[i]) + [1] for i in on]) < d:
             continue
+        contacts.append(sum(1 << i for i in on))
         # primitive integer normal, inequality <m, x> >= -c
-        den = 1
-        for x in a:
-            den = den * x.denominator // gcd(den, x.denominator)
-        ints = [int(x * den) for x in a]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        ints = [x // g for x in ints]
-        m = tuple(-x for x in ints)
-        c = Fraction(den, g)
-        facets[m] = c
+        g = gcd(*x)
+        facets[tuple(-xi // g for xi in x)] = Fraction(den, g)
     reflexive = all(c == 1 for c in facets.values())
     return sorted(facets.items()), reflexive
 

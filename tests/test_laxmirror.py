@@ -64,9 +64,9 @@ def test_ct_powers_projective_line():
 
 
 def test_ct_lax_g24_matches_a_series():
-    a = a_series_qspecialized(2, 4, 2)
+    a = a_series_qspecialized(2, 4, 8)
     L = lax_operator(2, 4, q=1, track_q=False)
-    for d in range(3):
+    for d in range(9):
         assert laurent_pow_ct(L, 4 * d) == factorial(4 * d) * a.coeffs[d]
 
 
@@ -145,6 +145,56 @@ def test_pruned_ct_matches_bruteforce(nv, terms, m):
     else:
         poly = LaurentPoly(2, {(a, b): c for a, b, c in terms})
     assert laurent_pow_ct(poly, m) == laurent_pow_ct_bruteforce(poly, m)
+
+
+@st.composite
+def graded_polys(draw):
+    """(g, nparams, mu): a Laurent polynomial over nv torus coordinates and
+    nparams tracked parameters whose only grading is w = (1, ..., 1) on the
+    torus and mu on the parameters (the unit monomials x_i pin w, one
+    monomial q_j x^e per parameter pins mu_j); rational coefficients."""
+    nv = draw(st.integers(min_value=1, max_value=2))
+    nparams = draw(st.integers(min_value=1, max_value=2))
+    mu = draw(st.lists(st.integers(min_value=1, max_value=2), min_size=nparams, max_size=nparams))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+    tracked = [tuple(int(i == j) for i in range(nparams)) for j in range(nparams)]
+    extra = draw(st.lists(st.tuples(*[st.integers(min_value=0, max_value=1)] * nparams), max_size=2))
+    terms = {}
+    for i in range(nv):
+        terms[tuple(int(c == i) for c in range(nv)) + (0,) * nparams] = draw(coeff)
+    for t in tracked + extra:
+        rest = draw(st.lists(st.integers(min_value=-1, max_value=1), min_size=nv - 1, max_size=nv - 1))
+        first = 1 - sum(rest) - sum(m * x for m, x in zip(mu, t))
+        terms[(first, *rest, *t)] = draw(coeff)
+    return LaurentPoly(nv + nparams, terms), nparams, mu
+
+
+def _period_oracle(g, nparams, order, mmax):
+    """Full products g^0..g^mmax; torus-zero terms grouped by parameter
+    degree (total degree <= order), zeros left out."""
+    nv = g.nvars - nparams
+    out = {}
+    power = LaurentPoly.constant(g.nvars, 1)
+    for _ in range(mmax + 1):
+        for e, c in power.terms.items():
+            if not any(e[:nv]) and sum(e[nv:]) <= order:
+                out[e[nv:]] = out.get(e[nv:], 0) + c
+        power = power * g
+    return {d: c for d, c in out.items() if c}
+
+
+@settings(max_examples=60, deadline=None)
+@given(graded_polys(), st.integers(min_value=1, max_value=3))
+def test_period_ct_matches_bruteforce(poly, order):
+    # m = mu . d runs over odd and even powers, so both the one-sided split
+    # and the even square of the meet-in-the-middle kernel are exercised
+    g, nparams, mu = poly
+    expected = _period_oracle(g, nparams, order, max(mu) * order)
+    got = period_ct(g, nparams, order)
+    if nparams == 1:
+        assert got.coeffs == tuple(expected.get((d,), 0) for d in range(order + 1))
+    else:
+        assert got == expected
 
 
 # -- mirror systems ------------------------------------------------------------

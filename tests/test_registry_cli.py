@@ -72,6 +72,20 @@ def test_cli_toric_json(capsys):
     assert out["reflexive"] is True
 
 
+def test_cli_toric_facets_g36(capsys):
+    code, out = run_cli(["toric", "3", "6", "--facets"], capsys)
+    assert code == 0
+    assert len(out["facets"]) == 20
+    assert out["reflexive"] is True
+
+
+def test_cli_toric_facets_over_cap_is_usage_error(capsys):
+    assert main(["toric", "3", "7", "--facets"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "hull cap" in json.loads(captured.err)["error"]
+
+
 def test_cli_aseries_trivial(capsys):
     code, out = run_cli(["aseries", "2", "4", "--order", "0"], capsys)
     assert code == 0

@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from grasscy.linalg import rank
 from grasscy.toric import (
     CYCase,
     binomial_equations,
@@ -50,13 +51,20 @@ def test_vertex_label_order_is_stable():
     ]
 
 
-@pytest.mark.parametrize("k,n", [(2, 4), (2, 5)])
+@pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (2, 6), (2, 7), (3, 6)])
 def test_facets_and_reflexivity(k, n):
     delta = build_delta(k, n)
     facets, reflexive = facets_and_reflexivity(delta)
     assert len(facets) == comb(n, k)
     assert reflexive
     assert origin_interior(delta)
+    # certificate: each <m, x> >= -c holds on every vertex, with equality on
+    # a set of affine rank dim (a facet, not a lower-dimensional face)
+    for m, c in facets:
+        vals = [sum(mi * x for mi, x in zip(m, v)) for v in delta.vertices]
+        assert all(val >= -c for val in vals)
+        contact = [list(v) + [1] for v, val in zip(delta.vertices, vals) if val == -c]
+        assert rank(contact) == delta.dim
 
 
 def test_facet_cap():
