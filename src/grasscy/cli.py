@@ -38,6 +38,13 @@ def _check_order(value: int, what: str = "order"):
         raise SystemExit(f"{what} {value} exceeds resource cap {MAX_ORDER}")
 
 
+def _check_count(value: int):
+    """An instanton count of 0 would compare nothing and pass."""
+    if value < 1:
+        raise SystemExit(f"count must be >= 1, got {value}")
+    _check_order(value, "count")
+
+
 def _emit(obj) -> None:
     json.dump(obj, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
@@ -45,9 +52,12 @@ def _emit(obj) -> None:
 
 def _parse_degrees(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(","))
+        degrees = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise SystemExit(f"bad degree list {text!r}; expected e.g. 1,1,3")
+    if any(d < 1 for d in degrees):
+        raise SystemExit(f"bad degree list {text!r}; every degree must be >= 1")
+    return degrees
 
 
 def cmd_toric(args) -> int:
@@ -158,7 +168,7 @@ def cmd_yukawa(args) -> int:
 
 
 def cmd_instanton(args) -> int:
-    _check_order(args.count, "count")
+    _check_count(args.count)
     reg = _registry(args)
     if args.case not in reg:
         raise SystemExit(f"unknown case {args.case!r}; have {sorted(reg)}")
@@ -215,7 +225,7 @@ def cmd_mirror_system(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    _check_order(args.count, "count")
+    _check_count(args.count)
     reg = _registry(args)
     reports = [run_case(reg[name], count=args.count) for name in sorted(reg)]
     merged = {

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, isqrt, lcm
 
 from .linalg import nullspace
 from .series import LogSeries, PowerSeries, Q, qstr
@@ -230,13 +230,13 @@ def fit_trunc(max_order: int, max_zdeg: int, guard: int = GUARD) -> int:
     return (max_order + 1) * (max_zdeg + 1) + guard
 
 
-def _full_rank_mod_p(rows: list[list[int]], ncols: int) -> bool:
-    """Whether the integer matrix has rank `ncols` modulo SCREEN_PRIME,
-    adding rows to an echelon basis until it does."""
+def _echelon_mod_p(rows: list[list[int]], ncols: int) -> dict[int, list[int]]:
+    """Echelon basis modulo SCREEN_PRIME of rows already reduced modulo it:
+    pivot column -> row, 1 at the pivot and 0 left of it.  Stops adding
+    rows once the rank is `ncols`."""
     p = SCREEN_PRIME
-    echelon: dict[int, list[int]] = {}  # pivot column -> row, 1 at the pivot
+    echelon: dict[int, list[int]] = {}
     for row in rows:
-        row = [x % p for x in row]
         for c in range(ncols):
             x = row[c]
             if not x:
@@ -246,23 +246,68 @@ def _full_rank_mod_p(rows: list[list[int]], ncols: int) -> bool:
                 inv = pow(x, -1, p)
                 echelon[c] = [y * inv % p for y in row]
                 if len(echelon) == ncols:
-                    return True
+                    return echelon
                 break
             row = [(a - x * b) % p for a, b in zip(row, prow)]
-    return False
+    return echelon
+
+
+def _rational_mod_p(a: int) -> Fraction | None:
+    """The n/d with n = a d modulo SCREEN_PRIME and |n|, d <= sqrt(p/2),
+    by the half extended Euclidean algorithm; None when there is none."""
+    p = SCREEN_PRIME
+    bound = isqrt(p // 2)
+    r0, r1, t0, t1 = p, a, 0, 1  # invariant r = t a modulo p
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _lift_kernel(echelon: dict[int, list[int]], rows: list[list[int]]) -> list[int] | None:
+    """The integer kernel vector of `rows` read off their modulo-p echelon
+    basis of rank ncols - 1: back substitution with 1 at the free column,
+    rational reconstruction of each entry, denominators cleared.  Returned
+    only if it annihilates every row exactly; then, with rank ncols - 1
+    modulo p, it spans the kernel over Q.  None otherwise."""
+    p = SCREEN_PRIME
+    ncols = len(rows[0])
+    v = [0] * ncols
+    v[next(c for c in range(ncols) if c not in echelon)] = 1
+    for c in sorted(echelon, reverse=True):
+        prow = echelon[c]
+        v[c] = -sum(prow[t] * v[t] for t in range(c + 1, ncols)) % p
+    lifted = [_rational_mod_p(x) for x in v]
+    if None in lifted:
+        return None
+    den = lcm(*(x.denominator for x in lifted))
+    ints = [x.numerator * (den // x.denominator) for x in lifted]
+    if any(sum(a * b for a, b in zip(row, ints)) for row in rows):
+        return None
+    return ints
 
 
 def pf_fit(f: PowerSeries, max_order: int, max_zdeg: int, guard: int = GUARD) -> DOp:
     """Smallest operator (graded by order+zdeg, then order) annihilating f.
 
     Sets up sum_{i,j} c_{i,j} (m-i)^j b_{m-i} = 0 for every m <= f.trunc and
-    takes the first candidate (r, d) whose exact nullspace is nonzero; the
-    rows beyond (r+1)(d+1) act as the certificate.
+    takes the first candidate (r, d) whose nullspace is nonzero; the rows
+    beyond (r+1)(d+1) act as the certificate.
 
     The system is built once, for the largest column set, with each row's
-    denominators cleared; a candidate takes its columns from it.  A
-    candidate of full column rank modulo SCREEN_PRIME has full rank over Q,
-    so it is skipped without the exact nullspace; only the others reach it.
+    denominators cleared, and reduced modulo SCREEN_PRIME once.  One echelon
+    form modulo p per order r, on the columns of (r, max_zdeg), serves every
+    candidate (r, d): its columns come first, so its rank is the number of
+    pivots among them.  A candidate of full column rank modulo p has full
+    rank over Q and is skipped.  When the rank modulo p falls short
+    by one, the kernel vector is lifted from the modular echelon form by
+    rational reconstruction and accepted if it annihilates every integer
+    row, guard rows included: that proves nullity 1 over Q.  Every other
+    case (nullity >= 2 modulo p, a failed lift) goes to the exact
+    fraction-free nullspace, which decides between no operator, one, and
+    AmbiguousAnnihilator.  The canonical form makes the operator unique.
     """
     if f.trunc < fit_trunc(max_order, max_zdeg, guard):
         raise ValueError(
@@ -278,26 +323,36 @@ def pf_fit(f: PowerSeries, max_order: int, max_zdeg: int, guard: int = GUARD) ->
             x = b[m - i].numerator * (den // b[m - i].denominator) if m >= i else 0
             row.extend(x * (m - i) ** j for j in range(max_order + 1))
         system.append(row)
+    system_p = [[x % SCREEN_PRIME for x in row] for row in system]
     candidates = []
     for r in range(1, max_order + 1):
         for d in range(0, max_zdeg + 1):
             candidates.append((r, d))
     candidates.sort(key=lambda rd: (rd[0] + rd[1], rd[0]))
+    echelons: dict[int, dict[int, list[int]]] = {}  # r -> echelon on the columns of (r, max_zdeg)
     for r, d in candidates:
         cols = [(i, j) for i in range(d + 1) for j in range(r + 1)]
         index = [i * (max_order + 1) + j for i, j in cols]
+        if r not in echelons:
+            full = [i * (max_order + 1) + j for i in range(max_zdeg + 1) for j in range(r + 1)]
+            echelons[r] = _echelon_mod_p([[row[t] for t in full] for row in system_p], len(full))
+        # the candidate's columns lead those of (r, max_zdeg): the echelon
+        # rows that pivot among them, cut to them, are an echelon basis of its rows
+        k = len(cols)
+        echelon = {c: prow[:k] for c, prow in echelons[r].items() if c < k}
+        if len(echelon) == k:
+            continue
         rows = [[row[t] for t in index] for row in system]
-        if _full_rank_mod_p(rows, len(cols)):
-            continue
-        basis = nullspace(rows)
-        basis = [v for v in basis if any(x != 0 for x in v)]
-        if not basis:
-            continue
-        if len(basis) > 1:
-            raise AmbiguousAnnihilator(
-                f"nullspace dimension {len(basis)} at minimal bounds ({r},{d})"
-            )
-        v = basis[0]
+        v = _lift_kernel(echelon, rows) if len(echelon) == k - 1 else None
+        if v is None:
+            basis = [u for u in nullspace(rows) if any(x != 0 for x in u)]
+            if not basis:
+                continue
+            if len(basis) > 1:
+                raise AmbiguousAnnihilator(
+                    f"nullspace dimension {len(basis)} at minimal bounds ({r},{d})"
+                )
+            v = basis[0]
         op = DOp({col: x for col, x in zip(cols, v) if x != 0})
         return op.canonical()
     raise NoAnnihilator(f"no annihilator within bounds ({max_order},{max_zdeg})")

@@ -39,6 +39,8 @@ class ASeriesSpec:
             raise ValueError("truncation must be >= 0")
         if self.trunc > MAX_ORDER:
             raise ValueError(f"truncation {self.trunc} exceeds resource bound {MAX_ORDER}")
+        if self.param_degree_bound is not None and self.param_degree_bound < 0:
+            raise ValueError(f"parameter degree bound {self.param_degree_bound} must be >= 0")
 
 
 def _grid_positions(k: int, n: int) -> list[tuple[int, int]]:
@@ -106,7 +108,8 @@ def _frontiers(k: int, n: int):
 
 def _transfer_sum(steps, m: int, binom: list[list[int]]) -> int:
     """Grid sum of the weights for one m, by transfer over the frontier
-    states (tuples of cell values -> summed weight); binom[a][s] = C(a, s)."""
+    states (tuples of cell values -> summed weight); binom[a][s] = C(a, s).
+    A cell no later cell reads is summed out in closed form."""
     states = {(): 1}
     for up_slot, right_slot, keep, kept_new in steps:
         nxt: dict[tuple, int] = {}
@@ -120,8 +123,8 @@ def _transfer_sum(steps, m: int, binom: list[list[int]]) -> int:
                     key = base + (s,)
                     nxt[key] = nxt.get(key, 0) + w * bu[s] * br[s]
             else:
-                total = sum(bu[s] * br[s] for s in range(min(up, right) + 1))
-                nxt[base] = nxt.get(base, 0) + w * total
+                # Vandermonde: sum_s C(up, s) C(right, s) = C(up + right, up)
+                nxt[base] = nxt.get(base, 0) + w * comb(up + right, up)
         states = nxt
     return states[()]
 

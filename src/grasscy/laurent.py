@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from math import lcm
 from operator import add, le
 
-from .series import Q, qstr
+from .series import Q, qstr, require_keys
 
 ZERO = Q(0)
 
@@ -135,18 +135,11 @@ def laurent_pow_ct(L: LaurentPoly, m: int) -> Q:
     return ct_by_param_degree(L, m).get((), ZERO)
 
 
-def laurent_pow_ct_bruteforce(L: LaurentPoly, m: int) -> Q:
-    """Oracle: full m-fold product, then coefficient extraction."""
-    p = LaurentPoly.constant(L.nvars, 1)
-    for _ in range(m):
-        p = p * L
-    return p.constant_term()
-
-
 def laurent_to_json(L: LaurentPoly) -> dict:
     items = sorted(L.terms.items())
     return {"nvars": L.nvars, "terms": [{"exp": list(e), "c": qstr(c)} for e, c in items]}
 
 
 def laurent_from_json(d: dict) -> LaurentPoly:
+    require_keys(d, ("nvars", "terms"), "Laurent polynomial")
     return LaurentPoly(d["nvars"], {tuple(t["exp"]): Q(t["c"]) for t in d["terms"]})

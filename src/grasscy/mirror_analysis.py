@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .dop import DOp, to_ddz_form
 from .series import (
@@ -41,62 +42,51 @@ def _check_mum(P: DOp):
         raise NotMUM("z^0 part is missing entirely")
 
 
-# -- epsilon-jet arithmetic (truncated at length = operator order) ----------
-
-
-def _jet_mul(a, b, L):
-    out = [ZERO] * L
-    for i, x in enumerate(a):
-        if x:
-            for j in range(L - i):
-                y = b[j]
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _jet_inv(a, L):
-    if a[0] == 0:
-        raise ZeroDivisionError("jet with zero constant term")
-    inv = [1 / a[0]] + [ZERO] * (L - 1)
-    for m in range(1, L):
-        acc = ZERO
-        for j in range(1, m + 1):
-            acc += a[j] * inv[m - j]
-        inv[m] = -acc / a[0]
-    return inv
-
-
-def _poly_at_jet(coeffs, base, L):
-    """Evaluate sum_j coeffs[j] x^j at x = base + eps as a jet."""
-    x = [Q(base), Q(1)] + [ZERO] * max(0, L - 2)
-    x = x[:L]
-    acc = [ZERO] * L
-    for c in reversed(coeffs):
-        acc = _jet_mul(acc, x, L)
-        acc[0] += c
-    return acc
+def _taylor_jet(coeffs: list[int], base: int, L: int) -> list[int]:
+    """sum_j coeffs[j] x^j at x = base + eps, as the jet of its first L
+    Taylor coefficients: [eps^t] = sum_j coeffs[j] C(j, t) base^(j-t)."""
+    powers = [1]
+    for _ in range(len(coeffs)):
+        powers.append(powers[-1] * base)
+    return [sum(c * comb(j, t) * powers[j - t] for j, c in enumerate(coeffs[t:], t) if c)
+            for t in range(L)]
 
 
 def frobenius_basis(P: DOp, order_n: int) -> list[LogSeries]:
     """All `order` Frobenius solutions at the MUM point, log degree 0..order-1.
 
     Works with the deformed recurrence in eps (A_m as jets modulo
-    eps^order); the j-th solution collects the eps^j coefficient of
-    z^eps * sum A_m(eps) z^m.
+    eps^L, L = order); the j-th solution collects the eps^j coefficient of
+    z^eps * sum A_m(eps) z^m.  The recurrence runs in integers: with P's
+    denominators cleared its z^0 part is c D^L, whose inverse at D = m + eps
+    is (1/c) sum_t (-1)^t C(L+t-1, t) m^(-L-t) eps^t, and
+    A_m = N_m / S_m with integer jets N_m and S_m = c^m (m!)^(2L-1), so
+    that S_(m-i) divides S_m.
     """
     _check_mum(P)
     L = P.order
     zd = P.zdeg
-    pi = [P.coeff_poly(i) for i in range(zd + 1)]
-    jets = [[Q(1)] + [ZERO] * (L - 1)]  # A_0 = 1
+    P = P.canonical()  # integer coefficients; a scalar multiple has the same solutions
+    pi = [[c.numerator for c in P.coeff_poly(i)] for i in range(zd + 1)]
+    c0 = pi[0][L]
+    e = 2 * L - 1
+    N = [[1] + [0] * (L - 1)]  # A_0 = 1
+    S = [1]
     for m in range(1, order_n + 1):
-        rhs = [ZERO] * L
+        # rhs = S_(m-1) sum_{i>=1} p_i(m-i+eps) A_(m-i), then
+        # A_m = -rhs m^(2L-1) (m+eps)^(-L) / (c m^(2L-1) S_(m-1))
+        rhs = [0] * L
+        ratio = 1  # S_(m-1) / S_(m-i) = c^(i-1) ((m-1)!/(m-i)!)^(2L-1)
         for i in range(1, min(m, zd) + 1):
-            term = _jet_mul(_poly_at_jet(pi[i], m - i, L), jets[m - i], L)
-            rhs = [a + b for a, b in zip(rhs, term)]
-        inv0 = _jet_inv(_poly_at_jet(pi[0], m, L), L)
-        jets.append([-x for x in _jet_mul(rhs, inv0, L)])
+            if i > 1:
+                ratio *= c0 * (m - i + 1) ** e
+            p, a = _taylor_jet(pi[i], m - i, L), N[m - i]
+            for t in range(L):
+                rhs[t] += ratio * sum(p[k] * a[t - k] for k in range(t + 1))
+        inv = [(-1) ** t * comb(L + t - 1, t) * m ** (L - 1 - t) for t in range(L)]
+        N.append([-sum(rhs[k] * inv[t - k] for k in range(t + 1)) for t in range(L)])
+        S.append(S[-1] * c0 * m**e)
+    jets = [[Q(x, s) for x in jet] for jet, s in zip(N, S)]
 
     sols = []
     for j in range(L):

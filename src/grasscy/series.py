@@ -28,7 +28,25 @@ class TruncationError(ValueError):
 
 
 def _coerce(values: Iterable) -> tuple[Q, ...]:
-    return tuple(Q(v) for v in values)
+    return tuple(v if type(v) is Q else Q(v) for v in values)
+
+
+def _over_common_den(coeffs) -> tuple[list[int], int]:
+    """(ints, den) with coeffs[i] = ints[i] / den, den the lcm of the
+    denominators: the inner loops of the series kernels run on ints."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _weights(A: list[int], D: int) -> list[int]:
+    """[0, A_1, A_2 D, ..., A_j D^(j-1), ...]: degree j of A / D scaled by
+    D^j, so that every term of a degree-m recurrence carries D^m."""
+    out = [0]
+    power = 1
+    for a in A[1:]:
+        out.append(a * power)
+        power *= D
+    return out
 
 
 def qstr(x: Q) -> str:
@@ -103,15 +121,15 @@ class PowerSeries:
         if isinstance(other, PowerSeries):
             self._check(other)
             n = min(self.trunc, other.trunc)
-            out = [ZERO] * (n + 1)
-            for i, a in enumerate(self.coeffs[: n + 1]):
-                if a == 0:
-                    continue
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-            return PowerSeries(self.var, tuple(out))
+            A, da = _over_common_den(self.coeffs[: n + 1])
+            B, db = _over_common_den(other.coeffs[: n + 1])
+            out = [0] * (n + 1)
+            for i, a in enumerate(A):
+                if a:
+                    for j in range(n + 1 - i):
+                        out[i + j] += a * B[j]
+            scale = da * db
+            return PowerSeries(self.var, tuple(Q(c, scale) for c in out))
         c = Q(other)
         return PowerSeries(self.var, tuple(c * a for a in self.coeffs))
 
@@ -158,14 +176,19 @@ class PowerSeries:
     def reciprocal(self) -> "PowerSeries":
         if self.coeffs[0] == 0:
             raise ValueError("reciprocal needs a nonzero constant term")
-        n = self.trunc
-        inv = [ONE / self.coeffs[0]]
-        for m in range(1, n + 1):
-            acc = ZERO
-            for j in range(1, m + 1):
-                acc += self.coeffs[j] * inv[m - j]
-            inv.append(-acc / self.coeffs[0])
-        return PowerSeries(self.var, tuple(inv))
+        # self = A / D, so 1/self = D * sum_m B_m x^m / A_0^(m+1) with
+        # B_0 = 1, B_m = -sum_{j>=1} A_j A_0^(j-1) B_(m-j)
+        A, D = _over_common_den(self.coeffs)
+        a0 = A[0]
+        weights = _weights(A, a0)
+        B = [1]
+        out = [Q(D, a0)]
+        power = a0
+        for m in range(1, len(A)):
+            B.append(-sum(weights[j] * B[m - j] for j in range(1, m + 1) if weights[j]))
+            power *= a0
+            out.append(Q(D * B[m], power))
+        return PowerSeries(self.var, tuple(out))
 
     def __truediv__(self, other):
         if isinstance(other, PowerSeries):
@@ -177,15 +200,24 @@ def series_exp(a: PowerSeries) -> PowerSeries:
     """Formal exponential; requires a(0) = 0."""
     if a.coeffs[0] != 0:
         raise ValueError("exp needs constant term 0")
-    n = a.trunc
-    out = [ONE] + [ZERO] * n
-    # m * E_m = sum_{j=1..m} j * a_j * E_{m-j}
-    for m in range(1, n + 1):
-        acc = ZERO
+    # m E_m = sum_{j=1..m} j a_j E_(m-j); with a = A / D and
+    # E_m = X_m / (m! D^m) this is
+    # X_m = sum_j j A_j D^(j-1) (m-1)!/(m-j)! X_(m-j), all in integers
+    A, D = _over_common_den(a.coeffs)
+    weights = _weights(A, D)
+    X = [1]
+    out = [ONE]
+    scale = 1
+    for m in range(1, len(A)):
+        acc = 0
+        falling = 1  # (m-1)! / (m-j)!
         for j in range(1, m + 1):
-            if a.coeffs[j]:
-                acc += Q(j) * a.coeffs[j] * out[m - j]
-        out[m] = acc / m
+            if weights[j]:
+                acc += j * weights[j] * falling * X[m - j]
+            falling *= m - j
+        X.append(acc)
+        scale *= m * D
+        out.append(Q(acc, scale))
     return PowerSeries(a.var, tuple(out))
 
 
@@ -193,15 +225,19 @@ def series_log(a: PowerSeries) -> PowerSeries:
     """Formal logarithm; requires a(0) = 1."""
     if a.coeffs[0] != 1:
         raise ValueError("log needs constant term 1")
-    n = a.trunc
-    out = [ZERO] * (n + 1)
-    # m * L_m = m * a_m - sum_{j=1..m-1} j * L_j * a_{m-j}
-    for m in range(1, n + 1):
-        acc = Q(m) * a.coeffs[m]
-        for j in range(1, m):
-            if out[j] and a.coeffs[m - j]:
-                acc -= Q(j) * out[j] * a.coeffs[m - j]
-        out[m] = acc / m
+    # m L_m = m a_m - sum_{j=1..m-1} j L_j a_(m-j); with a = A / D and
+    # m L_m = Z_m / D^m this is
+    # Z_m = m A_m D^(m-1) - sum_j Z_j A_(m-j) D^(m-j-1), all in integers
+    A, D = _over_common_den(a.coeffs)
+    weights = _weights(A, D)
+    Z = [0]
+    out = [ZERO]
+    scale = 1
+    for m in range(1, len(A)):
+        acc = m * weights[m] - sum(Z[j] * weights[m - j] for j in range(1, m) if Z[j])
+        Z.append(acc)
+        scale *= D
+        out.append(Q(acc, m * scale))
     return PowerSeries(a.var, tuple(out))
 
 
@@ -212,10 +248,8 @@ def series_compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     n = min(f.trunc, g.trunc)
     # f = F / E and g = G / D with F, G integral; Horner in integers,
     # acc <- acc G + F_m D^(n-m), ends at E D^n f(g)
-    E = lcm(*(c.denominator for c in f.coeffs[: n + 1]))
-    D = lcm(*(c.denominator for c in g.coeffs[: n + 1]))
-    F = [c.numerator * (E // c.denominator) for c in f.coeffs[: n + 1]]
-    G = [c.numerator * (D // c.denominator) for c in g.coeffs[: n + 1]]
+    F, E = _over_common_den(f.coeffs[: n + 1])
+    G, D = _over_common_den(g.coeffs[: n + 1])
     acc = [F[n]] + [0] * n
     dpow = 1
     for m in range(n - 1, -1, -1):
@@ -239,8 +273,7 @@ def series_revert(a: PowerSeries) -> PowerSeries:
     n = a.trunc
     h = PowerSeries(a.var, a.coeffs[1:]).reciprocal().coeffs  # degrees 0..n-1
     # h = H / den with H integral, so h^m = power / den^m in integers
-    den = lcm(*(c.denominator for c in h))
-    H = [c.numerator * (den // c.denominator) for c in h]
+    H, den = _over_common_den(h)
     g = [ZERO] * (n + 1)
     power, scale = H, den
     for m in range(1, n + 1):
@@ -390,7 +423,15 @@ def series_to_json(f: PowerSeries) -> dict:
     return {"var": f.var, "trunc": f.trunc, "coeffs": [qstr(c) for c in f.coeffs]}
 
 
+def require_keys(d, keys, what: str) -> None:
+    """Reject a JSON document that is not an object with every key."""
+    missing = [k for k in keys if not isinstance(d, dict) or k not in d]
+    if missing:
+        raise ValueError(f"not a {what}: missing {', '.join(map(repr, missing))}")
+
+
 def series_from_json(d: dict) -> PowerSeries:
+    require_keys(d, ("var", "trunc", "coeffs"), "power series")
     f = PowerSeries(d["var"], tuple(Q(c) for c in d["coeffs"]))
     if f.trunc != d["trunc"]:
         raise ValueError("trunc field disagrees with coefficient count")

@@ -7,7 +7,7 @@ from math import comb, factorial
 
 from grasscy.dop import DOp, pf_fit
 from grasscy.hypergeom import FactorialBundle, a_series_qspecialized, factorial_trick
-from grasscy.laurent import LaurentPoly, laurent_pow_ct, laurent_pow_ct_bruteforce
+from grasscy.laurent import LaurentPoly, laurent_pow_ct
 from grasscy.laxmirror import lax_operator, period_ct
 from grasscy.mirror_analysis import extract_instantons
 from grasscy.qh import build_qh_matrix, scalar_operator, verify_conjecture
@@ -19,6 +19,8 @@ from grasscy.toric import (
     hodge_after_transition,
     node_count,
 )
+
+from support import laurent_pow_ct_bruteforce
 
 D = DOp.D()
 z = DOp.z()

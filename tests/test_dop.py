@@ -17,6 +17,8 @@ from grasscy.dop import (
 )
 from grasscy.series import LogSeries, PowerSeries
 
+from support import rationals
+
 D = DOp.D()
 z = DOp.z()
 
@@ -110,12 +112,9 @@ def test_pf_fit_no_annihilator():
         pf_fit(f, 1, 0, guard=5)
 
 
-def test_pf_fit_screen_fallback(monkeypatch):
-    """Scaling the series by the screening prime makes every candidate
-    fail the rank screen, so each one reaches the exact nullspace; the fit
-    must not change.  The unscaled series reaches it only for the winner."""
-    from math import comb, factorial
-
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Column counts of the systems that reach the exact nullspace."""
     import grasscy.dop as dop
 
     calls = []
@@ -126,16 +125,60 @@ def test_pf_fit_screen_fallback(monkeypatch):
         return exact(rows, *args)
 
     monkeypatch.setattr(dop, "nullspace", counting_nullspace)
+    return calls
+
+
+def test_pf_fit_screen_fallback(exact_calls):
+    """The winner's kernel is lifted from the modular screen with no exact
+    nullspace.  Scaling the series by the screening prime makes every
+    candidate fail the rank screen, so each one reaches the exact nullspace;
+    the fit must not change."""
+    from math import comb, factorial
+
+    from grasscy.dop import SCREEN_PRIME
+
     # the quartic in G(2,4): phi_m = (4m)! C(2m,m) / (m!)^2, an order-4 operator
     phi = PowerSeries("z", tuple(Q(factorial(4 * m) * comb(2 * m, m), factorial(m) ** 2)
                                  for m in range(21)))
     P = pf_fit(phi, 4, 1)
-    assert calls == [10]  # only the winner, (r, d) = (4, 1)
+    assert exact_calls == []  # the winner, (r, d) = (4, 1), was lifted
     assert P.order == 4 and P.apply(phi).is_zero()
-    calls.clear()
-    scaled = PowerSeries("z", tuple(c * dop.SCREEN_PRIME for c in phi.coeffs))
+    scaled = PowerSeries("z", tuple(c * SCREEN_PRIME for c in phi.coeffs))
     assert pf_fit(scaled, 4, 1) == P
-    assert len(calls) == 8  # every candidate up to and including (4, 1)
+    assert len(exact_calls) == 8  # every candidate up to and including (4, 1)
+
+
+def test_pf_fit_large_coefficients_take_exact_path(exact_calls):
+    """f = 1/(1 - cz) with c = 2^31 + 1 is annihilated by D - czD - cz;
+    c is beyond what rational reconstruction modulo 2^61 - 1 recovers, so
+    the winner goes to the exact nullspace, which finds the operator."""
+    c = 2**31 + 1
+    f = PowerSeries("z", tuple(c**m for m in range(30)))
+    assert pf_fit(f, 2, 2, guard=5) == (D - c * z * D - c * z).canonical()
+    assert exact_calls == [4]  # the winner (1, 1) only
+
+
+def test_pf_fit_lift_is_checked_over_z(exact_calls):
+    """f = 1 + p z / (1 - z) with p the screening prime is 1 modulo p, so at
+    (1, 0) the screen has rank 1 of 2 and its kernel lifts to D, which does
+    not annihilate f; the exact check rejects it, the exact nullspace finds
+    no operator there, and the fit goes on to the true one."""
+    from grasscy.dop import SCREEN_PRIME
+
+    f = PowerSeries("z", (1,) + (SCREEN_PRIME,) * 25)
+    P = pf_fit(f, 2, 2, guard=5)
+    assert P.apply(f).is_zero()
+    assert (P.order, P.zdeg) == (1, 2)
+    assert exact_calls[0] == 2  # (1, 0) went on to the exact nullspace
+
+
+def test_pf_fit_ambiguous(exact_calls):
+    """1 + z^2 + z^4 has a two-dimensional space of annihilators at its
+    smallest bounds (2, 2); the exact nullspace decides and reports it."""
+    f = PowerSeries("z", (1, 0, 1, 0, 1) + (0,) * 24)
+    with pytest.raises(AmbiguousAnnihilator, match="dimension 2 at minimal bounds \\(2,2\\)"):
+        pf_fit(f, 2, 2, guard=5)
+    assert exact_calls[-1] == 9
 
 
 def test_json_roundtrip():
@@ -147,7 +190,7 @@ ops = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=2),
         st.integers(min_value=0, max_value=2),
-        st.fractions(min_value=-5, max_value=5, max_denominator=4),
+        rationals(5, 4),
     ),
     min_size=1,
     max_size=4,

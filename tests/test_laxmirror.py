@@ -10,7 +10,6 @@ from grasscy.laurent import (
     LaurentPoly,
     laurent_from_json,
     laurent_pow_ct,
-    laurent_pow_ct_bruteforce,
     laurent_to_json,
 )
 from grasscy.laxmirror import (
@@ -22,6 +21,7 @@ from grasscy.laxmirror import (
     period_ct,
 )
 from grasscy.toric import build_delta, vertex_labels, vertex_vector
+from support import laurent_pow_ct_bruteforce, rationals
 
 
 def test_laurent_arithmetic():
@@ -132,7 +132,7 @@ def test_period_unbounded_rejected():
         st.tuples(
             st.integers(min_value=-2, max_value=2),
             st.integers(min_value=-2, max_value=2),
-            st.fractions(min_value=-3, max_value=3, max_denominator=3),
+            rationals(3, 3),
         ),
         min_size=1,
         max_size=6,
@@ -156,7 +156,7 @@ def graded_polys(draw):
     nv = draw(st.integers(min_value=1, max_value=2))
     nparams = draw(st.integers(min_value=1, max_value=2))
     mu = draw(st.lists(st.integers(min_value=1, max_value=2), min_size=nparams, max_size=nparams))
-    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+    coeff = rationals(3, 3).filter(bool)
     tracked = [tuple(int(i == j) for i in range(nparams)) for j in range(nparams)]
     extra = draw(st.lists(st.tuples(*[st.integers(min_value=0, max_value=1)] * nparams), max_size=2))
     terms = {}

@@ -16,7 +16,9 @@ from grasscy.upoly import (
     pnorm,
 )
 
-rationals = st.fractions(min_value=-20, max_value=20, max_denominator=10)
+import support
+
+rationals = support.rationals(20, 10)
 
 
 def test_solve_simple():

@@ -19,6 +19,8 @@ from grasscy.mirror_analysis import (
 from grasscy.pipeline import rational_series
 from grasscy.series import PowerSeries, series_compose
 
+from support import frobenius_basis_oracle, rationals
+
 D = DOp.D()
 z = DOp.z()
 
@@ -43,6 +45,29 @@ def test_frobenius_basis_is_annihilated():
     assert [s.log_degree for s in basis] == [0, 1, 2, 3]
     for s in basis:
         assert QUARTIC.apply(s).is_zero()
+
+
+@st.composite
+def mum_operators(draw):
+    """c D^L + sum_{1<=i<=zd, j<=L} c_ij z^i D^j with rational c_ij and a
+    leading c other than 0 and 1."""
+    L = draw(st.integers(min_value=1, max_value=4))
+    zd = draw(st.integers(min_value=1, max_value=3))
+    terms = {(0, L): draw(rationals(5, 4).filter(lambda c: c not in (0, 1)))}
+    for i in range(1, zd + 1):
+        for j in range(L + 1):
+            terms[(i, j)] = draw(rationals(5, 4))
+    return DOp(terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mum_operators(), st.integers(min_value=0, max_value=8))
+def test_frobenius_basis_matches_jet_oracle(P, order_n):
+    got, want = frobenius_basis(P, order_n), frobenius_basis_oracle(P, order_n)
+    assert [s.log_degree for s in got] == [s.log_degree for s in want]
+    for s, t in zip(got, want):
+        for a, b in zip(s.components, t.components):
+            assert a.coeffs == b.coeffs
 
 
 def test_frobenius_holomorphic_solution():

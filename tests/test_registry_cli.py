@@ -150,6 +150,40 @@ def test_cli_usage_errors(capsys):
     assert main(["instanton", "--case", "NOPE"]) == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["instanton", "--case", "X113_G25", "--count", "0"], "count must be >= 1, got 0"),
+    (["verify-all", "--count", "0"], "count must be >= 1, got 0"),
+    (["mirror-system", "2", "5", "--degrees", "0,2,3"], "every degree must be >= 1"),
+    (["aseries", "2", "4", "--keep-params", "--param-bound", "-1"],
+     "parameter degree bound -1 must be >= 0"),
+])
+def test_cli_bad_input_is_usage_error(capsys, argv, message):
+    """Rejected before any computation: exit 2, nothing on stdout, one JSON
+    error line on stderr."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize("producer,consumer,message", [
+    (["aseries", "2", "4", "--order", "2"], ["period", "--poly"],
+     "not a Laurent polynomial: missing 'nvars', 'terms'"),
+    (["lax", "2", "4"], ["pf-fit", "--max-order", "1", "--max-degree", "1", "--series"],
+     "not a power series: missing 'var', 'trunc', 'coeffs'"),
+])
+def test_cli_wrong_input_file_names_missing_keys(tmp_path, capsys, producer, consumer, message):
+    """One subcommand's output fed to another that reads a different kind
+    of file: exit 2, and the error names what the file lacks."""
+    code, doc = run_cli(producer, capsys)
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(doc))
+    assert main(consumer + [str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == f"ValueError: {message}"
+
+
 def test_cli_resource_cap(capsys):
     code = main(["aseries", "2", "4", "--order", str(MAX_ORDER + 1)])
     assert code == 2

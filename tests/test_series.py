@@ -17,13 +17,17 @@ from grasscy.series import (
     series_to_json,
 )
 
-rationals = st.fractions(
-    min_value=-100, max_value=100, max_denominator=50
-)
+import support
+from support import exp_oracle, log_oracle, mul_oracle, reciprocal_oracle
+
+rationals = support.rationals(100, 50)
 
 
-def series(var="z", trunc=10, constant=None):
-    coeffs = st.lists(rationals, min_size=trunc + 1, max_size=trunc + 1)
+def series(var="z", trunc=10, constant=None, min_trunc=None):
+    """Series of truncation `trunc`, or of any truncation from `min_trunc`
+    to `trunc`; constant term drawn or fixed."""
+    lo = trunc if min_trunc is None else min_trunc
+    coeffs = st.lists(rationals, min_size=lo + 1, max_size=trunc + 1)
     if constant is None:
         return coeffs.map(lambda c: PowerSeries(var, tuple(c)))
     return coeffs.map(lambda c: PowerSeries(var, (Q(constant),) + tuple(c[1:])))
@@ -110,7 +114,7 @@ def test_exp_log_roundtrip(f):
 
 
 @settings(max_examples=200)
-@given(series(constant=0), st.fractions(min_value=-20, max_value=20, max_denominator=10).filter(lambda x: x != 0))
+@given(series(constant=0), support.rationals(20, 10).filter(lambda x: x != 0))
 def test_revert_roundtrip(f, lead):
     f = PowerSeries(f.var, (Q(0), lead) + f.coeffs[2:])
     g = series_revert(f)
@@ -123,6 +127,41 @@ def test_revert_roundtrip(f, lead):
 def test_reciprocal_is_multiplicative_inverse(f, g):
     assert (f * f.reciprocal()) == PowerSeries.one(f.var, f.trunc)
     assert ((f * g) * (f.reciprocal() * g.reciprocal())) == PowerSeries.one(f.var, f.trunc)
+
+
+# -- integer kernels against the schoolbook Fraction recurrences ---------------
+
+@settings(max_examples=200)
+@given(series(min_trunc=0), series(min_trunc=0))
+def test_mul_matches_oracle(f, g):
+    assert (f * g).coeffs == mul_oracle(f, g)
+    assert (f * g).trunc == min(f.trunc, g.trunc)
+
+
+@settings(max_examples=200)
+@given(series(min_trunc=0), rationals.filter(bool))
+def test_reciprocal_matches_oracle(f, c0):
+    f = PowerSeries(f.var, (c0,) + f.coeffs[1:])
+    assert f.reciprocal().coeffs == reciprocal_oracle(f)
+
+
+@settings(max_examples=200)
+@given(series(), series(), rationals.filter(bool))
+def test_division_matches_oracle(f, g, c0):
+    g = PowerSeries(g.var, (c0,) + g.coeffs[1:])
+    assert (f / g).coeffs == mul_oracle(f, PowerSeries(g.var, reciprocal_oracle(g)))
+
+
+@settings(max_examples=200)
+@given(series(constant=0, min_trunc=0))
+def test_exp_matches_oracle(f):
+    assert series_exp(f).coeffs == exp_oracle(f)
+
+
+@settings(max_examples=200)
+@given(series(constant=1, min_trunc=0))
+def test_log_matches_oracle(f):
+    assert series_log(f).coeffs == log_oracle(f)
 
 
 def test_json_roundtrip():
