@@ -1,19 +1,18 @@
 """Before/after timings of two source trees, written as one JSON file.
 
     python3 scripts/bench.py --before OLD_TREE --after NEW_TREE --out BENCH.json
-        [--stage-runs 5] [--cli-runs 15] [--count 5] [--tier1]
 
 Each tree is a checkout root with `src/grasscy`.  Every measurement runs in
 a fresh interpreter with PYTHONPATH=<tree>/src, and the two trees alternate
 which goes first, so both see the same machine drift.  Recorded:
 
 - per case and per pipeline stage, the in-process seconds of one run of
-  the chain at `--count` (median over `--stage-runs` processes), plus
+  the chain at COUNT instantons (median over STAGE_RUNS processes), plus
   `qh.scalar_operator` for each Grassmannian;
-- the wall time of `python -m grasscy.cli verify-all` (median and
-  quartiles over `--cli-runs` processes), and whether its report, apart
+- the wall time of `python -m grasscy.cli verify-all --count COUNT` (median
+  and quartiles over CLI_RUNS processes), and whether its report, apart
   from `seconds`, is the same for both trees;
-- with `--tier1`, the wall time of one Tier-1 run of each tree.
+- the wall time of one Tier-1 run of each tree.
 
 Standard library only; the trees' own code is the only import.
 """
@@ -29,6 +28,10 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+STAGE_RUNS = 5
+CLI_RUNS = 15
+COUNT = 5
 
 # One process: the chain of pipeline.run_case, stage by stage, for every
 # registry case; then the qh scalar operators.  Prints {case: {stage: s}}.
@@ -74,12 +77,15 @@ def env_for(tree: Path) -> dict:
     return env
 
 
-def run(cmd: list[str], tree: Path) -> tuple[float, str]:
+def run(cmd: list[str], tree: Path, ok: tuple[int, ...] = (0,)) -> tuple[float, str]:
+    """Wall seconds and stdout of `cmd` in `tree`; any exit code outside
+    `ok` stops the script with the child's output."""
     t0 = time.perf_counter()
     res = subprocess.run(cmd, cwd=tree, env=env_for(tree), capture_output=True, text=True)
     wall = time.perf_counter() - t0
-    if res.returncode not in (0, 1):
-        raise SystemExit(f"{' '.join(cmd)} in {tree} exited {res.returncode}:\n{res.stderr}")
+    if res.returncode not in ok:
+        raise SystemExit(f"{' '.join(cmd)} in {tree} exited {res.returncode}:\n"
+                         f"{res.stdout[-2000:]}{res.stderr}")
     return wall, res.stdout
 
 
@@ -103,10 +109,6 @@ def main() -> int:
     ap.add_argument("--before", type=Path, required=True)
     ap.add_argument("--after", type=Path, required=True)
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--stage-runs", type=int, default=5)
-    ap.add_argument("--cli-runs", type=int, default=15)
-    ap.add_argument("--count", type=int, default=5)
-    ap.add_argument("--tier1", action="store_true")
     args = ap.parse_args()
     trees = {"before": args.before.resolve(), "after": args.after.resolve()}
     py = sys.executable
@@ -114,24 +116,24 @@ def main() -> int:
     stage_runs: dict = {side: [] for side in trees}
     cli_walls: dict = {side: [] for side in trees}
     reports: dict = {}
-    for i in range(max(args.stage_runs, args.cli_runs)):
-        sides = list(trees) if i % 2 == 0 else list(reversed(trees))
-        for side in sides:
-            if i < args.stage_runs:
-                _, out = run([py, "-c", STAGE_CHILD, str(args.count)], trees[side])
-                stage_runs[side].append(json.loads(out))
-            if i < args.cli_runs:
-                wall, out = run([py, "-m", "grasscy.cli", "verify-all", "--count",
-                                 str(args.count)], trees[side])
-                cli_walls[side].append(wall)
-                reports[side] = strip_seconds(out)
+    for i in range(STAGE_RUNS):
+        for side in (list(trees) if i % 2 == 0 else list(reversed(trees))):
+            _, out = run([py, "-c", STAGE_CHILD, str(COUNT)], trees[side])
+            stage_runs[side].append(json.loads(out))
+    for i in range(CLI_RUNS):
+        for side in (list(trees) if i % 2 == 0 else list(reversed(trees))):
+            # exit 1 is a verification mismatch, which the report comparison shows
+            wall, out = run([py, "-m", "grasscy.cli", "verify-all", "--count", str(COUNT)],
+                            trees[side], ok=(0, 1))
+            cli_walls[side].append(wall)
+            reports[side] = strip_seconds(out)
 
     result: dict = {
         "machine": {"python": platform.python_version(), "cpus": os.cpu_count(),
                     "platform": platform.platform()},
-        "count": args.count,
-        "stage_runs": args.stage_runs,
-        "cli_runs": args.cli_runs,
+        "count": COUNT,
+        "stage_runs": STAGE_RUNS,
+        "cli_runs": CLI_RUNS,
         "verify_all_report_identical": reports["before"] == reports["after"],
         "stages": {},
         "stage_totals": {},
@@ -151,13 +153,12 @@ def main() -> int:
             for stage, s in case_times.items():
                 totals[stage] = round(totals.get(stage, 0.0) + s, 5)
         result["stage_totals"][side] = totals
-    if args.tier1:
-        tier1 = {}
-        for side in trees:
-            wall, _ = run([py, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                           "--continue-on-collection-errors"], trees[side])
-            tier1[side] = round(wall, 1)
-        result["tier1_wall_s"] = tier1
+    tier1 = {}
+    for side in trees:
+        wall, _ = run([py, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                       "--continue-on-collection-errors"], trees[side])
+        tier1[side] = round(wall, 1)
+    result["tier1_wall_s"] = tier1
     args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     print(json.dumps({side: result["stage_totals"][side] for side in trees}, indent=1))
     print(json.dumps(result["verify_all_wall_s"]))

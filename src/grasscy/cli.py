@@ -31,18 +31,11 @@ MISMATCH_ERRORS = (NonIntegralInstanton, NoDependence, InexactDivision, NoAnnihi
                    AmbiguousAnnihilator, NotMUM)
 
 
-def _check_order(value: int, what: str = "order"):
-    if value < 0:
-        raise SystemExit(f"{what} must be >= 0")
+def _check_order(value: int, what: str = "order", lo: int = 0):
+    if value < lo:
+        raise SystemExit(f"{what} must be >= {lo}, got {value}")
     if value > MAX_ORDER:
         raise SystemExit(f"{what} {value} exceeds resource cap {MAX_ORDER}")
-
-
-def _check_count(value: int):
-    """An instanton count of 0 would compare nothing and pass."""
-    if value < 1:
-        raise SystemExit(f"count must be >= 1, got {value}")
-    _check_order(value, "count")
 
 
 def _emit(obj) -> None:
@@ -168,7 +161,7 @@ def cmd_yukawa(args) -> int:
 
 
 def cmd_instanton(args) -> int:
-    _check_count(args.count)
+    _check_order(args.count, "count", lo=1)
     reg = _registry(args)
     if args.case not in reg:
         raise SystemExit(f"unknown case {args.case!r}; have {sorted(reg)}")
@@ -225,7 +218,7 @@ def cmd_mirror_system(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    _check_count(args.count)
+    _check_order(args.count, "count", lo=1)
     reg = _registry(args)
     reports = [run_case(reg[name], count=args.count) for name in sorted(reg)]
     merged = {
