@@ -12,6 +12,8 @@ which goes first, so both see the same machine drift.  Recorded:
 - the wall time of `python -m grasscy.cli verify-all --count COUNT` (median
   and quartiles over CLI_RUNS processes), and whether its report, apart
   from `seconds`, is the same for both trees;
+- the wall time of `python -c "import grasscy.cli"` (median and quartiles
+  over CLI_RUNS processes), the start-up every command pays;
 - the wall time of one Tier-1 run of each tree.
 
 Standard library only; the trees' own code is the only import.
@@ -115,6 +117,7 @@ def main() -> int:
 
     stage_runs: dict = {side: [] for side in trees}
     cli_walls: dict = {side: [] for side in trees}
+    import_walls: dict = {side: [] for side in trees}
     reports: dict = {}
     for i in range(STAGE_RUNS):
         for side in (list(trees) if i % 2 == 0 else list(reversed(trees))):
@@ -127,6 +130,8 @@ def main() -> int:
                             trees[side], ok=(0, 1))
             cli_walls[side].append(wall)
             reports[side] = strip_seconds(out)
+            wall, _ = run([py, "-c", "import grasscy.cli"], trees[side])
+            import_walls[side].append(wall)
 
     result: dict = {
         "machine": {"python": platform.python_version(), "cpus": os.cpu_count(),
@@ -138,6 +143,7 @@ def main() -> int:
         "stages": {},
         "stage_totals": {},
         "verify_all_wall_s": {side: quartiles(cli_walls[side]) for side in trees},
+        "import_wall_s": {side: quartiles(import_walls[side]) for side in trees},
     }
     cases = list(stage_runs["before"][0])
     for side in trees:
@@ -162,6 +168,7 @@ def main() -> int:
     args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     print(json.dumps({side: result["stage_totals"][side] for side in trees}, indent=1))
     print(json.dumps(result["verify_all_wall_s"]))
+    print(json.dumps(result["import_wall_s"]))
     return 0
 
 

@@ -245,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("n", type=int)
     sp.add_argument("--order", type=int, default=20)
     sp.add_argument("--keep-params", action="store_true")
-    sp.add_argument("--param-bound", type=int, default=None)
+    sp.add_argument("--param-bound", type=int, default=None,
+                    help="keep only terms of parameter degree <= this (needs --keep-params)")
     sp.set_defaults(func=cmd_aseries)
 
     sp = sub.add_parser("phi", help="factorially modified series")

@@ -9,15 +9,22 @@ and the whole sum is divided by (m!)^n.
 
 The specialized series sums the grid by a transfer over its cells: only
 the values a later cell still reads are kept, so the state is one value
-for k = 2 (a chain) and at most k - 1 values in general.  Listing every
-grid assignment is kept for the multivariate series, which needs each
-assignment's exponent vector.
+for k = 2 (a chain) and at most k - 1 values in general.  The newest value
+is held densely, as a list of weights; the others key a dict.  A value
+read for the last time is summed out of a whole list at once by Kronecker
+substitution: sum_v w_v C(v, s) is digit s of the big integer
+sum_v w_v (1 + X)^v for X = 2^W large enough that no digit carries.  The
+cell no later cell reads is summed in closed form by Vandermonde.
+Listing every grid assignment is kept for the multivariate series, which
+needs each assignment's exponent vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, zip_longest
 from math import comb, factorial
+from operator import add, mul
 
 from .series import MultiSeries, PowerSeries, Q
 
@@ -41,6 +48,9 @@ class ASeriesSpec:
             raise ValueError(f"truncation {self.trunc} exceeds resource bound {MAX_ORDER}")
         if self.param_degree_bound is not None and self.param_degree_bound < 0:
             raise ValueError(f"parameter degree bound {self.param_degree_bound} must be >= 0")
+        if self.param_degree_bound is not None and not self.keep_params:
+            raise ValueError("a parameter degree bound needs keep_params: "
+                             "the specialized series has no parameters")
 
 
 def _grid_positions(k: int, n: int) -> list[tuple[int, int]]:
@@ -106,27 +116,105 @@ def _frontiers(k: int, n: int):
     return steps
 
 
-def _transfer_sum(steps, m: int, binom: list[list[int]]) -> int:
+def _pascal(top: int) -> tuple[list[list[int]], list[list[int]]]:
+    """binom[a][s] = C(a, s) and vand[a][b] = C(a + b, a) for a, b <= top;
+    the rows of vand are partial sums of the row before (hockey stick)."""
+    binom, vand = [[1]], [[1] * (top + 1)]
+    for _ in range(top):
+        binom.append([1, *map(add, binom[-1], binom[-1][1:]), 1])
+        vand.append(list(accumulate(vand[-1])))
+    return binom, vand
+
+
+def _transfer_sum(steps, m: int, binom: list[list[int]], vand: list[list[int]]) -> int:
     """Grid sum of the weights for one m, by transfer over the frontier
-    states (tuples of cell values -> summed weight); binom[a][s] = C(a, s).
-    A cell no later cell reads is summed out in closed form."""
-    states = {(): 1}
+    states of `_frontiers`; binom and vand are `_pascal` tables to >= m.
+
+    A state maps the frontier values except the newest to a dense list of
+    summed weights over the newest value; the empty frontier is {(): [w]}.
+    A step that sums nothing turns each (state, value) into one row
+    w * C(up, s) * C(right, s) over the new value s.  A neighbour read for
+    the last time is summed out by one packed contraction per group of
+    states: the binomial transform T_s = sum_v w_v C(v, s) is the base-X
+    digit s of sum_v w_v Y_v, with Y_v = (1 + X)^v the packed Pascal rows.
+    A dropped neighbour held in a key slot is first brought to the dense
+    position by transposing the block of states that differ only there.
+    The last cell, which no later cell reads, is summed out by Vandermonde,
+    sum_s C(u, s) C(r, s) = C(u + r, u): one dot product per state."""
+    states: dict[tuple, list[int]] = {(): [1]}
+    live = 0  # frontier length; the newest value is in slot live - 1
     for up_slot, right_slot, keep, kept_new in steps:
-        nxt: dict[tuple, int] = {}
-        for state, w in states.items():
-            up = m if up_slot is None else state[up_slot]
-            right = m if right_slot is None else state[right_slot]
-            bu, br = binom[up], binom[right]
-            base = tuple(state[t] for t in keep)
-            if kept_new:
-                for s in range(min(up, right) + 1):
-                    key = base + (s,)
-                    nxt[key] = nxt.get(key, 0) + w * bu[s] * br[s]
-            else:
-                # Vandermonde: sum_s C(up, s) C(right, s) = C(up + right, up)
-                nxt[base] = nxt.get(base, 0) + w * comb(up + right, up)
-        states = nxt
-    return states[()]
+        dense = live - 1 if live else None
+        dropped = [t for t in (up_slot, right_slot) if t is not None and t not in keep]
+        nxt: dict[tuple, list[int]] = {}
+        if not dropped:
+            # every (state, value) is its own next state
+            for key, row in states.items():
+                for v, w in enumerate(row):
+                    x = key + (v,) if live else key
+                    up = m if up_slot is None else x[up_slot]
+                    right = m if right_slot is None else x[right_slot]
+                    if kept_new:
+                        nxt[x] = list(map(mul, map(w.__mul__, binom[up]), binom[right]))
+                    else:
+                        nxt[x] = [w * vand[up][right]]
+            states, live = nxt, len(keep) + kept_new
+            continue
+        # sum out c; the other neighbour's value o multiplies digit s by C(o, s)
+        c = dense if dense in dropped else dropped[0]
+        other = right_slot if c == up_slot else up_slot
+        if not kept_new:
+            # the last cell: every frontier value is a neighbour, so c is dense
+            last = sum(sum(map(mul, row, vand[m if other is None else key[other]]))
+                       for key, row in states.items())
+            states, live = {(): [last]}, 0
+            continue
+        # Every weight is >= 0 and C(v, s) <= 2^m, so a digit is at most
+        # 2^m * total < 2^(m + bits(total)): that many bits keep them apart.
+        total = sum(map(sum, states.values()))
+        width = (m + total.bit_length() + 7) // 8
+        packed = [1]
+        for _ in range(m):
+            packed.append((packed[-1] << 8 * width) + packed[-1])
+        if c == dense:
+            for key, row in states.items():
+                o = m if other is None else key[other]
+                _add_row(nxt, tuple(key[t] for t in keep),
+                         _digits_times(sum(map(mul, row, packed)), width, binom[o]))
+        else:
+            blocks: dict[tuple, tuple] = {}
+            for key, row in states.items():
+                block = blocks.setdefault(key[:c] + key[c + 1:], (key, [], []))
+                block[1].append(packed[key[c]])
+                block[2].append(row)
+            for key, ys, rows in blocks.values():
+                base = tuple(key[t] for t in keep[:-1])  # the dense slot is kept, and last
+                for v, col in enumerate(zip_longest(*rows, fillvalue=0)):
+                    o = m if other is None else v if other == dense else key[other]
+                    _add_row(nxt, base + (v,),
+                             _digits_times(sum(map(mul, col, ys)), width, binom[o]))
+        states, live = nxt, len(keep) + 1
+    return states[()][0]
+
+
+def _digits_times(t: int, width: int, brow: list[int]) -> list[int]:
+    """The first len(brow) base-2^(8 width) digits of t times brow."""
+    buf = t.to_bytes((t.bit_length() + 7) // 8, "little")
+    end = min(len(buf), len(brow) * width)
+    return list(map(mul, [int.from_bytes(buf[i:i + width], "little")
+                          for i in range(0, end, width)], brow))
+
+
+def _add_row(rows: dict, key: tuple, row: list[int]) -> None:
+    """rows[key] += row, elementwise; the shorter is padded with zeros."""
+    old = rows.get(key)
+    if old is None:
+        rows[key] = row
+    elif len(old) >= len(row):
+        old[:len(row)] = map(add, old, row)
+    else:
+        row[:len(old)] = map(add, row, old)
+        rows[key] = row
 
 
 def a_series(spec: ASeriesSpec):
@@ -136,12 +224,9 @@ def a_series(spec: ASeriesSpec):
     grid = [(i, j) for i in range(1, k) for j in range(1, n - k)]
     if not spec.keep_params:
         steps = _frontiers(k, n)
-        binom = [[1]]  # Pascal rows 0..m
-        coeffs = [Q(1)]  # m = 0: the all-zero grid, weight 1
-        for m in range(1, N + 1):
-            prev = binom[-1]
-            binom.append([1] + [a + b for a, b in zip(prev, prev[1:])] + [1])
-            coeffs.append(Q(_transfer_sum(steps, m, binom), factorial(m) ** n))
+        binom, vand = _pascal(N)
+        coeffs = [Q(_transfer_sum(steps, m, binom, vand), factorial(m) ** n)
+                  for m in range(N + 1)]
         return PowerSeries("q", tuple(coeffs))
 
     bound = spec.param_degree_bound
@@ -149,14 +234,14 @@ def a_series(spec: ASeriesSpec):
     for m in range(N + 1):
         fm = factorial(m) ** n
 
-        def add(w, values, _m=m, _fm=fm):
+        def collect(w, values, _m=m, _fm=fm):
             s = tuple(values[(i, j)] for i, j in grid)
             if bound is not None and sum(s) > bound:
                 return
             key = (_m, s)
             terms[key] = terms.get(key, Q(0)) + Q(w, _fm)
 
-        _grid_sum(k, n, m, add)
+        _grid_sum(k, n, m, collect)
     return MultiSeries(len(grid), N, terms)
 
 

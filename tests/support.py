@@ -3,6 +3,7 @@ schoolbook Fraction oracles that the integer kernels in grasscy are
 checked against."""
 
 from fractions import Fraction as Q
+from math import comb
 
 from hypothesis import strategies as st
 
@@ -116,3 +117,28 @@ def laurent_pow_ct_bruteforce(L: LaurentPoly, m: int) -> Q:
     for _ in range(m):
         p = p * L
     return p.constant_term()
+
+
+# -- A-series ----------------------------------------------------------------
+
+
+def transfer_sum_oracle(steps, m: int, binom: list[list[int]]) -> int:
+    """The grid sum by transfer over frontier states kept as tuples of cell
+    values -> summed weight, one dict update per (state, new value); a cell
+    no later cell reads is summed out as C(up + right, up) (Vandermonde)."""
+    states = {(): 1}
+    for up_slot, right_slot, keep, kept_new in steps:
+        nxt: dict[tuple, int] = {}
+        for state, w in states.items():
+            up = m if up_slot is None else state[up_slot]
+            right = m if right_slot is None else state[right_slot]
+            bu, br = binom[up], binom[right]
+            base = tuple(state[t] for t in keep)
+            if kept_new:
+                for s in range(min(up, right) + 1):
+                    key = base + (s,)
+                    nxt[key] = nxt.get(key, 0) + w * bu[s] * br[s]
+            else:
+                nxt[base] = nxt.get(base, 0) + w * comb(up + right, up)
+        states = nxt
+    return states[()]

@@ -5,14 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grasscy.dop import fit_trunc
 from grasscy.hypergeom import (
     ASeriesSpec,
     FactorialBundle,
+    _frontiers,
+    _pascal,
+    _transfer_sum,
     a_series,
     a_series_qspecialized,
     factorial_trick,
 )
+from grasscy.pipeline import PF_MAX_ORDER
+from grasscy.registry import registry_load
 from grasscy.series import PowerSeries
+from support import transfer_sum_oracle
 
 
 def test_projective_space_series():
@@ -69,6 +76,48 @@ def test_transfer_matches_enumerator(k, n, m):
     assert a_series_qspecialized(k, n, m) == full.specialize_ones()
 
 
+def _two_slots_dropped(steps) -> bool:
+    return any(u is not None and r is not None and u not in keep and r not in keep and new
+               for u, r, keep, new in steps)
+
+
+def test_two_slots_dropped_first_at_k4():
+    """A step that reads two frontier values for the last time and still
+    keeps its own value exists exactly when k >= 4 and n - k >= 3, so the
+    shapes n <= 10 of the property below include it."""
+    for n in range(2, 11):
+        for k in range(1, n):
+            assert _two_slots_dropped(_frontiers(k, n)) == (k >= 4 and n - k >= 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=2, max_value=10).flatmap(
+    lambda n: st.tuples(st.integers(min_value=1, max_value=n - 1), st.just(n))),
+    st.integers(min_value=0, max_value=8))
+def test_packed_transfer_matches_oracle(kn, m):
+    """The packed kernel against the dict-of-scalars transfer, on every
+    grid shape with n <= 10 (two dropped slots in one step from k = 4)."""
+    steps = _frontiers(*kn)
+    binom, vand = _pascal(m)
+    assert _transfer_sum(steps, m, binom, vand) == transfer_sum_oracle(steps, m, binom)
+
+
+def _deep_shapes():
+    shapes = {(rc.case.k, rc.case.n): fit_trunc(PF_MAX_ORDER, rc.pf_max_zdeg)
+              for rc in registry_load().values()}
+    return sorted(shapes.items()) + [((4, 8), 12), ((3, 6), 60), ((2, 7), 120)]
+
+
+@pytest.mark.parametrize("kn,order", _deep_shapes())
+def test_packed_transfer_matches_oracle_deep(kn, order):
+    """Every m up to the registry shapes' fit truncation, and deep orders
+    whose weights need wide digits."""
+    steps = _frontiers(*kn)
+    binom, vand = _pascal(order)
+    for m in range(order + 1):
+        assert _transfer_sum(steps, m, binom, vand) == transfer_sum_oracle(steps, m, binom)
+
+
 def test_keep_params_specializes_to_q_series():
     full = a_series(ASeriesSpec(2, 5, 4, keep_params=True))
     assert full.specialize_ones() == a_series_qspecialized(2, 5, 4)
@@ -87,6 +136,8 @@ def test_spec_validation():
         ASeriesSpec(2, 4, -1)
     with pytest.raises(ValueError):
         ASeriesSpec(2, 4, 10**9)  # resource bound
+    with pytest.raises(ValueError, match="needs keep_params"):
+        ASeriesSpec(2, 5, 2, param_degree_bound=1)  # the q-series has no parameters
 
 
 def test_factorial_trick_positive_degrees():

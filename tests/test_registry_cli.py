@@ -156,6 +156,8 @@ def test_cli_usage_errors(capsys):
     (["mirror-system", "2", "5", "--degrees", "0,2,3"], "every degree must be >= 1"),
     (["aseries", "2", "4", "--keep-params", "--param-bound", "-1"],
      "parameter degree bound -1 must be >= 0"),
+    (["aseries", "2", "5", "--order", "2", "--param-bound", "1"],
+     "a parameter degree bound needs keep_params"),
 ])
 def test_cli_bad_input_is_usage_error(capsys, argv, message):
     """Rejected before any computation: exit 2, nothing on stdout, one JSON
