@@ -81,11 +81,12 @@ def env_for(tree: Path) -> dict:
 
 def run(cmd: list[str], tree: Path, ok: tuple[int, ...] = (0,)) -> tuple[float, str]:
     """Wall seconds and stdout of `cmd` in `tree`; any exit code outside
-    `ok` stops the script with the child's output."""
+    `ok`, or a non-zero one in `ok` that printed nothing, stops the script
+    with the child's output."""
     t0 = time.perf_counter()
     res = subprocess.run(cmd, cwd=tree, env=env_for(tree), capture_output=True, text=True)
     wall = time.perf_counter() - t0
-    if res.returncode not in ok:
+    if res.returncode not in ok or (res.returncode and not res.stdout):
         raise SystemExit(f"{' '.join(cmd)} in {tree} exited {res.returncode}:\n"
                          f"{res.stdout[-2000:]}{res.stderr}")
     return wall, res.stdout
@@ -125,7 +126,8 @@ def main() -> int:
             stage_runs[side].append(json.loads(out))
     for i in range(CLI_RUNS):
         for side in (list(trees) if i % 2 == 0 else list(reversed(trees))):
-            # exit 1 is a verification mismatch, which the report comparison shows
+            # exit 1 with a report is a verification mismatch, which the report
+            # comparison shows; exit 1 without one (an error line) stops the script
             wall, out = run([py, "-m", "grasscy.cli", "verify-all", "--count", str(COUNT)],
                             trees[side], ok=(0, 1))
             cli_walls[side].append(wall)

@@ -1,41 +1,49 @@
 """Command-line front end.  Every subcommand prints a JSON report; exit
-codes are 0 on success/pass, 1 on a verification mismatch, 2 on usage
-errors.  Every truncation order accepted on the command line is capped at
-hypergeom.MAX_ORDER."""
+codes are 0 on success/pass, 1 when a check fails, 2 on bad input (see
+grasscy.errors).  Every truncation order accepted on the command line is
+capped at hypergeom.MAX_ORDER."""
 
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
-from .dop import GUARD, AmbiguousAnnihilator, NoAnnihilator, dop_to_json, pf_fit
+from .dop import GUARD, dop_to_json, pf_fit
+from .errors import GrasscyError, UsageError
 from .hypergeom import MAX_ORDER, ASeriesSpec, FactorialBundle, a_series, factorial_trick
 from .laurent import laurent_from_json, laurent_to_json
 from .laxmirror import canonical_gauge_coeffs, lax_operator, mirror_system, period_ct
-from .mirror_analysis import NonIntegralInstanton, NotMUM, yukawa_z
+from .mirror_analysis import yukawa_z
 from .pipeline import fit_operator, rational_series, run_case
-from .qh import NoDependence, scalar_operator, verify_conjecture
+from .qh import scalar_operator, verify_conjecture
 from .registry import registry_load
-from .series import qstr, series_from_json, series_to_json
+from .series import Q, qstr, series_from_json, series_to_json
 from .toric import MAX_HULL_DIM, binomial_equations, build_delta, facets_and_reflexivity
-from .upoly import InexactDivision
 
 EXIT_PASS = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
-# the computation ran on valid input but its result failed a check; several
-# of these subclass ValueError, so they are caught before the usage errors
-MISMATCH_ERRORS = (NonIntegralInstanton, NoDependence, InexactDivision, NoAnnihilator,
-                   AmbiguousAnnihilator, NotMUM)
+
+@contextmanager
+def _parsing(option: str, value):
+    """Read and parse `value`, given with `option`, inside the block: a
+    failure there is bad input, so it becomes a UsageError."""
+    try:
+        yield
+    except GrasscyError:
+        raise
+    except (OSError, ValueError, LookupError, TypeError, ZeroDivisionError) as e:
+        raise UsageError(f"bad {option} {value!r}: {type(e).__name__}: {e}") from e
 
 
 def _check_order(value: int, what: str = "order", lo: int = 0):
     if value < lo:
-        raise SystemExit(f"{what} must be >= {lo}, got {value}")
+        raise UsageError(f"{what} must be >= {lo}, got {value}")
     if value > MAX_ORDER:
-        raise SystemExit(f"{what} {value} exceeds resource cap {MAX_ORDER}")
+        raise UsageError(f"{what} {value} exceeds resource cap {MAX_ORDER}")
 
 
 def _emit(obj) -> None:
@@ -44,19 +52,14 @@ def _emit(obj) -> None:
 
 
 def _parse_degrees(text: str) -> tuple[int, ...]:
-    try:
+    with _parsing("--degrees", text):
         degrees = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise SystemExit(f"bad degree list {text!r}; expected e.g. 1,1,3")
     if any(d < 1 for d in degrees):
-        raise SystemExit(f"bad degree list {text!r}; every degree must be >= 1")
+        raise UsageError(f"bad --degrees {text!r}: every degree must be >= 1")
     return degrees
 
 
 def cmd_toric(args) -> int:
-    if args.facets and args.k * (args.n - args.k) > MAX_HULL_DIM:
-        raise SystemExit(f"facets of G({args.k},{args.n}): dimension {args.k * (args.n - args.k)} "
-                         f"exceeds hull cap {MAX_HULL_DIM}")
     delta = build_delta(args.k, args.n)
     out = {
         "k": args.k,
@@ -66,21 +69,20 @@ def cmd_toric(args) -> int:
             {"label": list(lab), "vector": list(v)}
             for lab, v in zip(delta.labels, delta.vertices)
         ],
-        "binomial_equations": [
-            {"a": list(r["a"]), "b": list(r["b"]), "min": list(r["min"]), "max": list(r["max"])}
-            for r in binomial_equations(args.k, args.n)
-        ],
     }
-    if args.facets:
+    if args.facets:  # first: facets_and_reflexivity refuses a dimension over the hull cap
         facets, reflexive = facets_and_reflexivity(delta)
         out["facets"] = [{"normal": list(m), "c": qstr(c)} for m, c in facets]
         out["reflexive"] = reflexive
+    out["binomial_equations"] = [
+        {"a": list(r["a"]), "b": list(r["b"]), "min": list(r["min"]), "max": list(r["max"])}
+        for r in binomial_equations(args.k, args.n)
+    ]
     _emit(out)
     return EXIT_PASS
 
 
 def cmd_aseries(args) -> int:
-    _check_order(args.order)
     spec = ASeriesSpec(args.k, args.n, args.order, keep_params=args.keep_params,
                        param_degree_bound=args.param_bound)
     f = a_series(spec)
@@ -101,7 +103,6 @@ def cmd_aseries(args) -> int:
 
 
 def cmd_phi(args) -> int:
-    _check_order(args.order)
     degrees = _parse_degrees(args.degrees)
     a = a_series(ASeriesSpec(args.k, args.n, args.order))
     _emit(series_to_json(factorial_trick(a, FactorialBundle(degrees))))
@@ -109,7 +110,7 @@ def cmd_phi(args) -> int:
 
 
 def cmd_pf_fit(args) -> int:
-    with open(args.series) as fh:
+    with _parsing("--series", args.series), open(args.series) as fh:
         f = series_from_json(json.load(fh))
     op = pf_fit(f, max_order=args.max_order, max_zdeg=args.max_degree, guard=args.guard)
     _emit(dop_to_json(op, f.var))
@@ -123,7 +124,6 @@ def cmd_qh_operator(args) -> int:
 
 
 def cmd_verify_conjecture(args) -> int:
-    _check_order(args.order)
     rep = verify_conjecture(args.k, args.n, args.order)
     _emit({
         "k": args.k,
@@ -138,15 +138,20 @@ def cmd_verify_conjecture(args) -> int:
 
 
 def _registry(args):
-    return registry_load(getattr(args, "registry", None))
+    with _parsing("--registry", args.registry):
+        return registry_load(args.registry)
+
+
+def _case(args):
+    reg = _registry(args)
+    if args.case not in reg:
+        raise UsageError(f"unknown case {args.case!r}; have {sorted(reg)}")
+    return reg[args.case]
 
 
 def cmd_yukawa(args) -> int:
     _check_order(args.order)
-    reg = _registry(args)
-    if args.case not in reg:
-        raise SystemExit(f"unknown case {args.case!r}; have {sorted(reg)}")
-    rc = reg[args.case]
+    rc = _case(args)
     kz3 = yukawa_z(fit_operator(rc), rc.case.n0, args.order)
     fixture = rational_series(rc.kz3_numerator, rc.kz3_denominator, "z", args.order)
     ok = kz3 == fixture
@@ -162,23 +167,22 @@ def cmd_yukawa(args) -> int:
 
 def cmd_instanton(args) -> int:
     _check_order(args.count, "count", lo=1)
-    reg = _registry(args)
-    if args.case not in reg:
-        raise SystemExit(f"unknown case {args.case!r}; have {sorted(reg)}")
-    report = run_case(reg[args.case], count=args.count)
+    report = run_case(_case(args), count=args.count)
     _emit(report.to_json())
     return EXIT_PASS if report.passed else EXIT_MISMATCH
 
 
 def cmd_lax(args) -> int:
-    g = lax_operator(args.r, args.s, q=args.q, track_q=args.q is None)
+    with _parsing("--q", args.q):
+        q = None if args.q is None else Q(args.q)
+    g = lax_operator(args.r, args.s, q=q, track_q=q is None)
     _emit(laurent_to_json(g))
     return EXIT_PASS
 
 
 def cmd_period(args) -> int:
     _check_order(args.order)
-    with open(args.poly) as fh:
+    with _parsing("--poly", args.poly), open(args.poly) as fh:
         g = laurent_from_json(json.load(fh))
     result = period_ct(g, args.nparams, args.order)
     if args.nparams == 1:
@@ -195,16 +199,18 @@ def cmd_period(args) -> int:
 def cmd_mirror_system(args) -> int:
     degrees = _parse_degrees(args.degrees)
     if args.partition:
-        partition = tuple(
-            tuple(int(x) for x in block.split(",")) for block in args.partition.split(";")
-        )
+        with _parsing("--partition", args.partition):
+            partition = tuple(tuple(int(x) for x in block.split(","))
+                              for block in args.partition.split(";"))
     else:
         partition, start = [], 1
         for d in degrees:
             partition.append(tuple(range(start, start + d)))
             start += d
         partition = tuple(partition)
-    a, b = canonical_gauge_coeffs(args.k, args.n, q=args.q)
+    with _parsing("--q", args.q):
+        q = Q(args.q)
+    a, b = canonical_gauge_coeffs(args.k, args.n, q=q)
     ms = mirror_system(args.k, args.n, degrees, partition, a, b)
     _emit({
         "k": args.k,
@@ -322,17 +328,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except SystemExit as e:
-        if isinstance(e.code, str):
-            print(json.dumps({"error": e.code}), file=sys.stderr)
-            return EXIT_USAGE
-        return e.code if isinstance(e.code, int) else EXIT_USAGE
-    except MISMATCH_ERRORS as e:
+    except GrasscyError as e:
         print(json.dumps({"error": f"{type(e).__name__}: {e}"}), file=sys.stderr)
-        return EXIT_MISMATCH
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
-        print(json.dumps({"error": f"{type(e).__name__}: {e}"}), file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_USAGE if isinstance(e, UsageError) else EXIT_MISMATCH
 
 
 if __name__ == "__main__":

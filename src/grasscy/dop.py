@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, isqrt, lcm
 
+from .errors import Mismatch, UsageError
 from .linalg import nullspace
 from .series import LogSeries, PowerSeries, Q, qstr
 
@@ -20,11 +21,11 @@ GUARD = 10  # rows beyond the unknowns that certify a fitted operator
 SCREEN_PRIME = 2**61 - 1  # Mersenne prime; pf_fit's rank screen works modulo it
 
 
-class NoAnnihilator(ValueError):
+class NoAnnihilator(Mismatch):
     """pf_fit found no operator within the given bounds."""
 
 
-class AmbiguousAnnihilator(ValueError):
+class AmbiguousAnnihilator(Mismatch):
     """Nullspace dimension > 1 at the minimal bounds."""
 
 
@@ -309,8 +310,11 @@ def pf_fit(f: PowerSeries, max_order: int, max_zdeg: int, guard: int = GUARD) ->
     fraction-free nullspace, which decides between no operator, one, and
     AmbiguousAnnihilator.  The canonical form makes the operator unique.
     """
+    if max_order < 1 or max_zdeg < 0 or guard < 0:
+        raise UsageError(f"need max_order >= 1, max_zdeg >= 0 and guard >= 0, "
+                         f"got ({max_order},{max_zdeg}) with guard {guard}")
     if f.trunc < fit_trunc(max_order, max_zdeg, guard):
-        raise ValueError(
+        raise UsageError(
             f"series truncation {f.trunc} too small for bounds "
             f"({max_order},{max_zdeg}) with guard {guard}"
         )

@@ -26,6 +26,7 @@ from itertools import accumulate, zip_longest
 from math import comb, factorial
 from operator import add, mul
 
+from .errors import UsageError
 from .series import MultiSeries, PowerSeries, Q
 
 MAX_ORDER = 200  # resource bound on every truncation order
@@ -41,15 +42,15 @@ class ASeriesSpec:
 
     def __post_init__(self):
         if not (1 <= self.k < self.n):
-            raise ValueError("need 1 <= k < n")
+            raise UsageError(f"need 1 <= k < n, got ({self.k},{self.n})")
         if self.trunc < 0:
-            raise ValueError("truncation must be >= 0")
+            raise UsageError(f"truncation must be >= 0, got {self.trunc}")
         if self.trunc > MAX_ORDER:
-            raise ValueError(f"truncation {self.trunc} exceeds resource bound {MAX_ORDER}")
+            raise UsageError(f"truncation {self.trunc} exceeds resource bound {MAX_ORDER}")
         if self.param_degree_bound is not None and self.param_degree_bound < 0:
-            raise ValueError(f"parameter degree bound {self.param_degree_bound} must be >= 0")
+            raise UsageError(f"parameter degree bound {self.param_degree_bound} must be >= 0")
         if self.param_degree_bound is not None and not self.keep_params:
-            raise ValueError("a parameter degree bound needs keep_params: "
+            raise UsageError("a parameter degree bound needs keep_params: "
                              "the specialized series has no parameters")
 
 
@@ -255,7 +256,7 @@ class FactorialBundle:
 
     def __post_init__(self):
         if any(d <= 0 for d in self.degrees):
-            raise ValueError("degrees must be positive")
+            raise UsageError(f"degrees must be positive, got {self.degrees}")
 
 
 def factorial_trick(a: PowerSeries, bundle: FactorialBundle) -> PowerSeries:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import UsageError
 from .laurent import LaurentPoly, ct_by_param_degree
 from .linalg import solve
 from .series import PowerSeries, Q
@@ -29,7 +30,7 @@ def lax_operator(r: int, s: int, q=None, track_q: bool = True) -> LaurentPoly:
     coordinate recording the power of q; otherwise q must be a rational.
     """
     if not (1 <= r < s):
-        raise ValueError(f"need 1 <= r < s, got ({r},{s})")
+        raise UsageError(f"need 1 <= r < s, got ({r},{s})")
     nv = r * (s - r)
     width = nv + (1 if track_q else 0)
 
@@ -63,7 +64,7 @@ def lax_operator(r: int, s: int, q=None, track_q: bool = True) -> LaurentPoly:
     return LaurentPoly(width, terms)
 
 
-class UnboundedPeriod(ValueError):
+class UnboundedPeriod(UsageError):
     """No grading makes the per-parameter-degree contributions finite."""
 
 
@@ -87,15 +88,17 @@ def period_ct(g: LaurentPoly, nparams: int, order: int) -> PowerSeries | dict:
     m = mu . d.  Returns a PowerSeries for one parameter, otherwise a dict
     from exponent tuples (total degree <= order) to coefficients.
     """
+    if nparams < 0:
+        raise UsageError(f"nparams must be >= 0, got {nparams}")
     if not g.terms:
         if nparams == 1:
             return PowerSeries("q", (Q(1),) + (ZERO,) * order)
         return {(0,) * nparams: Q(1)}
     nv = g.nvars - nparams
     if nv <= 0:
-        raise ValueError("no torus coordinates left after the tracked parameters")
+        raise UsageError("no torus coordinates left after the tracked parameters")
     if any(any(x < 0 for x in e[nv:]) for e in g.terms):
-        raise ValueError("tracked parameter exponents must be non-negative")
+        raise UsageError("tracked parameter exponents must be non-negative")
     _, mu = _grading(g, nparams)
 
     if nparams == 1:
@@ -132,13 +135,13 @@ class MirrorSystem:
     equations: tuple[LaurentPoly, ...]  # 1 - sum_{j in J_i} p_j
 
 
-class ConstraintViolation(ValueError):
+class ConstraintViolation(UsageError):
     pass
 
 
 def _coeff(coeffs: dict, key) -> Q:
     if key not in coeffs:
-        raise KeyError(f"missing coefficient {key}")
+        raise UsageError(f"missing coefficient {key}")
     return Q(coeffs[key])
 
 
@@ -151,13 +154,13 @@ def mirror_system(k: int, n: int, degrees, partition, a_coeffs: dict, b_coeffs: 
     """
     degrees = tuple(degrees)
     if sum(degrees) != n:
-        raise ValueError("degrees must sum to n")
+        raise UsageError("degrees must sum to n")
     partition = tuple(tuple(sorted(J)) for J in partition)
     if len(partition) != len(degrees) or any(len(J) != d for J, d in zip(partition, degrees)):
-        raise ValueError("partition block sizes must match the degrees")
+        raise UsageError("partition block sizes must match the degrees")
     covered = sorted(x for J in partition for x in J)
     if covered != list(range(1, n + 1)):
-        raise ValueError("partition must cover {1..n} exactly once")
+        raise UsageError("partition must cover {1..n} exactly once")
 
     for i in range(1, k):
         for j in range(1, n - k):

@@ -9,6 +9,7 @@ from fractions import Fraction
 from math import comb
 
 from .dop import DOp, to_ddz_form
+from .errors import Mismatch
 from .series import (
     LogSeries,
     PowerSeries,
@@ -22,12 +23,12 @@ from .series import (
 ZERO = Q(0)
 
 
-class NotMUM(ValueError):
+class NotMUM(Mismatch):
     """Operator is not maximally unipotent at the origin (z^0 part must be a
     constant times D^order)."""
 
 
-class NonIntegralInstanton(ArithmeticError):
+class NonIntegralInstanton(Mismatch):
     def __init__(self, index: int, value: Fraction):
         super().__init__(f"instanton number n_{index} = {value} is not an integer")
         self.index = index

@@ -16,8 +16,10 @@ from itertools import zip_longest
 from math import comb
 
 from .dop import DOp
-from .hypergeom import a_series_qspecialized
+from .errors import Mismatch, UsageError
+from .hypergeom import ASeriesSpec, a_series_qspecialized
 from .series import PowerSeries
+from .toric import _check_kn
 from .upoly import PONE, PZERO, Poly, padd, pdivexact, pdivmod, pgcd, pmul, psub, pshift, ptheta
 
 DIM_BOUND = 35  # covers C(7,2)
@@ -48,7 +50,7 @@ def quantum_pieri_sigma1(lam: Partition, k: int, n: int) -> list[tuple[Partition
     if len(lam) != k or any(p > box for p in lam) or any(
         lam[i] < lam[i + 1] for i in range(k - 1)
     ):
-        raise ValueError(f"partition {lam} does not fit the {k}x{box} box")
+        raise UsageError(f"partition {lam} does not fit the {k}x{box} box")
     out: list[tuple[Partition, int]] = []
     for i in range(k):
         upper = box if i == 0 else lam[i - 1]
@@ -74,9 +76,10 @@ class QHMatrix:
 
 
 def build_qh_matrix(k: int, n: int) -> QHMatrix:
+    _check_kn(k, n)
     dim = comb(n, k)
     if dim > DIM_BOUND:
-        raise ValueError(f"dimension {dim} exceeds bound {DIM_BOUND}")
+        raise UsageError(f"dimension {dim} exceeds bound {DIM_BOUND}")
     basis = partitions_in_box(k, n)
     index = {lam: i for i, lam in enumerate(basis)}
     entries = [[PZERO for _ in basis] for _ in basis]
@@ -99,7 +102,7 @@ def next_functional(l: list[Poly], M: QHMatrix) -> list[Poly]:
     return out
 
 
-class NoDependence(RuntimeError):
+class NoDependence(Mismatch):
     """No linear dependence found up to the dimension bound (indicates a bug:
     one must exist at order <= dim)."""
 
@@ -172,15 +175,13 @@ class ConjectureReport:
     indicial_unique: bool
 
 
-def verify_conjecture(k: int, n: int, order: int, operator: DOp | None = None,
-                      series: PowerSeries | None = None) -> ConjectureReport:
+def verify_conjecture(k: int, n: int, order: int, operator: DOp | None = None) -> ConjectureReport:
     """Apply the quantum-cohomology operator to the specialized
     hypergeometric series and report the residual coefficients."""
+    ASeriesSpec(k, n, order)  # rejects a bad order before the operator is built
     if operator is None:
         operator = scalar_operator(k, n, guard=0)
-    if series is None:
-        series = a_series_qspecialized(k, n, order)
-    residual = operator.apply(series.truncate(order))
+    residual = operator.apply(a_series_qspecialized(k, n, order))
     # a_0 = 1 uniqueness: 0 must be a root of the indicial polynomial and the
     # recursion must determine the series wherever the indicial value is nonzero
     indicial_unique = operator.indicial(0) == 0

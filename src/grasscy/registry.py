@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from .errors import UsageError
 from .series import Q
 from .toric import CYCase, node_count
 
@@ -22,7 +23,7 @@ class RegistryCase:
     pf_max_zdeg: int
 
 
-class RegistryError(ValueError):
+class RegistryError(UsageError):
     pass
 
 
@@ -58,13 +59,16 @@ def registry_load(path: str | Path | None = None) -> dict[str, RegistryCase]:
         ey = tuple(rec["expected_Y"])
         if ey[2] != 2 * (ey[0] - ey[1]):
             raise RegistryError(f"{case.name}: chi(Y) != 2(h11(Y) - h21(Y))")
+        kz3_denominator = tuple(Q(c) for c in rec["kz3_denominator"])
+        if not kz3_denominator or kz3_denominator[0] == 0:
+            raise RegistryError(f"{case.name}: the K_z fixture's denominator vanishes at z = 0")
         out[case.name] = RegistryCase(
             case=case,
             expected_Y=ey,
             expected_alpha=rec["alpha"],
             expected_p=rec["p"],
             kz3_numerator=tuple(Q(c) for c in rec["kz3_numerator"]),
-            kz3_denominator=tuple(Q(c) for c in rec["kz3_denominator"]),
+            kz3_denominator=kz3_denominator,
             pf_max_zdeg=rec["pf_max_zdeg"],
         )
     return out

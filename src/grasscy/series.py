@@ -13,17 +13,19 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
+from .errors import GrasscyError, UsageError
+
 Q = Fraction
 
 ZERO = Q(0)
 ONE = Q(1)
 
 
-class VariableMismatch(ValueError):
+class VariableMismatch(GrasscyError):
     """Binary operation on series in different variables."""
 
 
-class TruncationError(ValueError):
+class TruncationError(GrasscyError):
     """Coefficient requested beyond the known truncation order."""
 
 
@@ -427,12 +429,12 @@ def require_keys(d, keys, what: str) -> None:
     """Reject a JSON document that is not an object with every key."""
     missing = [k for k in keys if not isinstance(d, dict) or k not in d]
     if missing:
-        raise ValueError(f"not a {what}: missing {', '.join(map(repr, missing))}")
+        raise UsageError(f"not a {what}: missing {', '.join(map(repr, missing))}")
 
 
 def series_from_json(d: dict) -> PowerSeries:
     require_keys(d, ("var", "trunc", "coeffs"), "power series")
     f = PowerSeries(d["var"], tuple(Q(c) for c in d["coeffs"]))
     if f.trunc != d["trunc"]:
-        raise ValueError("trunc field disagrees with coefficient count")
+        raise UsageError("trunc field disagrees with coefficient count")
     return f

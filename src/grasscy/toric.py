@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
 
+from .errors import UsageError
 from .linalg import rank
 
 Label = tuple[str, int, int]  # ("u"|"v", i, j)
@@ -20,18 +21,12 @@ MAX_HULL_DIM = 10
 
 def _check_kn(k: int, n: int):
     if not (1 <= k < n):
-        raise ValueError(f"need 1 <= k < n, got ({k},{n})")
+        raise UsageError(f"need 1 <= k < n, got ({k},{n})")
 
 
 def flat_index(k: int, n: int, i: int, j: int) -> int:
     """Position of basis vector f_{i,j} (1 <= i <= k, 1 <= j <= n-k)."""
     return (i - 1) * (n - k) + (j - 1)
-
-
-def _basis_vec(k: int, n: int, i: int, j: int, sign: int = 1) -> list[int]:
-    v = [0] * (k * (n - k))
-    v[flat_index(k, n, i, j)] = sign
-    return v
 
 
 def vertex_vector(k: int, n: int, label: Label) -> tuple[int, ...]:
@@ -51,7 +46,7 @@ def vertex_vector(k: int, n: int, label: Label) -> tuple[int, ...]:
             v[flat_index(k, n, i, j + 1)] = 1
             v[flat_index(k, n, i, j)] = -1
     else:
-        raise ValueError(f"bad label {label}")
+        raise UsageError(f"bad label {label}")
     return tuple(v)
 
 
@@ -131,7 +126,7 @@ def facets_and_reflexivity(delta: DeltaKN):
     """
     d = delta.dim
     if d > MAX_HULL_DIM:
-        raise ValueError(f"dimension {d} exceeds hull cap {MAX_HULL_DIM}")
+        raise UsageError(f"dimension {d} exceeds hull cap {MAX_HULL_DIM}")
     verts = delta.vertices
     facets: dict[tuple, Fraction] = {}
     contacts: list[int] = []  # vertex bitmasks of the facets found
@@ -240,11 +235,13 @@ class CYCase:
 
     def __post_init__(self):
         if sum(self.degrees) != self.n:
-            raise ValueError(f"{self.name}: degrees must sum to n")
+            raise UsageError(f"{self.name}: degrees must sum to n")
         if tuple(sorted(self.degrees)) != tuple(self.degrees):
-            raise ValueError(f"{self.name}: degrees must be weakly increasing")
+            raise UsageError(f"{self.name}: degrees must be weakly increasing")
         if len(self.strata_degrees) != self.alpha:
-            raise ValueError(f"{self.name}: expected {self.alpha} strata degrees")
+            raise UsageError(f"{self.name}: expected {self.alpha} strata degrees")
+        if len(self.degrees) != self.k * (self.n - self.k) - 3:
+            raise UsageError(f"{self.name}: a threefold in G(k,n) is cut by k(n-k) - 3 sections")
 
     @property
     def alpha(self) -> int:
@@ -264,7 +261,7 @@ class CYCase:
 
 def node_count(case: CYCase) -> int:
     if not case.strata_degrees:
-        raise ValueError("strata degrees not populated")
+        raise UsageError("strata degrees not populated")
     prod = 1
     for d in case.degrees:
         prod *= d

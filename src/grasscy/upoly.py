@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import Mismatch
+
 Q = Fraction
 
 Poly = tuple  # coefficient of q^i at index i; () is zero
@@ -15,7 +17,7 @@ PZERO: Poly = ()
 PONE: Poly = (1,)
 
 
-class InexactDivision(ArithmeticError):
+class InexactDivision(Mismatch):
     """A division that must be exact in Z[q] left a remainder."""
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grasscy.errors import UsageError
 from grasscy.hypergeom import a_series_qspecialized
 from grasscy.laurent import (
     LaurentPoly,
@@ -123,6 +124,11 @@ def test_period_unbounded_rejected():
     g = LaurentPoly(2, {(1, 0): Q(1), (1, 1): Q(1), (-1, 0): Q(1)})
     with pytest.raises(UnboundedPeriod):
         period_ct(g, 1, 2)
+
+
+def test_period_rejects_negative_nparams():
+    with pytest.raises(UsageError, match="nparams must be >= 0, got -1"):
+        period_ct(lax_operator(2, 4), -1, 2)
 
 
 @settings(max_examples=200, deadline=None)

@@ -9,10 +9,11 @@ import pytest
 import grasscy.cli as cli
 from grasscy.cli import main
 from grasscy.dop import AmbiguousAnnihilator
-from grasscy.hypergeom import MAX_ORDER
+from grasscy.hypergeom import MAX_ORDER, ASeriesSpec, FactorialBundle, a_series, factorial_trick
 from grasscy.mirror_analysis import NonIntegralInstanton, NotMUM
 from grasscy.qh import NoDependence
-from grasscy.registry import RegistryError, registry_load
+from grasscy.registry import RegistryError, _load_json, registry_load
+from grasscy.series import TruncationError, series_to_json
 from grasscy.upoly import InexactDivision
 
 
@@ -56,6 +57,19 @@ def test_registry_rejects_bad_node_count(tmp_path):
     bad.write_text(json.dumps(data))
     with pytest.raises(RegistryError):
         registry_load(bad)
+
+
+def test_registry_rejects_fixture_denominator_vanishing_at_zero(tmp_path):
+    data = _load_json(None)
+    data["cases"][0]["kz3_denominator"] = [0, 1]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    with pytest.raises(RegistryError, match="denominator vanishes at z = 0"):
+        registry_load(bad)
+
+
+SERIES = "<valid series file>"
+FIT_BOUNDS = "need max_order >= 1, max_zdeg >= 0 and guard >= 0"
 
 
 def run_cli(args, capsys):
@@ -150,6 +164,23 @@ def test_cli_usage_errors(capsys):
     assert main(["instanton", "--case", "NOPE"]) == 2
 
 
+@pytest.fixture(scope="module")
+def series_file(tmp_path_factory):
+    """A valid series file: phi of the quartic in G(2,4) to order 30."""
+    phi = factorial_trick(a_series(ASeriesSpec(2, 4, 30)), FactorialBundle((4,)))
+    f = tmp_path_factory.mktemp("series") / "phi.json"
+    f.write_text(json.dumps(series_to_json(phi)))
+    return str(f)
+
+
+def _usage_error(capsys) -> str:
+    """The error of a run that exited 2: nothing on stdout, one JSON line on stderr."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    return json.loads(captured.err)["error"]
+
+
 @pytest.mark.parametrize("argv,message", [
     (["instanton", "--case", "X113_G25", "--count", "0"], "count must be >= 1, got 0"),
     (["verify-all", "--count", "0"], "count must be >= 1, got 0"),
@@ -158,14 +189,51 @@ def test_cli_usage_errors(capsys):
      "parameter degree bound -1 must be >= 0"),
     (["aseries", "2", "5", "--order", "2", "--param-bound", "1"],
      "a parameter degree bound needs keep_params"),
+    (["qh-operator", "0", "3"], "need 1 <= k < n, got (0,3)"),
+    (["verify-conjecture", "0", "3"], "need 1 <= k < n, got (0,3)"),
+    (["pf-fit", "--series", SERIES, "--max-order", "0", "--max-degree", "1"], FIT_BOUNDS),
+    (["pf-fit", "--series", SERIES, "--max-order", "-1", "--max-degree", "1"], FIT_BOUNDS),
+    (["pf-fit", "--series", SERIES, "--max-order", "4", "--max-degree", "-3"], FIT_BOUNDS),
+    (["pf-fit", "--series", SERIES, "--max-order", "4", "--max-degree", "1", "--guard", "-5"],
+     FIT_BOUNDS),
 ])
-def test_cli_bad_input_is_usage_error(capsys, argv, message):
+def test_cli_bad_input_is_usage_error(capsys, series_file, argv, message):
     """Rejected before any computation: exit 2, nothing on stdout, one JSON
     error line on stderr."""
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert message in json.loads(captured.err)["error"]
+    assert main([series_file if a == SERIES else a for a in argv]) == 2
+    assert message in _usage_error(capsys)
+
+
+def _registry_without_k() -> dict:
+    data = _load_json(None)
+    del data["cases"][0]["k"]
+    return data
+
+
+@pytest.mark.parametrize("argv,content,message", [
+    (["lax", "2", "4", "--q", "1/0"], None, "bad --q '1/0': ZeroDivisionError"),
+    (["mirror-system", "2", "5", "--degrees", "1,1,3", "--q", "1/0"], None,
+     "bad --q '1/0': ZeroDivisionError"),
+    (["lax", "2", "4", "--q", "abc"], None, "bad --q 'abc': ValueError"),
+    (["mirror-system", "2", "5", "--degrees", "1,1,3", "--partition", "1;2;x"], None,
+     "bad --partition '1;2;x': ValueError"),
+    (["verify-all", "--registry", "FILE"], [], "TypeError"),
+    (["verify-all", "--registry", "FILE"], _registry_without_k(), "KeyError: 'k'"),
+    (["period", "--poly", "FILE"], {"nvars": 1, "terms": [{"c": "1"}]}, "KeyError: 'exp'"),
+    (["period", "--poly", "FILE"], None, "FileNotFoundError"),
+    (["period", "--poly", "FILE"], "{not json", "JSONDecodeError"),
+])
+def test_cli_unparsable_input_is_usage_error(tmp_path, capsys, argv, content, message):
+    """A file or string that cannot be read or parsed exits 2 with one JSON
+    error line, whatever the parser raised; no traceback."""
+    f = tmp_path / "input.json"
+    if isinstance(content, str):
+        f.write_text(content)
+    elif content is not None:
+        f.write_text(json.dumps(content))
+    assert main([str(f) if a == "FILE" else a for a in argv]) == 2
+    error = _usage_error(capsys)
+    assert error.startswith("UsageError: bad ") and message in error
 
 
 @pytest.mark.parametrize("producer,consumer,message", [
@@ -183,7 +251,7 @@ def test_cli_wrong_input_file_names_missing_keys(tmp_path, capsys, producer, con
     assert main(consumer + [str(f)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert json.loads(captured.err)["error"] == f"ValueError: {message}"
+    assert json.loads(captured.err)["error"] == f"UsageError: {message}"
 
 
 def test_cli_resource_cap(capsys):
@@ -234,6 +302,17 @@ def test_cli_failed_check_is_mismatch(monkeypatch, capsys, target, argv, exc):
     assert main(argv) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == f"{type(exc).__name__}: {exc}"
+
+
+def test_cli_internal_fault_is_exit_1(monkeypatch, capsys):
+    """A GrasscyError that is not a usage error, here a coefficient read past
+    a truncation inside the chain, is a fault of the run: exit 1, not 2."""
+    exc = TruncationError("coefficient of degree 13 beyond truncation 12")
+    monkeypatch.setattr(cli, "run_case", _raise(exc))
+    assert main(["instanton", "--case", "X113_G25"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == f"TruncationError: {exc}"
 
 
 def test_cli_instanton_count_beyond_kz_order(capsys):

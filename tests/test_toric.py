@@ -118,6 +118,8 @@ def test_cy_case_validation():
         CYCase("bad", 2, 5, (3, 1, 1), (1, 1), 1, 1)  # not sorted
     with pytest.raises(ValueError):
         CYCase("bad", 2, 5, (1, 1, 3), (1,), 1, 1)  # wrong strata count
+    with pytest.raises(ValueError, match="threefold"):
+        CYCase("bad", 2, 4, (2, 2), (1,), 1, 1)  # a K3 surface
 
 
 def test_hodge_after_transition():
