@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 
 from .errors import Mismatch, UsageError
 from .linalg import nullspace
@@ -182,47 +182,6 @@ class DOp:
         if acc is None:
             raise ValueError("cannot apply the zero operator to a log series")
         return acc
-
-
-# Stirling numbers of the second kind, for D^j = sum_t S(j,t) z^t (d/dz)^t
-
-
-def stirling2(j: int, t: int) -> int:
-    if t == 0:
-        return 1 if j == 0 else 0
-    return sum((-1) ** (t - i) * comb(t, i) * i**j for i in range(t + 1)) // factorial(t)
-
-
-def to_ddz_form(P: DOp) -> list[list[Q]]:
-    """Coefficients b_t(z) of P = sum_t b_t(z) (d/dz)^t, each as a dense
-    coefficient list in z."""
-    r = P.order
-    d = P.zdeg
-    out = [[ZERO] * (d + r + 1) for _ in range(r + 1)]
-    for (i, j), c in P.terms.items():
-        for t in range(j + 1):
-            s = stirling2(j, t)
-            if s:
-                out[t][i + t] += c * s
-    for t in range(r + 1):
-        while len(out[t]) > 1 and out[t][-1] == 0:
-            out[t].pop()
-    return out
-
-
-def from_ddz_form(b: list[list[Q]]) -> DOp:
-    """Inverse of to_ddz_form: z^t (d/dz)^t = D(D-1)...(D-t+1)."""
-    out = DOp.zero()
-    for t, poly in enumerate(b):
-        falling = DOp.const(1)
-        for s in range(t):
-            falling = falling * (DOp.D() - s)
-        for i, c in enumerate(poly):
-            if c:
-                if i < t:
-                    raise ValueError("b_t(z) must be divisible by z^t for a D-form operator")
-                out = out + DOp({(i - t, 0): c}) * falling
-    return out
 
 
 def fit_trunc(max_order: int, max_zdeg: int, guard: int = GUARD) -> int:

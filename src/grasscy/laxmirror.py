@@ -111,18 +111,17 @@ def period_ct(g: LaurentPoly, nparams: int, order: int) -> PowerSeries | dict:
             coeffs[d] = ct_by_param_degree(g, int(m), 1, d).get((d,), ZERO)
         return PowerSeries("q", tuple(coeffs))
 
+    # the powers m = mu . d over 0 < |d| <= order, one degree at a time
+    reachable: set = set()
+    layer = {ZERO}
+    for _ in range(order):
+        layer = {s + mi for s in layer for mi in mu}
+        reachable |= layer
     result: dict = {(0,) * nparams: Q(1)}
-    seen_m: set[int] = set()
-    import itertools
-
-    for dvec in itertools.product(range(order + 1), repeat=nparams):
-        if 0 < sum(dvec) <= order:
-            m = sum(mi * di for mi, di in zip(mu, dvec))
-            if m.denominator == 1 and int(m) not in seen_m:
-                seen_m.add(int(m))
-                for dd, c in ct_by_param_degree(g, int(m), nparams, order).items():
-                    if sum(dd) <= order and any(dd):
-                        result[dd] = c
+    for m in sorted(m for m in reachable if m.denominator == 1):
+        for dd, c in ct_by_param_degree(g, int(m), nparams, order).items():
+            if sum(dd) <= order and any(dd):
+                result[dd] = c
     return result
 
 

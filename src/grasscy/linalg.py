@@ -1,4 +1,5 @@
-"""Exact linear algebra over Q: solve, nullspace, rank."""
+"""Exact linear algebra over Q: one fraction-free elimination serves
+solve, nullspace and rank."""
 
 from __future__ import annotations
 
@@ -8,62 +9,33 @@ from math import gcd, lcm
 Q = Fraction
 
 
-def rref(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:
-    """Reduced row echelon form (in place on a copy); returns (matrix, pivot columns)."""
-    m = [list(map(Q, r)) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
-def _integer_rows(rows) -> list[list[int]]:
-    """Each row scaled by the lcm of its denominators, then divided by the
-    gcd of its entries: integer rows with the same row space."""
-    out = []
-    for r in rows:
+def _integer_row(r) -> list[int]:
+    """The row scaled by the lcm of its denominators, then divided by the
+    gcd of its entries: an integer row spanning the same line."""
+    if all(type(x) is int for x in r):
+        ints = list(r)
+    else:
         r = [Q(x) for x in r]
         den = lcm(*(x.denominator for x in r))
         ints = [x.numerator * (den // x.denominator) for x in r]
-        g = gcd(*ints)
-        out.append([x // g for x in ints] if g > 1 else ints)
-    return out
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
 
 
-def nullspace(rows: list[list[Q]], ncols: int | None = None) -> list[list[Q]]:
-    """Basis of the right nullspace of the matrix: one vector per free
-    column f, with 1 at f, 0 at the other free columns, read off the
-    reduced row echelon form.
+def echelon(rows) -> tuple[list[list[int]], list[int]]:
+    """The reduced row echelon form in integers: (m, pivots) with row i of
+    m, divided by m[i][pivots[i]], equal to row i of the reduced row echelon
+    form over Q; the rows past len(pivots) are zero.
 
-    The elimination is fraction-free Gauss-Jordan on integer rows with each
-    row divided by its content after every update; since the reduced row
-    echelon form is unique, the basis is the one `rref` gives.
+    Fraction-free Gauss-Jordan on integer rows, each row divided by its
+    content after every update.  The reduced row echelon form is unique,
+    so everything read off it is too.
     """
-    if not rows:
-        n = ncols or 0
-        return [[Q(1) if j == i else Q(0) for j in range(n)] for i in range(n)]
-    n = len(rows[0])
-    m = _integer_rows(rows)
+    m = [_integer_row(r) for r in rows]
     nrows = len(m)
-    pivots = []
+    pivots: list[int] = []
     r = 0
-    for c in range(n):
+    for c in range(len(m[0]) if m else 0):
         piv = next((i for i in range(r, nrows) if m[i][c]), None)
         if piv is None:
             continue
@@ -80,6 +52,17 @@ def nullspace(rows: list[list[Q]], ncols: int | None = None) -> list[list[Q]]:
         r += 1
         if r == nrows:
             break
+    return m, pivots
+
+
+def nullspace(rows: list[list[Q]], ncols: int | None = None) -> list[list[Q]]:
+    """Basis of the right nullspace of the matrix: one vector per free
+    column f, with 1 at f, 0 at the other free columns."""
+    if not rows:
+        n = ncols or 0
+        return [[Q(1) if j == i else Q(0) for j in range(n)] for i in range(n)]
+    n = len(rows[0])
+    m, pivots = echelon(rows)
     pivot_set = set(pivots)
     basis = []
     for f in range(n):
@@ -94,19 +77,19 @@ def nullspace(rows: list[list[Q]], ncols: int | None = None) -> list[list[Q]]:
 
 
 def solve(rows: list[list[Q]], rhs: list[Q]) -> list[Q] | None:
-    """One particular solution of A x = b, or None if inconsistent."""
+    """The solution of A x = b with every free variable 0, or None if the
+    system is inconsistent."""
     if not rows:
         return []
     n = len(rows[0])
-    aug = [list(map(Q, r)) + [Q(b)] for r, b in zip(rows, rhs)]
-    m, pivots = rref(aug)
+    m, pivots = echelon([list(r) + [b] for r, b in zip(rows, rhs)])
     if n in pivots:
         return None
     x = [Q(0)] * n
-    for r, p in enumerate(pivots):
-        x[p] = m[r][n]
+    for i, p in enumerate(pivots):
+        x[p] = Q(m[i][n], m[i][p])
     return x
 
 
 def rank(rows: list[list[Q]]) -> int:
-    return len(rref(rows)[1])
+    return len(echelon(rows)[1])

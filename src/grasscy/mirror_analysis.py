@@ -8,12 +8,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .dop import DOp, to_ddz_form
+from .dop import DOp
 from .errors import Mismatch
 from .series import (
     LogSeries,
     PowerSeries,
     Q,
+    TruncationError,
     series_compose,
     series_exp,
     series_log,
@@ -132,28 +133,21 @@ def yukawa_z(P: DOp, n0: int, order_n: int) -> PowerSeries:
     """Series expansion of the z-coordinate Yukawa coupling, normalized so
     that its value at z = 0 is n0.
 
-    With P = sum b_t(z) (d/dz)^t of order 4 and MUM, the coupling solves
-    W'/W = -(1/2)(b3/b4 - 6/z); the 6/z pole always cancels here because
-    the subleading part of b3/b4 has residue 6 at a MUM point.
+    With P = sum_j p_j(z) D^j of order 4 and MUM, the coupling solves
+    W'/W = -(1/2) p3 / (z p4).  (In d/dz form b4 = z^4 p4 and
+    b3 = z^3 (p3 + 6 p4), so this is -(1/2)(b3/b4 - 6/z).)  MUM makes
+    p3(0) = 0 and p4(0) != 0, so p3 / (z p4) is a power series.
     """
     if P.order != 4:
-        raise ValueError("Yukawa normalization requires an order-4 operator")
+        raise NotMUM("Yukawa normalization requires an order-4 operator")
     _check_mum(P)
-    b = to_ddz_form(P)
-    b3, b4 = b[3], b[4]
-    if any(c != 0 for c in b3[:3]) or any(c != 0 for c in b4[:4]):
-        raise NotMUM("b3, b4 must vanish to orders 3, 4 at z = 0")
-    B3 = b3[3:]
-    B4 = b4[4:]
-    pad = order_n + 1
-    B3s = PowerSeries("z", tuple(B3) + (ZERO,) * max(0, pad - len(B3)))
-    B4s = PowerSeries("z", tuple(B4) + (ZERO,) * max(0, pad - len(B4)))
-    num = B3s - 6 * B4s
-    if num.coeffs[0] != 0:
-        raise NotMUM("residue of b3/b4 at 0 is not 6")
-    num_over_z = PowerSeries("z", num.coeffs[1:])
-    r = num_over_z / B4s.truncate(num_over_z.trunc)
-    w_log = (r.integrate0()) * Q(-1, 2)
+
+    def series(coeffs: list[Q]) -> PowerSeries:
+        return PowerSeries("z", (coeffs + [ZERO] * (order_n + 1))[: order_n + 1])
+
+    p3_over_z = series([P.terms.get((i, 3), ZERO) for i in range(1, P.zdeg + 1)])
+    p4 = series([P.terms.get((i, 4), ZERO) for i in range(P.zdeg + 1)])
+    w_log = (p3_over_z / p4).integrate0() * Q(-1, 2)
     return (series_exp(w_log) * n0).truncate(order_n)
 
 
@@ -174,7 +168,7 @@ def yukawa_q(kz3: PowerSeries, fp: FrobeniusPair, maps: MirrorMap) -> PowerSerie
 def extract_instantons(kq3: PowerSeries, count: int) -> list[int]:
     """Invert K_q = n0 + sum n_m m^3 q^m/(1-q^m); every n_m must be integral."""
     if kq3.trunc < count:
-        raise ValueError(f"need {count} coefficients, series has {kq3.trunc}")
+        raise TruncationError(f"need {count} coefficients, series has {kq3.trunc}")
     ns: dict[int, int] = {}
     for m in range(1, count + 1):
         c = kq3.coeffs[m]

@@ -13,16 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
-from math import comb
 
 from .dop import DOp
 from .errors import Mismatch, UsageError
 from .hypergeom import ASeriesSpec, a_series_qspecialized
 from .series import PowerSeries
-from .toric import _check_kn
+from .toric import check_pluecker_count
 from .upoly import PONE, PZERO, Poly, padd, pdivexact, pdivmod, pgcd, pmul, psub, pshift, ptheta
-
-DIM_BOUND = 35  # covers C(7,2)
 
 Partition = tuple[int, ...]  # weakly decreasing, length k, parts <= n-k
 
@@ -76,10 +73,7 @@ class QHMatrix:
 
 
 def build_qh_matrix(k: int, n: int) -> QHMatrix:
-    _check_kn(k, n)
-    dim = comb(n, k)
-    if dim > DIM_BOUND:
-        raise UsageError(f"dimension {dim} exceeds bound {DIM_BOUND}")
+    check_pluecker_count(k, n)
     basis = partitions_in_box(k, n)
     index = {lam: i for i, lam in enumerate(basis)}
     entries = [[PZERO for _ in basis] for _ in basis]

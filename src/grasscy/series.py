@@ -29,6 +29,11 @@ class TruncationError(GrasscyError):
     """Coefficient requested beyond the known truncation order."""
 
 
+class SeriesDomainError(GrasscyError):
+    """A series operation applied outside its domain, such as the
+    reciprocal of a series with constant term 0."""
+
+
 def _coerce(values: Iterable) -> tuple[Q, ...]:
     return tuple(v if type(v) is Q else Q(v) for v in values)
 
@@ -158,12 +163,6 @@ class PowerSeries:
         out = (ZERO,) * min(i, n + 1) + self.coeffs[: max(0, n + 1 - i)]
         return PowerSeries(self.var, out)
 
-    def deriv(self) -> "PowerSeries":
-        """d/dvar; the result is only known to trunc - 1."""
-        if self.trunc == 0:
-            raise TruncationError("cannot differentiate a constant-only series")
-        return PowerSeries(self.var, tuple(Q(m) * self.coeffs[m] for m in range(1, self.trunc + 1)))
-
     def theta(self) -> "PowerSeries":
         """The Euler operator var * d/dvar, truncation preserved."""
         return PowerSeries(self.var, tuple(Q(m) * c for m, c in enumerate(self.coeffs)))
@@ -177,7 +176,7 @@ class PowerSeries:
 
     def reciprocal(self) -> "PowerSeries":
         if self.coeffs[0] == 0:
-            raise ValueError("reciprocal needs a nonzero constant term")
+            raise SeriesDomainError("reciprocal needs a nonzero constant term")
         # self = A / D, so 1/self = D * sum_m B_m x^m / A_0^(m+1) with
         # B_0 = 1, B_m = -sum_{j>=1} A_j A_0^(j-1) B_(m-j)
         A, D = _over_common_den(self.coeffs)
@@ -201,7 +200,7 @@ class PowerSeries:
 def series_exp(a: PowerSeries) -> PowerSeries:
     """Formal exponential; requires a(0) = 0."""
     if a.coeffs[0] != 0:
-        raise ValueError("exp needs constant term 0")
+        raise SeriesDomainError("exp needs constant term 0")
     # m E_m = sum_{j=1..m} j a_j E_(m-j); with a = A / D and
     # E_m = X_m / (m! D^m) this is
     # X_m = sum_j j A_j D^(j-1) (m-1)!/(m-j)! X_(m-j), all in integers
@@ -226,7 +225,7 @@ def series_exp(a: PowerSeries) -> PowerSeries:
 def series_log(a: PowerSeries) -> PowerSeries:
     """Formal logarithm; requires a(0) = 1."""
     if a.coeffs[0] != 1:
-        raise ValueError("log needs constant term 1")
+        raise SeriesDomainError("log needs constant term 1")
     # m L_m = m a_m - sum_{j=1..m-1} j L_j a_(m-j); with a = A / D and
     # m L_m = Z_m / D^m this is
     # Z_m = m A_m D^(m-1) - sum_j Z_j A_(m-j) D^(m-j-1), all in integers
@@ -246,7 +245,7 @@ def series_log(a: PowerSeries) -> PowerSeries:
 def series_compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     """f(g) for g with zero constant term; result in g's variable."""
     if g.coeffs[0] != 0:
-        raise ValueError("composition needs inner constant term 0")
+        raise SeriesDomainError("composition needs inner constant term 0")
     n = min(f.trunc, g.trunc)
     # f = F / E and g = G / D with F, G integral; Horner in integers,
     # acc <- acc G + F_m D^(n-m), ends at E D^n f(g)
@@ -269,9 +268,9 @@ def series_revert(a: PowerSeries) -> PowerSeries:
     h = t / a(t), g_m = [t^(m-1)] h^m / m, one product with h per degree.
     """
     if a.coeffs[0] != 0:
-        raise ValueError("revert needs constant term 0")
+        raise SeriesDomainError("revert needs constant term 0")
     if a.trunc < 1 or a.coeffs[1] == 0:
-        raise ValueError("revert needs a nonzero linear coefficient")
+        raise SeriesDomainError("revert needs a nonzero linear coefficient")
     n = a.trunc
     h = PowerSeries(a.var, a.coeffs[1:]).reciprocal().coeffs  # degrees 0..n-1
     # h = H / den with H integral, so h^m = power / den^m in integers
@@ -353,18 +352,7 @@ class LogSeries:
     def __mul__(self, other):
         if isinstance(other, PowerSeries):
             return self.mul_series(other)
-        if not isinstance(other, LogSeries):
-            return self.mul_series(PowerSeries.zero(self.var, self.trunc) + Q(other))
-        # (L^a/a!)(L^b/b!) = C(a+b,a) L^{a+b}/(a+b)!
-        from math import comb
-
-        tr = min(self.trunc, other.trunc)
-        top = self.log_degree + other.log_degree
-        out = [PowerSeries.zero(self.var, tr) for _ in range(top + 1)]
-        for a, fa in enumerate(self.components):
-            for b, fb in enumerate(other.components):
-                out[a + b] = out[a + b] + Q(comb(a + b, a)) * (fa.truncate(tr) * fb.truncate(tr))
-        return LogSeries(tuple(out))
+        return self.mul_series(PowerSeries.zero(self.var, self.trunc) + Q(other))
 
     def compose_inner(self, zq: PowerSeries, log_corr: PowerSeries) -> "LogSeries":
         """Substitute z = zq(t) where zq = t * u(t), u(0) != 0.
@@ -372,7 +360,7 @@ class LogSeries:
         log z becomes log t + log_corr with log_corr = log u(t), so the
         result is a LogSeries in the new variable t.
         """
-        from math import comb, factorial
+        from math import factorial
 
         tr = min(self.trunc, zq.trunc, log_corr.trunc)
         top = self.log_degree

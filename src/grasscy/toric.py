@@ -7,10 +7,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import comb, factorial, gcd, lcm
 
-from .errors import UsageError
-from .linalg import rank
+from .errors import Mismatch, UsageError
+from .linalg import echelon, rank
 
 Label = tuple[str, int, int]  # ("u"|"v", i, j)
 
@@ -18,10 +18,21 @@ Label = tuple[str, int, int]  # ("u"|"v", i, j)
 # dimension the subsets are too many
 MAX_HULL_DIM = 10
 
+# the binomial equations and the quantum cohomology matrix are indexed by
+# the C(n,k) Pluecker coordinates; this caps their count
+DIM_BOUND = 35  # covers G(2,7) and G(3,7)
+
 
 def _check_kn(k: int, n: int):
     if not (1 <= k < n):
         raise UsageError(f"need 1 <= k < n, got ({k},{n})")
+
+
+def check_pluecker_count(k: int, n: int):
+    _check_kn(k, n)
+    if comb(n, k) > DIM_BOUND:
+        raise UsageError(f"C({n},{k}) = {comb(n, k)} Pluecker coordinates exceed "
+                         f"the bound {DIM_BOUND}")
 
 
 def flat_index(k: int, n: int, i: int, j: int) -> int:
@@ -80,35 +91,9 @@ def build_delta(k: int, n: int) -> DeltaKN:
     labels = tuple(vertex_labels(k, n))
     verts = tuple(vertex_vector(k, n, lab) for lab in labels)
     if len(verts) != 2 * (k - 1) * (n - k - 1) + n:
-        raise RuntimeError(f"Delta({k},{n}) has {len(verts)} vertices, expected "
-                           f"{2 * (k - 1) * (n - k - 1) + n}")
+        raise Mismatch(f"Delta({k},{n}) has {len(verts)} vertices, expected "
+                       f"{2 * (k - 1) * (n - k - 1) + n}")
     return DeltaKN(k, n, labels, verts)
-
-
-def _solve_ones(rows: list[list[int]]) -> tuple[list[int], int] | None:
-    """Integer x and den > 0 with rows . (x / den) = (1, ..., 1), by
-    fraction-free (Bareiss) elimination; None when the square matrix is
-    singular."""
-    d = len(rows)
-    m = [list(r) + [1] for r in rows]
-    prev = 1
-    for c in range(d):
-        piv = next((i for i in range(c, d) if m[i][c]), None)
-        if piv is None:
-            return None
-        m[c], m[piv] = m[piv], m[c]
-        p = m[c][c]
-        for i in range(c + 1, d):
-            f = m[i][c]
-            m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], m[c])]
-        prev = p
-    den = prev  # +-det: den * rows^-1 . 1 is integral (Cramer)
-    x = [0] * d
-    for i in range(d - 1, -1, -1):
-        x[i] = (den * m[i][d] - sum(m[i][j] * x[j] for j in range(i + 1, d))) // m[i][i]
-    if den < 0:
-        x, den = [-v for v in x], -den
-    return x, den
 
 
 def facets_and_reflexivity(delta: DeltaKN):
@@ -134,10 +119,13 @@ def facets_and_reflexivity(delta: DeltaKN):
         mask = sum(1 << s for s in subset)
         if any(mask & ~cm == 0 for cm in contacts):
             continue
-        sol = _solve_ones([list(verts[s]) for s in subset])
-        if sol is None:
+        # a.v = 1 on the subset, reduced as [V | 1]: when the subset is
+        # independent, a_i = e[i][d] / e[i][i]
+        e, pivots = echelon([list(verts[s]) + [1] for s in subset])
+        if pivots != list(range(d)):
             continue
-        x, den = sol
+        den = lcm(*(e[i][i] for i in range(d)))
+        x = [e[i][d] * (den // e[i][i]) for i in range(d)]
         vals = [sum(xi * vi for xi, vi in zip(x, v)) for v in verts]
         if any(val > den for val in vals):
             continue
@@ -152,11 +140,6 @@ def facets_and_reflexivity(delta: DeltaKN):
         facets[tuple(-xi // g for xi in x)] = Fraction(den, g)
     reflexive = all(c == 1 for c in facets.values())
     return sorted(facets.items()), reflexive
-
-
-def origin_interior(delta: DeltaKN) -> bool:
-    facets, _ = facets_and_reflexivity(delta)
-    return all(c > 0 for _, c in facets)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +165,7 @@ def tuple_join(a, b) -> tuple[int, ...]:
 
 def binomial_equations(k: int, n: int) -> list[dict]:
     """One record per unordered incomparable pair: z_a z_a' = z_min z_max."""
+    check_pluecker_count(k, n)
     tuples = poset_aknn(k, n)
     out = []
     for a, b in itertools.combinations(tuples, 2):
@@ -200,7 +184,7 @@ def nef_partition_sets(k: int, n: int) -> list[list[Label]]:
         sets.append([("v", i, j) for i in range(1, k + 1)])
     sets.append([("v", k, n - k)])
     if len(sets) != n:
-        raise RuntimeError(f"nef partition of G({k},{n}) has {len(sets)} sets, expected {n}")
+        raise Mismatch(f"nef partition of G({k},{n}) has {len(sets)} sets, expected {n}")
     return sets
 
 
@@ -213,7 +197,7 @@ def degree_grassmannian(k: int, n: int) -> int:
         frac *= Fraction(factorial(i), factorial(n - k + i))
     result = num * frac
     if result.denominator != 1:
-        raise ArithmeticError(f"degree of G({k},{n}) came out as {result}, not an integer")
+        raise Mismatch(f"degree of G({k},{n}) came out as {result}, not an integer")
     return int(result)
 
 

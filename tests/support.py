@@ -3,12 +3,12 @@ schoolbook Fraction oracles that the integer kernels in grasscy are
 checked against."""
 
 from fractions import Fraction as Q
-from math import comb
+from math import comb, factorial
 
 from hypothesis import strategies as st
 
 from grasscy.laurent import LaurentPoly
-from grasscy.series import LogSeries, PowerSeries
+from grasscy.series import LogSeries, PowerSeries, series_exp
 
 
 def rationals(bound: int, max_denominator: int):
@@ -21,6 +21,34 @@ def rationals(bound: int, max_denominator: int):
         st.integers(-bound * max_denominator, bound * max_denominator),
         st.integers(1, max_denominator),
     ).filter(lambda x: -bound <= x <= bound)
+
+
+# -- linear algebra ------------------------------------------------------------
+
+
+def rref(rows) -> tuple[list[list[Q]], list[int]]:
+    """Reduced row echelon form in Fractions: (matrix, pivot columns)."""
+    m = [list(map(Q, r)) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
 
 
 # -- series ------------------------------------------------------------------
@@ -106,6 +134,40 @@ def frobenius_basis_oracle(P, order_n: int) -> list:
         LogSeries(tuple(PowerSeries("z", tuple(jet[j - i] for jet in jets)) for i in range(j + 1)))
         for j in range(L)
     ]
+
+
+# -- Yukawa coupling through the d/dz form --------------------------------------
+
+
+def stirling2(j: int, t: int) -> int:
+    if t == 0:
+        return 1 if j == 0 else 0
+    return sum((-1) ** (t - i) * comb(t, i) * i**j for i in range(t + 1)) // factorial(t)
+
+
+def to_ddz_form(P) -> list[list[Q]]:
+    """Coefficients b_t(z) of P = sum_t b_t(z) (d/dz)^t, each as a dense
+    coefficient list in z, from D^j = sum_t S(j,t) z^t (d/dz)^t."""
+    r, d = P.order, P.zdeg
+    out = [[Q(0)] * (d + r + 1) for _ in range(r + 1)]
+    for (i, j), c in P.terms.items():
+        for t in range(j + 1):
+            out[t][i + t] += c * stirling2(j, t)
+    return out
+
+
+def yukawa_z_ddz_oracle(P, n0: int, order_n: int) -> PowerSeries:
+    """W'/W = -(1/2)(b3/b4 - 6/z) on the d/dz form of an order-4 MUM
+    operator, with b3 = z^3 B3 and b4 = z^4 B4."""
+    b = to_ddz_form(P)
+    assert not any(b[3][:3]) and not any(b[4][:4])
+    pad = [Q(0)] * (order_n + 2)
+    B3, B4 = (b[3][3:] + pad)[: order_n + 2], (b[4][4:] + pad)[: order_n + 2]
+    num = [x - 6 * y for x, y in zip(B3, B4)]
+    assert num[0] == 0  # the residue of b3/b4 at 0 is 6
+    r = PowerSeries("z", num[1:]) / PowerSeries("z", B4[: order_n + 1])
+    w_log = r.integrate0() * Q(-1, 2)
+    return (series_exp(w_log) * n0).truncate(order_n)
 
 
 # -- Laurent polynomials -------------------------------------------------------

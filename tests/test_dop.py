@@ -10,10 +10,7 @@ from grasscy.dop import (
     NoAnnihilator,
     dop_from_json,
     dop_to_json,
-    from_ddz_form,
     pf_fit,
-    stirling2,
-    to_ddz_form,
 )
 from grasscy.series import LogSeries, PowerSeries
 
@@ -65,19 +62,6 @@ def test_apply_log_series_matches_theta():
     assert D.apply(F) == F.theta()
     assert (D * D).apply(F) == F.theta().theta()
     assert (z * D).apply(F) == F.theta().shift(1)
-
-
-def test_stirling_conversion_roundtrip():
-    assert stirling2(4, 2) == 7
-    P = D**3 - 2 * z * (D + 1) * (2 * D + 1)
-    assert from_ddz_form(to_ddz_form(P)) == P
-
-
-def test_ddz_form_theta():
-    # D^2 = z d/dz + z^2 (d/dz)^2
-    b = to_ddz_form(D * D)
-    assert b[1] == [Q(0), Q(1)]
-    assert b[2] == [Q(0), Q(0), Q(1)]
 
 
 def test_pf_fit_geometric():
@@ -202,12 +186,6 @@ ops = st.lists(
 def test_composition_agrees_with_series_action(A, B):
     f = PowerSeries("z", tuple(Q(m + 1, m * m + 1) for m in range(8)))
     assert (A * B).apply(f) == A.apply(B.apply(f))
-
-
-@settings(max_examples=200)
-@given(ops)
-def test_ddz_roundtrip_random(P):
-    assert from_ddz_form(to_ddz_form(P)) == P
 
 
 @settings(max_examples=100)

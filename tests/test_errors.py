@@ -1,6 +1,8 @@
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import grasscy
 from grasscy.errors import GrasscyError
@@ -24,6 +26,15 @@ def test_every_exception_class_is_a_grasscy_error():
         "GrasscyError", "Mismatch", "UsageError", "NoAnnihilator", "AmbiguousAnnihilator",
         "NotMUM", "NonIntegralInstanton", "NoDependence", "InexactDivision",
         "TruncationError", "VariableMismatch", "RegistryError", "UnboundedPeriod",
-        "ConstraintViolation",
+        "ConstraintViolation", "SeriesDomainError",
     }
     assert [c.__name__ for c in found if not issubclass(c, GrasscyError)] == []
+
+
+def test_no_builtin_runtime_or_arithmetic_error_is_raised():
+    """A check inside the chain raises a GrasscyError, so a failure exits 1
+    with a JSON line instead of a traceback."""
+    raises = re.compile(r"raise (RuntimeError|ArithmeticError)\b")
+    found = [f"{path.name}:{n}" for path in sorted(Path(grasscy.__path__[0]).glob("*.py"))
+             for n, line in enumerate(path.read_text().splitlines(), 1) if raises.search(line)]
+    assert found == []

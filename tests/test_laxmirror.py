@@ -203,6 +203,17 @@ def test_period_ct_matches_bruteforce(poly, order):
         assert got == expected
 
 
+def test_period_ct_three_parameters_matches_bruteforce():
+    # g = x + t1/x + t2/x^2 + t3: the grading w = 1 gives mu = (2, 3, 1), so
+    # the parameter degrees of one power m mix all three parameters
+    g = LaurentPoly(4, {(1, 0, 0, 0): Q(1), (-1, 1, 0, 0): Q(2),
+                        (-2, 0, 1, 0): Q(1, 3), (0, 0, 0, 1): Q(-1)})
+    got = period_ct(g, 3, 4)
+    assert got == _period_oracle(g, 3, 4, 3 * 4)
+    # CT(g^6) at t1 t2 t3: the 6!/3! orderings of x, x, x, t1/x, t2/x^2, t3
+    assert got[(1, 1, 1)] == 120 * 2 * Q(1, 3) * (-1)
+
+
 # -- mirror systems ------------------------------------------------------------
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grasscy.linalg import nullspace, rank, rref, solve
+from grasscy.linalg import nullspace, rank, solve
 from grasscy.upoly import (
     PZERO,
     InexactDivision,
@@ -30,6 +30,15 @@ def test_solve_simple():
 def test_solve_inconsistent():
     rows = [[Q(1), Q(1)], [Q(2), Q(2)]]
     assert solve(rows, [Q(1), Q(3)]) is None
+    assert solve([[Q(0), Q(0)]], [Q(1)]) is None
+
+
+def test_solve_singular():
+    rows = [[Q(1), Q(2), Q(3)], [Q(2), Q(4), Q(6)], [Q(0), Q(1), Q(1)]]
+    for rhs in ([Q(1), Q(3), Q(0)], [Q(1), Q(2), Q(1)]):
+        assert solve(rows, rhs) == rref_solve(rows, rhs)
+    assert solve(rows, [Q(1), Q(2), Q(1)]) == [Q(-1), Q(1), Q(0)]  # free x3 = 0
+    assert solve([[Q(0), Q(0)]], [Q(0)]) == [Q(0), Q(0)]
 
 
 def test_nullspace_known():
@@ -43,13 +52,14 @@ def test_nullspace_known():
 def test_rank():
     assert rank([[Q(1), Q(2)], [Q(2), Q(4)]]) == 1
     assert rank([[Q(1), Q(0)], [Q(0), Q(1)]]) == 2
+    assert rank([[Q(0), Q(0)]]) == 0 and rank([]) == 0
 
 
 def rref_nullspace(rows):
     """The nullspace basis read off the Fraction rref: 1 at each free
     column, minus that column of the reduced rows at the pivots."""
     n = len(rows[0])
-    m, pivots = rref(rows)
+    m, pivots = support.rref(rows)
     basis = []
     for f in (c for c in range(n) if c not in pivots):
         v = [Q(0)] * n
@@ -77,6 +87,39 @@ def test_nullspace_vectors_annihilate(rows, combos):
         assert any(x != 0 for x in v)
         for r in rows:
             assert sum(a * b for a, b in zip(r, v)) == 0
+
+
+def rref_solve(rows, rhs):
+    """The solution with every free variable 0 read off the Fraction rref of
+    [A | b], or None when b is a pivot column."""
+    n = len(rows[0])
+    m, pivots = support.rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    if n in pivots:
+        return None
+    x = [Q(0)] * n
+    for r, p in enumerate(pivots):
+        x[p] = m[r][n]
+    return x
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), rationals), max_size=2),
+    st.lists(rationals, min_size=5, max_size=5),
+)
+def test_solve_and_rank_match_rref(rows, combos, rhs):
+    """Singular systems come from dependent rows; such a system with an
+    arbitrary right-hand side is mostly inconsistent."""
+    rows = [[Q(x) for x in r] for r in rows]
+    for a, b, c in combos:
+        if a < len(rows) and b < len(rows):
+            rows.append([x + c * y for x, y in zip(rows[a], rows[b])])
+    rhs = rhs[: len(rows)]
+    assert rank(rows) == len(support.rref(rows)[1])
+    assert solve(rows, rhs) == rref_solve(rows, rhs)
+    consistent = [sum(r, Q(0)) for r in rows]  # b = A (1, 1, 1)
+    assert solve(rows, consistent) == rref_solve(rows, consistent)
 
 
 @settings(max_examples=200)

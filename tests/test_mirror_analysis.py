@@ -17,9 +17,9 @@ from grasscy.mirror_analysis import (
     yukawa_z,
 )
 from grasscy.pipeline import rational_series
-from grasscy.series import PowerSeries, series_compose
+from grasscy.series import PowerSeries, TruncationError, series_compose
 
-from support import frobenius_basis_oracle, rationals
+from support import frobenius_basis_oracle, rationals, yukawa_z_ddz_oracle
 
 D = DOp.D()
 z = DOp.z()
@@ -99,8 +99,20 @@ def test_yukawa_z_quartic():
 
 
 def test_yukawa_requires_order_4():
-    with pytest.raises(ValueError):
+    with pytest.raises(NotMUM):
         yukawa_z(D**3 - z, 1, 5)
+
+
+mum_order_4 = st.tuples(
+    rationals(5, 4).filter(lambda c: c != 0),
+    st.lists(st.tuples(st.integers(1, 3), st.integers(0, 4), rationals(5, 4)), max_size=6),
+).map(lambda t: DOp({(0, 4): t[0], **{(i, j): c for i, j, c in t[1]}}))
+
+
+@settings(max_examples=100)
+@given(mum_order_4, st.integers(1, 20), st.integers(0, 8))
+def test_yukawa_z_matches_ddz_route(P, n0, order_n):
+    assert yukawa_z(P, n0, order_n) == yukawa_z_ddz_oracle(P, n0, order_n)
 
 
 def test_extract_instantons_lambert_inversion():
@@ -124,7 +136,7 @@ def test_extract_instantons_integrality_enforced():
 
 def test_extract_instantons_needs_enough_coefficients():
     kq = PowerSeries("q", (Q(4), Q(8)))
-    with pytest.raises(ValueError):
+    with pytest.raises(TruncationError):
         extract_instantons(kq, 5)
 
 

@@ -196,6 +196,7 @@ def _usage_error(capsys) -> str:
     (["pf-fit", "--series", SERIES, "--max-order", "4", "--max-degree", "-3"], FIT_BOUNDS),
     (["pf-fit", "--series", SERIES, "--max-order", "4", "--max-degree", "1", "--guard", "-5"],
      FIT_BOUNDS),
+    (["toric", "5", "12"], "C(12,5) = 792 Pluecker coordinates exceed the bound 35"),
 ])
 def test_cli_bad_input_is_usage_error(capsys, series_file, argv, message):
     """Rejected before any computation: exit 2, nothing on stdout, one JSON

@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from grasscy.errors import UsageError
 from grasscy.linalg import rank
 from grasscy.toric import (
     CYCase,
@@ -12,7 +13,6 @@ from grasscy.toric import (
     hodge_after_transition,
     nef_partition_sets,
     node_count,
-    origin_interior,
     poset_aknn,
     tuple_join,
     tuple_leq,
@@ -57,7 +57,7 @@ def test_facets_and_reflexivity(k, n):
     facets, reflexive = facets_and_reflexivity(delta)
     assert len(facets) == comb(n, k)
     assert reflexive
-    assert origin_interior(delta)
+    assert all(c > 0 for _, c in facets)  # the origin is interior
     # certificate: each <m, x> >= -c holds on every vertex, with equality on
     # a set of affine rank dim (a facet, not a lower-dimensional face)
     for m, c in facets:
@@ -75,6 +75,14 @@ def test_facet_cap():
 def test_binomial_equation_counts():
     for n in range(4, 9):
         assert len(binomial_equations(2, n)) == comb(n, 4)
+
+
+def test_binomial_equations_capped_by_pluecker_count():
+    assert len(binomial_equations(3, 7)) > 0  # C(7,3) = 35, at the cap
+    with pytest.raises(UsageError, match="792 Pluecker coordinates exceed the bound 35"):
+        binomial_equations(5, 12)  # C(12,5) = 792
+    with pytest.raises(UsageError):
+        binomial_equations(2, 9)  # C(9,2) = 36
 
 
 def test_binomial_equation_record():
