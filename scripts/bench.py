@@ -6,9 +6,10 @@ Each tree is a checkout root with `src/grasscy`.  Every measurement runs in
 a fresh interpreter with PYTHONPATH=<tree>/src, and the two trees alternate
 which goes first, so both see the same machine drift.  Recorded:
 
-- per case and per pipeline stage, the in-process seconds of one run of
-  the chain at COUNT instantons (median over STAGE_RUNS processes), plus
-  `qh.scalar_operator` for each Grassmannian;
+- per case and per pipeline stage, the in-process seconds of one
+  `pipeline.run_case` at COUNT instantons, each stage timed by wrapping
+  its `grasscy.pipeline` attribute (median over STAGE_RUNS processes),
+  plus `qh.scalar_operator` for each Grassmannian;
 - the wall time of `python -m grasscy.cli verify-all --count COUNT` (median
   and quartiles over CLI_RUNS processes), and whether its report, apart
   from `seconds`, is the same for both trees;
@@ -35,35 +36,36 @@ STAGE_RUNS = 5
 CLI_RUNS = 15
 COUNT = 5
 
-# One process: the chain of pipeline.run_case, stage by stage, for every
-# registry case; then the qh scalar operators.  Prints {case: {stage: s}}.
+# One process: pipeline.run_case for every registry case, each stage timed
+# by wrapping its grasscy.pipeline attribute; then the qh scalar operators.
+# Prints {case: {stage: s}}.
 STAGE_CHILD = r"""
 import json, sys, time
 from grasscy import pipeline as pl
-from grasscy.dop import fit_trunc
-from grasscy.hypergeom import ASeriesSpec, FactorialBundle
 from grasscy.qh import scalar_operator
 from grasscy.registry import registry_load
 
-count = int(sys.argv[1])
-out = {}
-for name, rc in sorted(registry_load().items()):
-    case, order, t = rc.case, max(pl.KZ_ORDER, count + 1), {}
-    def timed(stage, fn, *args, **kw):
+STAGES = {"a_series": "a_series", "factorial_trick": "phi", "pf_fit": "pf_fit",
+          "frobenius": "frobenius", "mirror_map": "mirror_map", "yukawa_z": "yukawa_z",
+          "yukawa_q": "yukawa_q", "extract_instantons": "instantons"}
+t = {}
+
+def timed(stage, fn):
+    def wrapper(*args, **kw):
         t0 = time.perf_counter()
         res = fn(*args, **kw)
         t[stage] = time.perf_counter() - t0
         return res
-    a = timed("a_series", pl.a_series,
-              ASeriesSpec(case.k, case.n, fit_trunc(pl.PF_MAX_ORDER, rc.pf_max_zdeg)))
-    phi = timed("phi", pl.factorial_trick, a, FactorialBundle(case.degrees))
-    op = timed("pf_fit", pl.pf_fit, phi, max_order=pl.PF_MAX_ORDER, max_zdeg=rc.pf_max_zdeg)
-    fp = timed("frobenius", pl.frobenius, op, order)
-    maps = timed("mirror_map", pl.mirror_map, fp)
-    kz3 = timed("yukawa_z", pl.yukawa_z, op, case.n0, order)
-    kq3 = timed("yukawa_q", pl.yukawa_q, kz3, fp, maps)
-    timed("instantons", pl.extract_instantons, kq3, count)
-    out[name] = t
+    return wrapper
+
+for attr, stage in STAGES.items():
+    setattr(pl, attr, timed(stage, getattr(pl, attr)))
+count = int(sys.argv[1])
+out = {}
+for name, rc in sorted(registry_load().items()):
+    t.clear()
+    pl.run_case(rc, count)
+    out[name] = dict(t)
 for k, n in [(2, 4), (2, 5), (2, 6), (2, 7), (3, 6)]:
     t0 = time.perf_counter()
     scalar_operator(k, n)

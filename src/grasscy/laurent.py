@@ -88,24 +88,28 @@ def _times(acc: dict, terms: list, lo: tuple, hi: tuple) -> dict:
     return {e: c for e, c in out.items() if c and all(map(le, lo, e)) and all(map(le, e, hi))}
 
 
-def ct_by_param_degree(L: LaurentPoly, m: int, nparams: int = 0, bound: int = 0) -> dict:
-    """Constant term of L**m over the leading (torus) coordinates, collected
-    by the exponents of the trailing nparams coordinates (tracked
-    parameters, non-negative, each kept <= bound): parameter-degree tuple ->
-    coefficient, zeros left out.
+def ct_by_param_degree(L: LaurentPoly, powers, nparams: int = 0, bound: int = 0) -> dict:
+    """Constant terms of L**m for every m in powers, over the leading
+    (torus) coordinates, collected by the exponents of the trailing nparams
+    coordinates (tracked parameters, non-negative, each kept <= bound):
+    m -> {parameter-degree tuple -> coefficient}, zeros left out.
 
-    Meet in the middle: with a = m // 2 and b = m - a,
-    CT(L^m) = sum_e [L^a]_e [L^b]_(-e) over torus parts e; L^a is computed
-    once and L^b from it with at most one more product.  The products run in
-    integers on P = D L, D the lcm of L's denominators: L^m = P^m / D^m.
+    One sweep, meet in the middle: with a = m // 2 and b = m - a,
+    CT(L^m) = sum_e [L^a]_e [L^b]_(-e) over torus parts e.  L^t is built
+    once for t up to ceil(M / 2), M the largest power, pruned to what the
+    M - t factors left can cancel, which covers every smaller m too; only
+    the two newest powers are kept.  The products run in integers on
+    P = D L, D the lcm of L's denominators: L^m = P^m / D^m.
     """
-    if m < 0:
+    powers = set(powers)
+    if any(m < 0 for m in powers):
         raise ValueError("power must be non-negative")
+    top = max(powers, default=0)
     nv = L.nvars - nparams
     den = lcm(*(c.denominator for c in L.terms.values()))
     terms = [(e, c.numerator * (den // c.denominator)) for e, c in L.terms.items()]
     # per factor a torus coordinate moves by at most +up / -down, so after t
-    # factors it must lie where the m - t factors left can bring it back to 0
+    # factors it must lie where the M - t factors left can bring it back to 0
     up = [max([0] + [e[c] for e in L.terms]) for c in range(nv)]
     down = [max([0] + [-e[c] for e in L.terms]) for c in range(nv)]
 
@@ -113,26 +117,32 @@ def ct_by_param_degree(L: LaurentPoly, m: int, nparams: int = 0, bound: int = 0)
         return (tuple(-left * u for u in up) + (0,) * nparams,
                 tuple(left * d for d in down) + (bound,) * nparams)
 
-    half = {(0,) * L.nvars: 1}
-    for t in range(1, m // 2 + 1):
-        half = _times(half, terms, *box(m - t))
-    other = half if m % 2 == 0 else _times(half, terms, *box(m // 2))
-    by_torus: dict = {}
-    for e, c in other.items():
-        by_torus.setdefault(e[:nv], []).append((e[nv:], c))
-    out: dict = {}
-    for e, c1 in half.items():
-        for t2, c2 in by_torus.get(tuple(-x for x in e[:nv]), ()):
-            t = tuple(map(add, e[nv:], t2))
-            if all(x <= bound for x in t):
-                out[t] = out.get(t, 0) + c1 * c2
-    scale = den**m
-    return {t: Q(c, scale) for t, c in out.items() if c}
+    result: dict = {}
+    half = other = {(0,) * L.nvars: 1}  # L^a and L^b for the current m
+    for m in range(top + 1):
+        if m % 2:  # b = a + 1 is one power past the last
+            half, other = other, _times(other, terms, *box(top - m // 2 - 1))
+        else:
+            half = other
+        if m not in powers:
+            continue
+        by_torus: dict = {}
+        for e, c in other.items():
+            by_torus.setdefault(e[:nv], []).append((e[nv:], c))
+        out: dict = {}
+        for e, c1 in half.items():
+            for t2, c2 in by_torus.get(tuple(-x for x in e[:nv]), ()):
+                t = tuple(map(add, e[nv:], t2))
+                if all(x <= bound for x in t):
+                    out[t] = out.get(t, 0) + c1 * c2
+        scale = den**m
+        result[m] = {t: Q(c, scale) for t, c in out.items() if c}
+    return result
 
 
 def laurent_pow_ct(L: LaurentPoly, m: int) -> Q:
     """Constant term of L**m."""
-    return ct_by_param_degree(L, m).get((), ZERO)
+    return ct_by_param_degree(L, {m})[m].get((), ZERO)
 
 
 def laurent_to_json(L: LaurentPoly) -> dict:

@@ -85,43 +85,33 @@ def period_ct(g: LaurentPoly, nparams: int, order: int) -> PowerSeries | dict:
     """Period series sum_m CT(g^m) collected by tracked-parameter degree.
 
     The grading pins down which power m feeds each parameter degree:
-    m = mu . d.  Returns a PowerSeries for one parameter, otherwise a dict
-    from exponent tuples (total degree <= order) to coefficients.
+    m = mu . d; one constant-term sweep serves all of them.  Returns a
+    PowerSeries for one parameter, otherwise a dict from exponent tuples
+    (total degree <= order) to coefficients.
     """
     if nparams < 0:
         raise UsageError(f"nparams must be >= 0, got {nparams}")
-    if not g.terms:
-        if nparams == 1:
-            return PowerSeries("q", (Q(1),) + (ZERO,) * order)
-        return {(0,) * nparams: Q(1)}
-    nv = g.nvars - nparams
-    if nv <= 0:
-        raise UsageError("no torus coordinates left after the tracked parameters")
-    if any(any(x < 0 for x in e[nv:]) for e in g.terms):
-        raise UsageError("tracked parameter exponents must be non-negative")
-    _, mu = _grading(g, nparams)
-
-    if nparams == 1:
-        coeffs = [ZERO] * (order + 1)
-        coeffs[0] = Q(1)
-        for d in range(1, order + 1):
-            m = mu[0] * d
-            if m.denominator != 1:
-                continue
-            coeffs[d] = ct_by_param_degree(g, int(m), 1, d).get((d,), ZERO)
-        return PowerSeries("q", tuple(coeffs))
-
-    # the powers m = mu . d over 0 < |d| <= order, one degree at a time
-    reachable: set = set()
-    layer = {ZERO}
-    for _ in range(order):
-        layer = {s + mi for s in layer for mi in mu}
-        reachable |= layer
     result: dict = {(0,) * nparams: Q(1)}
-    for m in sorted(m for m in reachable if m.denominator == 1):
-        for dd, c in ct_by_param_degree(g, int(m), nparams, order).items():
-            if sum(dd) <= order and any(dd):
-                result[dd] = c
+    if g.terms:
+        nv = g.nvars - nparams
+        if nv <= 0:
+            raise UsageError("no torus coordinates left after the tracked parameters")
+        if any(any(x < 0 for x in e[nv:]) for e in g.terms):
+            raise UsageError("tracked parameter exponents must be non-negative")
+        _, mu = _grading(g, nparams)
+        # the powers m = mu . d over 0 < |d| <= order, one degree at a time
+        reachable: set = set()
+        layer = {ZERO}
+        for _ in range(order):
+            layer = {s + mi for s in layer for mi in mu}
+            reachable |= layer
+        powers = {int(m) for m in reachable if m.denominator == 1}
+        for by_degree in ct_by_param_degree(g, powers, nparams, order).values():
+            for dd, c in by_degree.items():
+                if sum(dd) <= order and any(dd):
+                    result[dd] = c
+    if nparams == 1:
+        return PowerSeries("q", tuple(result.get((d,), ZERO) for d in range(order + 1)))
     return result
 
 

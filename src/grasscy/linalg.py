@@ -55,12 +55,11 @@ def echelon(rows) -> tuple[list[list[int]], list[int]]:
     return m, pivots
 
 
-def nullspace(rows: list[list[Q]], ncols: int | None = None) -> list[list[Q]]:
+def nullspace(rows: list[list[Q]]) -> list[list[Q]]:
     """Basis of the right nullspace of the matrix: one vector per free
     column f, with 1 at f, 0 at the other free columns."""
     if not rows:
-        n = ncols or 0
-        return [[Q(1) if j == i else Q(0) for j in range(n)] for i in range(n)]
+        return []
     n = len(rows[0])
     m, pivots = echelon(rows)
     pivot_set = set(pivots)

@@ -223,23 +223,12 @@ def series_exp(a: PowerSeries) -> PowerSeries:
 
 
 def series_log(a: PowerSeries) -> PowerSeries:
-    """Formal logarithm; requires a(0) = 1."""
+    """Formal logarithm; requires a(0) = 1.  theta log a = theta a / a, so
+    L_m = [theta a / a]_m / m."""
     if a.coeffs[0] != 1:
         raise SeriesDomainError("log needs constant term 1")
-    # m L_m = m a_m - sum_{j=1..m-1} j L_j a_(m-j); with a = A / D and
-    # m L_m = Z_m / D^m this is
-    # Z_m = m A_m D^(m-1) - sum_j Z_j A_(m-j) D^(m-j-1), all in integers
-    A, D = _over_common_den(a.coeffs)
-    weights = _weights(A, D)
-    Z = [0]
-    out = [ZERO]
-    scale = 1
-    for m in range(1, len(A)):
-        acc = m * weights[m] - sum(Z[j] * weights[m - j] for j in range(1, m) if Z[j])
-        Z.append(acc)
-        scale *= D
-        out.append(Q(acc, m * scale))
-    return PowerSeries(a.var, tuple(out))
+    r = a.theta() / a
+    return PowerSeries(a.var, (ZERO,) + tuple(c / m for m, c in enumerate(r.coeffs[1:], 1)))
 
 
 def series_compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:

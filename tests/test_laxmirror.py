@@ -6,9 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grasscy.errors import UsageError
-from grasscy.hypergeom import a_series_qspecialized
+from grasscy.hypergeom import (
+    ASeriesSpec,
+    FactorialBundle,
+    a_series,
+    a_series_qspecialized,
+    factorial_trick,
+)
 from grasscy.laurent import (
     LaurentPoly,
+    ct_by_param_degree,
     laurent_from_json,
     laurent_pow_ct,
     laurent_to_json,
@@ -21,6 +28,7 @@ from grasscy.laxmirror import (
     mirror_system,
     period_ct,
 )
+from grasscy.registry import registry_load
 from grasscy.toric import build_delta, vertex_labels, vertex_vector
 from support import laurent_pow_ct_bruteforce, rationals
 
@@ -131,26 +139,31 @@ def test_period_rejects_negative_nparams():
         period_ct(lax_operator(2, 4), -1, 2)
 
 
+@st.composite
+def small_polys(draw):
+    """A Laurent polynomial in one or two variables, exponents in [-2, 2],
+    up to six rational coefficients."""
+    nv = draw(st.integers(min_value=1, max_value=2))
+    exps = st.integers(min_value=-2, max_value=2)
+    terms = draw(st.lists(st.tuples(exps, exps, rationals(3, 3)), min_size=1, max_size=6))
+    return LaurentPoly(nv, {(a, b)[:nv]: c for a, b, c in terms})
+
+
 @settings(max_examples=200, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=2),
-    st.lists(
-        st.tuples(
-            st.integers(min_value=-2, max_value=2),
-            st.integers(min_value=-2, max_value=2),
-            rationals(3, 3),
-        ),
-        min_size=1,
-        max_size=6,
-    ),
-    st.integers(min_value=0, max_value=5),
-)
-def test_pruned_ct_matches_bruteforce(nv, terms, m):
-    if nv == 1:
-        poly = LaurentPoly(1, {(a,): c for a, b, c in terms})
-    else:
-        poly = LaurentPoly(2, {(a, b): c for a, b, c in terms})
+@given(small_polys(), st.integers(min_value=0, max_value=5))
+def test_pruned_ct_matches_bruteforce(poly, m):
     assert laurent_pow_ct(poly, m) == laurent_pow_ct_bruteforce(poly, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_polys(), st.sets(st.integers(min_value=0, max_value=6), max_size=4))
+def test_one_sweep_matches_bruteforce_at_every_power(poly, powers):
+    # one kernel call prunes every power to the box of the largest one,
+    # so the smaller powers are checked against their own full products
+    got = ct_by_param_degree(poly, powers)
+    assert set(got) == powers
+    for m in powers:
+        assert got[m].get((), 0) == laurent_pow_ct_bruteforce(poly, m)
 
 
 @st.composite
@@ -214,7 +227,47 @@ def test_period_ct_three_parameters_matches_bruteforce():
     assert got[(1, 1, 1)] == 120 * 2 * Q(1, 3) * (-1)
 
 
+def test_period_ct_fractional_weight():
+    # g = x^2 + q/x: w = 1/2, mu = 3/2, so only even d reach an integer
+    # power m = 3d/2, and CT(g^m) at q^d is C(3d/2, d)
+    g = LaurentPoly(2, {(2, 0): Q(1), (-1, 1): Q(1)})
+    assert period_ct(g, 1, 6).coeffs == (1, 0, 3, 0, 15, 0, 84)
+
+
+def test_period_ct_without_parameters():
+    # every monomial of g^m lies at height m, so only m = 0 has a constant term
+    g = LaurentPoly(2, {(1, 0): Q(1), (0, 1): Q(2)})
+    assert period_ct(g, 0, 4) == {(): 1}
+    assert period_ct(LaurentPoly.zero(2), 0, 4) == {(): 1}
+
+
 # -- mirror systems ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(registry_load()))
+def test_mirror_period_matches_factorial_trick(name):
+    """The Batyrev-Borisov period of the mirror complete intersection:
+    with F_i = sum_{j in J_i} p_j over the consecutive nef partition in the
+    canonical gauge at q = 1 and G = prod F_i^(l_i),
+    CT(G^m) = prod (l_i m)! a_m."""
+    case = registry_load()[name].case
+    k, n, degrees = case.k, case.n, case.degrees
+    partition, start = [], 1
+    for d in degrees:
+        partition.append(tuple(range(start, start + d)))
+        start += d
+    ms = mirror_system(k, n, degrees, partition, *canonical_gauge_coeffs(k, n, q=1))
+    nv = k * (n - k)
+    G = LaurentPoly.constant(nv, 1)
+    for J, l in zip(ms.partition, degrees):
+        F = LaurentPoly.zero(nv)
+        for j in J:
+            F = F + ms.polys[j - 1]
+        for _ in range(l):
+            G = G * F
+    ct = ct_by_param_degree(G, range(7))
+    phi = factorial_trick(a_series(ASeriesSpec(k, n, 6)), FactorialBundle(degrees))
+    assert tuple(ct[m].get((), 0) for m in range(7)) == phi.coeffs
 
 
 def test_mirror_system_canonical_gauge():
