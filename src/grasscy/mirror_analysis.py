@@ -17,7 +17,6 @@ from .series import (
     TruncationError,
     series_compose,
     series_exp,
-    series_log,
     series_revert,
 )
 
@@ -133,22 +132,23 @@ def yukawa_z(P: DOp, n0: int, order_n: int) -> PowerSeries:
     """Series expansion of the z-coordinate Yukawa coupling, normalized so
     that its value at z = 0 is n0.
 
-    With P = sum_j p_j(z) D^j of order 4 and MUM, the coupling solves
-    W'/W = -(1/2) p3 / (z p4).  (In d/dz form b4 = z^4 p4 and
-    b3 = z^3 (p3 + 6 p4), so this is -(1/2)(b3/b4 - 6/z).)  MUM makes
-    p3(0) = 0 and p4(0) != 0, so p3 / (z p4) is a power series.
+    With P = sum_j p_j(z) D^j of order 4 and MUM, the coupling solves the
+    first-order equation 2 p4 D K + p3 K = 0, i.e. K'/K = -(1/2) p3 / (z p4).
+    (In d/dz form b4 = z^4 p4 and b3 = z^3 (p3 + 6 p4), so this is
+    -(1/2)(b3/b4 - 6/z).)  MUM makes p3(0) = 0 and p4(0) != 0, so with
+    p_(j,i) the coefficient of z^i in p_j,
+    K_m = -sum_{i>=1} (2 p_(4,i) (m-i) + p_(3,i)) K_(m-i) / (2 p_(4,0) m).
     """
     if P.order != 4:
         raise NotMUM("Yukawa normalization requires an order-4 operator")
     _check_mum(P)
-
-    def series(coeffs: list[Q]) -> PowerSeries:
-        return PowerSeries("z", (coeffs + [ZERO] * (order_n + 1))[: order_n + 1])
-
-    p3_over_z = series([P.terms.get((i, 3), ZERO) for i in range(1, P.zdeg + 1)])
-    p4 = series([P.terms.get((i, 4), ZERO) for i in range(P.zdeg + 1)])
-    w_log = (p3_over_z / p4).integrate0() * Q(-1, 2)
-    return (series_exp(w_log) * n0).truncate(order_n)
+    p3 = [P.terms.get((i, 3), ZERO) for i in range(P.zdeg + 1)]
+    p4 = [P.terms.get((i, 4), ZERO) for i in range(P.zdeg + 1)]
+    K = [Q(n0)]
+    for m in range(1, order_n + 1):
+        acc = sum((2 * p4[i] * (m - i) + p3[i]) * K[m - i] for i in range(1, min(m, P.zdeg) + 1))
+        K.append(-acc / (2 * p4[0] * m))
+    return PowerSeries("z", tuple(K))
 
 
 def yukawa_q(kz3: PowerSeries, fp: FrobeniusPair, maps: MirrorMap) -> PowerSeries:
@@ -182,25 +182,25 @@ def extract_instantons(kq3: PowerSeries, count: int) -> list[int]:
     return [ns[m] for m in range(1, count + 1)]
 
 
-def normal_form_check(P: DOp, kq3: PowerSeries, order_n: int) -> bool:
-    """Check the D^2 (1/K) D^2 normal form: each Frobenius solution, divided
-    by the holomorphic one and pushed to the flat coordinate, is annihilated
-    by D^2 (1/K_q) D^2 to the given order."""
-    basis = frobenius_basis(P, max(order_n, kq3.trunc))
+def normal_form_check(P: DOp, kz3: PowerSeries, order_n: int) -> bool:
+    """Check the D_t^2 (1/K_q) D_t^2 normal form in z: each Frobenius
+    solution, divided by the holomorphic one, is annihilated in every degree
+    0..order_n.
+
+    With t = log z + psi/phi0 the flat coordinate, D_t = (D t)^(-1) D for
+    D = z d/dz and D t = 1 + D(psi/phi0), and the coupling pushed to t is
+    1/K_q = phi0^2 (D t)^3 / K_z, so neither the mirror map is inverted nor
+    any solution composed into q.
+    """
+    kz3 = kz3.truncate(order_n)  # TruncationError if K_z is known to less
+    basis = frobenius_basis(P, order_n)
     phi0 = basis[0].component(0)
-    fp = FrobeniusPair(phi0, basis[1].component(0))
-    maps = mirror_map(fp)
-    n = min(phi0.trunc, maps.z_of_q.trunc, kq3.trunc)
-    zq = maps.z_of_q.truncate(n)
-    log_corr = series_log(PowerSeries("q", zq.coeffs[1:]))  # log(z(q)/q)
-    inv_k = kq3.truncate(n).reciprocal()
-    phi0_q = series_compose(phi0.truncate(n), zq)
-    inv_phi0_q = phi0_q.reciprocal()
-    for sol in basis:
-        t = sol.compose_inner(zq, log_corr).mul_series(inv_phi0_q)
-        w = t.theta().theta().mul_series(inv_k.truncate(t.trunc)).theta().theta()
-        tr = min(w.trunc, order_n)
-        for comp in w.components:
-            if any(c != 0 for c in comp.coeffs[: tr + 1]):
-                return False
-    return True
+    inv_phi0 = phi0.reciprocal()
+    dt = 1 + (basis[1].component(0) * inv_phi0).theta()
+    inv_dt = dt.reciprocal()
+    inv_k = phi0 * phi0 * dt * dt * dt / kz3
+
+    def d_t(f: LogSeries) -> LogSeries:
+        return f.theta() * inv_dt
+
+    return all(d_t(d_t(d_t(d_t(sol * inv_phi0)) * inv_k)).is_zero() for sol in basis)

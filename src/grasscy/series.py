@@ -4,6 +4,12 @@ Every series carries an explicit truncation order: coefficients are known
 for degrees 0..trunc and nothing beyond.  Arithmetic returns the minimum
 truncation of its operands; asking for a coefficient past the truncation
 raises instead of silently returning zero.
+
+The kernels (`*`, reciprocal and `/`, `series_exp`, `series_compose`,
+`series_revert`) clear their inputs to integers over one common
+denominator and build one Fraction per output coefficient.  `LogSeries`
+carries the Frobenius solutions sum_j f_j (log z)^j / j! in their own
+variable: the Euler operator, sums and products by a series or a scalar.
 """
 
 from __future__ import annotations
@@ -167,13 +173,6 @@ class PowerSeries:
         """The Euler operator var * d/dvar, truncation preserved."""
         return PowerSeries(self.var, tuple(Q(m) * c for m, c in enumerate(self.coeffs)))
 
-    def integrate0(self) -> "PowerSeries":
-        """Termwise integral from 0; the result is known one order further."""
-        out = [ZERO] * (self.trunc + 2)
-        for m, c in enumerate(self.coeffs):
-            out[m + 1] = c / (m + 1)
-        return PowerSeries(self.var, tuple(out))
-
     def reciprocal(self) -> "PowerSeries":
         if self.coeffs[0] == 0:
             raise SeriesDomainError("reciprocal needs a nonzero constant term")
@@ -220,15 +219,6 @@ def series_exp(a: PowerSeries) -> PowerSeries:
         scale *= m * D
         out.append(Q(acc, scale))
     return PowerSeries(a.var, tuple(out))
-
-
-def series_log(a: PowerSeries) -> PowerSeries:
-    """Formal logarithm; requires a(0) = 1.  theta log a = theta a / a, so
-    L_m = [theta a / a]_m / m."""
-    if a.coeffs[0] != 1:
-        raise SeriesDomainError("log needs constant term 1")
-    r = a.theta() / a
-    return PowerSeries(a.var, (ZERO,) + tuple(c / m for m, c in enumerate(r.coeffs[1:], 1)))
 
 
 def series_compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:
@@ -335,34 +325,11 @@ class LogSeries:
     def __sub__(self, other):
         return self + (-other)
 
-    def mul_series(self, s: PowerSeries) -> "LogSeries":
+    def mul_series(self, s) -> "LogSeries":
+        """Times a PowerSeries in the same variable, or a scalar."""
         return LogSeries(tuple(c * s for c in self.components))
 
-    def __mul__(self, other):
-        if isinstance(other, PowerSeries):
-            return self.mul_series(other)
-        return self.mul_series(PowerSeries.zero(self.var, self.trunc) + Q(other))
-
-    def compose_inner(self, zq: PowerSeries, log_corr: PowerSeries) -> "LogSeries":
-        """Substitute z = zq(t) where zq = t * u(t), u(0) != 0.
-
-        log z becomes log t + log_corr with log_corr = log u(t), so the
-        result is a LogSeries in the new variable t.
-        """
-        from math import factorial
-
-        tr = min(self.trunc, zq.trunc, log_corr.trunc)
-        top = self.log_degree
-        out = [PowerSeries.zero(zq.var, tr) for _ in range(top + 1)]
-        c_pows = [PowerSeries.one(zq.var, tr)]
-        for _ in range(top):
-            c_pows.append(c_pows[-1] * log_corr.truncate(tr))
-        for j, fj in enumerate(self.components):
-            fj_t = series_compose(fj.truncate(tr), zq.truncate(tr))
-            # L^j/j! = sum_{i<=j} (log t)^i/i! * c^{j-i}/(j-i)!
-            for i in range(j + 1):
-                out[i] = out[i] + fj_t * (c_pows[j - i] * Q(1, factorial(j - i)))
-        return LogSeries(tuple(out))
+    __mul__ = mul_series
 
 
 # ---------------------------------------------------------------------------

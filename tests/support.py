@@ -8,7 +8,8 @@ from math import comb, factorial
 from hypothesis import strategies as st
 
 from grasscy.laurent import LaurentPoly
-from grasscy.series import LogSeries, PowerSeries, series_exp
+from grasscy.mirror_analysis import FrobeniusPair, frobenius_basis, mirror_map
+from grasscy.series import LogSeries, PowerSeries, SeriesDomainError, series_compose, series_exp
 
 
 def rationals(bound: int, max_denominator: int):
@@ -77,6 +78,20 @@ def exp_oracle(f: PowerSeries) -> tuple:
     for m in range(1, f.trunc + 1):
         out.append(sum((j * f.coeffs[j] * out[m - j] for j in range(1, m + 1)), Q(0)) / m)
     return tuple(out)
+
+
+def integrate0(f: PowerSeries) -> PowerSeries:
+    """Termwise integral from 0; the result is known one order further."""
+    return PowerSeries(f.var, (Q(0),) + tuple(c / (m + 1) for m, c in enumerate(f.coeffs)))
+
+
+def series_log(a: PowerSeries) -> PowerSeries:
+    """Formal logarithm; requires a(0) = 1.  theta log a = theta a / a, so
+    L_m = [theta a / a]_m / m."""
+    if a.coeffs[0] != 1:
+        raise SeriesDomainError("log needs constant term 1")
+    r = a.theta() / a
+    return PowerSeries(a.var, (Q(0),) + tuple(c / m for m, c in enumerate(r.coeffs[1:], 1)))
 
 
 def log_oracle(f: PowerSeries) -> tuple:
@@ -166,8 +181,52 @@ def yukawa_z_ddz_oracle(P, n0: int, order_n: int) -> PowerSeries:
     num = [x - 6 * y for x, y in zip(B3, B4)]
     assert num[0] == 0  # the residue of b3/b4 at 0 is 6
     r = PowerSeries("z", num[1:]) / PowerSeries("z", B4[: order_n + 1])
-    w_log = r.integrate0() * Q(-1, 2)
+    w_log = integrate0(r) * Q(-1, 2)
     return (series_exp(w_log) * n0).truncate(order_n)
+
+
+# -- normal form through the flat coordinate q ---------------------------------
+
+
+def compose_inner(F: LogSeries, zq: PowerSeries, log_corr: PowerSeries) -> LogSeries:
+    """Substitute z = zq(t) where zq = t * u(t), u(0) != 0.
+
+    log z becomes log t + log_corr with log_corr = log u(t), so the result
+    is a LogSeries in the new variable t."""
+    tr = min(F.trunc, zq.trunc, log_corr.trunc)
+    top = F.log_degree
+    out = [PowerSeries.zero(zq.var, tr) for _ in range(top + 1)]
+    c_pows = [PowerSeries.one(zq.var, tr)]
+    for _ in range(top):
+        c_pows.append(c_pows[-1] * log_corr.truncate(tr))
+    for j, fj in enumerate(F.components):
+        fj_t = series_compose(fj.truncate(tr), zq.truncate(tr))
+        # L^j/j! = sum_{i<=j} (log t)^i/i! * c^{j-i}/(j-i)!
+        for i in range(j + 1):
+            out[i] = out[i] + fj_t * (c_pows[j - i] * Q(1, factorial(j - i)))
+    return LogSeries(tuple(out))
+
+
+def normal_form_check_q_oracle(P, kq3: PowerSeries, order_n: int) -> bool:
+    """The D^2 (1/K_q) D^2 normal form in q: invert the mirror map, push
+    each Frobenius solution divided by the holomorphic one to q, and apply
+    the operator with D = q d/dq.  Checks degrees up to
+    min(order_n, kq3.trunc - 1)."""
+    basis = frobenius_basis(P, max(order_n, kq3.trunc))
+    phi0 = basis[0].component(0)
+    maps = mirror_map(FrobeniusPair(phi0, basis[1].component(0)))
+    n = min(phi0.trunc, maps.z_of_q.trunc, kq3.trunc)
+    zq = maps.z_of_q.truncate(n)
+    log_corr = series_log(PowerSeries("q", zq.coeffs[1:]))  # log(z(q)/q)
+    inv_k = kq3.truncate(n).reciprocal()
+    inv_phi0_q = series_compose(phi0.truncate(n), zq).reciprocal()
+    for sol in basis:
+        t = compose_inner(sol, zq, log_corr).mul_series(inv_phi0_q)
+        w = t.theta().theta().mul_series(inv_k.truncate(t.trunc)).theta().theta()
+        tr = min(w.trunc, order_n)
+        if any(c != 0 for comp in w.components for c in comp.coeffs[: tr + 1]):
+            return False
+    return True
 
 
 # -- Laurent polynomials -------------------------------------------------------

@@ -11,7 +11,7 @@ from grasscy.laurent import LaurentPoly, laurent_pow_ct
 from grasscy.laxmirror import lax_operator, period_ct
 from grasscy.mirror_analysis import extract_instantons
 from grasscy.qh import build_qh_matrix, scalar_operator, verify_conjecture
-from grasscy.series import PowerSeries, series_exp, series_log
+from grasscy.series import PowerSeries, series_exp
 from grasscy.toric import (
     build_delta,
     binomial_equations,
@@ -20,7 +20,7 @@ from grasscy.toric import (
     node_count,
 )
 
-from support import laurent_pow_ct_bruteforce
+from support import laurent_pow_ct_bruteforce, series_log
 
 D = DOp.D()
 z = DOp.z()

@@ -16,10 +16,16 @@ from grasscy.mirror_analysis import (
     yukawa_q,
     yukawa_z,
 )
-from grasscy.pipeline import rational_series
+from grasscy.pipeline import fit_operator, rational_series
+from grasscy.registry import registry_load
 from grasscy.series import PowerSeries, TruncationError, series_compose
 
-from support import frobenius_basis_oracle, rationals, yukawa_z_ddz_oracle
+from support import (
+    frobenius_basis_oracle,
+    normal_form_check_q_oracle,
+    rationals,
+    yukawa_z_ddz_oracle,
+)
 
 D = DOp.D()
 z = DOp.z()
@@ -157,6 +163,32 @@ def test_quartic_pipeline_normal_form():
     maps = mirror_map(fp)
     kz = yukawa_z(QUARTIC, 8, 13)
     kq = yukawa_q(kz, fp, maps)
-    assert normal_form_check(QUARTIC, kq, 10)
-    bad = PowerSeries("q", kq.coeffs[:4] + (kq.coeffs[4] + 1,) + kq.coeffs[5:])
+    assert normal_form_check(QUARTIC, kz, 10)
+    assert normal_form_check_q_oracle(QUARTIC, kq, 10)
+    bad = PowerSeries("z", kz.coeffs[:4] + (kz.coeffs[4] + 1,) + kz.coeffs[5:])
     assert not normal_form_check(QUARTIC, bad, 10)
+    bad_q = PowerSeries("q", kq.coeffs[:4] + (kq.coeffs[4] + 1,) + kq.coeffs[5:])
+    assert not normal_form_check_q_oracle(QUARTIC, bad_q, 10)
+
+
+def test_normal_form_check_needs_kz_to_order():
+    """A certificate asked for order 20 must not pass on K_z known to 10."""
+    kz = yukawa_z(QUARTIC, 8, 10)
+    assert normal_form_check(QUARTIC, kz, 10)
+    with pytest.raises(TruncationError):
+        normal_form_check(QUARTIC, kz, 20)
+
+
+@pytest.mark.parametrize("name", sorted(registry_load()))
+def test_normal_form_in_z_matches_q_oracle(name):
+    """On every registry case the z-form certificate and the q-route oracle
+    both accept K_z at order 12 and both reject K_z + z^3 K_z / 7."""
+    rc = registry_load()[name]
+    op = fit_operator(rc)
+    fp = frobenius(op, 13)
+    maps = mirror_map(fp)
+    kz = yukawa_z(op, rc.case.n0, 13)
+    bad = kz + kz.shift(3) * Q(1, 7)
+    for k, ok in ((kz, True), (bad, False)):
+        assert normal_form_check(op, k, 12) is ok
+        assert normal_form_check_q_oracle(op, yukawa_q(k, fp, maps), 12) is ok

@@ -14,13 +14,20 @@ from grasscy.series import (
     series_compose,
     series_exp,
     series_from_json,
-    series_log,
     series_revert,
     series_to_json,
 )
 
 import support
-from support import exp_oracle, log_oracle, mul_oracle, reciprocal_oracle
+from support import (
+    compose_inner,
+    exp_oracle,
+    integrate0,
+    log_oracle,
+    mul_oracle,
+    reciprocal_oracle,
+    series_log,
+)
 
 rationals = support.rationals(100, 50)
 
@@ -74,8 +81,8 @@ def test_shift_theta_deriv_integrate():
     f = PowerSeries("z", (1, 2, 3))
     assert f.shift(1).coeffs == (Q(0), Q(1), Q(2))
     assert f.theta().coeffs == (Q(0), Q(2), Q(6))
-    assert f.integrate0().coeffs == (Q(0), Q(1), Q(1), Q(1))
-    assert f.integrate0().trunc == f.trunc + 1
+    assert integrate0(f).coeffs == (Q(0), Q(1), Q(1), Q(1))
+    assert integrate0(f).trunc == f.trunc + 1
 
 
 def test_reciprocal_and_division():
@@ -90,9 +97,8 @@ def test_domain_checks_raise_series_domain_error():
     """A series operation outside its domain is a fault of the run (exit 1),
     not bad input."""
     z = PowerSeries.gen("z", 3)
-    calls = [lambda: series_exp(1 + z), lambda: series_log(z),
-             lambda: series_compose(z, 1 + z), lambda: series_revert(1 + z),
-             lambda: series_revert(z * z)]
+    calls = [lambda: series_exp(1 + z), lambda: series_compose(z, 1 + z),
+             lambda: series_revert(1 + z), lambda: series_revert(z * z)]
     for call in calls:
         with pytest.raises(SeriesDomainError):
             call()
@@ -211,10 +217,19 @@ def test_log_series_top_trim():
 
 
 def test_compose_inner_consistency():
-    # substitute z = q (identity with log_corr = 0): must be unchanged
+    # the q-route oracle's substitution z = q (identity with log_corr = 0)
+    # must leave a log series unchanged
     f = PowerSeries("z", (1, 2, 3, 4, 5))
     F = LogSeries((f, f))
     zq = PowerSeries.gen("q", 4)
-    out = F.compose_inner(zq, PowerSeries.zero("q", 4))
+    out = compose_inner(F, zq, PowerSeries.zero("q", 4))
     assert out.component(0).coeffs == f.coeffs[:5]
     assert out.component(1).coeffs == f.coeffs[:5]
+
+
+@settings(max_examples=100)
+@given(st.lists(series(min_trunc=0), min_size=1, max_size=3), rationals)
+def test_log_series_times_scalar_matches_constant_series(comps, c):
+    tr = min(f.trunc for f in comps)
+    F = LogSeries(tuple(f.truncate(tr) for f in comps))
+    assert F * c == F.mul_series(PowerSeries.zero("z", tr) + c)
