@@ -17,7 +17,7 @@ from .laurent import laurent_from_json, laurent_to_json
 from .laxmirror import canonical_gauge_coeffs, lax_operator, mirror_system, period_ct
 from .mirror_analysis import yukawa_z
 from .pipeline import fit_operator, rational_series, run_case
-from .qh import scalar_operator, verify_conjecture
+from .qh import NoDependence, scalar_operator, verify_conjecture
 from .registry import registry_load
 from .series import Q, qstr, series_from_json, series_to_json
 from .toric import MAX_HULL_DIM, binomial_equations, build_delta, facets_and_reflexivity
@@ -25,6 +25,9 @@ from .toric import MAX_HULL_DIM, binomial_equations, build_delta, facets_and_ref
 EXIT_PASS = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+
+# order to which `qh-operator` certifies its operator against the A-series
+QH_CHECK_ORDER = 20
 
 
 @contextmanager
@@ -119,6 +122,9 @@ def cmd_pf_fit(args) -> int:
 
 def cmd_qh_operator(args) -> int:
     op = scalar_operator(args.k, args.n)
+    if not verify_conjecture(args.k, args.n, QH_CHECK_ORDER, operator=op).passed:
+        raise NoDependence(f"computed operator for G({args.k},{args.n}) fails to annihilate "
+                           f"the hypergeometric series to order {QH_CHECK_ORDER}")
     _emit(dop_to_json(op, "q"))
     return EXIT_PASS
 
@@ -277,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify-conjecture", help="operator annihilates the series")
     sp.add_argument("k", type=int)
     sp.add_argument("n", type=int)
-    sp.add_argument("--order", type=int, default=20)
+    sp.add_argument("--order", type=int, default=QH_CHECK_ORDER)
     sp.set_defaults(func=cmd_verify_conjecture)
 
     sp = sub.add_parser("yukawa", help="Yukawa coupling in the z coordinate")

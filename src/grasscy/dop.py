@@ -101,7 +101,7 @@ class DOp:
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 for t in range(j1 + 1):
-                    c = c1 * c2 * comb(j1, t) * Fraction(i2) ** (j1 - t)
+                    c = c1 * c2 * comb(j1, t) * i2 ** (j1 - t)
                     if c != 0:
                         k = (i1 + i2, t + j2)
                         out[k] = out.get(k, ZERO) + c
@@ -163,7 +163,7 @@ class DOp:
             for m in range(i, n + 1):
                 fm = f.coeffs[m - i]
                 if fm:
-                    out[m] += c * Fraction(m - i) ** j * fm
+                    out[m] += c * (m - i) ** j * fm
         return PowerSeries(f.var, tuple(out))
 
     def _apply_log(self, f: LogSeries) -> LogSeries:

@@ -15,53 +15,32 @@ from .errors import UsageError
 from .laurent import LaurentPoly, ct_by_param_degree
 from .linalg import solve
 from .series import PowerSeries, Q
-from .toric import flat_index, nef_partition_sets, vertex_vector
+from .toric import nef_partition_sets, vertex_labels, vertex_vector
 
 ZERO = Q(0)
 
 
 def lax_operator(r: int, s: int, q=None, track_q: bool = True) -> LaurentPoly:
-    """The Laurent polynomial X_[1,1] + sum X_[a,b]^{-1}(X_[a+1,b] + X_[a,b+1])
-    + q X_[s-r,r]^{-1}, with out-of-range factors dropped.
+    """The Laurent polynomial sum of the vertex monomials of the degeneration
+    polytope Delta(r,s), each with coefficient 1 except v_(r,s-r), which
+    carries q.
 
-    Variables X_[a,b] (1<=a<=s-r, 1<=b<=r) are identified with the lattice
-    basis f_{b,a} of the degeneration polytope, so the support is exactly
-    its vertex set.  With track_q the exponent vectors get one extra
-    coordinate recording the power of q; otherwise q must be a rational.
+    In the variables X_[a,b] = f_(b,a) this is X_[1,1] +
+    sum X_[a,b]^{-1}(X_[a+1,b] + X_[a,b+1]) + q X_[s-r,r]^{-1}.  With
+    track_q the exponent vectors get one extra coordinate recording the
+    power of q; otherwise q must be a rational.
     """
     if not (1 <= r < s):
         raise UsageError(f"need 1 <= r < s, got ({r},{s})")
-    nv = r * (s - r)
-    width = nv + (1 if track_q else 0)
-
-    def fvec(b: int, a: int, sign: int = 1) -> list[int]:
-        v = [0] * width
-        v[flat_index(r, s, b, a)] = sign
-        return v
-
-    terms: dict = {}
-
-    def add(exp: list[int], c):
-        terms[tuple(exp)] = terms.get(tuple(exp), ZERO) + Q(c)
-
-    add(fvec(1, 1), 1)
-    for a in range(1, s - r + 1):
-        for b in range(1, r + 1):
-            if a + 1 <= s - r:
-                e = fvec(b, a + 1)
-                e[flat_index(r, s, b, a)] -= 1
-                add(e, 1)
-            if b + 1 <= r:
-                e = fvec(b + 1, a)
-                e[flat_index(r, s, b, a)] -= 1
-                add(e, 1)
-    qexp = fvec(r, s - r, -1)
+    *labels, last = vertex_labels(r, s)
+    pad = (0,) if track_q else ()
+    terms = {vertex_vector(r, s, lab) + pad: Q(1) for lab in labels}
+    qexp = vertex_vector(r, s, last)
     if track_q:
-        qexp[nv] = 1
-        add(qexp, 1)
+        terms[qexp + (1,)] = Q(1)
     else:
-        add(qexp, Q(q if q is not None else 1))
-    return LaurentPoly(width, terms)
+        terms[qexp] = Q(q if q is not None else 1)
+    return LaurentPoly(r * (s - r) + len(pad), terms)
 
 
 class UnboundedPeriod(UsageError):
@@ -182,13 +161,7 @@ def mirror_system(k: int, n: int, degrees, partition, a_coeffs: dict, b_coeffs: 
 def canonical_gauge_coeffs(k: int, n: int, q=1) -> tuple[dict, dict]:
     """All a's = 1 and the constraints solved for the b's (all 1), leaving
     the single coefficient b_{k,n-k} = q free."""
-    a = {(1, 0): Q(1)}
-    for i in range(2, k + 1):
-        for j in range(0, n - k):
-            a[(i, j)] = Q(1)
-    b = {}
-    for i in range(1, k + 1):
-        for j in range(1, n - k):
-            b[(i, j)] = Q(1)
+    a = {(i, j): Q(1) for kind, i, j in vertex_labels(k, n) if kind == "u"}
+    b = {(i, j): Q(1) for kind, i, j in vertex_labels(k, n) if kind == "v"}
     b[(k, n - k)] = Q(q)
     return a, b

@@ -112,7 +112,7 @@ def test_criterion_4_quantum_operator_conjecture():
     }
     ok = True
     for k, n in [(2, 4), (2, 5), (2, 6), (2, 7), (3, 6)]:
-        op = scalar_operator(k, n, guard=0)
+        op = scalar_operator(k, n)
         rep = verify_conjecture(k, n, 20, operator=op)
         ok = ok and rep.passed and rep.indicial_unique
         if (k, n) in expected:

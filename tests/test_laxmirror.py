@@ -48,11 +48,14 @@ def test_laurent_json_roundtrip():
 
 
 def test_lax_support_is_polytope_vertex_set():
-    for r, s in [(2, 4), (2, 5), (3, 6)]:
+    for r, s in [(1, 3), (2, 4), (2, 5), (2, 7), (3, 6), (3, 7), (4, 8)]:
         g = lax_operator(r, s, q=1, track_q=False)
         delta = build_delta(r, s)
         assert set(g.terms) == set(delta.vertices)
         assert all(c == 1 for c in g.terms.values())
+        tracked = lax_operator(r, s)
+        qterms = [e[:-1] for e in tracked.terms if e[-1] == 1]
+        assert qterms == [vertex_vector(r, s, ("v", r, s - r))]
 
 
 def test_lax_tracked_q_coordinate():
@@ -282,6 +285,25 @@ def test_mirror_system_canonical_gauge():
             assert e not in all_terms
             all_terms[e] = c
     assert set(all_terms) == {vertex_vector(2, 5, lab) for lab in vertex_labels(2, 5)}
+
+
+@pytest.mark.parametrize("k,n,degrees,partition", [
+    (2, 4, (4,), ((1, 2, 3, 4),)),
+    (2, 5, (1, 1, 3), ((1,), (2,), (3, 4, 5))),
+    (2, 5, (2, 3), ((1, 4), (2, 3, 5))),
+    (2, 6, (1, 1, 1, 1, 2), ((1,), (2,), (3,), (4,), (5, 6))),
+    (3, 6, (1,) * 6, tuple((i,) for i in range(1, 7))),
+])
+def test_mirror_system_splits_the_lax_operator(k, n, degrees, partition):
+    """In the canonical gauge the vertex polynomials p_1..p_n add up to the
+    Lax operator at the same q, whatever the nef partition."""
+    nv = k * (n - k)
+    for q in (Q(1), Q(-3, 7), Q(0)):
+        ms = mirror_system(k, n, degrees, partition, *canonical_gauge_coeffs(k, n, q=q))
+        total = LaurentPoly.zero(nv)
+        for p in ms.polys:
+            total = total + p
+        assert total.terms == lax_operator(k, n, q=q, track_q=False).terms
 
 
 def test_mirror_system_constraint_violation():

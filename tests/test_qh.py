@@ -136,7 +136,7 @@ G27_OPERATOR = {
 
 
 def test_scalar_operator_g27_order_bounded_by_dim():
-    op = scalar_operator(2, 7, guard=15)
+    op = scalar_operator(2, 7)
     exp = DOp({(i, lo + t): c for i, (lo, cs) in G27_OPERATOR.items() for t, c in enumerate(cs)})
     assert op == exp
     assert (op.order, op.zdeg) == (comb(7, 2), 5)

@@ -8,7 +8,7 @@ import pytest
 
 import grasscy.cli as cli
 from grasscy.cli import main
-from grasscy.dop import AmbiguousAnnihilator
+from grasscy.dop import AmbiguousAnnihilator, DOp
 from grasscy.hypergeom import MAX_ORDER, ASeriesSpec, FactorialBundle, a_series, factorial_trick
 from grasscy.mirror_analysis import NonIntegralInstanton, NotMUM
 from grasscy.qh import NoDependence
@@ -279,6 +279,21 @@ def test_cli_no_dependence_is_mismatch(monkeypatch, capsys):
     assert main(["qh-operator", "2", "5"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "NoDependence: no dependence"
+
+
+def test_cli_qh_operator_certifies_its_operator(monkeypatch, capsys):
+    """`qh-operator` prints no operator that fails to annihilate the A-series."""
+    D, q = DOp.D(), DOp.z()
+    wrong = (D**5 - 3 * q * (2 * D + 1)).canonical()  # G(2,4) has 2q, not 3q
+    monkeypatch.setattr(cli, "scalar_operator", lambda k, n: wrong)
+    assert main(["qh-operator", "2", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == (
+        "NoDependence: computed operator for G(2,4) fails to annihilate "
+        "the hypergeometric series to order 20")
 
 
 def test_cli_pf_fit_no_annihilator_is_mismatch(tmp_path, capsys):
