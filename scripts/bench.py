@@ -9,7 +9,8 @@ which goes first, so both see the same machine drift.  Recorded:
 - per case and per pipeline stage, the in-process seconds of one
   `pipeline.run_case` at COUNT instantons, each stage timed by wrapping
   its `grasscy.pipeline` attribute (median over STAGE_RUNS processes),
-  plus `qh.scalar_operator` for each Grassmannian;
+  plus `qh.scalar_operator` for the five Grassmannians of the registry and
+  for G(2,8) and G(3,7), the largest input `toric.DIM_BOUND` admits;
 - the wall time of `python -m grasscy.cli verify-all --count COUNT` (median
   and quartiles over CLI_RUNS processes), and whether its report, apart
   from `seconds`, is the same for both trees;
@@ -66,7 +67,7 @@ for name, rc in sorted(registry_load().items()):
     t.clear()
     pl.run_case(rc, count)
     out[name] = dict(t)
-for k, n in [(2, 4), (2, 5), (2, 6), (2, 7), (3, 6)]:
+for k, n in [(2, 4), (2, 5), (2, 6), (2, 7), (3, 6), (2, 8), (3, 7)]:
     t0 = time.perf_counter()
     scalar_operator(k, n)
     out[f"scalar_operator_G{k}{n}"] = {"scalar_operator": time.perf_counter() - t0}

@@ -14,7 +14,7 @@ from math import comb, gcd, isqrt, lcm
 
 from .errors import Mismatch, UsageError
 from .linalg import nullspace
-from .series import LogSeries, PowerSeries, Q, qstr
+from .series import LogSeries, PowerSeries, Q, _over_common_den, qstr
 
 ZERO = Q(0)
 GUARD = 10  # rows beyond the unknowns that certify a fitted operator
@@ -157,14 +157,25 @@ class DOp:
         """Apply to a PowerSeries or LogSeries; output truncation = f.trunc."""
         if isinstance(f, LogSeries):
             return self._apply_log(f)
+        # [P f]_m = sum_i p_i(m - i) f_(m-i), in integers over the two
+        # common denominators, divided once
         n = f.trunc
-        out = [ZERO] * (n + 1)
-        for (i, j), c in self.terms.items():
+        C, dc = _over_common_den(list(self.terms.values()))
+        F, df = _over_common_den(f.coeffs)
+        polys: dict[int, list[int]] = {}  # z-degree i -> coefficients of p_i(D)
+        for (i, j), c in zip(self.terms, C):
+            polys.setdefault(i, [0] * (self.order + 1))[j] = c
+        out = [0] * (n + 1)
+        for i, p in polys.items():
             for m in range(i, n + 1):
-                fm = f.coeffs[m - i]
+                fm = F[m - i]
                 if fm:
-                    out[m] += c * (m - i) ** j * fm
-        return PowerSeries(f.var, tuple(out))
+                    s, acc = m - i, 0
+                    for c in reversed(p):
+                        acc = acc * s + c
+                    out[m] += acc * fm
+        den = dc * df
+        return PowerSeries(f.var, tuple(Q(c, den) for c in out))
 
     def _apply_log(self, f: LogSeries) -> LogSeries:
         by_j: dict[int, dict] = {}

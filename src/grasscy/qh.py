@@ -12,14 +12,14 @@ operators reproduce the published quantum differential operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
+from math import gcd
 
 from .dop import DOp
 from .errors import Mismatch, UsageError
 from .hypergeom import ASeriesSpec, a_series_qspecialized
 from .series import PowerSeries
 from .toric import check_pluecker_count
-from .upoly import PONE, PZERO, Poly, padd, pdivexact, pdivmod, pgcd, pmul, psub, pshift, ptheta
+from .upoly import PONE, PZERO, InexactDivision, Poly, padd, pdivexact, pmul, pshift, ptheta
 
 Partition = tuple[int, ...]  # weakly decreasing, length k, parts <= n-k
 
@@ -101,51 +101,183 @@ class NoDependence(Mismatch):
     one must exist at order <= dim)."""
 
 
-def _cross(p: Poly, a: Poly, f: Poly, b: Poly, d: Poly) -> Poly:
-    """(p a - f b) / d, exact in Z[q]."""
-    return pdivexact(psub(pmul(p, a), pmul(f, b)), d)
+# The elimination runs on pairs (v, x) standing for q^v S(q) with S(0) != 0,
+# where x = S(2^B) packs S into B-bit fields with balanced digits; zero is
+# (0, 0).  A product adds the v's and multiplies the x's; a difference aligns
+# its operands by B bits per power of q and moves the zero fields at the
+# bottom into v; the Bareiss division by the previous pivot is one divmod,
+# exact because that pivot's S is prime to q.  2^(Bv) x is always the
+# entry's exact value at q = 2^B, but x unpacks to S only while the
+# coefficients fit their fields, so the result is unpacked and certified in
+# Z[q], and a failed check doubles B.
+START_BITS = 64
+
+_ZERO = (0, 0)
+
+
+class PackingOverflow(Mismatch):
+    """The packed elimination failed a check at every width up to the bound
+    on its minors."""
+
+
+def _pack(p: Poly, B: int) -> tuple[int, int]:
+    if not p:
+        return _ZERO
+    v = 0
+    while not p[v]:
+        v += 1
+    x = 0
+    for c in reversed(p[v:]):
+        x = (x << B) + c
+    return v, x
+
+
+def _unpack(x: int, B: int) -> list[int]:
+    """Balanced B-bit digits of x, lowest first."""
+    half, full, mask = 1 << (B - 1), 1 << B, (1 << B) - 1
+    out = []
+    while x:
+        d = x & mask
+        if d >= half:
+            d -= full
+        out.append(d)
+        x = (x - d) >> B
+    return out
+
+
+def _reduce(vec, pvec, p, f, d, B: int) -> list[tuple[int, int]]:
+    """(p a - f b) / d for the entries a of vec and b of pvec."""
+    pv, px = p
+    fv, fx = f
+    dv, dx = d
+    out = []
+    for (av, ax), (bv, bx) in zip(vec, pvec):
+        if ax:
+            v, x = pv + av, px * ax
+            if fx and bx:
+                w, y = fv + bv, fx * bx
+                if v < w:
+                    x -= y << (B * (w - v))
+                elif v > w:
+                    x = (x << (B * (v - w))) - y
+                    v = w
+                else:
+                    x -= y
+                if not x:
+                    out.append(_ZERO)
+                    continue
+                zeros = ((x & -x).bit_length() - 1) // B
+                if zeros:
+                    x >>= B * zeros
+                    v += zeros
+        elif fx and bx:
+            v, x = fv + bv, -fx * bx
+        else:
+            out.append(_ZERO)
+            continue
+        x, r = divmod(x, dx)
+        v -= dv
+        if r or v < 0:
+            raise PackingOverflow(f"inexact packed division at {B} bits")
+        out.append((v, x))
+    return out
+
+
+def _eliminate(M: QHMatrix, ls: list[list[Poly]], B: int) -> list[tuple[int, int]]:
+    """The packed trace of the first dependence among l_0, l_1, ...; extends
+    `ls` with the functionals it reaches."""
+    dim = M.dim
+    pivots = []  # (column, entry, row, trace padded to dim + 1)
+    for rho in range(dim + 1):
+        if rho == len(ls):
+            ls.append(next_functional(ls[-1], M))
+        row = [_pack(e, B) for e in ls[rho]]
+        trace = [_ZERO] * rho + [(0, 1)]
+        prev = (0, 1)
+        for pcol, piv, prow, ptrace in pivots:
+            f = row[pcol]
+            row = _reduce(row, prow, piv, f, prev, B)
+            trace = _reduce(trace, ptrace, piv, f, prev, B)
+            prev = piv
+        if not any(x for _, x in row):
+            return trace
+        # lowest degree first: S has bit_length(|x|) // B digits above the lowest
+        _, pcol = min((v + abs(x).bit_length() // B, c) for c, (v, x) in enumerate(row) if x)
+        pivots.append((pcol, row[pcol], row, trace + [_ZERO] * (dim - rho)))
+    raise NoDependence(f"no dependence among l_0..l_{dim} for G({M.k},{M.n})")
+
+
+def _operator(trace: list[tuple[int, int]], ls: list[list[Poly]], B: int) -> DOp:
+    """The dependence sum_j c_j l_j = 0 with c_j = tr_j / content, certified
+    in Z[q].  The content is q^(min v) times the primitive part of the
+    unpacked integer gcd of the packed S_j(2^B) (the heuristic gcd of
+    Char-Geddes-Gonnet), which is the gcd of the S_j once it divides every
+    tr_j and 2^B >= 2 min_j |S_j| + 2."""
+    polys, norms = [], []
+    for v, x in trace:
+        S = _unpack(x, B)
+        if S and not S[0]:
+            raise PackingOverflow(f"packed valuation off at {B} bits")
+        polys.append((0,) * v + tuple(S) if S else PZERO)
+        if S:
+            norms.append(max(map(abs, S)))
+    if (1 << B) < 2 * min(norms) + 2:
+        raise PackingOverflow(f"{B} bits are too few for the heuristic gcd")
+    g = _unpack(gcd(*(x for _, x in trace)), B)
+    h = gcd(*g)
+    content = (0,) * min(v for v, x in trace if x) + tuple(c // h for c in g)
+    try:
+        coeffs = [pdivexact(t, content) for t in polys]
+    except InexactDivision:
+        raise PackingOverflow(f"heuristic content fails to divide at {B} bits") from None
+    for col in range(len(ls[0])):
+        acc = PZERO
+        for c, l in zip(coeffs, ls):
+            if c and l[col]:
+                acc = padd(acc, pmul(c, l[col]))
+        if acc:
+            raise PackingOverflow(f"unpacked dependence fails at {B} bits")
+    return DOp({(i, j): c for j, t in enumerate(coeffs) for i, c in enumerate(t)}).canonical()
+
+
+def _width_bound(ls: list[list[Poly]]) -> int:
+    """A width at which the packing is faithful: every entry is a minor of
+    the functionals with the identity appended, so its coefficients are at
+    most 2^H = prod_j (|l_j|_1 + 1), and those of a difference before a
+    division at most 2^(2H+1).  A check failing there is a failure of the
+    heuristic gcd or a fault."""
+    H = sum((sum(abs(c) for e in l for c in e) + 1).bit_length() for l in ls)
+    return 2 * H + 2
 
 
 def scalar_operator(k: int, n: int) -> DOp:
     """Minimal-order operator sum_j c_j(q) D^j annihilating the pairing with
     the fundamental class, found by fraction-free (Bareiss) elimination over
-    Z[q].  Each new functional l_j and its trace (its combination of
-    l_0..l_j) are reduced against the stored pivot rows in order,
-    row <- (p_i row - row[c_i] prow_i) / p_{i-1}, with p_i the i-th pivot
-    entry and p_{-1} = 1; by Sylvester's identity every division is exact.
-    The operator's certificate is `verify_conjecture`.
+    Z[q] evaluated at q = 2^B.  Each new functional l_j and its trace (its
+    combination of l_0..l_j) are reduced against the stored pivot rows in
+    order, row <- (p_i row - row[c_i] prow_i) / p_{i-1}, with p_i the i-th
+    pivot entry (lowest degree first) and p_{-1} = 1; by Sylvester's identity
+    every division is exact.  The q-power of every entry is kept apart from
+    its packed value, so the pivots' large valuations cost no bits.  The
+    unpacked dependence, divided by its content, is certified:
+    sum_j c_j l_j = 0 in Z[q].  B starts at START_BITS and
+    doubles on a failed check up to `_width_bound`, past which
+    PackingOverflow is raised.  The operator's certificate against the
+    A-series is `verify_conjecture`.
     """
     M = build_qh_matrix(k, n)
-    dim = M.dim
-    l = [PZERO] * dim
-    l[M.basis.index((n - k,) * k)] = PONE
-    pivots: list[tuple[int, Poly, list[Poly], list[Poly]]] = []  # (column, entry, row, trace)
-    for rho in range(dim + 1):
-        row, trace = l, [PZERO] * rho + [PONE]
-        prev = PONE
-        for pcol, piv, prow, ptrace in pivots:
-            f = row[pcol]
-            row = [_cross(piv, a, f, b, prev) for a, b in zip(row, prow)]
-            trace = [_cross(piv, a, f, b, prev)
-                     for a, b in zip_longest(trace, ptrace, fillvalue=PZERO)]
-            prev = piv
-        if not any(row):
-            break
-        _, pcol = min((len(e), c) for c, e in enumerate(row) if e)  # lowest degree
-        pivots.append((pcol, row[pcol], row, trace))
-        l = next_functional(l, M)
-    else:
-        raise NoDependence(f"no dependence among l_0..l_{dim} for G({k},{n})")
-
-    # remove the polynomial content of the dependence
-    content = PZERO
-    for t in trace:
-        content = pgcd(content, t)
-    op = DOp({(i, j): c for j, t in enumerate(trace)
-              for i, c in enumerate(pdivmod(t, content)[0])}).canonical()
-    if op.order != rho:
-        raise NoDependence(f"operator for G({k},{n}) has order {op.order}, expected {rho}")
-    return op
+    top = [PZERO] * M.dim
+    top[M.basis.index((n - k,) * k)] = PONE
+    ls = [top]
+    B = START_BITS
+    while True:
+        try:
+            return _operator(_eliminate(M, ls, B), ls, B)
+        except PackingOverflow as exc:
+            bound = _width_bound(ls)
+            if B >= bound:
+                raise PackingOverflow(f"G({k},{n}): {exc}, the width bound for its minors") from None
+            B = min(2 * B, bound)
 
 
 @dataclass(frozen=True)

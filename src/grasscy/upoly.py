@@ -1,15 +1,11 @@
 """Dense univariate polynomials, coefficient of q^i at index i.  Integer
-coefficients stay integers under +, -, x and exact division, which is what
-the fraction-free reduction of the quantum differential system works in;
-pdivmod and pgcd work over Q."""
+coefficients stay integers under +, x and exact division, which is what the
+quantum differential system and the certificate of its scalar operator work
+in."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import Mismatch
-
-Q = Fraction
 
 Poly = tuple  # coefficient of q^i at index i; () is zero
 
@@ -35,10 +31,6 @@ def padd(a: Poly, b: Poly) -> Poly:
     for i, x in enumerate(b):
         out[i] += x
     return pnorm(out)
-
-
-def psub(a: Poly, b: Poly) -> Poly:
-    return padd(a, tuple(-x for x in b))
 
 
 def pmul(a: Poly, b: Poly) -> Poly:
@@ -72,34 +64,6 @@ def pdivexact(a: Poly, b: Poly) -> Poly:
     if any(r):
         raise InexactDivision(f"{b} does not divide {a} in Z[q]")
     return pnorm(q)
-
-
-def pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder over Q."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    q = [Q(0)] * max(0, len(a) - len(b) + 1)
-    lb = b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        if len(r) < i + len(b):
-            continue
-        c = Q(r[i + len(b) - 1]) / lb
-        if c == 0:
-            continue
-        q[i] = c
-        for j, y in enumerate(b):
-            r[i + j] -= c * y
-        while r and r[-1] == 0:
-            r.pop()
-    return pnorm(q), pnorm(r)
-
-
-def pgcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over Q; () when both are zero."""
-    while b:
-        a, b = b, pdivmod(a, b)[1]
-    return tuple(x / Q(a[-1]) for x in a) if a else PZERO
 
 
 def pshift(a: Poly, i: int) -> Poly:

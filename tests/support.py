@@ -3,13 +3,17 @@ schoolbook Fraction oracles that the integer kernels in grasscy are
 checked against."""
 
 from fractions import Fraction as Q
+from itertools import zip_longest
 from math import comb, factorial
 
 from hypothesis import strategies as st
 
+from grasscy.dop import DOp
 from grasscy.laurent import LaurentPoly
 from grasscy.mirror_analysis import FrobeniusPair, frobenius_basis, mirror_map
+from grasscy.qh import NoDependence, build_qh_matrix, next_functional
 from grasscy.series import LogSeries, PowerSeries, SeriesDomainError, series_compose, series_exp
+from grasscy.upoly import PONE, PZERO, padd, pdivexact, pmul, pnorm
 
 
 def rationals(bound: int, max_denominator: int):
@@ -263,3 +267,87 @@ def transfer_sum_oracle(steps, m: int, binom: list[list[int]]) -> int:
                 nxt[base] = nxt.get(base, 0) + w * comb(up + right, up)
         states = nxt
     return states[()]
+
+
+# -- univariate polynomials over Q and the quantum operator --------------------
+
+
+def psub(a, b):
+    return padd(a, tuple(-x for x in b))
+
+
+def pdivmod(a, b):
+    """Quotient and remainder over Q."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(a)
+    q = [Q(0)] * max(0, len(a) - len(b) + 1)
+    lb = b[-1]
+    for i in range(len(a) - len(b), -1, -1):
+        if len(r) < i + len(b):
+            continue
+        c = Q(r[i + len(b) - 1]) / lb
+        if c == 0:
+            continue
+        q[i] = c
+        for j, y in enumerate(b):
+            r[i + j] -= c * y
+        while r and r[-1] == 0:
+            r.pop()
+    return pnorm(q), pnorm(r)
+
+
+def pgcd(a, b):
+    """Monic gcd over Q; () when both are zero."""
+    while b:
+        a, b = b, pdivmod(a, b)[1]
+    return tuple(x / Q(a[-1]) for x in a) if a else PZERO
+
+
+def _cross(p, a, f, b, d):
+    """(p a - f b) / d, exact in Z[q]."""
+    return pdivexact(psub(pmul(p, a), pmul(f, b)), d)
+
+
+def scalar_operator_zq_oracle(k: int, n: int) -> DOp:
+    """The Bareiss elimination over Z[q] on dense coefficient tuples, with
+    the same lowest-degree pivot rule, and the content removed by the monic
+    gcd over Q."""
+    M = build_qh_matrix(k, n)
+    dim = M.dim
+    l = [PZERO] * dim
+    l[M.basis.index((n - k,) * k)] = PONE
+    pivots = []  # (column, entry, row, trace)
+    for rho in range(dim + 1):
+        row, trace = l, [PZERO] * rho + [PONE]
+        prev = PONE
+        for pcol, piv, prow, ptrace in pivots:
+            f = row[pcol]
+            row = [_cross(piv, a, f, b, prev) for a, b in zip(row, prow)]
+            trace = [_cross(piv, a, f, b, prev)
+                     for a, b in zip_longest(trace, ptrace, fillvalue=PZERO)]
+            prev = piv
+        if not any(row):
+            break
+        _, pcol = min((len(e), c) for c, e in enumerate(row) if e)
+        pivots.append((pcol, row[pcol], row, trace))
+        l = next_functional(l, M)
+    else:
+        raise NoDependence(f"no dependence among l_0..l_{dim} for G({k},{n})")
+    content = PZERO
+    for t in trace:
+        content = pgcd(content, t)
+    op = DOp({(i, j): c for j, t in enumerate(trace)
+              for i, c in enumerate(pdivmod(t, content)[0])}).canonical()
+    if op.order != rho:
+        raise NoDependence(f"operator for G({k},{n}) has order {op.order}, expected {rho}")
+    return op
+
+
+def apply_oracle(P: DOp, f: PowerSeries) -> PowerSeries:
+    """[P f]_m = sum_(i,j) c_(i,j) (m - i)^j f_(m-i), term by term in Fractions."""
+    out = [Q(0)] * (f.trunc + 1)
+    for (i, j), c in P.terms.items():
+        for m in range(i, f.trunc + 1):
+            out[m] += c * (m - i) ** j * f.coeffs[m - i]
+    return PowerSeries(f.var, tuple(out))

@@ -1,7 +1,7 @@
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grasscy.dop import (
@@ -14,6 +14,7 @@ from grasscy.dop import (
 )
 from grasscy.series import LogSeries, PowerSeries
 
+import support
 from support import rationals
 
 D = DOp.D()
@@ -186,6 +187,28 @@ ops = st.lists(
 def test_composition_agrees_with_series_action(A, B):
     f = PowerSeries("z", tuple(Q(m + 1, m * m + 1) for m in range(8)))
     assert (A * B).apply(f) == A.apply(B.apply(f))
+
+
+apply_ops = st.dictionaries(
+    st.tuples(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=5)),
+    rationals(20, 9),
+    max_size=6,
+).map(DOp)
+apply_series = st.one_of(
+    st.lists(rationals(20, 9), min_size=1, max_size=10),
+    st.integers(min_value=0, max_value=9).map(lambda t: [0] * (t + 1)),
+).map(lambda cs: PowerSeries("q", tuple(cs)))
+
+
+@settings(max_examples=200)
+@given(apply_ops, apply_series)
+@example(D**3 - Q(1, 2) * z * (D + 1), PowerSeries("q", (0,) * 6))  # zero series
+@example(DOp({(0, 2): Q(-3, 7), (0, 0): Q(1, 3)}), PowerSeries("q", (Q(5, 2),)))  # truncation 0
+@example(DOp.zero(), PowerSeries("q", (1, Q(1, 2), Q(1, 3))))
+def test_apply_matches_fraction_oracle(P, f):
+    """The integer apply (one common denominator, one division per
+    coefficient) equals the term-by-term Fraction sum."""
+    assert P.apply(f) == support.apply_oracle(P, f)
 
 
 @settings(max_examples=100)

@@ -10,13 +10,12 @@ from grasscy.upoly import (
     InexactDivision,
     padd,
     pdivexact,
-    pdivmod,
-    pgcd,
     pmul,
     pnorm,
 )
 
 import support
+from support import pdivmod, pgcd
 
 rationals = support.rationals(20, 10)
 

@@ -1,16 +1,23 @@
+from functools import cache
 from math import comb
 
 import pytest
 
+from grasscy import qh
 from grasscy.dop import DOp
+from grasscy.errors import Mismatch
 from grasscy.qh import (
+    PackingOverflow,
     build_qh_matrix,
     partitions_in_box,
     quantum_pieri_sigma1,
     scalar_operator,
     verify_conjecture,
 )
+from grasscy.toric import DIM_BOUND
 from grasscy.upoly import PZERO, padd, pmul
+
+import support
 
 D = DOp.D()
 q = DOp.z()
@@ -141,6 +148,34 @@ def test_scalar_operator_g27_order_bounded_by_dim():
     assert op == exp
     assert (op.order, op.zdeg) == (comb(7, 2), 5)
     assert max(abs(c).numerator.bit_length() for c in op.terms.values()) == 31
+
+
+# every G(k,n) with 2 <= k <= n-2 that DIM_BOUND admits: twelve, up to G(3,7)
+GRASSMANNIANS = [(k, n) for n in range(4, 10) for k in range(2, n - 1) if comb(n, k) <= DIM_BOUND]
+oracle = cache(support.scalar_operator_zq_oracle)
+
+
+@pytest.mark.parametrize("k,n", GRASSMANNIANS)
+def test_scalar_operator_matches_zq_oracle(k, n):
+    """The packed elimination gives the operator of the elimination on
+    coefficient tuples with the content taken over Q."""
+    assert scalar_operator(k, n) == oracle(k, n)
+
+
+@pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (2, 6), (3, 6), (2, 7)])
+def test_scalar_operator_from_a_width_far_too_small(monkeypatch, k, n):
+    """Starting at 4 bits, the checks fail and B doubles until the unpacked
+    dependence is certified; the operator is the same."""
+    monkeypatch.setattr(qh, "START_BITS", 4)
+    assert scalar_operator(k, n) == oracle(k, n)
+
+
+def test_width_bound_exhausted_is_a_mismatch(monkeypatch):
+    monkeypatch.setattr(qh, "START_BITS", 4)
+    monkeypatch.setattr(qh, "_width_bound", lambda ls: 8)
+    with pytest.raises(PackingOverflow, match=r"G\(2,6\): .* at 8 bits"):
+        scalar_operator(2, 6)
+    assert issubclass(PackingOverflow, Mismatch)
 
 
 def test_verify_conjecture_reports():
