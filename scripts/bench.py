@@ -11,6 +11,9 @@ which goes first, so both see the same machine drift.  Recorded:
   its `grasscy.pipeline` attribute (median over STAGE_RUNS processes),
   plus `qh.scalar_operator` for the five Grassmannians of the registry and
   for G(2,8) and G(3,7), the largest input `toric.DIM_BOUND` admits;
+- the in-process seconds of each constant-term route in CT_CHILD
+  (median over STAGE_RUNS processes), and whether both trees compute the
+  same values;
 - the wall time of `python -m grasscy.cli verify-all --count COUNT` (median
   and quartiles over CLI_RUNS processes), and whether its report, apart
   from `seconds`, is the same for both trees;
@@ -74,6 +77,50 @@ for k, n in [(2, 4), (2, 5), (2, 6), (2, 7), (3, 6), (2, 8), (3, 7)]:
 print(json.dumps(out))
 """
 
+# One process: the constant-term routes, each timed once, with their values.
+# Prints {"times": {route: s}, "values": {route: [str]}}.
+CT_CHILD = r"""
+import json, time
+from grasscy.laurent import LaurentPoly, ct_by_param_degree, laurent_pow_ct
+from grasscy.laxmirror import canonical_gauge_coeffs, lax_operator, mirror_system, period_ct
+from grasscy.registry import registry_load
+
+def mirror_product(case):
+    # G = prod F_i^(l_i), F_i the sum of the vertex polynomials of block J_i
+    # of the consecutive nef partition, in the canonical gauge at q = 1
+    partition, start = [], 1
+    for d in case.degrees:
+        partition.append(tuple(range(start, start + d)))
+        start += d
+    ms = mirror_system(case.k, case.n, case.degrees, partition,
+                       *canonical_gauge_coeffs(case.k, case.n, q=1))
+    nv = case.k * (case.n - case.k)
+    G = LaurentPoly.constant(nv, 1)
+    for J, l in zip(ms.partition, case.degrees):
+        F = LaurentPoly.zero(nv)
+        for j in J:
+            F = F + ms.polys[j - 1]
+        for _ in range(l):
+            G = G * F
+    return G
+
+L24 = lax_operator(2, 4, q=1, track_q=False)
+G = mirror_product(registry_load()["X4_G24"].case)
+ROUTES = {
+    "laurent_pow_ct_G24_4d_le_20": lambda: [laurent_pow_ct(L24, 4 * d) for d in range(6)],
+    "period_ct_G25_order_2": lambda: period_ct(lax_operator(2, 5), 1, 2).coeffs,
+    "period_ct_G25_order_5": lambda: period_ct(lax_operator(2, 5), 1, 5).coeffs,
+    "mirror_period_X4_G24_m_le_6": lambda: [c.get((), 0) for c in ct_by_param_degree(G, range(7)).values()],
+}
+times, values = {}, {}
+for name, route in ROUTES.items():
+    t0 = time.perf_counter()
+    v = route()
+    times[name] = time.perf_counter() - t0
+    values[name] = [str(c) for c in v]
+print(json.dumps({"times": times, "values": values}))
+"""
+
 
 def env_for(tree: Path) -> dict:
     env = dict(os.environ)
@@ -120,6 +167,7 @@ def main() -> int:
     py = sys.executable
 
     stage_runs: dict = {side: [] for side in trees}
+    ct_runs: dict = {side: [] for side in trees}
     cli_walls: dict = {side: [] for side in trees}
     import_walls: dict = {side: [] for side in trees}
     reports: dict = {}
@@ -127,6 +175,8 @@ def main() -> int:
         for side in (list(trees) if i % 2 == 0 else list(reversed(trees))):
             _, out = run([py, "-c", STAGE_CHILD, str(COUNT)], trees[side])
             stage_runs[side].append(json.loads(out))
+            _, out = run([py, "-c", CT_CHILD], trees[side])
+            ct_runs[side].append(json.loads(out))
     for i in range(CLI_RUNS):
         for side in (list(trees) if i % 2 == 0 else list(reversed(trees))):
             # exit 1 with a report is a verification mismatch, which the report
@@ -147,6 +197,12 @@ def main() -> int:
         "verify_all_report_identical": reports["before"] == reports["after"],
         "stages": {},
         "stage_totals": {},
+        "ct_routes_identical": all(r["values"] == ct_runs["before"][0]["values"]
+                                   for side in trees for r in ct_runs[side]),
+        "ct_routes_s": {side: {route: round(statistics.median(r["times"][route]
+                                                               for r in ct_runs[side]), 5)
+                               for route in ct_runs[side][0]["times"]}
+                        for side in trees},
         "verify_all_wall_s": {side: quartiles(cli_walls[side]) for side in trees},
         "import_wall_s": {side: quartiles(import_walls[side]) for side in trees},
     }
@@ -172,6 +228,7 @@ def main() -> int:
     result["tier1_wall_s"] = tier1
     args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     print(json.dumps({side: result["stage_totals"][side] for side in trees}, indent=1))
+    print(json.dumps(result["ct_routes_s"], indent=1))
     print(json.dumps(result["verify_all_wall_s"]))
     print(json.dumps(result["import_wall_s"]))
     return 0

@@ -4,27 +4,39 @@ complete intersections in Grassmannians.
 Everything is computed over exact rationals: toric degeneration data,
 hypergeometric series, Picard-Fuchs operators, quantum-cohomology
 operators, mirror maps, Yukawa couplings, and instanton numbers.
+
+The public names below are imported from their modules on first use
+(PEP 562), so `import grasscy` loads none of them.
 """
 
-from .dop import DOp, dop_from_json, dop_to_json, pf_fit
-from .hypergeom import ASeriesSpec, FactorialBundle, a_series, a_series_qspecialized, factorial_trick
-from .laurent import LaurentPoly, laurent_from_json, laurent_pow_ct, laurent_to_json
-from .laxmirror import canonical_gauge_coeffs, lax_operator, mirror_system, period_ct
-from .mirror_analysis import (
-    FrobeniusPair,
-    MirrorMap,
-    extract_instantons,
-    frobenius,
-    frobenius_basis,
-    mirror_map,
-    normal_form_check,
-    yukawa_q,
-    yukawa_z,
-)
-from .pipeline import RunReport, rational_series, run_case
-from .qh import build_qh_matrix, scalar_operator, verify_conjecture
-from .registry import RegistryCase, registry_load
-from .series import LogSeries, PowerSeries, Q, TruncationError, series_from_json, series_to_json
-from .toric import CYCase, build_delta, degree_grassmannian, facets_and_reflexivity
+from importlib import import_module
 
+_EXPORTS = {
+    "dop": ("DOp", "dop_from_json", "dop_to_json", "pf_fit"),
+    "hypergeom": ("ASeriesSpec", "FactorialBundle", "a_series", "a_series_qspecialized",
+                  "factorial_trick"),
+    "laurent": ("LaurentPoly", "laurent_from_json", "laurent_pow_ct", "laurent_to_json"),
+    "laxmirror": ("canonical_gauge_coeffs", "lax_operator", "mirror_system", "period_ct"),
+    "mirror_analysis": ("FrobeniusPair", "MirrorMap", "extract_instantons", "frobenius",
+                        "frobenius_basis", "mirror_map", "normal_form_check", "yukawa_q",
+                        "yukawa_z"),
+    "pipeline": ("RunReport", "rational_series", "run_case"),
+    "qh": ("build_qh_matrix", "scalar_operator", "verify_conjecture"),
+    "registry": ("RegistryCase", "registry_load"),
+    "series": ("LogSeries", "PowerSeries", "Q", "TruncationError", "series_from_json",
+               "series_to_json"),
+    "toric": ("CYCase", "build_delta", "degree_grassmannian", "facets_and_reflexivity"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UsageError
-from .laurent import LaurentPoly, ct_by_param_degree
+from .laurent import LaurentPoly, ct_by_param_degree, tracked_split
 from .linalg import solve
 from .series import PowerSeries, Q
 from .toric import nef_partition_sets, vertex_labels, vertex_vector
@@ -68,15 +68,11 @@ def period_ct(g: LaurentPoly, nparams: int, order: int) -> PowerSeries | dict:
     PowerSeries for one parameter, otherwise a dict from exponent tuples
     (total degree <= order) to coefficients.
     """
-    if nparams < 0:
-        raise UsageError(f"nparams must be >= 0, got {nparams}")
+    nv = tracked_split(g, nparams, order)
     result: dict = {(0,) * nparams: Q(1)}
     if g.terms:
-        nv = g.nvars - nparams
-        if nv <= 0:
+        if nv == 0:
             raise UsageError("no torus coordinates left after the tracked parameters")
-        if any(any(x < 0 for x in e[nv:]) for e in g.terms):
-            raise UsageError("tracked parameter exponents must be non-negative")
         _, mu = _grading(g, nparams)
         # the powers m = mu . d over 0 < |d| <= order, one degree at a time
         reachable: set = set()

@@ -4,7 +4,8 @@ checked against."""
 
 from fractions import Fraction as Q
 from itertools import zip_longest
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import add, le
 
 from hypothesis import strategies as st
 
@@ -242,6 +243,56 @@ def laurent_pow_ct_bruteforce(L: LaurentPoly, m: int) -> Q:
     for _ in range(m):
         p = p * L
     return p.constant_term()
+
+
+def _times_tuples(acc: dict, terms: list, lo: tuple, hi: tuple) -> dict:
+    """acc * P in integers, keeping the exponents inside the box lo <= e <= hi."""
+    out: dict = {}
+    for e1, c1 in acc.items():
+        for e2, c2 in terms:
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c and all(map(le, lo, e)) and all(map(le, e, hi))}
+
+
+def ct_by_param_degree_tuples(L: LaurentPoly, powers, nparams: int = 0, bound: int = 0) -> dict:
+    """`laurent.ct_by_param_degree` on tuple exponent keys: the same pruned
+    meet-in-the-middle sweep, with each product of monomials a tuple sum and
+    each box test a comparison per coordinate.  It does not validate its
+    input (a negative parameter exponent gives a wrong answer)."""
+    powers = set(powers)
+    top = max(powers, default=0)
+    nv = L.nvars - nparams
+    den = lcm(*(c.denominator for c in L.terms.values()))
+    terms = [(e, c.numerator * (den // c.denominator)) for e, c in L.terms.items()]
+    up = [max([0] + [e[c] for e in L.terms]) for c in range(nv)]
+    down = [max([0] + [-e[c] for e in L.terms]) for c in range(nv)]
+
+    def box(left: int) -> tuple[tuple, tuple]:
+        return (tuple(-left * u for u in up) + (0,) * nparams,
+                tuple(left * d for d in down) + (bound,) * nparams)
+
+    result: dict = {}
+    half = other = {(0,) * L.nvars: 1}
+    for m in range(top + 1):
+        if m % 2:
+            half, other = other, _times_tuples(other, terms, *box(top - m // 2 - 1))
+        else:
+            half = other
+        if m not in powers:
+            continue
+        by_torus: dict = {}
+        for e, c in other.items():
+            by_torus.setdefault(e[:nv], []).append((e[nv:], c))
+        out: dict = {}
+        for e, c1 in half.items():
+            for t2, c2 in by_torus.get(tuple(-x for x in e[:nv]), ()):
+                t = tuple(map(add, e[nv:], t2))
+                if all(x <= bound for x in t):
+                    out[t] = out.get(t, 0) + c1 * c2
+        scale = den**m
+        result[m] = {t: Q(c, scale) for t, c in out.items() if c}
+    return result
 
 
 # -- A-series ----------------------------------------------------------------

@@ -1,0 +1,59 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import grasscy
+
+# the package's public names, each with the module that defines it
+PUBLIC = {
+    "dop": ["DOp", "dop_from_json", "dop_to_json", "pf_fit"],
+    "hypergeom": ["ASeriesSpec", "FactorialBundle", "a_series", "a_series_qspecialized",
+                  "factorial_trick"],
+    "laurent": ["LaurentPoly", "laurent_from_json", "laurent_pow_ct", "laurent_to_json"],
+    "laxmirror": ["canonical_gauge_coeffs", "lax_operator", "mirror_system", "period_ct"],
+    "mirror_analysis": ["FrobeniusPair", "MirrorMap", "extract_instantons", "frobenius",
+                        "frobenius_basis", "mirror_map", "normal_form_check", "yukawa_q",
+                        "yukawa_z"],
+    "pipeline": ["RunReport", "rational_series", "run_case"],
+    "qh": ["build_qh_matrix", "scalar_operator", "verify_conjecture"],
+    "registry": ["RegistryCase", "registry_load"],
+    "series": ["LogSeries", "PowerSeries", "Q", "TruncationError", "series_from_json",
+               "series_to_json"],
+    "toric": ["CYCase", "build_delta", "degree_grassmannian", "facets_and_reflexivity"],
+}
+
+CHILD = r"""
+import json, sys
+import grasscy
+loaded = sorted(m for m in sys.modules if m.startswith("grasscy."))
+public = json.loads(sys.argv[1])
+# resolving a name through the package loads its module; the object must be
+# that module's own
+wrong = [f"{module}.{name}" for module, names in public.items() for name in names
+         if getattr(grasscy, name) is not getattr(sys.modules[f"grasscy.{module}"], name)]
+try:
+    grasscy.no_such_name
+    missing_raises = False
+except AttributeError:
+    missing_raises = True
+print(json.dumps({"loaded": loaded, "wrong": wrong, "all": sorted(grasscy.__all__),
+                  "version": grasscy.__version__, "missing_raises": missing_raises}))
+"""
+
+
+def test_import_grasscy_is_lazy_and_keeps_every_public_name():
+    env = dict(os.environ, PYTHONPATH=str(Path(grasscy.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(PUBLIC)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    # `import grasscy` alone loads none of the heavy modules
+    assert not {"grasscy.qh", "grasscy.pipeline", "grasscy.mirror_analysis",
+                "grasscy.laxmirror"} & set(out["loaded"])
+    assert out["wrong"] == []
+    assert out["all"] == sorted(name for names in PUBLIC.values() for name in names)
+    assert out["version"] == "0.1.0"
+    assert out["missing_raises"]
+

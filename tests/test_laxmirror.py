@@ -2,7 +2,7 @@ from fractions import Fraction as Q
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grasscy.errors import UsageError
@@ -30,7 +30,7 @@ from grasscy.laxmirror import (
 )
 from grasscy.registry import registry_load
 from grasscy.toric import build_delta, vertex_labels, vertex_vector
-from support import laurent_pow_ct_bruteforce, rationals
+from support import ct_by_param_degree_tuples, laurent_pow_ct_bruteforce, rationals
 
 
 def test_laurent_arithmetic():
@@ -167,6 +167,79 @@ def test_one_sweep_matches_bruteforce_at_every_power(poly, powers):
     assert set(got) == powers
     for m in powers:
         assert got[m].get((), 0) == laurent_pow_ct_bruteforce(poly, m)
+
+
+@st.composite
+def tracked_polys(draw):
+    """(L, nparams): one to three torus coordinates, each with its own
+    exponent range [-a, b] (a, b <= 40, so up and down differ), and nparams
+    in 0..3 tracked parameters with exponents 0..3.  One to four monomials
+    are drawn, and one or two more each close a subset of them on the torus
+    (their torus parts add up to 0), so that powers have constant terms.
+    Nonzero rational coefficients of either sign."""
+    nv = draw(st.integers(min_value=1, max_value=3))
+    nparams = draw(st.integers(min_value=0, max_value=3))
+    ranges = draw(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
+                           min_size=nv, max_size=nv))
+    torus = st.tuples(*[st.integers(-a, b) for a, b in ranges])
+    params = st.tuples(*[st.integers(0, 3)] * nparams)
+    base = draw(st.lists(torus, min_size=1, max_size=4))
+    subsets = draw(st.lists(st.lists(st.booleans(), min_size=len(base), max_size=len(base)),
+                            min_size=1, max_size=2))
+    closing = [tuple(-sum(e[c] for e, x in zip(base, pick) if x) for c in range(nv))
+               for pick in subsets]
+    terms = {e + draw(params): draw(rationals(3, 3).filter(bool)) for e in base + closing}
+    return LaurentPoly(nv + nparams, terms), nparams
+
+
+@settings(max_examples=200, deadline=None)
+@given(tracked_polys(), st.sets(st.integers(min_value=0, max_value=6), min_size=1),
+       st.one_of(st.just(0), st.integers(min_value=0, max_value=8), st.just(10**9)))
+@example((LaurentPoly(2, {(40, 0): Q(-1, 2), (-1, 3): Q(2, 3), (-39, 1): Q(3)}), 1),
+         {0, 1, 3, 5}, 10**9)
+@example((LaurentPoly(2, {(1, 0): Q(1), (-1, 0): Q(-2, 3)}), 0), {0}, 0)
+def test_packed_keys_match_the_tuple_sweep(poly, powers, bound):
+    # the packed kernel against the same sweep on tuple exponent keys:
+    # equal coefficients at every power and parameter degree
+    L, nparams = poly
+    assert ct_by_param_degree(L, powers, nparams, bound) == \
+        ct_by_param_degree_tuples(L, powers, nparams, bound)
+
+
+@pytest.mark.parametrize("k,n,order", [(2, 4, 6), (2, 5, 3), (3, 6, 2)])
+def test_period_ct_of_lax_matches_the_tuple_sweep(k, n, order, monkeypatch):
+    got = period_ct(lax_operator(k, n), 1, order)
+    monkeypatch.setattr("grasscy.laxmirror.ct_by_param_degree", ct_by_param_degree_tuples)
+    assert got == period_ct(lax_operator(k, n), 1, order)
+
+
+def test_negative_tracked_exponent_rejected():
+    # the pruning keeps parameter degrees in 0..bound, so the (1, -1) factor
+    # would be dropped: the tuple sweep returns nothing, while
+    # CT(L^2) = 2 q^1 by full expansion
+    L = LaurentPoly(2, {(1, -1): Q(1), (-1, 2): Q(1)})
+    assert ct_by_param_degree_tuples(L, {2}, 1, 3) == {2: {}}
+    assert (L * L).terms[(0, 1)] == 2
+    with pytest.raises(UsageError, match="tracked parameter exponents must be non-negative"):
+        ct_by_param_degree(L, {2}, 1, 3)
+    with pytest.raises(UsageError, match="tracked parameter exponents must be non-negative"):
+        period_ct(L, 1, 3)
+
+
+@pytest.mark.parametrize("nparams,bound,message", [
+    (-1, 0, "nparams must be >= 0, got -1"),
+    (3, 0, "nparams must be <= nvars = 2, got 3"),
+    (1, -1, "bound must be >= 0, got -1"),
+])
+def test_bad_tracked_split_rejected(nparams, bound, message):
+    L = LaurentPoly(2, {(1, 0): Q(1), (-1, 1): Q(1)})
+    with pytest.raises(UsageError, match=message):
+        ct_by_param_degree(L, {2}, nparams, bound)
+
+
+def test_negative_power_rejected():
+    with pytest.raises(UsageError, match="power must be non-negative"):
+        ct_by_param_degree(LaurentPoly(1, {(1,): Q(1)}), {-1})
 
 
 @st.composite

@@ -205,6 +205,19 @@ def test_cli_bad_input_is_usage_error(capsys, series_file, argv, message):
     assert message in _usage_error(capsys)
 
 
+@pytest.mark.parametrize("terms,nparams,message", [
+    ([{"exp": [1, -1], "c": "1"}, {"exp": [-1, 2], "c": "1"}], "1",
+     "tracked parameter exponents must be non-negative"),
+    ([{"exp": [1, 0], "c": "1"}], "3", "nparams must be <= nvars = 2, got 3"),
+    ([{"exp": [1, 0], "c": "1"}], "-1", "nparams must be >= 0, got -1"),
+])
+def test_cli_period_bad_tracked_input_is_usage_error(tmp_path, capsys, terms, nparams, message):
+    f = tmp_path / "poly.json"
+    f.write_text(json.dumps({"nvars": 2, "terms": terms}))
+    assert main(["period", "--poly", str(f), "--nparams", nparams, "--order", "3"]) == 2
+    assert message in _usage_error(capsys)
+
+
 def _registry_without_k() -> dict:
     data = _load_json(None)
     del data["cases"][0]["k"]
