@@ -19,6 +19,9 @@ which goes first, so both see the same machine drift.  Recorded:
   from `seconds`, is the same for both trees;
 - the wall time of `python -c "import grasscy.cli"` (median and quartiles
   over CLI_RUNS processes), the start-up every command pays;
+- the in-process seconds of `import grasscy` plus `registry_load()` in a
+  fresh interpreter (median and quartiles over CLI_RUNS processes), the
+  set-up that perfbench's probe times;
 - the wall time of one Tier-1 run of each tree.
 
 Standard library only; the trees' own code is the only import.
@@ -121,6 +124,16 @@ for name, route in ROUTES.items():
 print(json.dumps({"times": times, "values": values}))
 """
 
+# One fresh process: `import grasscy` plus `registry_load()`, timed from
+# inside.  Prints the seconds.
+SETUP_CHILD = r"""
+import time
+t = time.perf_counter()
+import grasscy
+grasscy.registry_load()
+print(time.perf_counter() - t)
+"""
+
 
 def env_for(tree: Path) -> dict:
     env = dict(os.environ)
@@ -170,6 +183,7 @@ def main() -> int:
     ct_runs: dict = {side: [] for side in trees}
     cli_walls: dict = {side: [] for side in trees}
     import_walls: dict = {side: [] for side in trees}
+    setups: dict = {side: [] for side in trees}
     reports: dict = {}
     for i in range(STAGE_RUNS):
         for side in (list(trees) if i % 2 == 0 else list(reversed(trees))):
@@ -187,6 +201,8 @@ def main() -> int:
             reports[side] = strip_seconds(out)
             wall, _ = run([py, "-c", "import grasscy.cli"], trees[side])
             import_walls[side].append(wall)
+            _, out = run([py, "-c", SETUP_CHILD], trees[side])
+            setups[side].append(float(out))
 
     result: dict = {
         "machine": {"python": platform.python_version(), "cpus": os.cpu_count(),
@@ -205,6 +221,7 @@ def main() -> int:
                         for side in trees},
         "verify_all_wall_s": {side: quartiles(cli_walls[side]) for side in trees},
         "import_wall_s": {side: quartiles(import_walls[side]) for side in trees},
+        "setup_s": {side: quartiles(setups[side]) for side in trees},
     }
     cases = list(stage_runs["before"][0])
     for side in trees:
@@ -231,6 +248,7 @@ def main() -> int:
     print(json.dumps(result["ct_routes_s"], indent=1))
     print(json.dumps(result["verify_all_wall_s"]))
     print(json.dumps(result["import_wall_s"]))
+    print(json.dumps(result["setup_s"]))
     return 0
 
 

@@ -8,12 +8,12 @@ term, where "leading" means highest D-degree, then lowest z-degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
 
 from .errors import Mismatch, UsageError
 from .linalg import nullspace
+from .record import record
 from .series import LogSeries, PowerSeries, Q, _over_common_den, qstr
 
 ZERO = Q(0)
@@ -29,7 +29,7 @@ class AmbiguousAnnihilator(Mismatch):
     """Nullspace dimension > 1 at the minimal bounds."""
 
 
-@dataclass(frozen=True)
+@record
 class DOp:
     terms: dict  # (i, j) -> Fraction, z-degree i, D-degree j
 
@@ -223,6 +223,25 @@ def _echelon_mod_p(rows: list[list[int]], ncols: int) -> dict[int, list[int]]:
     return echelon
 
 
+def _kernel_mod_p(echelon: dict[int, list[int]], ncols: int) -> list[list[int]]:
+    """A kernel basis modulo SCREEN_PRIME of the rows with this echelon
+    basis: one vector per free column, 1 there and 0 at the other free
+    columns, by back substitution."""
+    p = SCREEN_PRIME
+    pivots = sorted(echelon, reverse=True)
+    basis = []
+    for free in range(ncols):
+        if free in echelon:
+            continue
+        v = [0] * ncols
+        v[free] = 1
+        for c in pivots:
+            prow = echelon[c]
+            v[c] = -sum(prow[t] * v[t] for t in range(c + 1, ncols)) % p
+        basis.append(v)
+    return basis
+
+
 def _rational_mod_p(a: int) -> Fraction | None:
     """The n/d with n = a d modulo SCREEN_PRIME and |n|, d <= sqrt(p/2),
     by the half extended Euclidean algorithm; None when there is none."""
@@ -243,14 +262,7 @@ def _lift_kernel(echelon: dict[int, list[int]], rows: list[list[int]]) -> list[i
     rational reconstruction of each entry, denominators cleared.  Returned
     only if it annihilates every row exactly; then, with rank ncols - 1
     modulo p, it spans the kernel over Q.  None otherwise."""
-    p = SCREEN_PRIME
-    ncols = len(rows[0])
-    v = [0] * ncols
-    v[next(c for c in range(ncols) if c not in echelon)] = 1
-    for c in sorted(echelon, reverse=True):
-        prow = echelon[c]
-        v[c] = -sum(prow[t] * v[t] for t in range(c + 1, ncols)) % p
-    lifted = [_rational_mod_p(x) for x in v]
+    lifted = [_rational_mod_p(x) for x in _kernel_mod_p(echelon, len(rows[0]))[0]]
     if None in lifted:
         return None
     den = lcm(*(x.denominator for x in lifted))
@@ -269,11 +281,13 @@ def pf_fit(f: PowerSeries, max_order: int, max_zdeg: int, guard: int = GUARD) ->
 
     The system is built once, for the largest column set, with each row's
     denominators cleared, and reduced modulo SCREEN_PRIME once.  One echelon
-    form modulo p per order r, on the columns of (r, max_zdeg), serves every
-    candidate (r, d): its columns come first, so its rank is the number of
-    pivots among them.  A candidate of full column rank modulo p has full
-    rank over Q and is skipped.  When the rank modulo p falls short
-    by one, the kernel vector is lifted from the modular echelon form by
+    form modulo p of the whole (max_order, max_zdeg) grid gives a kernel
+    basis K modulo p, and a candidate's kernel modulo p is the span of K
+    that vanishes off its columns: its nullity is len(K) minus the rank of
+    K on the other columns.  A candidate of nullity 0 modulo p has full
+    column rank over Q and is skipped.  Otherwise the candidate's own
+    echelon form modulo p is taken (the grid's, when it is the grid).  When
+    its rank falls short by one, the kernel vector is lifted from it by
     rational reconstruction and accepted if it annihilates every integer
     row, guard rows included: that proves nullity 1 over Q.  Every other
     case (nullity >= 2 modulo p, a failed lift) goes to the exact
@@ -303,19 +317,19 @@ def pf_fit(f: PowerSeries, max_order: int, max_zdeg: int, guard: int = GUARD) ->
         for d in range(0, max_zdeg + 1):
             candidates.append((r, d))
     candidates.sort(key=lambda rd: (rd[0] + rd[1], rd[0]))
-    echelons: dict[int, dict[int, list[int]]] = {}  # r -> echelon on the columns of (r, max_zdeg)
+    ncols = (max_order + 1) * (max_zdeg + 1)
+    grid = _echelon_mod_p(system_p, ncols)
+    kernel = _kernel_mod_p(grid, ncols)
     for r, d in candidates:
         cols = [(i, j) for i in range(d + 1) for j in range(r + 1)]
         index = [i * (max_order + 1) + j for i, j in cols]
-        if r not in echelons:
-            full = [i * (max_order + 1) + j for i in range(max_zdeg + 1) for j in range(r + 1)]
-            echelons[r] = _echelon_mod_p([[row[t] for t in full] for row in system_p], len(full))
-        # the candidate's columns lead those of (r, max_zdeg): the echelon
-        # rows that pivot among them, cut to them, are an echelon basis of its rows
-        k = len(cols)
-        echelon = {c: prow[:k] for c, prow in echelons[r].items() if c < k}
-        if len(echelon) == k:
+        inside = set(index)
+        outside = [t for t in range(ncols) if t not in inside]
+        if len(_echelon_mod_p([[v[t] for t in outside] for v in kernel], len(outside))) == len(kernel):
             continue
+        k = len(cols)
+        echelon = grid if k == ncols else _echelon_mod_p(
+            [[row[t] for t in index] for row in system_p], k)
         rows = [[row[t] for t in index] for row in system]
         v = _lift_kernel(echelon, rows) if len(echelon) == k - 1 else None
         if v is None:

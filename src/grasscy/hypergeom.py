@@ -21,18 +21,18 @@ needs each assignment's exponent vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, zip_longest
 from math import comb, factorial
 from operator import add, mul
 
 from .errors import UsageError
+from .record import record
 from .series import MultiSeries, PowerSeries, Q
 
 MAX_ORDER = 200  # resource bound on every truncation order
 
 
-@dataclass(frozen=True)
+@record
 class ASeriesSpec:
     k: int
     n: int
@@ -250,7 +250,7 @@ def a_series_qspecialized(k: int, n: int, trunc: int) -> PowerSeries:
     return a_series(ASeriesSpec(k, n, trunc))
 
 
-@dataclass(frozen=True)
+@record
 class FactorialBundle:
     degrees: tuple[int, ...]
 

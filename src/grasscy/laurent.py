@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from .errors import UsageError
+from .record import record
 from .series import Q, qstr, require_keys
 
 ZERO = Q(0)
 
 
-@dataclass(frozen=True)
+@record
 class LaurentPoly:
     nvars: int
     terms: dict  # tuple[int, ...] of length nvars -> Fraction

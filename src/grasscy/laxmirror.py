@@ -9,11 +9,10 @@ over the leading (torus) coordinates only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import UsageError
 from .laurent import LaurentPoly, ct_by_param_degree, tracked_split
 from .linalg import solve
+from .record import record
 from .series import PowerSeries, Q
 from .toric import nef_partition_sets, vertex_labels, vertex_vector
 
@@ -90,7 +89,7 @@ def period_ct(g: LaurentPoly, nparams: int, order: int) -> PowerSeries | dict:
     return result
 
 
-@dataclass(frozen=True)
+@record
 class MirrorSystem:
     k: int
     n: int

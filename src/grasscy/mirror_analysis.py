@@ -4,12 +4,12 @@ the Yukawa coupling in both coordinates, and the Lambert-series extraction."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .dop import DOp
 from .errors import Mismatch
+from .record import record
 from .series import (
     LogSeries,
     PowerSeries,
@@ -98,7 +98,7 @@ def frobenius_basis(P: DOp, order_n: int) -> list[LogSeries]:
     return sols
 
 
-@dataclass(frozen=True)
+@record
 class FrobeniusPair:
     phi0: PowerSeries  # holomorphic solution, phi0(0) = 1
     psi: PowerSeries  # log companion Phi_1 = phi0 log z + psi, psi(0) = 0
@@ -115,7 +115,7 @@ def frobenius(P: DOp, order_n: int) -> FrobeniusPair:
     return FrobeniusPair(phi0, psi)
 
 
-@dataclass(frozen=True)
+@record
 class MirrorMap:
     q_of_z: PowerSeries  # in z, q = z exp(psi/phi0)
     z_of_q: PowerSeries  # in q, compositional inverse

@@ -15,7 +15,6 @@ No truncation is stored; each follows from the request:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from .dop import DOp, dop_to_json, fit_trunc, pf_fit
 from .hypergeom import ASeriesSpec, FactorialBundle, a_series, factorial_trick
@@ -26,6 +25,7 @@ from .mirror_analysis import (
     yukawa_q,
     yukawa_z,
 )
+from .record import record
 from .registry import RegistryCase
 from .series import PowerSeries, Q, series_to_json
 from .toric import hodge_after_transition, node_count
@@ -43,7 +43,7 @@ def rational_series(numerator, denominator, var: str, order: int) -> PowerSeries
     return num / den
 
 
-@dataclass
+@record
 class RunReport:
     name: str
     operator: DOp

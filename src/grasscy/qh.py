@@ -11,12 +11,12 @@ operators reproduce the published quantum differential operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .dop import DOp
 from .errors import Mismatch, UsageError
 from .hypergeom import ASeriesSpec, a_series_qspecialized
+from .record import record
 from .series import PowerSeries
 from .toric import check_pluecker_count
 from .upoly import PONE, PZERO, InexactDivision, Poly, padd, pdivexact, pmul, pshift, ptheta
@@ -60,7 +60,7 @@ def quantum_pieri_sigma1(lam: Partition, k: int, n: int) -> list[tuple[Partition
     return out
 
 
-@dataclass(frozen=True)
+@record
 class QHMatrix:
     k: int
     n: int
@@ -280,7 +280,7 @@ def scalar_operator(k: int, n: int) -> DOp:
             B = min(2 * B, bound)
 
 
-@dataclass(frozen=True)
+@record
 class ConjectureReport:
     k: int
     n: int

@@ -3,16 +3,16 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .errors import UsageError
+from .record import record
 from .series import Q
 from .toric import CYCase, node_count
 
 
-@dataclass(frozen=True)
+@record
 class RegistryCase:
     case: CYCase
     expected_Y: tuple[int, int, int]

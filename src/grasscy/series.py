@@ -14,12 +14,12 @@ variable: the Euler operator, sums and products by a series or a scalar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
 from .errors import GrasscyError, UsageError
+from .record import record
 
 Q = Fraction
 
@@ -67,7 +67,7 @@ def qstr(x: Q) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
+@record
 class PowerSeries:
     var: str
     coeffs: tuple[Q, ...]  # length trunc + 1
@@ -268,7 +268,7 @@ def series_revert(a: PowerSeries) -> PowerSeries:
 # Log-extended series: F = sum_j f_j(z) * (log z)^j / j!
 
 
-@dataclass(frozen=True)
+@record
 class LogSeries:
     components: tuple[PowerSeries, ...]
 
@@ -336,7 +336,7 @@ class LogSeries:
 # Multi-parameter series: principal variable q plus auxiliary q~ exponents.
 
 
-@dataclass(frozen=True)
+@record
 class MultiSeries:
     nparams: int
     trunc: int

@@ -5,12 +5,12 @@ nef-partition vertex sets, degrees, and the conifold/Hodge bookkeeping."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
 from .errors import Mismatch, UsageError
 from .linalg import echelon, rank
+from .record import record
 
 Label = tuple[str, int, int]  # ("u"|"v", i, j)
 
@@ -74,7 +74,7 @@ def vertex_labels(k: int, n: int) -> list[Label]:
     return labels
 
 
-@dataclass(frozen=True)
+@record
 class DeltaKN:
     k: int
     n: int
@@ -205,7 +205,7 @@ def degree_grassmannian(k: int, n: int) -> int:
 # Calabi-Yau case bookkeeping.
 
 
-@dataclass(frozen=True)
+@record
 class CYCase:
     name: str
     k: int

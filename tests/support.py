@@ -9,8 +9,17 @@ from operator import add, le
 
 from hypothesis import strategies as st
 
-from grasscy.dop import DOp
+from grasscy.dop import (
+    GUARD,
+    SCREEN_PRIME,
+    AmbiguousAnnihilator,
+    DOp,
+    NoAnnihilator,
+    _echelon_mod_p,
+    _lift_kernel,
+)
 from grasscy.laurent import LaurentPoly
+from grasscy.linalg import nullspace
 from grasscy.mirror_analysis import FrobeniusPair, frobenius_basis, mirror_map
 from grasscy.qh import NoDependence, build_qh_matrix, next_functional
 from grasscy.series import LogSeries, PowerSeries, SeriesDomainError, series_compose, series_exp
@@ -402,3 +411,45 @@ def apply_oracle(P: DOp, f: PowerSeries) -> PowerSeries:
         for m in range(i, f.trunc + 1):
             out[m] += c * (m - i) ** j * f.coeffs[m - i]
     return PowerSeries(f.var, tuple(out))
+
+
+def pf_fit_per_order_oracle(f: PowerSeries, max_order: int, max_zdeg: int,
+                            guard: int = GUARD) -> DOp:
+    """pf_fit's earlier route: one modular echelon per order r, on the
+    columns of (r, max_zdeg), whose leading columns are those of every
+    candidate (r, d); then the same lift and exact fallback."""
+    b = f.coeffs
+    system = []
+    for m in range(f.trunc + 1):
+        den = lcm(*(b[m - i].denominator for i in range(min(m, max_zdeg) + 1)))
+        row = []
+        for i in range(max_zdeg + 1):
+            x = b[m - i].numerator * (den // b[m - i].denominator) if m >= i else 0
+            row.extend(x * (m - i) ** j for j in range(max_order + 1))
+        system.append(row)
+    system_p = [[x % SCREEN_PRIME for x in row] for row in system]
+    candidates = sorted(((r, d) for r in range(1, max_order + 1) for d in range(max_zdeg + 1)),
+                        key=lambda rd: (rd[0] + rd[1], rd[0]))
+    echelons: dict = {}
+    for r, d in candidates:
+        cols = [(i, j) for i in range(d + 1) for j in range(r + 1)]
+        index = [i * (max_order + 1) + j for i, j in cols]
+        if r not in echelons:
+            full = [i * (max_order + 1) + j for i in range(max_zdeg + 1) for j in range(r + 1)]
+            echelons[r] = _echelon_mod_p([[row[t] for t in full] for row in system_p], len(full))
+        k = len(cols)
+        echelon = {c: prow[:k] for c, prow in echelons[r].items() if c < k}
+        if len(echelon) == k:
+            continue
+        rows = [[row[t] for t in index] for row in system]
+        v = _lift_kernel(echelon, rows) if len(echelon) == k - 1 else None
+        if v is None:
+            basis = [u for u in nullspace(rows) if any(x != 0 for x in u)]
+            if not basis:
+                continue
+            if len(basis) > 1:
+                raise AmbiguousAnnihilator(
+                    f"nullspace dimension {len(basis)} at minimal bounds ({r},{d})")
+            v = basis[0]
+        return DOp({col: x for col, x in zip(cols, v) if x != 0}).canonical()
+    raise NoAnnihilator(f"no annihilator within bounds ({max_order},{max_zdeg})")

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -79,6 +80,22 @@ def test_pf_fit_exp():
     f = PowerSeries("z", tuple(Q(1, factorial(m)) for m in range(30)))
     P = pf_fit(f, 2, 2, guard=5)
     assert P == (D - z).canonical()
+
+
+@pytest.mark.parametrize("name, bounds", [("geometric", (2, 2)), ("exp", (3, 3)),
+                                          ("quartic", (4, 2)), ("quartic", (4, 1))])
+def test_pf_fit_matches_per_order_route(name, bounds):
+    """The one grid echelon gives the per-order route's operator, with the
+    winner inside the grid (nullity >= 2 there) and equal to it."""
+    from math import comb, factorial
+
+    f = {
+        "geometric": PowerSeries("z", (1,) * 30),
+        "exp": PowerSeries("z", tuple(Q(1, factorial(m)) for m in range(30))),
+        "quartic": PowerSeries("z", tuple(Q(factorial(4 * m) * comb(2 * m, m), factorial(m) ** 2)
+                                          for m in range(26))),
+    }[name]
+    assert pf_fit(f, *bounds) == support.pf_fit_per_order_oracle(f, *bounds)
 
 
 def test_pf_fit_guard_insufficient_series():
@@ -219,7 +236,8 @@ def test_apply_matches_fraction_oracle(P, f):
 )
 def test_pf_fit_certificate(r, d, seed):
     """Build a series annihilated by a known MUM operator; pf_fit must return
-    an operator that annihilates all guarded coefficients."""
+    an operator that annihilates all guarded coefficients, and the one the
+    per-order route (one echelon per order) returns, or fail as it does."""
     import random
 
     rng = random.Random(seed)
@@ -241,7 +259,11 @@ def test_pf_fit_certificate(r, d, seed):
         coeffs.append(-rhs / Q(m) ** r)
     f = PowerSeries("z", tuple(coeffs))
     try:
-        fit = pf_fit(f, r, d + 1, guard=10)
-    except AmbiguousAnnihilator:
+        want = support.pf_fit_per_order_oracle(f, r, d + 1, guard=10)
+    except AmbiguousAnnihilator as e:
+        with pytest.raises(AmbiguousAnnihilator, match=re.escape(str(e))):
+            pf_fit(f, r, d + 1, guard=10)
         return
+    fit = pf_fit(f, r, d + 1, guard=10)
+    assert fit == want
     assert fit.apply(f).is_zero()

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import grasscy
 
 # the package's public names, each with the module that defines it
@@ -57,3 +59,16 @@ def test_import_grasscy_is_lazy_and_keeps_every_public_name():
     assert out["version"] == "0.1.0"
     assert out["missing_raises"]
 
+
+
+@pytest.mark.parametrize("code", ["import grasscy.cli",
+                                  "import grasscy; grasscy.registry_load()"])
+def test_start_up_loads_neither_dataclasses_nor_inspect(code):
+    """The command-line start-up and the set-up every command pays stay off
+    `dataclasses`, which loads `inspect`, `ast`, `dis` and `tokenize`."""
+    env = dict(os.environ, PYTHONPATH=str(Path(grasscy.__file__).resolve().parents[1]))
+    probe = f"{code}; import sys; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
