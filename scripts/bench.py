@@ -14,6 +14,10 @@ which goes first, so both see the same machine drift.  Recorded:
 - the in-process seconds of each constant-term route in CT_CHILD
   (median over STAGE_RUNS processes), and whether both trees compute the
   same values;
+- the in-process seconds of `toric.facets_and_reflexivity` on each of
+  FACET_CASES (median over STAGE_RUNS processes), and whether both trees
+  list the same facets; and on FACET_CASES_AFTER, on the after tree only,
+  since a tree with the subset search refuses dimension k(n-k) above 10;
 - the wall time of `python -m grasscy.cli verify-all --count COUNT` (median
   and quartiles over CLI_RUNS processes), and whether its report, apart
   from `seconds`, is the same for both trees;
@@ -124,6 +128,25 @@ for name, route in ROUTES.items():
 print(json.dumps({"times": times, "values": values}))
 """
 
+# One process: the facets of Delta(k,n) for each (k, n) of the JSON list in
+# argv[1], each timed once after Delta is built.
+# Prints {"times": {case: s}, "values": {case: [reflexive, [m, c], ...]}}.
+FACET_CHILD = r"""
+import json, sys, time
+from grasscy.toric import build_delta, facets_and_reflexivity
+
+times, values = {}, {}
+for k, n in json.loads(sys.argv[1]):
+    delta = build_delta(k, n)
+    t0 = time.perf_counter()
+    facets, reflexive = facets_and_reflexivity(delta)
+    times[f"G{k}{n}"] = time.perf_counter() - t0
+    values[f"G{k}{n}"] = [reflexive] + [[list(m), str(c)] for m, c in facets]
+print(json.dumps({"times": times, "values": values}))
+"""
+FACET_CASES = [(2, 4), (2, 5), (2, 6), (2, 7), (3, 6)]
+FACET_CASES_AFTER = [(2, 8), (3, 7)]
+
 # One fresh process: `import grasscy` plus `registry_load()`, timed from
 # inside.  Prints the seconds.
 SETUP_CHILD = r"""
@@ -181,6 +204,7 @@ def main() -> int:
 
     stage_runs: dict = {side: [] for side in trees}
     ct_runs: dict = {side: [] for side in trees}
+    facet_runs: dict = {side: [] for side in trees}
     cli_walls: dict = {side: [] for side in trees}
     import_walls: dict = {side: [] for side in trees}
     setups: dict = {side: [] for side in trees}
@@ -191,6 +215,9 @@ def main() -> int:
             stage_runs[side].append(json.loads(out))
             _, out = run([py, "-c", CT_CHILD], trees[side])
             ct_runs[side].append(json.loads(out))
+            cases = FACET_CASES + (FACET_CASES_AFTER if side == "after" else [])
+            _, out = run([py, "-c", FACET_CHILD, json.dumps(cases)], trees[side])
+            facet_runs[side].append(json.loads(out))
     for i in range(CLI_RUNS):
         for side in (list(trees) if i % 2 == 0 else list(reversed(trees))):
             # exit 1 with a report is a verification mismatch, which the report
@@ -219,6 +246,13 @@ def main() -> int:
                                                                for r in ct_runs[side]), 5)
                                for route in ct_runs[side][0]["times"]}
                         for side in trees},
+        "facet_routes_identical": all(r["values"][case] == facet_runs["before"][0]["values"][case]
+                                      for side in trees for r in facet_runs[side]
+                                      for case in facet_runs["before"][0]["values"]),
+        "facet_routes_s": {side: {case: round(statistics.median(r["times"][case]
+                                                                for r in facet_runs[side]), 5)
+                                  for case in facet_runs[side][0]["times"]}
+                           for side in trees},
         "verify_all_wall_s": {side: quartiles(cli_walls[side]) for side in trees},
         "import_wall_s": {side: quartiles(import_walls[side]) for side in trees},
         "setup_s": {side: quartiles(setups[side]) for side in trees},
@@ -246,6 +280,7 @@ def main() -> int:
     args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     print(json.dumps({side: result["stage_totals"][side] for side in trees}, indent=1))
     print(json.dumps(result["ct_routes_s"], indent=1))
+    print(json.dumps(result["facet_routes_s"], indent=1))
     print(json.dumps(result["verify_all_wall_s"]))
     print(json.dumps(result["import_wall_s"]))
     print(json.dumps(result["setup_s"]))

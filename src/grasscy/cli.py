@@ -20,7 +20,8 @@ from .pipeline import fit_operator, rational_series, run_case
 from .qh import NoDependence, scalar_operator, verify_conjecture
 from .registry import registry_load
 from .series import Q, qstr, series_from_json, series_to_json
-from .toric import MAX_HULL_DIM, binomial_equations, build_delta, facets_and_reflexivity
+from .toric import (DIM_BOUND, binomial_equations, build_delta, check_pluecker_count,
+                    facets_and_reflexivity)
 
 EXIT_PASS = 0
 EXIT_MISMATCH = 1
@@ -63,6 +64,7 @@ def _parse_degrees(text: str) -> tuple[int, ...]:
 
 
 def cmd_toric(args) -> int:
+    check_pluecker_count(args.k, args.n)  # before Delta, whose size grows as n^2
     delta = build_delta(args.k, args.n)
     out = {
         "k": args.k,
@@ -73,7 +75,7 @@ def cmd_toric(args) -> int:
             for lab, v in zip(delta.labels, delta.vertices)
         ],
     }
-    if args.facets:  # first: facets_and_reflexivity refuses a dimension over the hull cap
+    if args.facets:
         facets, reflexive = facets_and_reflexivity(delta)
         out["facets"] = [{"normal": list(m), "c": qstr(c)} for m, c in facets]
         out["reflexive"] = reflexive
@@ -249,7 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("k", type=int)
     sp.add_argument("n", type=int)
     sp.add_argument("--facets", action="store_true",
-                    help=f"also enumerate facets (dimension k(n-k) <= {MAX_HULL_DIM})")
+                    help="also list the facets <m_F, x> >= -1, one per up-set F of the "
+                         "grid [k]x[n-k], m_F(i,j) = n[(i,j) in F] - (i+j-1), each certified "
+                         "on the vertices; complete as Delta(k,n) is the polar of the grid's "
+                         f"order polytope (Stanley 1986); C(n,k) <= DIM_BOUND = {DIM_BOUND}")
     sp.set_defaults(func=cmd_toric)
 
     sp = sub.add_parser("aseries", help="specialized hypergeometric series")

@@ -6,20 +6,17 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial
 
 from .errors import Mismatch, UsageError
-from .linalg import echelon, rank
+from .linalg import rank
 from .record import record
 
 Label = tuple[str, int, int]  # ("u"|"v", i, j)
 
-# facet enumeration solves every dim-subset of vertices; above this
-# dimension the subsets are too many
-MAX_HULL_DIM = 10
-
-# the binomial equations and the quantum cohomology matrix are indexed by
-# the C(n,k) Pluecker coordinates; this caps their count
+# the binomial equations, the facets of Delta(k,n) and the quantum
+# cohomology matrix are indexed by the C(n,k) Pluecker coordinates; this
+# caps their count
 DIM_BOUND = 35  # covers G(2,7) and G(3,7)
 
 
@@ -97,49 +94,40 @@ def build_delta(k: int, n: int) -> DeltaKN:
 
 
 def facets_and_reflexivity(delta: DeltaKN):
-    """Enumerate facet inequalities and test reflexivity.
+    """The facet inequalities of Delta(k,n) in closed form, each certified.
 
-    Every facet misses the origin (it is interior), so a facet hyperplane can
-    be written a.x = 1 with a rational; it is found by solving through each
-    linearly independent dim-subset of vertices, in integers: a = x / den,
-    and a.v <= 1 is tested as x.v <= den.  A subset inside the contact set
-    of a facet already found would only find that facet again, so it is
-    skipped; every facet is still reached, through an independent subset of
-    its own vertices.  Returns (facets, reflexive) where facets is a list of
-    (m, c) with <m, x> >= -c over the polytope, m a primitive integer
-    vector.  Dimensions above MAX_HULL_DIM are refused.
+    The vertices e_b - e_a of Delta(k,n) run over the cover relations a < b
+    of the grid [k]x[n-k] with a bottom and a top adjoined (e = 0 on both),
+    so Delta(k,n) is the polar of the grid's order polytope (Stanley, *Two
+    poset polytopes*, 1986), and its facets are one per up-set F of the
+    grid, C(n,k) of them: <m_F, x> >= -1 with m_F(i,j) = n [(i,j) in F]
+    - (i + j - 1).  Row i of F holds the cells j >= t_i, t non-increasing.
+    Completeness rests on that duality, which holds for Delta(k,n) only, so
+    the vertex count is checked.  Each inequality is certified against
+    delta.vertices: its minimum over them is -1, and the vertices attaining
+    it have affine rank dim, so it is a facet, not a smaller face.  A failed
+    check raises Mismatch.  Returns (facets, reflexive): facets the sorted
+    list of (m, c) with <m, x> >= -c over the polytope, m a primitive
+    integer vector; c = 1 on every facet, so Delta(k,n) is reflexive.
     """
-    d = delta.dim
-    if d > MAX_HULL_DIM:
-        raise UsageError(f"dimension {d} exceeds hull cap {MAX_HULL_DIM}")
+    k, n = delta.k, delta.n
+    check_pluecker_count(k, n)
     verts = delta.vertices
-    facets: dict[tuple, Fraction] = {}
-    contacts: list[int] = []  # vertex bitmasks of the facets found
-    for subset in itertools.combinations(range(len(verts)), d):
-        mask = sum(1 << s for s in subset)
-        if any(mask & ~cm == 0 for cm in contacts):
-            continue
-        # a.v = 1 on the subset, reduced as [V | 1]: when the subset is
-        # independent, a_i = e[i][d] / e[i][i]
-        e, pivots = echelon([list(verts[s]) + [1] for s in subset])
-        if pivots != list(range(d)):
-            continue
-        den = lcm(*(e[i][i] for i in range(d)))
-        x = [e[i][d] * (den // e[i][i]) for i in range(d)]
-        vals = [sum(xi * vi for xi, vi in zip(x, v)) for v in verts]
-        if any(val > den for val in vals):
-            continue
-        # the contact set must affinely span the hyperplane, else this is a
-        # supporting hyperplane of a lower-dimensional face
-        on = [i for i, val in enumerate(vals) if val == den]
-        if rank([list(verts[i]) + [1] for i in on]) < d:
-            continue
-        contacts.append(sum(1 << i for i in on))
-        # primitive integer normal, inequality <m, x> >= -c
-        g = gcd(*x)
-        facets[tuple(-xi // g for xi in x)] = Fraction(den, g)
-    reflexive = all(c == 1 for c in facets.values())
-    return sorted(facets.items()), reflexive
+    expected = 2 * (k - 1) * (n - k - 1) + n
+    if len(verts) != expected:
+        raise Mismatch(f"Delta({k},{n}) has {expected} vertices, got {len(verts)}")
+    facets = []
+    for t in itertools.combinations_with_replacement(range(n - k + 1, 0, -1), k):
+        m = tuple(n * (j >= ti) - (i + j - 1)
+                  for i, ti in enumerate(t, 1) for j in range(1, n - k + 1))
+        vals = [sum(mi * x for mi, x in zip(m, v)) for v in verts]
+        contact = [list(v) + [1] for v, val in zip(verts, vals) if val == -1]
+        if min(vals) != -1 or rank(contact) != delta.dim:
+            raise Mismatch(f"the up-set inequality {m} is not a facet of Delta({k},{n}): "
+                           f"minimum {min(vals)} over the vertices, contact rank "
+                           f"{rank(contact)}, dimension {delta.dim}")
+        facets.append((m, Fraction(1)))
+    return sorted(facets), True
 
 
 # ---------------------------------------------------------------------------

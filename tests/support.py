@@ -3,8 +3,8 @@ schoolbook Fraction oracles that the integer kernels in grasscy are
 checked against."""
 
 from fractions import Fraction as Q
-from itertools import zip_longest
-from math import comb, factorial, lcm
+from itertools import combinations, zip_longest
+from math import comb, factorial, gcd, lcm
 from operator import add, le
 
 from hypothesis import strategies as st
@@ -19,11 +19,16 @@ from grasscy.dop import (
     _lift_kernel,
 )
 from grasscy.laurent import LaurentPoly
-from grasscy.linalg import nullspace
+from grasscy.linalg import echelon, nullspace, rank
 from grasscy.mirror_analysis import FrobeniusPair, frobenius_basis, mirror_map
 from grasscy.qh import NoDependence, build_qh_matrix, next_functional
 from grasscy.series import LogSeries, PowerSeries, SeriesDomainError, series_compose, series_exp
+from grasscy.toric import DIM_BOUND
 from grasscy.upoly import PONE, PZERO, padd, pdivexact, pmul, pnorm
+
+
+# every G(k,n) with 2 <= k <= n-2 that DIM_BOUND admits: twelve, up to G(3,7)
+GRASSMANNIANS = [(k, n) for n in range(4, 10) for k in range(2, n - 1) if comb(n, k) <= DIM_BOUND]
 
 
 def rationals(bound: int, max_denominator: int):
@@ -36,6 +41,44 @@ def rationals(bound: int, max_denominator: int):
         st.integers(-bound * max_denominator, bound * max_denominator),
         st.integers(1, max_denominator),
     ).filter(lambda x: -bound <= x <= bound)
+
+
+# -- polytopes -----------------------------------------------------------------
+
+
+def facets_by_subset_search(delta):
+    """The facets of a polytope with the origin inside, by search: (facets,
+    reflexive) as `toric.facets_and_reflexivity` returns them.
+
+    Each facet hyperplane is a.x = 1 with a rational, solved through every
+    linearly independent dim-subset of vertices, in integers: a = x / den,
+    and a.v <= 1 is tested as x.v <= den.  A subset inside the contact set
+    of a facet already found is skipped; every facet is still reached,
+    through an independent subset of its own vertices."""
+    d = delta.dim
+    verts = delta.vertices
+    facets = {}
+    contacts = []  # vertex bitmasks of the facets found
+    for subset in combinations(range(len(verts)), d):
+        mask = sum(1 << s for s in subset)
+        if any(mask & ~cm == 0 for cm in contacts):
+            continue
+        e, pivots = echelon([list(verts[s]) + [1] for s in subset])
+        if pivots != list(range(d)):
+            continue
+        den = lcm(*(e[i][i] for i in range(d)))
+        x = [e[i][d] * (den // e[i][i]) for i in range(d)]
+        vals = [sum(xi * vi for xi, vi in zip(x, v)) for v in verts]
+        if any(val > den for val in vals):
+            continue
+        # a supporting hyperplane of a lower-dimensional face is no facet
+        on = [i for i, val in enumerate(vals) if val == den]
+        if rank([list(verts[i]) + [1] for i in on]) < d:
+            continue
+        contacts.append(sum(1 << i for i in on))
+        g = gcd(*x)
+        facets[tuple(-xi // g for xi in x)] = Q(den, g)
+    return sorted(facets.items()), all(c == 1 for c in facets.values())
 
 
 # -- linear algebra ------------------------------------------------------------

@@ -14,7 +14,6 @@ from grasscy.qh import (
     scalar_operator,
     verify_conjecture,
 )
-from grasscy.toric import DIM_BOUND
 from grasscy.upoly import PZERO, padd, pmul
 
 import support
@@ -150,12 +149,10 @@ def test_scalar_operator_g27_order_bounded_by_dim():
     assert max(abs(c).numerator.bit_length() for c in op.terms.values()) == 31
 
 
-# every G(k,n) with 2 <= k <= n-2 that DIM_BOUND admits: twelve, up to G(3,7)
-GRASSMANNIANS = [(k, n) for n in range(4, 10) for k in range(2, n - 1) if comb(n, k) <= DIM_BOUND]
 oracle = cache(support.scalar_operator_zq_oracle)
 
 
-@pytest.mark.parametrize("k,n", GRASSMANNIANS)
+@pytest.mark.parametrize("k,n", support.GRASSMANNIANS)
 def test_scalar_operator_matches_zq_oracle(k, n):
     """The packed elimination gives the operator of the elimination on
     coefficient tuples with the content taken over Q."""

@@ -93,11 +93,28 @@ def test_cli_toric_facets_g36(capsys):
     assert out["reflexive"] is True
 
 
+def test_cli_toric_facets_g37(capsys):
+    code, out = run_cli(["toric", "3", "7", "--facets"], capsys)
+    assert code == 0
+    assert len(out["facets"]) == 35
+    assert all(f["c"] == "1" for f in out["facets"])
+    assert out["reflexive"] is True
+
+
 def test_cli_toric_facets_over_cap_is_usage_error(capsys):
-    assert main(["toric", "3", "7", "--facets"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "hull cap" in json.loads(captured.err)["error"]
+    assert main(["toric", "4", "8", "--facets"]) == 2
+    assert "C(8,4) = 70 Pluecker coordinates exceed the bound 35" in _usage_error(capsys)
+
+
+def test_cli_toric_over_cap_is_refused_before_delta_is_built(monkeypatch, capsys):
+    """Delta(2,400) has 1196 vertices of dimension 796; the cap on C(n,k)
+    refuses it without building them."""
+    def build_delta(k, n):
+        pytest.fail(f"build_delta({k}, {n}) ran")
+
+    monkeypatch.setattr(cli, "build_delta", build_delta)
+    assert main(["toric", "2", "400"]) == 2
+    assert "C(400,2) = 79800 Pluecker coordinates exceed the bound 35" in _usage_error(capsys)
 
 
 def test_cli_aseries_trivial(capsys):

@@ -2,10 +2,11 @@ from math import comb
 
 import pytest
 
-from grasscy.errors import UsageError
+from grasscy.errors import Mismatch, UsageError
 from grasscy.linalg import rank
 from grasscy.toric import (
     CYCase,
+    DeltaKN,
     binomial_equations,
     build_delta,
     degree_grassmannian,
@@ -19,6 +20,8 @@ from grasscy.toric import (
     tuple_meet,
     vertex_labels,
 )
+
+import support
 
 
 def test_vertex_counts_all_small_kn():
@@ -51,7 +54,7 @@ def test_vertex_label_order_is_stable():
     ]
 
 
-@pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (2, 6), (2, 7), (3, 6)])
+@pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (2, 6), (2, 7), (3, 6), (2, 8), (3, 7), (4, 7)])
 def test_facets_and_reflexivity(k, n):
     delta = build_delta(k, n)
     facets, reflexive = facets_and_reflexivity(delta)
@@ -67,9 +70,54 @@ def test_facets_and_reflexivity(k, n):
         assert rank(contact) == delta.dim
 
 
+EDGE_CASES = [(k, n) for n in range(2, 7) for k in sorted({1, n - 1})]
+
+
+@pytest.mark.parametrize("k,n", support.GRASSMANNIANS + EDGE_CASES)
+def test_facets_match_subset_search(k, n):
+    """The closed form lists exactly the facets the search through every
+    dim-subset of vertices finds: on the twelve G(k,n) with 2 <= k <= n-2
+    that DIM_BOUND admits, and on the projective spaces G(1,n), G(n-1,n)."""
+    delta = build_delta(k, n)
+    assert facets_and_reflexivity(delta) == support.facets_by_subset_search(delta)
+
+
 def test_facet_cap():
-    with pytest.raises(ValueError):
-        facets_and_reflexivity(build_delta(3, 7))
+    with pytest.raises(UsageError, match=r"C\(8,4\) = 70 Pluecker coordinates"):
+        facets_and_reflexivity(build_delta(4, 8))
+
+
+def _tampered(delta, vertices):
+    return DeltaKN(delta.k, delta.n, delta.labels, tuple(vertices))
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 6)])
+def test_facets_reject_a_doubled_vertex(k, n):
+    """2v breaks every up-set inequality tight at v, whichever v it is."""
+    delta = build_delta(k, n)
+    for i, v in enumerate(delta.vertices):
+        verts = list(delta.vertices)
+        verts[i] = tuple(2 * x for x in v)
+        with pytest.raises(Mismatch, match="minimum -2 over the vertices"):
+            facets_and_reflexivity(_tampered(delta, verts))
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 6)])
+def test_facets_reject_a_dropped_vertex(k, n):
+    delta = build_delta(k, n)
+    for i in range(len(delta.vertices)):
+        verts = delta.vertices[:i] + delta.vertices[i + 1:]
+        with pytest.raises(Mismatch, match="vertices, got"):
+            facets_and_reflexivity(_tampered(delta, verts))
+
+
+def test_facets_reject_a_vertex_off_its_facets():
+    """The first vertex, e_11, moved to the origin keeps the vertex count and
+    every inequality, but the facets through it lose their contact rank."""
+    delta = build_delta(2, 4)
+    verts = ((0,) * delta.dim,) + delta.vertices[1:]
+    with pytest.raises(Mismatch, match="contact rank 3, dimension 4"):
+        facets_and_reflexivity(_tampered(delta, verts))
 
 
 def test_binomial_equation_counts():
