@@ -16,8 +16,7 @@ which goes first, so both see the same machine drift.  Recorded:
   same values;
 - the in-process seconds of `toric.facets_and_reflexivity` on each of
   FACET_CASES (median over STAGE_RUNS processes), and whether both trees
-  list the same facets; and on FACET_CASES_AFTER, on the after tree only,
-  since a tree with the subset search refuses dimension k(n-k) above 10;
+  list the same facets;
 - the wall time of `python -m grasscy.cli verify-all --count COUNT` (median
   and quartiles over CLI_RUNS processes), and whether its report, apart
   from `seconds`, is the same for both trees;
@@ -144,8 +143,7 @@ for k, n in json.loads(sys.argv[1]):
     values[f"G{k}{n}"] = [reflexive] + [[list(m), str(c)] for m, c in facets]
 print(json.dumps({"times": times, "values": values}))
 """
-FACET_CASES = [(2, 4), (2, 5), (2, 6), (2, 7), (3, 6)]
-FACET_CASES_AFTER = [(2, 8), (3, 7)]
+FACET_CASES = [(2, 4), (2, 5), (2, 6), (2, 7), (3, 6), (2, 8), (3, 7)]
 
 # One fresh process: `import grasscy` plus `registry_load()`, timed from
 # inside.  Prints the seconds.
@@ -215,8 +213,7 @@ def main() -> int:
             stage_runs[side].append(json.loads(out))
             _, out = run([py, "-c", CT_CHILD], trees[side])
             ct_runs[side].append(json.loads(out))
-            cases = FACET_CASES + (FACET_CASES_AFTER if side == "after" else [])
-            _, out = run([py, "-c", FACET_CHILD, json.dumps(cases)], trees[side])
+            _, out = run([py, "-c", FACET_CHILD, json.dumps(FACET_CASES)], trees[side])
             facet_runs[side].append(json.loads(out))
     for i in range(CLI_RUNS):
         for side in (list(trees) if i % 2 == 0 else list(reversed(trees))):

@@ -181,6 +181,7 @@ def cmd_instanton(args) -> int:
 
 
 def cmd_lax(args) -> int:
+    check_pluecker_count(args.r, args.s)  # before the polynomial, whose size grows with r(s-r)
     with _parsing("--q", args.q):
         q = None if args.q is None else Q(args.q)
     g = lax_operator(args.r, args.s, q=q, track_q=q is None)
@@ -205,6 +206,7 @@ def cmd_period(args) -> int:
 
 
 def cmd_mirror_system(args) -> int:
+    check_pluecker_count(args.k, args.n)  # before the system, whose size grows with k(n-k)
     degrees = _parse_degrees(args.degrees)
     if args.partition:
         with _parsing("--partition", args.partition):

@@ -9,12 +9,12 @@ term, where "leading" means highest D-degree, then lowest z-degree.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, isqrt
 
 from .errors import Mismatch, UsageError
 from .linalg import nullspace
 from .record import record
-from .series import LogSeries, PowerSeries, Q, _over_common_den, qstr
+from .series import LogSeries, PowerSeries, Q, over_common_den, qstr
 
 ZERO = Q(0)
 GUARD = 10  # rows beyond the unknowns that certify a fitted operator
@@ -128,16 +128,12 @@ class DOp:
         """Primitive integer coefficients, leading term positive."""
         if not self.terms:
             return self
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
-        scale = Q(den, num)
+        ints, _ = over_common_den(list(self.terms.values()))
+        g = gcd(*ints)
         lead = min(self.terms, key=lambda k: (-k[1], k[0]))
         if self.terms[lead] < 0:
-            scale = -scale
-        return DOp({k: c * scale for k, c in self.terms.items()})
+            g = -g
+        return DOp({k: x // g for k, x in zip(self.terms, ints)})
 
     # -- action ---------------------------------------------------------------
 
@@ -160,8 +156,8 @@ class DOp:
         # [P f]_m = sum_i p_i(m - i) f_(m-i), in integers over the two
         # common denominators, divided once
         n = f.trunc
-        C, dc = _over_common_den(list(self.terms.values()))
-        F, df = _over_common_den(f.coeffs)
+        C, dc = over_common_den(list(self.terms.values()))
+        F, df = over_common_den(f.coeffs)
         polys: dict[int, list[int]] = {}  # z-degree i -> coefficients of p_i(D)
         for (i, j), c in zip(self.terms, C):
             polys.setdefault(i, [0] * (self.order + 1))[j] = c
@@ -265,8 +261,7 @@ def _lift_kernel(echelon: dict[int, list[int]], rows: list[list[int]]) -> list[i
     lifted = [_rational_mod_p(x) for x in _kernel_mod_p(echelon, len(rows[0]))[0]]
     if None in lifted:
         return None
-    den = lcm(*(x.denominator for x in lifted))
-    ints = [x.numerator * (den // x.denominator) for x in lifted]
+    ints, _ = over_common_den(lifted)
     if any(sum(a * b for a, b in zip(row, ints)) for row in rows):
         return None
     return ints
@@ -305,10 +300,10 @@ def pf_fit(f: PowerSeries, max_order: int, max_zdeg: int, guard: int = GUARD) ->
     b = f.coeffs
     system = []  # row m: column (i, j) at index i * (max_order + 1) + j
     for m in range(f.trunc + 1):
-        den = lcm(*(b[m - i].denominator for i in range(min(m, max_zdeg) + 1)))
+        window, _ = over_common_den(b[max(0, m - max_zdeg): m + 1])  # b_(m-i) at [-1-i]
         row = []
         for i in range(max_zdeg + 1):
-            x = b[m - i].numerator * (den // b[m - i].denominator) if m >= i else 0
+            x = window[-1 - i] if m >= i else 0
             row.extend(x * (m - i) ** j for j in range(max_order + 1))
         system.append(row)
     system_p = [[x % SCREEN_PRIME for x in row] for row in system]

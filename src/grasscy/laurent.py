@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from math import lcm
-
 from .errors import UsageError
 from .record import record
-from .series import Q, qstr, require_keys
+from .series import Q, over_common_den, qstr, require_keys
 
 ZERO = Q(0)
 
@@ -155,7 +153,7 @@ def ct_by_param_degree(L: LaurentPoly, powers, nparams: int = 0, bound: int = 0)
         raise UsageError("power must be non-negative")
     top = max(powers, default=0)
     n = L.nvars
-    den = lcm(*(c.denominator for c in L.terms.values()))
+    coeffs, den = over_common_den(list(L.terms.values()))
     # per factor a coordinate moves by at most +up / -down (down is 0 on the
     # parameters); after t factors a torus coordinate must lie where the
     # M - t factors left can bring it back to 0
@@ -176,7 +174,7 @@ def ct_by_param_degree(L: LaurentPoly, powers, nparams: int = 0, bound: int = 0)
     neg = 2 * (guard & tmask)  # key(-e) on the torus lanes is neg - (key(e) & tmask)
     pguard = guard & pmask
     pcap = pack([0] * nv + [bound] * nparams) + 2 * pguard  # t <= bound test
-    terms = [(pack(e), c.numerator * (den // c.denominator)) for e, c in L.terms.items()]
+    terms = [(pack(e), c) for e, c in zip(L.terms, coeffs)]
 
     def box(left: int) -> tuple[int, int]:
         """-pack(lo) and pack(hi) + 2 OFF for the box of `left` factors left."""

@@ -27,10 +27,13 @@ def lax_operator(r: int, s: int, q=None, track_q: bool = True) -> LaurentPoly:
     In the variables X_[a,b] = f_(b,a) this is X_[1,1] +
     sum X_[a,b]^{-1}(X_[a+1,b] + X_[a,b+1]) + q X_[s-r,r]^{-1}.  With
     track_q the exponent vectors get one extra coordinate recording the
-    power of q; otherwise q must be a rational.
+    power of q, and q must not be given; otherwise q is a rational
+    (default 1).
     """
     if not (1 <= r < s):
         raise UsageError(f"need 1 <= r < s, got ({r},{s})")
+    if track_q and q is not None:
+        raise UsageError(f"q = {q} is given, but track_q keeps q as a variable")
     *labels, last = vertex_labels(r, s)
     pad = (0,) if track_q else ()
     terms = {vertex_vector(r, s, lab) + pad: Q(1) for lab in labels}

@@ -4,7 +4,9 @@ solve, nullspace and rank."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+
+from .series import over_common_den
 
 Q = Fraction
 
@@ -15,9 +17,7 @@ def _integer_row(r) -> list[int]:
     if all(type(x) is int for x in r):
         ints = list(r)
     else:
-        r = [Q(x) for x in r]
-        den = lcm(*(x.denominator for x in r))
-        ints = [x.numerator * (den // x.denominator) for x in r]
+        ints, _ = over_common_den([Q(x) for x in r])
     g = gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
 

@@ -53,49 +53,53 @@ def _taylor_jet(coeffs: list[int], base: int, L: int) -> list[int]:
             for t in range(L)]
 
 
-def frobenius_basis(P: DOp, order_n: int) -> list[LogSeries]:
-    """All `order` Frobenius solutions at the MUM point, log degree 0..order-1.
+def _frobenius_jets(P: DOp, order_n: int, J: int) -> list[list[Q]]:
+    """A_0..A_order_n of the deformed recurrence as jets modulo eps^J,
+    1 <= J <= L = order: P's solutions are the eps^j coefficients of
+    z^eps * sum A_m(eps) z^m, j < L, and reduction modulo eps^J is a ring
+    map, so the first J entries of every jet are exact.
 
-    Works with the deformed recurrence in eps (A_m as jets modulo
-    eps^L, L = order); the j-th solution collects the eps^j coefficient of
-    z^eps * sum A_m(eps) z^m.  The recurrence runs in integers: with P's
-    denominators cleared its z^0 part is c D^L, whose inverse at D = m + eps
-    is (1/c) sum_t (-1)^t C(L+t-1, t) m^(-L-t) eps^t, and
-    A_m = N_m / S_m with integer jets N_m and S_m = c^m (m!)^(2L-1), so
-    that S_(m-i) divides S_m.
+    The recurrence runs in integers: with P's denominators cleared its z^0
+    part is c D^L, whose inverse at D = m + eps is
+    (1/c) sum_t (-1)^t C(L+t-1, t) m^(-L-t) eps^t, and A_m = N_m / S_m with
+    integer jets N_m and S_m = c^m (m!)^(2L-1), so that S_(m-i) divides S_m.
     """
     _check_mum(P)
     L = P.order
+    if J > L:
+        raise NotMUM(f"operator order must be >= {J}")
     zd = P.zdeg
     P = P.canonical()  # integer coefficients; a scalar multiple has the same solutions
     pi = [[c.numerator for c in P.coeff_poly(i)] for i in range(zd + 1)]
     c0 = pi[0][L]
     e = 2 * L - 1
-    N = [[1] + [0] * (L - 1)]  # A_0 = 1
+    N = [[1] + [0] * (J - 1)]  # A_0 = 1
     S = [1]
     for m in range(1, order_n + 1):
         # rhs = S_(m-1) sum_{i>=1} p_i(m-i+eps) A_(m-i), then
         # A_m = -rhs m^(2L-1) (m+eps)^(-L) / (c m^(2L-1) S_(m-1))
-        rhs = [0] * L
+        rhs = [0] * J
         ratio = 1  # S_(m-1) / S_(m-i) = c^(i-1) ((m-1)!/(m-i)!)^(2L-1)
         for i in range(1, min(m, zd) + 1):
             if i > 1:
                 ratio *= c0 * (m - i + 1) ** e
-            p, a = _taylor_jet(pi[i], m - i, L), N[m - i]
-            for t in range(L):
+            p, a = _taylor_jet(pi[i], m - i, J), N[m - i]
+            for t in range(J):
                 rhs[t] += ratio * sum(p[k] * a[t - k] for k in range(t + 1))
-        inv = [(-1) ** t * comb(L + t - 1, t) * m ** (L - 1 - t) for t in range(L)]
-        N.append([-sum(rhs[k] * inv[t - k] for k in range(t + 1)) for t in range(L)])
+        inv = [(-1) ** t * comb(L + t - 1, t) * m ** (L - 1 - t) for t in range(J)]
+        N.append([-sum(rhs[k] * inv[t - k] for k in range(t + 1)) for t in range(J)])
         S.append(S[-1] * c0 * m**e)
-    jets = [[Q(x, s) for x in jet] for jet, s in zip(N, S)]
+    return [[Q(x, s) for x in jet] for jet, s in zip(N, S)]
 
-    sols = []
-    for j in range(L):
-        comps = []
-        for i in range(j + 1):
-            comps.append(PowerSeries("z", tuple(jet[j - i] for jet in jets)))
-        sols.append(LogSeries(tuple(comps)))
-    return sols
+
+def frobenius_basis(P: DOp, order_n: int) -> list[LogSeries]:
+    """All `order` Frobenius solutions at the MUM point, log degree
+    0..order-1: the j-th collects the eps^j coefficient of the full jets."""
+    L = P.order
+    jets = _frobenius_jets(P, order_n, L)
+    return [LogSeries(tuple(PowerSeries("z", tuple(jet[j - i] for jet in jets))
+                            for i in range(j + 1)))
+            for j in range(L)]
 
 
 @record
@@ -105,13 +109,11 @@ class FrobeniusPair:
 
 
 def frobenius(P: DOp, order_n: int) -> FrobeniusPair:
-    basis = frobenius_basis(P, order_n)
-    if len(basis) < 2:
-        raise NotMUM("operator order must be >= 2")
-    phi0 = basis[0].component(0)
-    psi = basis[1].component(0)
-    if basis[1].component(1) != phi0:
-        raise NotMUM("the log coefficient of the first log solution differs from phi0")
+    """phi0 and psi from the jets modulo eps^2: the log coefficient of
+    Phi_1 is phi0 by construction."""
+    jets = _frobenius_jets(P, order_n, 2)
+    phi0 = PowerSeries("z", tuple(jet[0] for jet in jets))
+    psi = PowerSeries("z", tuple(jet[1] for jet in jets))
     return FrobeniusPair(phi0, psi)
 
 
@@ -151,18 +153,20 @@ def yukawa_z(P: DOp, n0: int, order_n: int) -> PowerSeries:
     return PowerSeries("z", tuple(K))
 
 
+def _flat_weight(fp: FrobeniusPair) -> tuple[PowerSeries, PowerSeries]:
+    """(theta t, phi0^2 (theta t)^3) in z, for t = log z + psi/phi0 the flat
+    coordinate and theta = z d/dz, so theta t = 1 + theta(psi/phi0).  The
+    coupling pushed to t is K_z / (phi0^2 (theta t)^3)."""
+    dt = 1 + (fp.psi / fp.phi0).theta()
+    return dt, fp.phi0 * fp.phi0 * dt * dt * dt
+
+
 def yukawa_q(kz3: PowerSeries, fp: FrobeniusPair, maps: MirrorMap) -> PowerSeries:
-    """Push the coupling to the flat coordinate:
-    K_q(q) = [K_z / phi0^2](z(q)) * (q z'(q)/z(q))^3."""
-    n = min(kz3.trunc, fp.phi0.trunc, maps.z_of_q.trunc)
-    base = kz3.truncate(n) / (fp.phi0.truncate(n) * fp.phi0.truncate(n))
-    zq = maps.z_of_q.truncate(n)
-    in_q = series_compose(base, zq)
-    # q z'(q) / z(q): both numerator and denominator are divisible by q
-    num = PowerSeries("q", tuple(Q(m) * c for m, c in enumerate(zq.coeffs))[1:])
-    den = PowerSeries("q", zq.coeffs[1:])
-    factor = num / den
-    return in_q * factor * factor * factor
+    """Push the coupling to the flat coordinate in one composition: since
+    q z'(q)/z(q) = 1/(theta t)(z(q)),
+    K_q(q) = [K_z / phi0^2](z(q)) (q z'(q)/z(q))^3 = [K_z / (phi0^2 (theta t)^3)](z(q)).
+    Its truncation is the least of its inputs'."""
+    return series_compose(kz3 / _flat_weight(fp)[1], maps.z_of_q)
 
 
 def extract_instantons(kq3: PowerSeries, count: int) -> list[int]:
@@ -196,9 +200,9 @@ def normal_form_check(P: DOp, kz3: PowerSeries, order_n: int) -> bool:
     basis = frobenius_basis(P, order_n)
     phi0 = basis[0].component(0)
     inv_phi0 = phi0.reciprocal()
-    dt = 1 + (basis[1].component(0) * inv_phi0).theta()
+    dt, weight = _flat_weight(FrobeniusPair(phi0, basis[1].component(0)))
     inv_dt = dt.reciprocal()
-    inv_k = phi0 * phi0 * dt * dt * dt / kz3
+    inv_k = weight / kz3
 
     def d_t(f: LogSeries) -> LogSeries:
         return f.theta() * inv_dt

@@ -5,11 +5,11 @@ Frobenius pair -> mirror map -> Yukawa coupling -> instanton numbers.
 No truncation is stored; each follows from the request:
 - the A-series runs to the fit bound (max_order+1)(max_zdeg+1)+guard
   (`dop.fit_trunc`), with max_order 4 and the case's pf_max_zdeg;
-- the Frobenius pair, mirror map and K_q run to count + 1:
-  `extract_instantons` reads K_q to degree count, and pushing K_z to the
-  flat coordinate loses one degree;
-- K_z runs to max(12, count + 1): 12 is the order of the K_z fixtures,
-  and the report prints K_z to that order.
+- the Frobenius pair, the mirror map and K_q run to count, the degree to
+  which `extract_instantons` reads K_q; K_q keeps the truncation of its
+  inputs;
+- K_z runs to max(12, count + 1), the order the report prints it to; 12
+  is the order of the K_z fixtures.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ def run_case(rc: RegistryCase, count: int = 5) -> RunReport:
     case = rc.case
     order = max(KZ_ORDER, count + 1)
     op = fit_operator(rc)
-    fp = frobenius(op, count + 1)
+    fp = frobenius(op, count)
     maps = mirror_map(fp)
     kz3 = yukawa_z(op, case.n0, order)
     fixture = rational_series(rc.kz3_numerator, rc.kz3_denominator, "z", order)

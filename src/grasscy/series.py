@@ -44,7 +44,7 @@ def _coerce(values: Iterable) -> tuple[Q, ...]:
     return tuple(v if type(v) is Q else Q(v) for v in values)
 
 
-def _over_common_den(coeffs) -> tuple[list[int], int]:
+def over_common_den(coeffs) -> tuple[list[int], int]:
     """(ints, den) with coeffs[i] = ints[i] / den, den the lcm of the
     denominators: the inner loops of the series kernels run on ints."""
     den = lcm(*(c.denominator for c in coeffs))
@@ -134,8 +134,8 @@ class PowerSeries:
         if isinstance(other, PowerSeries):
             self._check(other)
             n = min(self.trunc, other.trunc)
-            A, da = _over_common_den(self.coeffs[: n + 1])
-            B, db = _over_common_den(other.coeffs[: n + 1])
+            A, da = over_common_den(self.coeffs[: n + 1])
+            B, db = over_common_den(other.coeffs[: n + 1])
             out = [0] * (n + 1)
             for i, a in enumerate(A):
                 if a:
@@ -178,7 +178,7 @@ class PowerSeries:
             raise SeriesDomainError("reciprocal needs a nonzero constant term")
         # self = A / D, so 1/self = D * sum_m B_m x^m / A_0^(m+1) with
         # B_0 = 1, B_m = -sum_{j>=1} A_j A_0^(j-1) B_(m-j)
-        A, D = _over_common_den(self.coeffs)
+        A, D = over_common_den(self.coeffs)
         a0 = A[0]
         weights = _weights(A, a0)
         B = [1]
@@ -203,7 +203,7 @@ def series_exp(a: PowerSeries) -> PowerSeries:
     # m E_m = sum_{j=1..m} j a_j E_(m-j); with a = A / D and
     # E_m = X_m / (m! D^m) this is
     # X_m = sum_j j A_j D^(j-1) (m-1)!/(m-j)! X_(m-j), all in integers
-    A, D = _over_common_den(a.coeffs)
+    A, D = over_common_den(a.coeffs)
     weights = _weights(A, D)
     X = [1]
     out = [ONE]
@@ -228,8 +228,8 @@ def series_compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     n = min(f.trunc, g.trunc)
     # f = F / E and g = G / D with F, G integral; Horner in integers,
     # acc <- acc G + F_m D^(n-m), ends at E D^n f(g)
-    F, E = _over_common_den(f.coeffs[: n + 1])
-    G, D = _over_common_den(g.coeffs[: n + 1])
+    F, E = over_common_den(f.coeffs[: n + 1])
+    G, D = over_common_den(g.coeffs[: n + 1])
     acc = [F[n]] + [0] * n
     dpow = 1
     for m in range(n - 1, -1, -1):
@@ -253,7 +253,7 @@ def series_revert(a: PowerSeries) -> PowerSeries:
     n = a.trunc
     h = PowerSeries(a.var, a.coeffs[1:]).reciprocal().coeffs  # degrees 0..n-1
     # h = H / den with H integral, so h^m = power / den^m in integers
-    H, den = _over_common_den(h)
+    H, den = over_common_den(h)
     g = [ZERO] * (n + 1)
     power, scale = H, den
     for m in range(1, n + 1):

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .errors import Mismatch, UsageError
 from .linalg import rank
@@ -16,7 +16,8 @@ Label = tuple[str, int, int]  # ("u"|"v", i, j)
 
 # the binomial equations, the facets of Delta(k,n) and the quantum
 # cohomology matrix are indexed by the C(n,k) Pluecker coordinates; this
-# caps their count
+# caps their count, and with it the vertex data of Delta(k,n) that the Lax
+# polynomial and the mirror system are built on
 DIM_BOUND = 35  # covers G(2,7) and G(3,7)
 
 
@@ -26,9 +27,19 @@ def _check_kn(k: int, n: int):
 
 
 def check_pluecker_count(k: int, n: int):
+    """Reject C(n,k) > DIM_BOUND.  The count is built up as C(n,i), i = 1..
+    min(k, n-k), and named in the error only while it has at most 1024 bits:
+    C(2000000, 1000000) takes over a minute to compute whole, and has more
+    digits than an int may be printed with."""
     _check_kn(k, n)
-    if comb(n, k) > DIM_BOUND:
-        raise UsageError(f"C({n},{k}) = {comb(n, k)} Pluecker coordinates exceed "
+    count = 1
+    for i in range(min(k, n - k)):
+        count = count * (n - i) // (i + 1)  # C(n, i+1)
+        if count.bit_length() > 1024:
+            raise UsageError(f"C({n},{k}) > 2^1024 Pluecker coordinates exceed "
+                             f"the bound {DIM_BOUND}")
+    if count > DIM_BOUND:
+        raise UsageError(f"C({n},{k}) = {count} Pluecker coordinates exceed "
                          f"the bound {DIM_BOUND}")
 
 

@@ -20,7 +20,7 @@ from grasscy.dop import (
 )
 from grasscy.laurent import LaurentPoly
 from grasscy.linalg import echelon, nullspace, rank
-from grasscy.mirror_analysis import FrobeniusPair, frobenius_basis, mirror_map
+from grasscy.mirror_analysis import FrobeniusPair, MirrorMap, frobenius_basis, mirror_map
 from grasscy.qh import NoDependence, build_qh_matrix, next_functional
 from grasscy.series import LogSeries, PowerSeries, SeriesDomainError, series_compose, series_exp
 from grasscy.toric import DIM_BOUND
@@ -206,6 +206,23 @@ def frobenius_basis_oracle(P, order_n: int) -> list:
         LogSeries(tuple(PowerSeries("z", tuple(jet[j - i] for jet in jets)) for i in range(j + 1)))
         for j in range(L)
     ]
+
+
+# -- Yukawa coupling in the flat coordinate, by products in q ------------------
+
+
+def yukawa_q_oracle(kz3: PowerSeries, fp: FrobeniusPair, maps: MirrorMap) -> PowerSeries:
+    """K_q(q) = [K_z / phi0^2](z(q)) (q z'(q)/z(q))^3 with the last factor
+    formed in q, as the quotient of two series divisible by q; known to one
+    degree less than its inputs."""
+    n = min(kz3.trunc, fp.phi0.trunc, maps.z_of_q.trunc)
+    base = kz3.truncate(n) / (fp.phi0.truncate(n) * fp.phi0.truncate(n))
+    zq = maps.z_of_q.truncate(n)
+    in_q = series_compose(base, zq)
+    num = PowerSeries("q", tuple(Q(m) * c for m, c in enumerate(zq.coeffs))[1:])
+    den = PowerSeries("q", zq.coeffs[1:])
+    factor = num / den
+    return in_q * factor * factor * factor
 
 
 # -- Yukawa coupling through the d/dz form --------------------------------------

@@ -65,6 +65,13 @@ def test_lax_tracked_q_coordinate():
     assert len(qterms) == 1
 
 
+def test_lax_rejects_q_while_tracking_it():
+    """A fixed q beside track_q=True would be dropped; it is refused instead."""
+    with pytest.raises(UsageError, match="track_q"):
+        lax_operator(2, 4, q=3)
+    assert lax_operator(2, 4, q=3, track_q=False).terms[vertex_vector(2, 4, ("v", 2, 2))] == 3
+
+
 def test_ct_powers_projective_line():
     # L = x + q/x: CT(L^(2m)) = C(2m, m)
     from math import comb

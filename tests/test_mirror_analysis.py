@@ -24,6 +24,7 @@ from support import (
     frobenius_basis_oracle,
     normal_form_check_q_oracle,
     rationals,
+    yukawa_q_oracle,
     yukawa_z_ddz_oracle,
 )
 
@@ -76,6 +77,23 @@ def test_frobenius_basis_matches_jet_oracle(P, order_n):
             assert a.coeffs == b.coeffs
 
 
+@settings(max_examples=100, deadline=None)
+@given(mum_operators().filter(lambda P: P.order >= 2), st.integers(min_value=0, max_value=8))
+def test_frobenius_pair_is_the_head_of_the_basis(P, order_n):
+    """The pair from jets modulo eps^2 is component 0 of the first two
+    solutions of the full basis."""
+    fp, basis = frobenius(P, order_n), frobenius_basis(P, order_n)
+    assert fp.phi0 == basis[0].component(0)
+    assert fp.psi == basis[1].component(0)
+
+
+def test_frobenius_checks_mum_before_the_order():
+    with pytest.raises(NotMUM, match=r"z\^0 part contains D\^0"):
+        frobenius(D + 1 - z, 5)
+    with pytest.raises(NotMUM, match="operator order must be >= 2"):
+        frobenius(D - z, 5)
+
+
 def test_frobenius_holomorphic_solution():
     fp = frobenius(QUARTIC, 10)
     assert fp.phi0 == quartic_phi(10)
@@ -119,6 +137,22 @@ mum_order_4 = st.tuples(
 @given(mum_order_4, st.integers(1, 20), st.integers(0, 8))
 def test_yukawa_z_matches_ddz_route(P, n0, order_n):
     assert yukawa_z(P, n0, order_n) == yukawa_z_ddz_oracle(P, n0, order_n)
+
+
+@pytest.mark.parametrize("name", sorted(registry_load()))
+def test_yukawa_q_matches_the_q_side_product(name):
+    """On every registry case at count 30, with the truncations `run_case`
+    uses: K_q by one composition in z keeps the truncation count, and equals
+    the q-side product, run one degree further, on degrees 0..count."""
+    count = 30
+    rc = registry_load()[name]
+    op = fit_operator(rc)
+    kz = yukawa_z(op, rc.case.n0, count + 1)
+    fp = frobenius(op, count)
+    kq = yukawa_q(kz, fp, mirror_map(fp))
+    assert kq.trunc == count
+    fp1 = frobenius(op, count + 1)
+    assert kq.coeffs == yukawa_q_oracle(kz, fp1, mirror_map(fp1)).coeffs[: count + 1]
 
 
 def test_extract_instantons_lambert_inversion():

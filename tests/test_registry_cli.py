@@ -214,6 +214,12 @@ def _usage_error(capsys) -> str:
     (["pf-fit", "--series", SERIES, "--max-order", "4", "--max-degree", "1", "--guard", "-5"],
      FIT_BOUNDS),
     (["toric", "5", "12"], "C(12,5) = 792 Pluecker coordinates exceed the bound 35"),
+    (["lax", "4", "8"], "C(8,4) = 70 Pluecker coordinates exceed the bound 35"),
+    (["lax", "100", "200"], "Pluecker coordinates exceed the bound 35"),
+    (["mirror-system", "40", "80", "--degrees", "80"],
+     "Pluecker coordinates exceed the bound 35"),
+    (["toric", "1000000", "2000000"],
+     "C(2000000,1000000) > 2^1024 Pluecker coordinates exceed the bound 35"),
 ])
 def test_cli_bad_input_is_usage_error(capsys, series_file, argv, message):
     """Rejected before any computation: exit 2, nothing on stdout, one JSON
