@@ -200,23 +200,63 @@ def fit_trunc(max_order: int, max_zdeg: int, guard: int = GUARD) -> int:
 def _echelon_mod_p(rows: list[list[int]], ncols: int) -> dict[int, list[int]]:
     """Echelon basis modulo SCREEN_PRIME of rows already reduced modulo it:
     pivot column -> row, 1 at the pivot and 0 left of it.  Stops adding
-    rows once the rank is `ncols`."""
+    rows once the rank is `ncols`.
+
+    A row is one integer with a lane of `width` bytes per column, shifted
+    down a lane as each column is cleared, so the column being read is
+    always lane 0.  Clearing it against the pivot row b of that column is
+    one multiply-add R += x (P - b), with x lane 0 modulo p and P holding p
+    in every lane: each lane gains x (p - b) >= 0, so none borrows, and
+    lane 0 becomes 0 modulo p.  Only lane 0 is reduced.  A lane starts
+    below p < 2^61 and gains less than 2^122 at each of at most ncols
+    steps, so 8 width >= 123 + bits(ncols) keeps the lanes apart."""
+    p = SCREEN_PRIME
+    width = (123 + ncols.bit_length() + 7) // 8
+    shift = 8 * width
+    mask = (1 << shift) - 1
+    echelon: dict[int, list[int]] = {}
+    negated: dict[int, int] = {}  # pivot column c -> P - (its row from c on), packed
+    for row in rows:
+        if not any(row):
+            continue
+        R = int.from_bytes(b"".join(x.to_bytes(width, "little") for x in row), "little")
+        for c in range(ncols):
+            if not R:
+                break
+            x = (R & mask) % p
+            if x:
+                prow = negated.get(c)
+                if prow is None:
+                    inv = pow(x, -1, p)
+                    buf = R.to_bytes((ncols - c) * width, "little")
+                    lanes = [int.from_bytes(buf[t:t + width], "little") * inv % p
+                             for t in range(0, len(buf), width)]
+                    echelon[c] = [0] * c + lanes
+                    if len(echelon) == ncols:
+                        return echelon
+                    negated[c] = int.from_bytes(
+                        b"".join((p - y).to_bytes(width, "little") for y in lanes), "little")
+                    break
+                R += x * prow
+            R >>= shift
+    return echelon
+
+
+def _rank_mod_p(rows: list[list[int]]) -> int:
+    """Rank modulo SCREEN_PRIME of a few short rows reduced modulo it."""
     p = SCREEN_PRIME
     echelon: dict[int, list[int]] = {}
     for row in rows:
-        for c in range(ncols):
-            x = row[c]
+        for c, x in enumerate(row):
             if not x:
                 continue
             prow = echelon.get(c)
             if prow is None:
                 inv = pow(x, -1, p)
                 echelon[c] = [y * inv % p for y in row]
-                if len(echelon) == ncols:
-                    return echelon
                 break
             row = [(a - x * b) % p for a, b in zip(row, prow)]
-    return echelon
+    return len(echelon)
 
 
 def _kernel_mod_p(echelon: dict[int, list[int]], ncols: int) -> list[list[int]]:
@@ -320,7 +360,7 @@ def pf_fit(f: PowerSeries, max_order: int, max_zdeg: int, guard: int = GUARD) ->
         index = [i * (max_order + 1) + j for i, j in cols]
         inside = set(index)
         outside = [t for t in range(ncols) if t not in inside]
-        if len(_echelon_mod_p([[v[t] for t in outside] for v in kernel], len(outside))) == len(kernel):
+        if _rank_mod_p([[v[t] for t in outside] for v in kernel]) == len(kernel):
             continue
         k = len(cols)
         echelon = grid if k == ncols else _echelon_mod_p(

@@ -14,7 +14,9 @@ is held densely, as a list of weights; the others key a dict.  A value
 read for the last time is summed out of a whole list at once by Kronecker
 substitution: sum_v w_v C(v, s) is digit s of the big integer
 sum_v w_v (1 + X)^v for X = 2^W large enough that no digit carries.  The
-cell no later cell reads is summed in closed form by Vandermonde.
+cell no later cell reads is summed in closed form by Vandermonde; on the
+grids of at most 2 x 2 cells, the corner (1,1) is summed out together
+with its neighbours (1,2) and (2,1), in closed form over their values.
 Listing every grid assignment is kept for the multivariate series, which
 needs each assignment's exponent vector.
 """
@@ -99,20 +101,31 @@ def _frontiers(k: int, n: int):
     slots of the cell's `up` and `right` neighbours (None outside the
     grid, where the value is m), the state slots a later cell still reads,
     and whether a later cell reads the new value.  The kept slots followed
-    by the new value, when kept, form the next state."""
-    pos = _grid_positions(k, n)
+    by the new value, when kept, form the next state.
+
+    When (1,3) and (3,1) lie outside the grid (k <= 3 and n - k <= 3), the
+    corner (1,1) is the only reader of its neighbours (1,2) and (2,1), and
+    they are summed out with it: they get no step of their own, and the
+    corner's step names such a neighbour by the pair of slots of its own
+    up and right neighbours instead of by one slot."""
+    inside = lambda i, j: i <= k - 1 and j <= n - k - 1
+    parents = lambda i, j: ((i + 1, j), (i, j + 1))
+    folded = [c for c in ((1, 2), (2, 1)) if inside(*c)] if k <= 3 and n - k <= 3 else []
+    pos = [c for c in _grid_positions(k, n) if c not in folded]
     last_read = {}
-    for idx, (i, j) in enumerate(pos):
-        for cell in ((i + 1, j), (i, j + 1)):
-            if cell[0] <= k - 1 and cell[1] <= n - k - 1:
-                last_read[cell] = idx
+    for idx, cell in enumerate(pos):
+        for nb in parents(*cell):
+            for read in parents(*nb) if nb in folded else (nb,):
+                if inside(*read):
+                    last_read[read] = idx
     steps = []
     live: list[tuple[int, int]] = []
     for idx, (i, j) in enumerate(pos):
-        slot = {cell: t for t, cell in enumerate(live)}
+        slot = {cell: t for t, cell in enumerate(live)}.get
+        name = lambda nb: tuple(map(slot, parents(*nb))) if nb in folded else slot(nb)
         keep = tuple(t for t, cell in enumerate(live) if last_read[cell] > idx)
         kept_new = last_read.get((i, j), -1) > idx
-        steps.append((slot.get((i + 1, j)), slot.get((i, j + 1)), keep, kept_new))
+        steps.append((name((i + 1, j)), name((i, j + 1)), keep, kept_new))
         live = [live[t] for t in keep] + ([(i, j)] if kept_new else [])
     return steps
 
@@ -141,10 +154,22 @@ def _transfer_sum(steps, m: int, binom: list[list[int]], vand: list[list[int]]) 
     A dropped neighbour held in a key slot is first brought to the dense
     position by transposing the block of states that differ only there.
     The last cell, which no later cell reads, is summed out by Vandermonde,
-    sum_s C(u, s) C(r, s) = C(u + r, u): one dot product per state."""
+    sum_s C(u, s) C(r, s) = C(u + r, u): one dot product per state.  A
+    corner whose neighbours are summed out with it (a slot pair in its step)
+    is sum_s g_up(s) g_right(s) per (state, value), where g is C(v, s) for
+    a neighbour of value v and `_folded` for a summed-out one."""
     states: dict[tuple, list[int]] = {(): [1]}
     live = 0  # frontier length; the newest value is in slot live - 1
     for up_slot, right_slot, keep, kept_new in steps:
+        if tuple in (type(up_slot), type(right_slot)):
+            # the corner, the last step: it keeps nothing
+            last = 0
+            for key, row in states.items():
+                for v, w in enumerate(row):
+                    x = key + (v,) if live else key
+                    g_up, g_right = (_folded(nb, x, m, binom, vand) for nb in (up_slot, right_slot))
+                    last += w * sum(map(mul, g_up, g_right))
+            return last
         dense = live - 1 if live else None
         dropped = [t for t in (up_slot, right_slot) if t is not None and t not in keep]
         nxt: dict[tuple, list[int]] = {}
@@ -196,6 +221,18 @@ def _transfer_sum(steps, m: int, binom: list[list[int]], vand: list[list[int]]) 
                              _digits_times(sum(map(mul, col, ys)), width, binom[o]))
         states, live = nxt, len(keep) + 1
     return states[()][0]
+
+
+def _folded(nb, x: tuple, m: int, binom: list[list[int]], vand: list[list[int]]) -> list[int]:
+    """The corner's weights over its value s from the neighbour `nb` of
+    state x: C(v, s) for a neighbour of value v (its slot, or None for m),
+    and for a neighbour summed out with the corner (the slot pair of its
+    parents, of values u and r) F(u, r, s) = sum_y C(u, y) C(r, y) C(y, s)
+    = C(u, s) C(u + r - s, u), which is 0 for s > min(u, r)."""
+    if type(nb) is not tuple:
+        return binom[m if nb is None else x[nb]]
+    u, r = (m if t is None else x[t] for t in nb)
+    return list(map(mul, binom[u], vand[u][r::-1]))
 
 
 def _digits_times(t: int, width: int, brow: list[int]) -> list[int]:

@@ -185,8 +185,14 @@ def _reduce(vec, pvec, p, f, d, B: int) -> list[tuple[int, int]]:
 
 def _eliminate(M: QHMatrix, ls: list[list[Poly]], B: int) -> list[tuple[int, int]]:
     """The packed trace of the first dependence among l_0, l_1, ...; extends
-    `ls` with the functionals it reaches."""
+    `ls` with the functionals it reaches.  Below `_width_bound`, it gives
+    up on B at once, with PackingOverflow, when a balanced digit of a new
+    pivot reaches 2^(B-2): the products of the steps to come would all but
+    surely outgrow their fields.  Giving up only moves to the next width
+    sooner, as the Z[q] certificate decides either way; at the bound it
+    never gives up early."""
     dim = M.dim
+    crowded = 1 << (B - 2)
     pivots = []  # (column, entry, row, trace padded to dim + 1)
     for rho in range(dim + 1):
         if rho == len(ls):
@@ -203,6 +209,8 @@ def _eliminate(M: QHMatrix, ls: list[list[Poly]], B: int) -> list[tuple[int, int
             return trace
         # lowest degree first: S has bit_length(|x|) // B digits above the lowest
         _, pcol = min((v + abs(x).bit_length() // B, c) for c, (v, x) in enumerate(row) if x)
+        if any(abs(d) >= crowded for d in _unpack(row[pcol][1], B)) and B < _width_bound(ls):
+            raise PackingOverflow(f"pivot digits crowd their {B}-bit fields")
         pivots.append((pcol, row[pcol], row, trace + [_ZERO] * (dim - rho)))
     raise NoDependence(f"no dependence among l_0..l_{dim} for G({M.k},{M.n})")
 

@@ -15,7 +15,6 @@ from grasscy.dop import (
     AmbiguousAnnihilator,
     DOp,
     NoAnnihilator,
-    _echelon_mod_p,
     _lift_kernel,
 )
 from grasscy.laurent import LaurentPoly
@@ -367,25 +366,30 @@ def ct_by_param_degree_tuples(L: LaurentPoly, powers, nparams: int = 0, bound: i
 # -- A-series ----------------------------------------------------------------
 
 
-def transfer_sum_oracle(steps, m: int, binom: list[list[int]]) -> int:
-    """The grid sum by transfer over frontier states kept as tuples of cell
-    values -> summed weight, one dict update per (state, new value); a cell
-    no later cell reads is summed out as C(up + right, up) (Vandermonde)."""
+def transfer_sum_oracle(k: int, n: int, m: int, binom: list[list[int]]) -> int:
+    """The grid sum of the (k-1) x (n-k-1) grid by transfer over its cells
+    in decreasing i + j, one cell at a time and every cell summed
+    explicitly, the last one too: a state is the tuple of the values a
+    later cell still reads, mapped to its summed weight, with one dict
+    update per (state, new value).  binom[a][s] = C(a, s) for a <= m."""
+    cells = sorted(((i, j) for i in range(1, k) for j in range(1, n - k)), key=lambda c: -sum(c))
+    parents = lambda i, j: [c for c in ((i + 1, j), (i, j + 1)) if c in cells]
+    last_read = {c: idx for idx, cell in enumerate(cells) for c in parents(*cell)}
+    live: list[tuple[int, int]] = []
     states = {(): 1}
-    for up_slot, right_slot, keep, kept_new in steps:
+    for idx, (i, j) in enumerate(cells):
+        slot = {c: t for t, c in enumerate(live)}
+        keep = [t for t, c in enumerate(live) if last_read[c] > idx]
+        kept_new = last_read.get((i, j), -1) > idx
         nxt: dict[tuple, int] = {}
         for state, w in states.items():
-            up = m if up_slot is None else state[up_slot]
-            right = m if right_slot is None else state[right_slot]
-            bu, br = binom[up], binom[right]
+            up, right = (state[slot[c]] if c in slot else m for c in ((i + 1, j), (i, j + 1)))
             base = tuple(state[t] for t in keep)
-            if kept_new:
-                for s in range(min(up, right) + 1):
-                    key = base + (s,)
-                    nxt[key] = nxt.get(key, 0) + w * bu[s] * br[s]
-            else:
-                nxt[base] = nxt.get(base, 0) + w * comb(up + right, up)
+            for s in range(min(up, right) + 1):
+                key = base + (s,) if kept_new else base
+                nxt[key] = nxt.get(key, 0) + w * binom[up][s] * binom[right][s]
         states = nxt
+        live = [live[t] for t in keep] + ([(i, j)] if kept_new else [])
     return states[()]
 
 
@@ -473,6 +477,28 @@ def apply_oracle(P: DOp, f: PowerSeries) -> PowerSeries:
     return PowerSeries(f.var, tuple(out))
 
 
+def echelon_mod_p_oracle(rows: list[list[int]], ncols: int) -> dict[int, list[int]]:
+    """`dop._echelon_mod_p` on lists: each row reduced against the pivot
+    rows column by column, every entry reduced modulo SCREEN_PRIME at every
+    step; pivot column -> row, 1 at the pivot and 0 left of it."""
+    p = SCREEN_PRIME
+    echelon: dict[int, list[int]] = {}
+    for row in rows:
+        for c in range(ncols):
+            x = row[c]
+            if not x:
+                continue
+            prow = echelon.get(c)
+            if prow is None:
+                inv = pow(x, -1, p)
+                echelon[c] = [y * inv % p for y in row]
+                if len(echelon) == ncols:
+                    return echelon
+                break
+            row = [(a - x * b) % p for a, b in zip(row, prow)]
+    return echelon
+
+
 def pf_fit_per_order_oracle(f: PowerSeries, max_order: int, max_zdeg: int,
                             guard: int = GUARD) -> DOp:
     """pf_fit's earlier route: one modular echelon per order r, on the
@@ -496,7 +522,7 @@ def pf_fit_per_order_oracle(f: PowerSeries, max_order: int, max_zdeg: int,
         index = [i * (max_order + 1) + j for i, j in cols]
         if r not in echelons:
             full = [i * (max_order + 1) + j for i in range(max_zdeg + 1) for j in range(r + 1)]
-            echelons[r] = _echelon_mod_p([[row[t] for t in full] for row in system_p], len(full))
+            echelons[r] = echelon_mod_p_oracle([[row[t] for t in full] for row in system_p], len(full))
         k = len(cols)
         echelon = {c: prow[:k] for c, prow in echelons[r].items() if c < k}
         if len(echelon) == k:

@@ -98,6 +98,31 @@ def test_pf_fit_matches_per_order_route(name, bounds):
     assert pf_fit(f, *bounds) == support.pf_fit_per_order_oracle(f, *bounds)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 45), st.integers(1, 40), st.integers(0, 40),
+       st.sampled_from(["small", "near 0 and p - 1", "any", "mixed"]),
+       st.randoms(use_true_random=False))
+def test_packed_echelon_matches_list_oracle(nrows, ncols, rank, entries, rng):
+    """The packed-lane echelon against the list echelon modulo p, on up to
+    45 x 40 matrices of at most `rank` independent rows, the rest random
+    combinations of them, shuffled.  Entries near 0 and p - 1 make each
+    lane gain close to p^2 per step, the most the lane width allows for."""
+    from grasscy.dop import SCREEN_PRIME as p
+    from grasscy.dop import _echelon_mod_p
+
+    draw = {
+        "small": lambda: rng.randint(0, 2),
+        "near 0 and p - 1": lambda: rng.choice((0, 1, 2, p - 3, p - 2, p - 1)),
+        "any": lambda: rng.randrange(p),
+        "mixed": lambda: rng.choice((0, 1, p - 1, rng.randrange(p))),
+    }[entries]
+    base = [[draw() for _ in range(ncols)] for _ in range(min(rank, nrows))]
+    rows = base + [[sum(c * b[t] for c, b in zip(coeffs, base)) % p for t in range(ncols)]
+                   for coeffs in ([draw() for _ in base] for _ in range(nrows - len(base)))]
+    rng.shuffle(rows)
+    assert _echelon_mod_p(rows, ncols) == support.echelon_mod_p_oracle(rows, ncols)
+
+
 def test_pf_fit_guard_insufficient_series():
     f = PowerSeries("z", (1,) * 5)
     with pytest.raises(ValueError):

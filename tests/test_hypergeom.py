@@ -9,6 +9,7 @@ from grasscy.dop import fit_trunc
 from grasscy.hypergeom import (
     ASeriesSpec,
     FactorialBundle,
+    _folded,
     _frontiers,
     _pascal,
     _transfer_sum,
@@ -90,22 +91,47 @@ def test_two_slots_dropped_first_at_k4():
             assert _two_slots_dropped(_frontiers(k, n)) == (k >= 4 and n - k >= 3)
 
 
+def test_corner_folds_exactly_on_the_small_grids():
+    """The corner sums its neighbours (1,2) and (2,1) out with it exactly
+    when (1,3) and (3,1) lie outside a grid that has one of them: G(2,5),
+    G(3,5) and G(3,6); every larger grid keeps a step per cell."""
+    for n in range(2, 11):
+        for k in range(1, n):
+            steps = _frontiers(k, n)
+            folded = sum(type(nb) is tuple for u, r, _, _ in steps for nb in (u, r))
+            inside = [i <= k - 1 and j <= n - k - 1 for i, j in ((1, 2), (2, 1))]
+            assert folded == (k <= 3 and n - k <= 3) * sum(inside)
+            assert len(steps) == (k - 1) * (n - k - 1) - folded
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 40), st.integers(0, 40))
+def test_folded_neighbour_weight_is_its_defining_sum(u, r, s):
+    """F(u, r, s) = C(u, s) C(u + r - s, u), as `_folded` reads it off the
+    tables, against sum_y C(u, y) C(r, y) C(y, s)."""
+    binom, vand = _pascal(40)
+    weights = _folded((0, 1), (u, r), 40, binom, vand)
+    want = sum(comb(u, y) * comb(r, y) * comb(y, s) for y in range(min(u, r) + 1))
+    assert (weights[s] if s < len(weights) else 0) == want
+    assert len(weights) == min(u, r) + 1
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=2, max_value=10).flatmap(
     lambda n: st.tuples(st.integers(min_value=1, max_value=n - 1), st.just(n))),
     st.integers(min_value=0, max_value=8))
 def test_packed_transfer_matches_oracle(kn, m):
-    """The packed kernel against the dict-of-scalars transfer, on every
-    grid shape with n <= 10 (two dropped slots in one step from k = 4)."""
-    steps = _frontiers(*kn)
+    """The packed kernel against the cell-by-cell dict-of-scalars transfer,
+    on every grid shape with n <= 10 (two dropped slots in one step from
+    k = 4, the folded corner for G(2,5), G(3,5) and G(3,6))."""
     binom, vand = _pascal(m)
-    assert _transfer_sum(steps, m, binom, vand) == transfer_sum_oracle(steps, m, binom)
+    assert _transfer_sum(_frontiers(*kn), m, binom, vand) == transfer_sum_oracle(*kn, m, binom)
 
 
 def _deep_shapes():
     shapes = {(rc.case.k, rc.case.n): fit_trunc(PF_MAX_ORDER, rc.pf_max_zdeg)
               for rc in registry_load().values()}
-    return sorted(shapes.items()) + [((4, 8), 12), ((3, 6), 60), ((2, 7), 120)]
+    return sorted(shapes.items()) + [((4, 8), 12), ((3, 6), 60), ((2, 7), 120), ((3, 5), 40)]
 
 
 @pytest.mark.parametrize("kn,order", _deep_shapes())
@@ -115,7 +141,15 @@ def test_packed_transfer_matches_oracle_deep(kn, order):
     steps = _frontiers(*kn)
     binom, vand = _pascal(order)
     for m in range(order + 1):
-        assert _transfer_sum(steps, m, binom, vand) == transfer_sum_oracle(steps, m, binom)
+        assert _transfer_sum(steps, m, binom, vand) == transfer_sum_oracle(*kn, m, binom)
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for n in range(3, 10) for k in range(1, n // 2 + 1)
+                                 if k != n - k])
+def test_a_series_is_symmetric_under_duality(k, n):
+    """G(k,n) = G(n-k,n): the transposed grid has the same sum, which also
+    checks the folded corner's 1 x 2 grid against its 2 x 1 transpose."""
+    assert a_series_qspecialized(k, n, 12) == a_series_qspecialized(n - k, n, 12)
 
 
 def test_keep_params_specializes_to_q_series():

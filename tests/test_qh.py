@@ -167,6 +167,27 @@ def test_scalar_operator_from_a_width_far_too_small(monkeypatch, k, n):
     assert scalar_operator(k, n) == oracle(k, n)
 
 
+def test_g27_leaves_the_64_bit_pass_early(monkeypatch):
+    """G(2,7) settles at 128 bits.  Its 64-bit elimination gives up at the
+    first pivot whose digits crowd their fields, before it reaches the
+    dependence, and the operator is the same."""
+    passes = []
+    eliminate = qh._eliminate
+
+    def spy(M, ls, B):
+        try:
+            trace = eliminate(M, ls, B)
+        except PackingOverflow:
+            passes.append((B, "abort"))
+            raise
+        passes.append((B, "dependence"))
+        return trace
+
+    monkeypatch.setattr(qh, "_eliminate", spy)
+    assert scalar_operator(2, 7) == oracle(2, 7)
+    assert passes == [(64, "abort"), (128, "dependence")]
+
+
 def test_width_bound_exhausted_is_a_mismatch(monkeypatch):
     monkeypatch.setattr(qh, "START_BITS", 4)
     monkeypatch.setattr(qh, "_width_bound", lambda ls: 8)
