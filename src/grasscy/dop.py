@@ -18,7 +18,7 @@ from .series import LogSeries, PowerSeries, Q, over_common_den, qstr
 
 ZERO = Q(0)
 GUARD = 10  # rows beyond the unknowns that certify a fitted operator
-SCREEN_PRIME = 2**61 - 1  # Mersenne prime; pf_fit's rank screen works modulo it
+SCREEN_PRIME = 2**61 - 1  # Mersenne prime; pf_fit's kernels are taken modulo it, then lifted
 
 
 class NoAnnihilator(Mismatch):
@@ -242,23 +242,6 @@ def _echelon_mod_p(rows: list[list[int]], ncols: int) -> dict[int, list[int]]:
     return echelon
 
 
-def _rank_mod_p(rows: list[list[int]]) -> int:
-    """Rank modulo SCREEN_PRIME of a few short rows reduced modulo it."""
-    p = SCREEN_PRIME
-    echelon: dict[int, list[int]] = {}
-    for row in rows:
-        for c, x in enumerate(row):
-            if not x:
-                continue
-            prow = echelon.get(c)
-            if prow is None:
-                inv = pow(x, -1, p)
-                echelon[c] = [y * inv % p for y in row]
-                break
-            row = [(a - x * b) % p for a, b in zip(row, prow)]
-    return len(echelon)
-
-
 def _kernel_mod_p(echelon: dict[int, list[int]], ncols: int) -> list[list[int]]:
     """A kernel basis modulo SCREEN_PRIME of the rows with this echelon
     basis: one vector per free column, 1 there and 0 at the other free
@@ -292,13 +275,15 @@ def _rational_mod_p(a: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
-def _lift_kernel(echelon: dict[int, list[int]], rows: list[list[int]]) -> list[int] | None:
-    """The integer kernel vector of `rows` read off their modulo-p echelon
-    basis of rank ncols - 1: back substitution with 1 at the free column,
-    rational reconstruction of each entry, denominators cleared.  Returned
-    only if it annihilates every row exactly; then, with rank ncols - 1
-    modulo p, it spans the kernel over Q.  None otherwise."""
-    lifted = [_rational_mod_p(x) for x in _kernel_mod_p(echelon, len(rows[0]))[0]]
+def _lift_kernel(v: list[int], rows: list[list[int]]) -> list[int] | None:
+    """The integer kernel vector of `rows` from their one kernel vector v
+    modulo p: v scaled to 1 at its last nonzero entry, rational
+    reconstruction of each entry, denominators cleared.  Returned only if
+    it annihilates every row exactly; then, with nullity 1 modulo p, it
+    spans the kernel over Q.  None otherwise."""
+    p = SCREEN_PRIME
+    inv = pow(next(x for x in reversed(v) if x), -1, p)
+    lifted = [_rational_mod_p(x * inv % p) for x in v]
     if None in lifted:
         return None
     ints, _ = over_common_den(lifted)
@@ -317,17 +302,15 @@ def pf_fit(f: PowerSeries, max_order: int, max_zdeg: int, guard: int = GUARD) ->
     The system is built once, for the largest column set, with each row's
     denominators cleared, and reduced modulo SCREEN_PRIME once.  One echelon
     form modulo p of the whole (max_order, max_zdeg) grid gives a kernel
-    basis K modulo p, and a candidate's kernel modulo p is the span of K
-    that vanishes off its columns: its nullity is len(K) minus the rank of
-    K on the other columns.  A candidate of nullity 0 modulo p has full
-    column rank over Q and is skipped.  Otherwise the candidate's own
-    echelon form modulo p is taken (the grid's, when it is the grid).  When
-    its rank falls short by one, the kernel vector is lifted from it by
-    rational reconstruction and accepted if it annihilates every integer
-    row, guard rows included: that proves nullity 1 over Q.  Every other
-    case (nullity >= 2 modulo p, a failed lift) goes to the exact
-    fraction-free nullspace, which decides between no operator, one, and
-    AmbiguousAnnihilator.  The canonical form makes the operator unique.
+    basis K modulo p.  A candidate's kernel modulo p is made of the
+    combinations of K that vanish off its columns, the kernel of K on the
+    other columns.  None proves full column rank over Q: the candidate is
+    skipped.  Exactly one is lifted by rational reconstruction and accepted
+    if it annihilates every integer row, guard rows included, which proves
+    nullity 1 over Q.  Every other case (two or more, a failed lift) goes
+    to the exact fraction-free nullspace, which decides between no
+    operator, one, and AmbiguousAnnihilator.  The canonical form makes the
+    operator unique.
     """
     if max_order < 1 or max_zdeg < 0 or guard < 0:
         raise UsageError(f"need max_order >= 1, max_zdeg >= 0 and guard >= 0, "
@@ -347,26 +330,21 @@ def pf_fit(f: PowerSeries, max_order: int, max_zdeg: int, guard: int = GUARD) ->
             row.extend(x * (m - i) ** j for j in range(max_order + 1))
         system.append(row)
     system_p = [[x % SCREEN_PRIME for x in row] for row in system]
-    candidates = []
-    for r in range(1, max_order + 1):
-        for d in range(0, max_zdeg + 1):
-            candidates.append((r, d))
-    candidates.sort(key=lambda rd: (rd[0] + rd[1], rd[0]))
+    candidates = sorted(((r, d) for r in range(1, max_order + 1) for d in range(max_zdeg + 1)),
+                        key=lambda rd: (rd[0] + rd[1], rd[0]))
     ncols = (max_order + 1) * (max_zdeg + 1)
-    grid = _echelon_mod_p(system_p, ncols)
-    kernel = _kernel_mod_p(grid, ncols)
+    kernel = _kernel_mod_p(_echelon_mod_p(system_p, ncols), ncols)
     for r, d in candidates:
         cols = [(i, j) for i in range(d + 1) for j in range(r + 1)]
         index = [i * (max_order + 1) + j for i, j in cols]
         inside = set(index)
-        outside = [t for t in range(ncols) if t not in inside]
-        if _rank_mod_p([[v[t] for t in outside] for v in kernel]) == len(kernel):
+        outside = [[u[t] for u in kernel] for t in range(ncols) if t not in inside]
+        combos = _kernel_mod_p(_echelon_mod_p(outside, len(kernel)), len(kernel))
+        if not combos:
             continue
-        k = len(cols)
-        echelon = grid if k == ncols else _echelon_mod_p(
-            [[row[t] for t in index] for row in system_p], k)
         rows = [[row[t] for t in index] for row in system]
-        v = _lift_kernel(echelon, rows) if len(echelon) == k - 1 else None
+        v = _lift_kernel([sum(c * u[t] for c, u in zip(combos[0], kernel)) % SCREEN_PRIME
+                          for t in index], rows) if len(combos) == 1 else None
         if v is None:
             basis = [u for u in nullspace(rows) if any(x != 0 for x in u)]
             if not basis:

@@ -39,6 +39,12 @@ def registry_load(path: str | Path | None = None) -> dict[str, RegistryCase]:
     data = _load_json(path)
     out: dict[str, RegistryCase] = {}
     for rec in data["cases"]:
+        zdeg, inst = rec["pf_max_zdeg"], rec["instantons"]
+        if type(zdeg) is not int or zdeg < 0:
+            raise RegistryError(f"{rec['name']}: pf_max_zdeg must be an int >= 0, got {zdeg!r}")
+        if inst is not None and not (isinstance(inst, list) and all(type(x) is int for x in inst)):
+            raise RegistryError(f"{rec['name']}: instantons must be null or a list of ints, "
+                                f"got {inst!r}")
         case = CYCase(
             name=rec["name"],
             k=rec["k"],
@@ -47,7 +53,7 @@ def registry_load(path: str | Path | None = None) -> dict[str, RegistryCase]:
             strata_degrees=tuple(rec["strata_degrees"]),
             h11=rec["h11"],
             h21=rec["h21"],
-            instantons=tuple(rec["instantons"]) if rec["instantons"] else None,
+            instantons=tuple(inst) if inst else None,
             notes=rec.get("notes", ""),
         )
         if rec["chi"] != 2 * (rec["h11"] - rec["h21"]):
@@ -69,6 +75,6 @@ def registry_load(path: str | Path | None = None) -> dict[str, RegistryCase]:
             expected_p=rec["p"],
             kz3_numerator=tuple(Q(c) for c in rec["kz3_numerator"]),
             kz3_denominator=kz3_denominator,
-            pf_max_zdeg=rec["pf_max_zdeg"],
+            pf_max_zdeg=zdeg,
         )
     return out

@@ -4,7 +4,7 @@ checked against."""
 
 from fractions import Fraction as Q
 from itertools import combinations, zip_longest
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, isqrt, lcm
 from operator import add, le
 
 from hypothesis import strategies as st
@@ -15,7 +15,6 @@ from grasscy.dop import (
     AmbiguousAnnihilator,
     DOp,
     NoAnnihilator,
-    _lift_kernel,
 )
 from grasscy.laurent import LaurentPoly
 from grasscy.linalg import echelon, nullspace, rank
@@ -499,11 +498,43 @@ def echelon_mod_p_oracle(rows: list[list[int]], ncols: int) -> dict[int, list[in
     return echelon
 
 
+def lift_from_echelon_oracle(echelon: dict[int, list[int]],
+                             rows: list[list[int]]) -> list[int] | None:
+    """The integer kernel vector of `rows` read off their modulo-p echelon
+    basis of rank ncols - 1: back substitution with 1 at the free column,
+    each entry reconstructed as the n/d with |n|, d <= sqrt(p/2) by the half
+    extended Euclidean algorithm, denominators cleared.  None unless every
+    entry reconstructs and the vector annihilates every row exactly."""
+    p = SCREEN_PRIME
+    ncols = len(rows[0])
+    v = [0] * ncols
+    v[next(c for c in range(ncols) if c not in echelon)] = 1
+    for c in sorted(echelon, reverse=True):
+        v[c] = -sum(echelon[c][t] * v[t] for t in range(c + 1, ncols)) % p
+    bound = isqrt(p // 2)
+    lifted = []
+    for a in v:
+        r0, r1, t0, t1 = p, a, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        if abs(t1) > bound or gcd(r1, t1) != 1:
+            return None
+        lifted.append(Q(r1, t1))
+    den = lcm(*(x.denominator for x in lifted))
+    ints = [x.numerator * (den // x.denominator) for x in lifted]
+    if any(sum(a * b for a, b in zip(row, ints)) for row in rows):
+        return None
+    return ints
+
+
 def pf_fit_per_order_oracle(f: PowerSeries, max_order: int, max_zdeg: int,
                             guard: int = GUARD) -> DOp:
     """pf_fit's earlier route: one modular echelon per order r, on the
     columns of (r, max_zdeg), whose leading columns are those of every
-    candidate (r, d); then the same lift and exact fallback."""
+    candidate (r, d); a candidate one short of full rank lifts its kernel
+    vector from that echelon form, and any other rank deficit or a failed
+    lift goes to the exact nullspace."""
     b = f.coeffs
     system = []
     for m in range(f.trunc + 1):
@@ -528,7 +559,7 @@ def pf_fit_per_order_oracle(f: PowerSeries, max_order: int, max_zdeg: int,
         if len(echelon) == k:
             continue
         rows = [[row[t] for t in index] for row in system]
-        v = _lift_kernel(echelon, rows) if len(echelon) == k - 1 else None
+        v = lift_from_echelon_oracle(echelon, rows) if len(echelon) == k - 1 else None
         if v is None:
             basis = [u for u in nullspace(rows) if any(x != 0 for x in u)]
             if not basis:

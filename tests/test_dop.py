@@ -11,8 +11,11 @@ from grasscy.dop import (
     NoAnnihilator,
     dop_from_json,
     dop_to_json,
+    fit_trunc,
     pf_fit,
 )
+from grasscy.hypergeom import ASeriesSpec, FactorialBundle, a_series, factorial_trick
+from grasscy.registry import registry_load
 from grasscy.series import LogSeries, PowerSeries
 
 import support
@@ -82,19 +85,31 @@ def test_pf_fit_exp():
     assert P == (D - z).canonical()
 
 
+REGISTRY = registry_load()
+
+
 @pytest.mark.parametrize("name, bounds", [("geometric", (2, 2)), ("exp", (3, 3)),
-                                          ("quartic", (4, 2)), ("quartic", (4, 1))])
+                                          ("quartic", (4, 2)), ("quartic", (4, 1))]
+                         + [(name, (4 + s, rc.pf_max_zdeg + s))
+                            for name, rc in REGISTRY.items() for s in (1, 2)])
 def test_pf_fit_matches_per_order_route(name, bounds):
     """The one grid echelon gives the per-order route's operator, with the
-    winner inside the grid (nullity >= 2 there) and equal to it."""
+    winner inside the grid (nullity >= 2 there) and equal to it.  The
+    registry periods at bounds above their own give the grid a kernel basis
+    of 4 to 13 vectors, of which the winner's kernel is one combination."""
     from math import comb, factorial
 
-    f = {
-        "geometric": PowerSeries("z", (1,) * 30),
-        "exp": PowerSeries("z", tuple(Q(1, factorial(m)) for m in range(30))),
-        "quartic": PowerSeries("z", tuple(Q(factorial(4 * m) * comb(2 * m, m), factorial(m) ** 2)
-                                          for m in range(26))),
-    }[name]
+    if name in REGISTRY:
+        case = REGISTRY[name].case
+        a = a_series(ASeriesSpec(case.k, case.n, fit_trunc(*bounds)))
+        f = factorial_trick(a, FactorialBundle(case.degrees))
+    else:
+        f = {
+            "geometric": PowerSeries("z", (1,) * 30),
+            "exp": PowerSeries("z", tuple(Q(1, factorial(m)) for m in range(30))),
+            "quartic": PowerSeries("z", tuple(Q(factorial(4 * m) * comb(2 * m, m),
+                                                factorial(m) ** 2) for m in range(26))),
+        }[name]
     assert pf_fit(f, *bounds) == support.pf_fit_per_order_oracle(f, *bounds)
 
 

@@ -68,6 +68,27 @@ def test_registry_rejects_fixture_denominator_vanishing_at_zero(tmp_path):
         registry_load(bad)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("pf_max_zdeg", 1.5, "pf_max_zdeg must be an int >= 0, got 1.5"),
+    ("pf_max_zdeg", "1", "pf_max_zdeg must be an int >= 0, got '1'"),
+    ("pf_max_zdeg", -1, "pf_max_zdeg must be an int >= 0, got -1"),
+    ("instantons", "abc", "instantons must be null or a list of ints, got 'abc'"),
+    ("instantons", [1, 2.5], "instantons must be null or a list of ints, got [1, 2.5]"),
+], ids=["zdeg-float", "zdeg-string", "zdeg-negative", "instantons-string", "instantons-float"])
+def test_cli_registry_rejects_bad_field(tmp_path, capsys, monkeypatch, field, value, message):
+    """A registry field of the wrong type or sign is refused when the
+    registry is loaded, before any series is built: exit 2, one JSON line
+    on stderr, no traceback."""
+    data = _load_json(None)
+    data["cases"][0][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    monkeypatch.setattr(cli, "run_case", _raise(AssertionError("a series was built")))
+    assert main(["verify-all", "--registry", str(bad)]) == 2
+    error = _usage_error(capsys)
+    assert error == f"RegistryError: {data['cases'][0]['name']}: {message}"
+
+
 SERIES = "<valid series file>"
 FIT_BOUNDS = "need max_order >= 1, max_zdeg >= 0 and guard >= 0"
 
