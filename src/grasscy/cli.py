@@ -245,8 +245,16 @@ def cmd_verify_all(args) -> int:
     return EXIT_PASS if merged["pass"] else EXIT_MISMATCH
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are UsageErrors, reported as one JSON
+    line like every other bad input; its subparsers are of this class too."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="grasscy", description=__doc__)
+    p = _Parser(prog="grasscy", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("toric", help="polytope vertices, equations, facets")
@@ -334,13 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_USAGE if e.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as e:  # --help, which has printed the usage
+        return e.code or EXIT_PASS
     except GrasscyError as e:
         print(json.dumps({"error": f"{type(e).__name__}: {e}"}), file=sys.stderr)
         return EXIT_USAGE if isinstance(e, UsageError) else EXIT_MISMATCH

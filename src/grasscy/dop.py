@@ -14,7 +14,7 @@ from math import comb, gcd, isqrt
 from .errors import Mismatch, UsageError
 from .linalg import nullspace
 from .record import record
-from .series import LogSeries, PowerSeries, Q, over_common_den, qstr
+from .series import PowerSeries, Q, over_common_den, qstr
 
 ZERO = Q(0)
 GUARD = 10  # rows beyond the unknowns that certify a fitted operator
@@ -149,10 +149,8 @@ class DOp:
                 out[j] = c
         return out
 
-    def apply(self, f):
-        """Apply to a PowerSeries or LogSeries; output truncation = f.trunc."""
-        if isinstance(f, LogSeries):
-            return self._apply_log(f)
+    def apply(self, f: PowerSeries) -> PowerSeries:
+        """Apply to a PowerSeries; output truncation = f.trunc."""
         # [P f]_m = sum_i p_i(m - i) f_(m-i), in integers over the two
         # common denominators, divided once
         n = f.trunc
@@ -172,23 +170,6 @@ class DOp:
                     out[m] += acc * fm
         den = dc * df
         return PowerSeries(f.var, tuple(Q(c, den) for c in out))
-
-    def _apply_log(self, f: LogSeries) -> LogSeries:
-        by_j: dict[int, dict] = {}
-        for (i, j), c in self.terms.items():
-            by_j.setdefault(j, {})[i] = c
-        acc = None
-        power = f  # D^j f, computed incrementally
-        for j in range(self.order + 1):
-            if j > 0:
-                power = power.theta()
-            if j in by_j:
-                for i, c in by_j[j].items():
-                    piece = power.shift(i) * c
-                    acc = piece if acc is None else acc + piece
-        if acc is None:
-            raise ValueError("cannot apply the zero operator to a log series")
-        return acc
 
 
 def fit_trunc(max_order: int, max_zdeg: int, guard: int = GUARD) -> int:

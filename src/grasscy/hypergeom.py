@@ -9,7 +9,9 @@ and the whole sum is divided by (m!)^n.
 
 The specialized series sums the grid by a transfer over its cells: only
 the values a later cell still reads are kept, so the state is one value
-for k = 2 (a chain) and at most k - 1 values in general.  The newest value
+for k = 2 (a chain) and at most k - 1 values in general.  The grid of
+G(n-k,n) is the transpose of that of G(k,n), with the same sum, so the
+transfer runs on the one with k <= n - k.  The newest value
 is held densely, as a list of weights; the others key a dict.  A value
 read for the last time is summed out of a whole list at once by Kronecker
 substitution: sum_v w_v C(v, s) is digit s of the big integer
@@ -261,7 +263,7 @@ def a_series(spec: ASeriesSpec):
     k, n, N = spec.k, spec.n, spec.trunc
     grid = [(i, j) for i in range(1, k) for j in range(1, n - k)]
     if not spec.keep_params:
-        steps = _frontiers(k, n)
+        steps = _frontiers(min(k, n - k), n)
         binom, vand = _pascal(N)
         coeffs = [Q(_transfer_sum(steps, m, binom, vand), factorial(m) ** n)
                   for m in range(N + 1)]
@@ -297,11 +299,12 @@ class FactorialBundle:
 
 
 def factorial_trick(a: PowerSeries, bundle: FactorialBundle) -> PowerSeries:
-    """Multiply the m-th coefficient by prod_i (l_i * m)!."""
+    """Multiply the m-th coefficient by prod_i (l_i * m)!: the period of X,
+    a series in the complex-structure coordinate z."""
     out = []
     for m, c in enumerate(a.coeffs):
         w = 1
         for l in bundle.degrees:
             w *= factorial(l * m)
         out.append(c * w)
-    return PowerSeries(a.var, tuple(out))
+    return PowerSeries("z", tuple(out))

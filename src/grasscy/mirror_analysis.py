@@ -1,6 +1,7 @@
 """From a maximally unipotent order-4 operator and its holomorphic solution
-to instanton numbers: Frobenius logarithmic companions, the mirror map,
-the Yukawa coupling in both coordinates, and the Lambert-series extraction."""
+to instanton numbers: the first logarithmic companion, the mirror map, the
+Yukawa coupling in both coordinates, the Lambert-series extraction, and the
+normal-form check."""
 
 from __future__ import annotations
 
@@ -11,14 +12,15 @@ from .dop import DOp
 from .errors import Mismatch
 from .record import record
 from .series import (
-    LogSeries,
     PowerSeries,
     Q,
+    SeriesDomainError,
     TruncationError,
     series_compose,
     series_exp,
     series_revert,
 )
+from .upoly import PZERO, Poly, padd, pmul, pnorm, pshift, ptheta
 
 ZERO = Q(0)
 
@@ -53,11 +55,11 @@ def _taylor_jet(coeffs: list[int], base: int, L: int) -> list[int]:
             for t in range(L)]
 
 
-def _frobenius_jets(P: DOp, order_n: int, J: int) -> list[list[Q]]:
-    """A_0..A_order_n of the deformed recurrence as jets modulo eps^J,
-    1 <= J <= L = order: P's solutions are the eps^j coefficients of
-    z^eps * sum A_m(eps) z^m, j < L, and reduction modulo eps^J is a ring
-    map, so the first J entries of every jet are exact.
+def _frobenius_jets(P: DOp, order_n: int) -> list[list[Q]]:
+    """A_0..A_order_n of the deformed recurrence as jets modulo eps^2: P's
+    solutions are the eps^j coefficients of z^eps * sum A_m(eps) z^m, j < L
+    = order, and reduction modulo eps^2 is a ring map, so both entries of
+    every jet are exact once L >= 2.
 
     The recurrence runs in integers: with P's denominators cleared its z^0
     part is c D^L, whose inverse at D = m + eps is
@@ -66,40 +68,30 @@ def _frobenius_jets(P: DOp, order_n: int, J: int) -> list[list[Q]]:
     """
     _check_mum(P)
     L = P.order
-    if J > L:
-        raise NotMUM(f"operator order must be >= {J}")
+    if L < 2:
+        raise NotMUM("operator order must be >= 2")
     zd = P.zdeg
     P = P.canonical()  # integer coefficients; a scalar multiple has the same solutions
     pi = [[c.numerator for c in P.coeff_poly(i)] for i in range(zd + 1)]
     c0 = pi[0][L]
     e = 2 * L - 1
-    N = [[1] + [0] * (J - 1)]  # A_0 = 1
+    N = [[1, 0]]  # A_0 = 1
     S = [1]
     for m in range(1, order_n + 1):
         # rhs = S_(m-1) sum_{i>=1} p_i(m-i+eps) A_(m-i), then
         # A_m = -rhs m^(2L-1) (m+eps)^(-L) / (c m^(2L-1) S_(m-1))
-        rhs = [0] * J
+        rhs = [0, 0]
         ratio = 1  # S_(m-1) / S_(m-i) = c^(i-1) ((m-1)!/(m-i)!)^(2L-1)
         for i in range(1, min(m, zd) + 1):
             if i > 1:
                 ratio *= c0 * (m - i + 1) ** e
-            p, a = _taylor_jet(pi[i], m - i, J), N[m - i]
-            for t in range(J):
-                rhs[t] += ratio * sum(p[k] * a[t - k] for k in range(t + 1))
-        inv = [(-1) ** t * comb(L + t - 1, t) * m ** (L - 1 - t) for t in range(J)]
-        N.append([-sum(rhs[k] * inv[t - k] for k in range(t + 1)) for t in range(J)])
+            p, a = _taylor_jet(pi[i], m - i, 2), N[m - i]
+            rhs[0] += ratio * p[0] * a[0]
+            rhs[1] += ratio * (p[0] * a[1] + p[1] * a[0])
+        inv = [m ** (L - 1), -L * m ** (L - 2)]
+        N.append([-rhs[0] * inv[0], -(rhs[0] * inv[1] + rhs[1] * inv[0])])
         S.append(S[-1] * c0 * m**e)
     return [[Q(x, s) for x in jet] for jet, s in zip(N, S)]
-
-
-def frobenius_basis(P: DOp, order_n: int) -> list[LogSeries]:
-    """All `order` Frobenius solutions at the MUM point, log degree
-    0..order-1: the j-th collects the eps^j coefficient of the full jets."""
-    L = P.order
-    jets = _frobenius_jets(P, order_n, L)
-    return [LogSeries(tuple(PowerSeries("z", tuple(jet[j - i] for jet in jets))
-                            for i in range(j + 1)))
-            for j in range(L)]
 
 
 @record
@@ -111,7 +103,7 @@ class FrobeniusPair:
 def frobenius(P: DOp, order_n: int) -> FrobeniusPair:
     """phi0 and psi from the jets modulo eps^2: the log coefficient of
     Phi_1 is phi0 by construction."""
-    jets = _frobenius_jets(P, order_n, 2)
+    jets = _frobenius_jets(P, order_n)
     phi0 = PowerSeries("z", tuple(jet[0] for jet in jets))
     psi = PowerSeries("z", tuple(jet[1] for jet in jets))
     return FrobeniusPair(phi0, psi)
@@ -186,25 +178,65 @@ def extract_instantons(kq3: PowerSeries, count: int) -> list[int]:
     return [ns[m] for m in range(1, count + 1)]
 
 
+def _cy_residual(P: DOp) -> Poly:
+    """8 b4^3 (a1 - (1/2 a2 a3 - 1/8 a3^3 + a2' - 3/4 a3 a3' - 1/2 a3'')) in
+    Z[z], for P = sum_i b_i(z) (d/dz)^i of order 4 and a_i = b_i / b4: zero
+    exactly when P satisfies the Calabi-Yau condition of Almkvist, van
+    Enckevort, van Straten and Zudilin (Tables of Calabi-Yau equations,
+    math/0507430), under which the exterior square of P has order 5.
+
+    D^j = sum_i S(j,i) z^i (d/dz)^i with S the Stirling numbers of the
+    second kind, so b_i = z^i sum_j S(j,i) p_j for P = sum_j p_j(z) D^j.
+    With w_i = b_i' b4 - b_i b4' the residual is
+    4 b4 (2 w2 + b2 b3 - 2 b1 b4 - w3') + (8 b4' - 6 b3) w3 - b3^3."""
+    P = P.canonical()  # integer coefficients; the residual is homogeneous in P
+    p = [pnorm(P.terms.get((i, j), ZERO).numerator for i in range(P.zdeg + 1))
+         for j in range(5)]
+    stirling = [[1, 0, 0, 0, 0]]  # S(j, i), row j
+    for _ in range(4):
+        s = stirling[-1]
+        stirling.append([i * s[i] + (s[i - 1] if i else 0) for i in range(5)])
+    b = [PZERO] * 5
+    for i in range(1, 5):
+        for j in range(i, 5):
+            b[i] = padd(b[i], pmul((stirling[j][i],), pshift(p[j], i)))
+    _, b1, b2, b3, b4 = b
+    d = lambda f: ptheta(f)[1:]  # d/dz
+
+    def lin(*terms) -> Poly:
+        """sum of c * f_1 * ... * f_r over the terms (c, f_1, ..., f_r)."""
+        out = PZERO
+        for c, *fs in terms:
+            prod = (c,)
+            for f in fs:
+                prod = pmul(prod, f)
+            out = padd(out, prod)
+        return out
+
+    w2 = lin((1, d(b2), b4), (-1, b2, d(b4)))
+    w3 = lin((1, d(b3), b4), (-1, b3, d(b4)))
+    inner = lin((2, w2), (1, b2, b3), (-2, b1, b4), (-1, d(w3)))
+    return lin((4, b4, inner), (8, d(b4), w3), (-6, b3, w3), (-1, b3, b3, b3))
+
+
 def normal_form_check(P: DOp, kz3: PowerSeries, order_n: int) -> bool:
-    """Check the D_t^2 (1/K_q) D_t^2 normal form in z: each Frobenius
-    solution, divided by the holomorphic one, is annihilated in every degree
-    0..order_n.
+    """Check the normal form: D_t^2 (1/K_q) D_t^2 annihilates every solution
+    of P divided by the holomorphic one, for t the flat coordinate and K_q
+    the coupling that kz3 pushes to t.
 
-    With t = log z + psi/phi0 the flat coordinate, D_t = (D t)^(-1) D for
-    D = z d/dz and D t = 1 + D(psi/phi0), and the coupling pushed to t is
-    1/K_q = phi0^2 (D t)^3 / K_z, so neither the mirror map is inverted nor
-    any solution composed into q.
+    Two identities decide it.  P, of order 4 and MUM, has that normal form
+    for some K exactly when it satisfies the Calabi-Yau condition
+    (`_cy_residual`), an identity in Z[z] that holds to all orders.  The K
+    it has is then, up to a constant factor, the solution of
+    2 p4 D K + p3 K = 0 (`yukawa_z`), so kz3 passes when that equation's
+    residual vanishes in degrees 0..order_n.
     """
+    if P.order != 4:
+        raise NotMUM("the normal form requires an order-4 operator")
+    _check_mum(P)
     kz3 = kz3.truncate(order_n)  # TruncationError if K_z is known to less
-    basis = frobenius_basis(P, order_n)
-    phi0 = basis[0].component(0)
-    inv_phi0 = phi0.reciprocal()
-    dt, weight = _flat_weight(FrobeniusPair(phi0, basis[1].component(0)))
-    inv_dt = dt.reciprocal()
-    inv_k = weight / kz3
-
-    def d_t(f: LogSeries) -> LogSeries:
-        return f.theta() * inv_dt
-
-    return all(d_t(d_t(d_t(d_t(sol * inv_phi0)) * inv_k)).is_zero() for sol in basis)
+    if kz3[0] == 0:
+        raise SeriesDomainError("the normal form needs K_z(0) != 0")
+    first_order = DOp({(i, j - 3): (j - 2) * c  # 2 p4 D + p3
+                       for (i, j), c in P.terms.items() if j >= 3})
+    return not _cy_residual(P) and first_order.apply(kz3).is_zero()

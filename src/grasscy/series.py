@@ -1,4 +1,4 @@
-"""Exact truncated power series over Q, with log-extended companions.
+"""Exact truncated power series over Q.
 
 Every series carries an explicit truncation order: coefficients are known
 for degrees 0..trunc and nothing beyond.  Arithmetic returns the minimum
@@ -7,9 +7,7 @@ raises instead of silently returning zero.
 
 The kernels (`*`, reciprocal and `/`, `series_exp`, `series_compose`,
 `series_revert`) clear their inputs to integers over one common
-denominator and build one Fraction per output coefficient.  `LogSeries`
-carries the Frobenius solutions sum_j f_j (log z)^j / j! in their own
-variable: the Euler operator, sums and products by a series or a scalar.
+denominator and build one Fraction per output coefficient.
 """
 
 from __future__ import annotations
@@ -262,74 +260,6 @@ def series_revert(a: PowerSeries) -> PowerSeries:
             scale *= den
         g[m] = Q(power[m - 1], m * scale)
     return PowerSeries(a.var, tuple(g))
-
-
-# ---------------------------------------------------------------------------
-# Log-extended series: F = sum_j f_j(z) * (log z)^j / j!
-
-
-@record
-class LogSeries:
-    components: tuple[PowerSeries, ...]
-
-    def __post_init__(self):
-        comps = tuple(self.components)
-        if not comps:
-            raise ValueError("log series needs at least one component")
-        var, tr = comps[0].var, comps[0].trunc
-        for c in comps:
-            if c.var != var or c.trunc != tr:
-                raise ValueError("all components must share variable and truncation")
-        while len(comps) > 1 and comps[-1].is_zero():
-            comps = comps[:-1]
-        object.__setattr__(self, "components", comps)
-
-    @property
-    def var(self) -> str:
-        return self.components[0].var
-
-    @property
-    def trunc(self) -> int:
-        return self.components[0].trunc
-
-    @property
-    def log_degree(self) -> int:
-        return len(self.components) - 1
-
-    def component(self, j: int) -> PowerSeries:
-        if j < len(self.components):
-            return self.components[j]
-        return PowerSeries.zero(self.var, self.trunc)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-    def theta(self) -> "LogSeries":
-        """z d/dz, using D(f L^j/j!) = (Df) L^j/j! + f L^{j-1}/(j-1)!."""
-        out = [self.component(j).theta() + self.component(j + 1) for j in range(len(self.components))]
-        return LogSeries(tuple(out))
-
-    def shift(self, i: int) -> "LogSeries":
-        return LogSeries(tuple(c.shift(i) for c in self.components))
-
-    def __add__(self, other: "LogSeries") -> "LogSeries":
-        n = max(len(self.components), len(other.components))
-        tr = min(self.trunc, other.trunc)
-        return LogSeries(tuple(
-            self.component(j).truncate(tr) + other.component(j).truncate(tr) for j in range(n)
-        ))
-
-    def __neg__(self):
-        return LogSeries(tuple(-c for c in self.components))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def mul_series(self, s) -> "LogSeries":
-        """Times a PowerSeries in the same variable, or a scalar."""
-        return LogSeries(tuple(c * s for c in self.components))
-
-    __mul__ = mul_series
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,10 @@ from grasscy.dop import (
 )
 from grasscy.laurent import LaurentPoly
 from grasscy.linalg import echelon, nullspace, rank
-from grasscy.mirror_analysis import FrobeniusPair, MirrorMap, frobenius_basis, mirror_map
+from grasscy.mirror_analysis import FrobeniusPair, MirrorMap, mirror_map
 from grasscy.qh import NoDependence, build_qh_matrix, next_functional
-from grasscy.series import LogSeries, PowerSeries, SeriesDomainError, series_compose, series_exp
+from grasscy.record import record
+from grasscy.series import PowerSeries, SeriesDomainError, series_compose, series_exp
 from grasscy.toric import DIM_BOUND
 from grasscy.upoly import PONE, PZERO, padd, pdivexact, pmul, pnorm
 
@@ -158,6 +159,86 @@ def log_oracle(f: PowerSeries) -> tuple:
     return tuple(out)
 
 
+# -- log-extended series: F = sum_j f_j(z) (log z)^j / j! ----------------------
+
+
+@record
+class LogSeries:
+    components: tuple[PowerSeries, ...]
+
+    def __post_init__(self):
+        comps = tuple(self.components)
+        if not comps:
+            raise ValueError("log series needs at least one component")
+        var, tr = comps[0].var, comps[0].trunc
+        for c in comps:
+            if c.var != var or c.trunc != tr:
+                raise ValueError("all components must share variable and truncation")
+        while len(comps) > 1 and comps[-1].is_zero():
+            comps = comps[:-1]
+        object.__setattr__(self, "components", comps)
+
+    @property
+    def var(self) -> str:
+        return self.components[0].var
+
+    @property
+    def trunc(self) -> int:
+        return self.components[0].trunc
+
+    @property
+    def log_degree(self) -> int:
+        return len(self.components) - 1
+
+    def component(self, j: int) -> PowerSeries:
+        if j < len(self.components):
+            return self.components[j]
+        return PowerSeries.zero(self.var, self.trunc)
+
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self.components)
+
+    def theta(self) -> "LogSeries":
+        """z d/dz, using D(f L^j/j!) = (Df) L^j/j! + f L^{j-1}/(j-1)!."""
+        out = [self.component(j).theta() + self.component(j + 1) for j in range(len(self.components))]
+        return LogSeries(tuple(out))
+
+    def shift(self, i: int) -> "LogSeries":
+        return LogSeries(tuple(c.shift(i) for c in self.components))
+
+    def __add__(self, other: "LogSeries") -> "LogSeries":
+        n = max(len(self.components), len(other.components))
+        tr = min(self.trunc, other.trunc)
+        return LogSeries(tuple(
+            self.component(j).truncate(tr) + other.component(j).truncate(tr) for j in range(n)
+        ))
+
+    def mul_series(self, s) -> "LogSeries":
+        """Times a PowerSeries in the same variable, or a scalar."""
+        return LogSeries(tuple(c * s for c in self.components))
+
+    __mul__ = mul_series
+
+
+def apply_log(P: DOp, f: LogSeries) -> LogSeries:
+    """P applied to a log series, one theta at a time: sum c z^i D^j f."""
+    by_j: dict[int, dict] = {}
+    for (i, j), c in P.terms.items():
+        by_j.setdefault(j, {})[i] = c
+    acc = None
+    power = f  # D^j f, computed incrementally
+    for j in range(P.order + 1):
+        if j > 0:
+            power = power.theta()
+        if j in by_j:
+            for i, c in by_j[j].items():
+                piece = power.shift(i) * c
+                acc = piece if acc is None else acc + piece
+    if acc is None:
+        raise ValueError("cannot apply the zero operator to a log series")
+    return acc
+
+
 # -- Frobenius basis ---------------------------------------------------------
 
 
@@ -257,6 +338,32 @@ def yukawa_z_ddz_oracle(P, n0: int, order_n: int) -> PowerSeries:
     return (series_exp(w_log) * n0).truncate(order_n)
 
 
+# -- normal form in z, solution by solution -----------------------------------
+
+
+def normal_form_check_oracle(P, kz3: PowerSeries, order_n: int) -> bool:
+    """The D_t^2 (1/K_q) D_t^2 normal form in z: each Frobenius solution,
+    divided by the holomorphic one, is annihilated in every degree
+    0..order_n.
+
+    With t = log z + psi/phi0 the flat coordinate, D_t = (D t)^(-1) D for
+    D = z d/dz and D t = 1 + D(psi/phi0), and the coupling pushed to t is
+    1/K_q = phi0^2 (D t)^3 / K_z, so neither the mirror map is inverted nor
+    any solution composed into q."""
+    kz3 = kz3.truncate(order_n)  # TruncationError if K_z is known to less
+    basis = frobenius_basis_oracle(P, order_n)
+    phi0 = basis[0].component(0)
+    inv_phi0 = phi0.reciprocal()
+    dt = 1 + (basis[1].component(0) / phi0).theta()
+    inv_dt = dt.reciprocal()
+    inv_k = phi0 * phi0 * dt * dt * dt / kz3
+
+    def d_t(f: LogSeries) -> LogSeries:
+        return f.theta() * inv_dt
+
+    return all(d_t(d_t(d_t(d_t(sol * inv_phi0)) * inv_k)).is_zero() for sol in basis)
+
+
 # -- normal form through the flat coordinate q ---------------------------------
 
 
@@ -284,7 +391,7 @@ def normal_form_check_q_oracle(P, kq3: PowerSeries, order_n: int) -> bool:
     each Frobenius solution divided by the holomorphic one to q, and apply
     the operator with D = q d/dq.  Checks degrees up to
     min(order_n, kq3.trunc - 1)."""
-    basis = frobenius_basis(P, max(order_n, kq3.trunc))
+    basis = frobenius_basis_oracle(P, max(order_n, kq3.trunc))
     phi0 = basis[0].component(0)
     maps = mirror_map(FrobeniusPair(phi0, basis[1].component(0)))
     n = min(phi0.trunc, maps.z_of_q.trunc, kq3.trunc)

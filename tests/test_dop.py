@@ -16,10 +16,10 @@ from grasscy.dop import (
 )
 from grasscy.hypergeom import ASeriesSpec, FactorialBundle, a_series, factorial_trick
 from grasscy.registry import registry_load
-from grasscy.series import LogSeries, PowerSeries
+from grasscy.series import PowerSeries
 
 import support
-from support import rationals
+from support import LogSeries, apply_log, rationals
 
 D = DOp.D()
 z = DOp.z()
@@ -64,9 +64,9 @@ def test_apply_power_series():
 def test_apply_log_series_matches_theta():
     f = PowerSeries("z", (0, 1, 2, 3))
     F = LogSeries((f, f))
-    assert D.apply(F) == F.theta()
-    assert (D * D).apply(F) == F.theta().theta()
-    assert (z * D).apply(F) == F.theta().shift(1)
+    assert apply_log(D, F) == F.theta()
+    assert apply_log(D * D, F) == F.theta().theta()
+    assert apply_log(z * D, F) == F.theta().shift(1)
 
 
 def test_pf_fit_geometric():

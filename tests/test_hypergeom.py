@@ -147,9 +147,12 @@ def test_packed_transfer_matches_oracle_deep(kn, order):
 @pytest.mark.parametrize("k,n", [(k, n) for n in range(3, 10) for k in range(1, n // 2 + 1)
                                  if k != n - k])
 def test_a_series_is_symmetric_under_duality(k, n):
-    """G(k,n) = G(n-k,n): the transposed grid has the same sum, which also
-    checks the folded corner's 1 x 2 grid against its 2 x 1 transpose."""
-    assert a_series_qspecialized(k, n, 12) == a_series_qspecialized(n - k, n, 12)
+    """G(k,n) = G(n-k,n): a_series sums the (k-1) x (n-k-1) grid for both,
+    and the oracle sums the transposed (n-k-1) x (k-1) grid as given."""
+    binom, _ = _pascal(12)
+    want = tuple(Q(transfer_sum_oracle(n - k, n, m, binom), factorial(m) ** n) for m in range(13))
+    assert a_series_qspecialized(k, n, 12).coeffs == want
+    assert a_series_qspecialized(n - k, n, 12).coeffs == want
 
 
 def test_keep_params_specializes_to_q_series():

@@ -10,7 +10,6 @@ from grasscy.mirror_analysis import (
     NotMUM,
     extract_instantons,
     frobenius,
-    frobenius_basis,
     mirror_map,
     normal_form_check,
     yukawa_q,
@@ -18,10 +17,12 @@ from grasscy.mirror_analysis import (
 )
 from grasscy.pipeline import fit_operator, rational_series
 from grasscy.registry import registry_load
-from grasscy.series import PowerSeries, TruncationError, series_compose
+from grasscy.series import PowerSeries, SeriesDomainError, TruncationError, series_compose
 
 from support import (
+    apply_log,
     frobenius_basis_oracle,
+    normal_form_check_oracle,
     normal_form_check_q_oracle,
     rationals,
     yukawa_q_oracle,
@@ -47,11 +48,11 @@ def quartic_phi(n):
 
 
 def test_frobenius_basis_is_annihilated():
-    basis = frobenius_basis(QUARTIC, 12)
+    basis = frobenius_basis_oracle(QUARTIC, 12)
     assert len(basis) == 4
     assert [s.log_degree for s in basis] == [0, 1, 2, 3]
     for s in basis:
-        assert QUARTIC.apply(s).is_zero()
+        assert apply_log(QUARTIC, s).is_zero()
 
 
 @st.composite
@@ -67,22 +68,12 @@ def mum_operators(draw):
     return DOp(terms)
 
 
-@settings(max_examples=200, deadline=None)
-@given(mum_operators(), st.integers(min_value=0, max_value=8))
-def test_frobenius_basis_matches_jet_oracle(P, order_n):
-    got, want = frobenius_basis(P, order_n), frobenius_basis_oracle(P, order_n)
-    assert [s.log_degree for s in got] == [s.log_degree for s in want]
-    for s, t in zip(got, want):
-        for a, b in zip(s.components, t.components):
-            assert a.coeffs == b.coeffs
-
-
 @settings(max_examples=100, deadline=None)
 @given(mum_operators().filter(lambda P: P.order >= 2), st.integers(min_value=0, max_value=8))
 def test_frobenius_pair_is_the_head_of_the_basis(P, order_n):
     """The pair from jets modulo eps^2 is component 0 of the first two
-    solutions of the full basis."""
-    fp, basis = frobenius(P, order_n), frobenius_basis(P, order_n)
+    solutions of the full basis, solved in Fraction jets modulo eps^L."""
+    fp, basis = frobenius(P, order_n), frobenius_basis_oracle(P, order_n)
     assert fp.phi0 == basis[0].component(0)
     assert fp.psi == basis[1].component(0)
 
@@ -101,10 +92,15 @@ def test_frobenius_holomorphic_solution():
 
 
 def test_not_mum_rejected():
+    kz = yukawa_z(QUARTIC, 8, 5)
     with pytest.raises(NotMUM):
-        frobenius_basis(D**4 + D**3 - z, 5)
+        frobenius(D**4 + D**3 - z, 5)
     with pytest.raises(NotMUM):
         yukawa_z(D**4 + D, 1, 5)
+    with pytest.raises(NotMUM):
+        normal_form_check(D**4 + D, kz, 5)
+    with pytest.raises(NotMUM, match="order-4"):
+        normal_form_check(D**5 - z, kz, 5)
 
 
 def test_mirror_map_inverse_pair():
@@ -206,11 +202,15 @@ def test_quartic_pipeline_normal_form():
 
 
 def test_normal_form_check_needs_kz_to_order():
-    """A certificate asked for order 20 must not pass on K_z known to 10."""
+    """A certificate asked for order 20 must not pass on K_z known to 10,
+    nor one on K_z = 0, which has no inverse."""
     kz = yukawa_z(QUARTIC, 8, 10)
     assert normal_form_check(QUARTIC, kz, 10)
     with pytest.raises(TruncationError):
         normal_form_check(QUARTIC, kz, 20)
+    for check in (normal_form_check, normal_form_check_oracle):
+        with pytest.raises(SeriesDomainError):
+            check(QUARTIC, kz * 0, 10)
 
 
 @pytest.mark.parametrize("name", sorted(registry_load()))
@@ -226,3 +226,47 @@ def test_normal_form_in_z_matches_q_oracle(name):
     for k, ok in ((kz, True), (bad, False)):
         assert normal_form_check(op, k, 12) is ok
         assert normal_form_check_q_oracle(op, yukawa_q(k, fp, maps), 12) is ok
+
+
+def hypergeometric_cy(a, b, c):
+    """D^4 - c z (D + a)(D + 1 - a)(D + b)(D + 1 - b): a Calabi-Yau
+    operator for every a, b and c != 0."""
+    return D**4 - c * z * (D + a) * (D + 1 - a) * (D + b) * (D + 1 - b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.builds(lambda *abc: (hypergeometric_cy(*abc), True), rationals(2, 4),
+                           rationals(2, 4), rationals(5, 4).filter(lambda c: c != 0)),
+                 mum_order_4.map(lambda P: (P, None))),
+       st.integers(1, 20), st.integers(4, 8), st.integers(1, 12))
+def test_normal_form_check_matches_oracle(op_and_want, n0, order_n, d):
+    """The two identities against the four-solution check in z: on operators
+    that have the normal form, on random MUM operators (which mostly do not,
+    and whose failure the oracle sees by degree 3), with their own K_z, and
+    with K_z changed in one degree d, which only an order >= d can see."""
+    P, want = op_and_want
+    kz = yukawa_z(P, n0, 12)
+    ok = normal_form_check(P, kz, order_n)
+    assert ok is normal_form_check_oracle(P, kz, order_n)
+    assert want is None or ok is want
+    bad = kz + PowerSeries.gen("z", 12).shift(d - 1)
+    assert (normal_form_check(P, bad, order_n) is normal_form_check_oracle(P, bad, order_n)
+            is (ok and d > order_n))
+
+
+@pytest.mark.parametrize("name", sorted(registry_load()))
+def test_normal_form_check_on_the_registry(name):
+    """True on every registry operator and False once 1 is added to its
+    z D coefficient, as the oracle finds; and for X113_G25, K_z changed in
+    degree d is rejected at order n exactly when d <= n."""
+    rc = registry_load()[name]
+    op = fit_operator(rc)
+    for P, ok in ((op, True), (op + z * D, False)):
+        k = yukawa_z(P, rc.case.n0, 12)
+        assert normal_form_check(P, k, 12) is normal_form_check_oracle(P, k, 12) is ok
+    if name == "X113_G25":
+        kz = yukawa_z(op, rc.case.n0, 12)
+        for d in (1, 3, 6, 7, 8, 10):
+            bad = kz + PowerSeries.gen("z", 12).shift(d - 1)
+            for n in (5, 6, 7, 8, 10, 12):
+                assert normal_form_check(op, bad, n) is normal_form_check_oracle(op, bad, n) is (d > n)

@@ -13,8 +13,10 @@ from grasscy.mirror_analysis import FrobeniusPair, MirrorMap
 from grasscy.pipeline import RunReport
 from grasscy.qh import ConjectureReport, QHMatrix
 from grasscy.registry import RegistryCase
-from grasscy.series import LogSeries, MultiSeries, PowerSeries
+from grasscy.series import MultiSeries, PowerSeries
 from grasscy.toric import CYCase, DeltaKN
+
+from support import LogSeries
 
 PS = PowerSeries("z", (1, 2))
 OP = DOp({(0, 1): 1})

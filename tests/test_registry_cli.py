@@ -148,6 +148,7 @@ def test_cli_phi(capsys):
     code, out = run_cli(["phi", "2", "5", "--degrees", "1,1,3", "--order", "2"], capsys)
     assert code == 0
     assert out["coeffs"] == ["1", "18", "1710"]
+    assert out["var"] == "z"
 
 
 def test_cli_qh_operator(capsys):
@@ -171,6 +172,7 @@ def test_cli_pf_fit_roundtrip(tmp_path, capsys):
     )
     assert code == 0
     assert out["order"] == 4
+    assert out["var"] == "z"
 
 
 def test_cli_instanton_pass(capsys):
@@ -200,6 +202,12 @@ def test_cli_mirror_system(capsys):
 def test_cli_usage_errors(capsys):
     assert main(["no-such-command"]) == 2
     assert main(["instanton", "--case", "NOPE"]) == 2
+
+
+def test_cli_help_exits_0(capsys):
+    assert main(["verify-all", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: grasscy verify-all") and captured.err == ""
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +249,9 @@ def _usage_error(capsys) -> str:
      "Pluecker coordinates exceed the bound 35"),
     (["toric", "1000000", "2000000"],
      "C(2000000,1000000) > 2^1024 Pluecker coordinates exceed the bound 35"),
+    (["verify-all", "--bogus"], "unrecognized arguments: --bogus"),
+    (["no-such-command"], "argument command: invalid choice: 'no-such-command'"),
+    (["phi", "2", "5", "--degrees", "-1,3,3"], "argument --degrees: expected one argument"),
 ])
 def test_cli_bad_input_is_usage_error(capsys, series_file, argv, message):
     """Rejected before any computation: exit 2, nothing on stdout, one JSON

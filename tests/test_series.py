@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from grasscy.errors import UsageError
 from grasscy.series import (
-    LogSeries,
     PowerSeries,
     SeriesDomainError,
     TruncationError,
@@ -20,6 +19,7 @@ from grasscy.series import (
 
 import support
 from support import (
+    LogSeries,
     compose_inner,
     exp_oracle,
     integrate0,
@@ -188,7 +188,7 @@ def test_json_roundtrip():
     assert series_from_json(series_to_json(f)) == f
 
 
-# -- LogSeries ---------------------------------------------------------------
+# -- LogSeries, the log-extended series of the test oracles -------------------
 
 
 def test_log_series_theta_rule():
