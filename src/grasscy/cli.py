@@ -10,7 +10,7 @@ import json
 import sys
 from contextlib import contextmanager
 
-from .dop import GUARD, dop_to_json, pf_fit
+from .dop import dop_to_json, pf_fit
 from .errors import GrasscyError, UsageError
 from .hypergeom import MAX_ORDER, ASeriesSpec, FactorialBundle, a_series, factorial_trick
 from .laurent import laurent_from_json, laurent_to_json
@@ -117,7 +117,7 @@ def cmd_phi(args) -> int:
 def cmd_pf_fit(args) -> int:
     with _parsing("--series", args.series), open(args.series) as fh:
         f = series_from_json(json.load(fh))
-    op = pf_fit(f, max_order=args.max_order, max_zdeg=args.max_degree, guard=args.guard)
+    op = pf_fit(f, max_order=args.max_order, max_zdeg=args.max_degree)
     _emit(dop_to_json(op, f.var))
     return EXIT_PASS
 
@@ -287,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--series", required=True)
     sp.add_argument("--max-order", type=int, required=True)
     sp.add_argument("--max-degree", type=int, required=True)
-    sp.add_argument("--guard", type=int, default=GUARD)
     sp.set_defaults(func=cmd_pf_fit)
 
     sp = sub.add_parser("qh-operator", help="quantum-cohomology scalar operator")

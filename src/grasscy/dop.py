@@ -172,10 +172,10 @@ class DOp:
         return PowerSeries(f.var, tuple(Q(c, den) for c in out))
 
 
-def fit_trunc(max_order: int, max_zdeg: int, guard: int = GUARD) -> int:
+def fit_trunc(max_order: int, max_zdeg: int) -> int:
     """Series truncation pf_fit needs for these bounds: the unknowns of the
-    largest candidate, (max_order+1)(max_zdeg+1), plus `guard` rows."""
-    return (max_order + 1) * (max_zdeg + 1) + guard
+    largest candidate, (max_order+1)(max_zdeg+1), plus GUARD rows."""
+    return (max_order + 1) * (max_zdeg + 1) + GUARD
 
 
 def _echelon_mod_p(rows: list[list[int]], ncols: int) -> dict[int, list[int]]:
@@ -273,7 +273,7 @@ def _lift_kernel(v: list[int], rows: list[list[int]]) -> list[int] | None:
     return ints
 
 
-def pf_fit(f: PowerSeries, max_order: int, max_zdeg: int, guard: int = GUARD) -> DOp:
+def pf_fit(f: PowerSeries, max_order: int, max_zdeg: int) -> DOp:
     """Smallest operator (graded by order+zdeg, then order) annihilating f.
 
     Sets up sum_{i,j} c_{i,j} (m-i)^j b_{m-i} = 0 for every m <= f.trunc and
@@ -293,14 +293,12 @@ def pf_fit(f: PowerSeries, max_order: int, max_zdeg: int, guard: int = GUARD) ->
     operator, one, and AmbiguousAnnihilator.  The canonical form makes the
     operator unique.
     """
-    if max_order < 1 or max_zdeg < 0 or guard < 0:
-        raise UsageError(f"need max_order >= 1, max_zdeg >= 0 and guard >= 0, "
-                         f"got ({max_order},{max_zdeg}) with guard {guard}")
-    if f.trunc < fit_trunc(max_order, max_zdeg, guard):
-        raise UsageError(
-            f"series truncation {f.trunc} too small for bounds "
-            f"({max_order},{max_zdeg}) with guard {guard}"
-        )
+    if max_order < 1 or max_zdeg < 0:
+        raise UsageError(f"need max_order >= 1, max_zdeg >= 0 for a fit, "
+                         f"got ({max_order},{max_zdeg})")
+    if f.trunc < (need := fit_trunc(max_order, max_zdeg)):
+        raise UsageError(f"series truncation {f.trunc} too small for bounds ({max_order},"
+                         f"{max_zdeg}): need {need}, the unknowns plus GUARD = {GUARD} rows")
     b = f.coeffs
     system = []  # row m: column (i, j) at index i * (max_order + 1) + j
     for m in range(f.trunc + 1):

@@ -33,10 +33,6 @@ class LaurentPoly:
     def constant(cls, nvars: int, c) -> "LaurentPoly":
         return cls(nvars, {(0,) * nvars: Q(c)})
 
-    @classmethod
-    def monomial(cls, nvars: int, exp, c=1) -> "LaurentPoly":
-        return cls(nvars, {tuple(exp): Q(c)})
-
     def __len__(self):
         return len(self.terms)
 
@@ -68,9 +64,6 @@ class LaurentPoly:
         return LaurentPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     __rmul__ = __mul__
-
-    def coefficient(self, exp) -> Q:
-        return self.terms.get(tuple(exp), ZERO)
 
     def constant_term(self) -> Q:
         return self.terms.get((0,) * self.nvars, ZERO)

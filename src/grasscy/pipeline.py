@@ -3,7 +3,7 @@ hypergeometric series -> factorial modification -> Picard-Fuchs fit ->
 Frobenius pair -> mirror map -> Yukawa coupling -> instanton numbers.
 
 No truncation is stored; each follows from the request:
-- the A-series runs to the fit bound (max_order+1)(max_zdeg+1)+guard
+- the A-series runs to the fit bound (max_order+1)(max_zdeg+1)+GUARD
   (`dop.fit_trunc`), with max_order 4 and the case's pf_max_zdeg;
 - the Frobenius pair, the mirror map and K_q run to count, the degree to
   which `extract_instantons` reads K_q; K_q keeps the truncation of its

@@ -110,7 +110,7 @@ class NoDependence(Mismatch):
 # entry's exact value at q = 2^B, but x unpacks to S only while the
 # coefficients fit their fields, so the result is unpacked and certified in
 # Z[q], and a failed check doubles B.
-START_BITS = 64
+START_BITS = 128
 
 _ZERO = (0, 0)
 
@@ -306,8 +306,9 @@ def verify_conjecture(k: int, n: int, order: int, operator: DOp | None = None) -
     if operator is None:
         operator = scalar_operator(k, n)
     residual = operator.apply(a_series_qspecialized(k, n, order))
-    # a_0 = 1 uniqueness: 0 must be a root of the indicial polynomial and the
-    # recursion must determine the series wherever the indicial value is nonzero
+    # a solution with a_0 = 1 needs 0 to be a root of the indicial polynomial;
+    # only that is checked.  A root m >= 1 leaves a_m free: the operators of
+    # G(2,5), G(2,6) and G(3,6) have one at m = 1, that of G(2,7) at 1 and 2
     indicial_unique = operator.indicial(0) == 0
     return ConjectureReport(
         k, n, order, operator, residual, residual.is_zero(), indicial_unique

@@ -16,7 +16,6 @@ from .toric import CYCase, node_count
 class RegistryCase:
     case: CYCase
     expected_Y: tuple[int, int, int]
-    expected_alpha: int
     expected_p: int
     kz3_numerator: tuple
     kz3_denominator: tuple
@@ -36,9 +35,13 @@ def _load_json(path: str | Path | None) -> dict:
 
 
 def registry_load(path: str | Path | None = None) -> dict[str, RegistryCase]:
-    data = _load_json(path)
+    cases = _load_json(path)["cases"]
+    if not isinstance(cases, list) or not cases:
+        raise RegistryError(f"cases must be a non-empty list, got {cases!r:.40}")
     out: dict[str, RegistryCase] = {}
-    for rec in data["cases"]:
+    for rec in cases:
+        if rec["name"] in out:
+            raise RegistryError(f"{rec['name']}: two cases share this name")
         zdeg, inst = rec["pf_max_zdeg"], rec["instantons"]
         if type(zdeg) is not int or zdeg < 0:
             raise RegistryError(f"{rec['name']}: pf_max_zdeg must be an int >= 0, got {zdeg!r}")
@@ -71,7 +74,6 @@ def registry_load(path: str | Path | None = None) -> dict[str, RegistryCase]:
         out[case.name] = RegistryCase(
             case=case,
             expected_Y=ey,
-            expected_alpha=rec["alpha"],
             expected_p=rec["p"],
             kz3_numerator=tuple(Q(c) for c in rec["kz3_numerator"]),
             kz3_denominator=kz3_denominator,

@@ -9,13 +9,7 @@ from operator import add, le
 
 from hypothesis import strategies as st
 
-from grasscy.dop import (
-    GUARD,
-    SCREEN_PRIME,
-    AmbiguousAnnihilator,
-    DOp,
-    NoAnnihilator,
-)
+from grasscy.dop import SCREEN_PRIME, AmbiguousAnnihilator, DOp, NoAnnihilator
 from grasscy.laurent import LaurentPoly
 from grasscy.linalg import echelon, nullspace, rank
 from grasscy.mirror_analysis import FrobeniusPair, MirrorMap, mirror_map
@@ -635,8 +629,7 @@ def lift_from_echelon_oracle(echelon: dict[int, list[int]],
     return ints
 
 
-def pf_fit_per_order_oracle(f: PowerSeries, max_order: int, max_zdeg: int,
-                            guard: int = GUARD) -> DOp:
+def pf_fit_per_order_oracle(f: PowerSeries, max_order: int, max_zdeg: int) -> DOp:
     """pf_fit's earlier route: one modular echelon per order r, on the
     columns of (r, max_zdeg), whose leading columns are those of every
     candidate (r, d); a candidate one short of full rank lifts its kernel

@@ -259,7 +259,7 @@ def test_criterion_8_property_suites():
         from grasscy.dop import AmbiguousAnnihilator
 
         try:
-            fit = pf_fit(f, r, d + 1, guard=10)
+            fit = pf_fit(f, r, d + 1)
         except AmbiguousAnnihilator:
             continue
         ok = ok and fit.apply(f).is_zero()

@@ -72,7 +72,7 @@ def test_apply_log_series_matches_theta():
 def test_pf_fit_geometric():
     # f = 1/(1-z): (1-z) f' - f = 0, i.e. D - z D - z annihilates it
     f = PowerSeries("z", (1,) * 30)
-    P = pf_fit(f, 2, 2, guard=5)
+    P = pf_fit(f, 2, 2)
     assert P.apply(f).is_zero()
     assert P.order == 1
 
@@ -81,7 +81,7 @@ def test_pf_fit_exp():
     from math import factorial
 
     f = PowerSeries("z", tuple(Q(1, factorial(m)) for m in range(30)))
-    P = pf_fit(f, 2, 2, guard=5)
+    P = pf_fit(f, 2, 2)
     assert P == (D - z).canonical()
 
 
@@ -140,8 +140,8 @@ def test_packed_echelon_matches_list_oracle(nrows, ncols, rank, entries, rng):
 
 def test_pf_fit_guard_insufficient_series():
     f = PowerSeries("z", (1,) * 5)
-    with pytest.raises(ValueError):
-        pf_fit(f, 4, 4, guard=10)
+    with pytest.raises(ValueError, match="need 35, the unknowns plus GUARD = 10 rows"):
+        pf_fit(f, 4, 4)
 
 
 def test_pf_fit_no_annihilator():
@@ -151,7 +151,7 @@ def test_pf_fit_no_annihilator():
 
     f = PowerSeries("z", tuple(Q(factorial(2 * m), factorial(m) ** 2) for m in range(25)))
     with pytest.raises(NoAnnihilator):
-        pf_fit(f, 1, 0, guard=5)
+        pf_fit(f, 1, 0)
 
 
 @pytest.fixture
@@ -196,7 +196,7 @@ def test_pf_fit_large_coefficients_take_exact_path(exact_calls):
     the winner goes to the exact nullspace, which finds the operator."""
     c = 2**31 + 1
     f = PowerSeries("z", tuple(c**m for m in range(30)))
-    assert pf_fit(f, 2, 2, guard=5) == (D - c * z * D - c * z).canonical()
+    assert pf_fit(f, 2, 2) == (D - c * z * D - c * z).canonical()
     assert exact_calls == [4]  # the winner (1, 1) only
 
 
@@ -208,7 +208,7 @@ def test_pf_fit_lift_is_checked_over_z(exact_calls):
     from grasscy.dop import SCREEN_PRIME
 
     f = PowerSeries("z", (1,) + (SCREEN_PRIME,) * 25)
-    P = pf_fit(f, 2, 2, guard=5)
+    P = pf_fit(f, 2, 2)
     assert P.apply(f).is_zero()
     assert (P.order, P.zdeg) == (1, 2)
     assert exact_calls[0] == 2  # (1, 0) went on to the exact nullspace
@@ -219,7 +219,7 @@ def test_pf_fit_ambiguous(exact_calls):
     smallest bounds (2, 2); the exact nullspace decides and reports it."""
     f = PowerSeries("z", (1, 0, 1, 0, 1) + (0,) * 24)
     with pytest.raises(AmbiguousAnnihilator, match="dimension 2 at minimal bounds \\(2,2\\)"):
-        pf_fit(f, 2, 2, guard=5)
+        pf_fit(f, 2, 2)
     assert exact_calls[-1] == 9
 
 
@@ -299,11 +299,11 @@ def test_pf_fit_certificate(r, d, seed):
         coeffs.append(-rhs / Q(m) ** r)
     f = PowerSeries("z", tuple(coeffs))
     try:
-        want = support.pf_fit_per_order_oracle(f, r, d + 1, guard=10)
+        want = support.pf_fit_per_order_oracle(f, r, d + 1)
     except AmbiguousAnnihilator as e:
         with pytest.raises(AmbiguousAnnihilator, match=re.escape(str(e))):
-            pf_fit(f, r, d + 1, guard=10)
+            pf_fit(f, r, d + 1)
         return
-    fit = pf_fit(f, r, d + 1, guard=10)
+    fit = pf_fit(f, r, d + 1)
     assert fit == want
     assert fit.apply(f).is_zero()

@@ -168,9 +168,10 @@ def test_scalar_operator_from_a_width_far_too_small(monkeypatch, k, n):
 
 
 def test_g27_leaves_the_64_bit_pass_early(monkeypatch):
-    """G(2,7) settles at 128 bits.  Its 64-bit elimination gives up at the
-    first pivot whose digits crowd their fields, before it reaches the
-    dependence, and the operator is the same."""
+    """Started at 64 bits, G(2,7) settles at 128.  Its 64-bit elimination
+    gives up at the first pivot whose digits crowd their fields, before it
+    reaches the dependence, and the operator is the same."""
+    monkeypatch.setattr(qh, "START_BITS", 64)
     passes = []
     eliminate = qh._eliminate
 

@@ -34,7 +34,7 @@ RECORDS = {
     RunReport: ("X4_G24", OP, PS, True, [1], None, (2, 86, -168), (2, 86, -168), 4, 4, 0.5),
     QHMatrix: (2, 4, ((),), ((0,),)),
     ConjectureReport: (2, 4, 5, OP, PS, True, True),
-    RegistryCase: (CYCase(*CY), (2, 86, -168), 1, 4, (Q(8),), (Q(1), Q(-1024)), 1),
+    RegistryCase: (CYCase(*CY), (2, 86, -168), 4, (Q(8),), (Q(1), Q(-1024)), 1),
     PowerSeries: ("z", (1, 2)),
     LogSeries: ((PS,),),
     MultiSeries: (1, 2, {(1, (0,)): 1}),

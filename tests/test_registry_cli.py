@@ -32,8 +32,8 @@ def test_registry_invariants(registry):
     for rc in registry.values():
         case = rc.case
         assert case.chi == 2 * (case.h11 - case.h21)
-        assert rc.expected_alpha == (case.k - 1) * (case.n - case.k - 1)
-    assert registry["X1111111_G27"].expected_alpha == 4
+        assert case.alpha == (case.k - 1) * (case.n - case.k - 1)
+    assert registry["X1111111_G27"].case.alpha == 4
     assert registry["X1111111_G27"].expected_p == 14
 
 
@@ -74,7 +74,9 @@ def test_registry_rejects_fixture_denominator_vanishing_at_zero(tmp_path):
     ("pf_max_zdeg", -1, "pf_max_zdeg must be an int >= 0, got -1"),
     ("instantons", "abc", "instantons must be null or a list of ints, got 'abc'"),
     ("instantons", [1, 2.5], "instantons must be null or a list of ints, got [1, 2.5]"),
-], ids=["zdeg-float", "zdeg-string", "zdeg-negative", "instantons-string", "instantons-float"])
+    ("alpha", 5, "alpha != (k-1)(n-k-1)"),
+], ids=["zdeg-float", "zdeg-string", "zdeg-negative", "instantons-string", "instantons-float",
+        "alpha"])
 def test_cli_registry_rejects_bad_field(tmp_path, capsys, monkeypatch, field, value, message):
     """A registry field of the wrong type or sign is refused when the
     registry is loaded, before any series is built: exit 2, one JSON line
@@ -89,8 +91,32 @@ def test_cli_registry_rejects_bad_field(tmp_path, capsys, monkeypatch, field, va
     assert error == f"RegistryError: {data['cases'][0]['name']}: {message}"
 
 
+def _registry_with_duplicate() -> dict:
+    """X113_G25 twice, the first with wrong instanton numbers: a dict keyed
+    by name would keep only the second, and the run would pass."""
+    data = _load_json(None)
+    good = next(rec for rec in data["cases"] if rec["name"] == "X113_G25")
+    data["cases"] = [dict(good, instantons=[1, 2, 3]), good]
+    return data
+
+
+@pytest.mark.parametrize("content,message", [
+    ({"cases": []}, "cases must be a non-empty list, got []"),
+    ({"cases": {"X4_G24": {}}}, "cases must be a non-empty list, got {'X4_G24': {}}"),
+    (_registry_with_duplicate(), "X113_G25: two cases share this name"),
+], ids=["empty", "not-a-list", "duplicate-name"])
+def test_cli_registry_rejects_bad_case_list(tmp_path, capsys, monkeypatch, content, message):
+    """A registry with no cases, or two of one name, is refused when it is
+    loaded, before any series is built: exit 2, one JSON line on stderr."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    monkeypatch.setattr(cli, "run_case", _raise(AssertionError("a series was built")))
+    assert main(["verify-all", "--registry", str(bad)]) == 2
+    assert _usage_error(capsys) == f"RegistryError: {message}"
+
+
 SERIES = "<valid series file>"
-FIT_BOUNDS = "need max_order >= 1, max_zdeg >= 0 and guard >= 0"
+FIT_BOUNDS = "need max_order >= 1, max_zdeg >= 0 for a fit"
 
 
 def run_cli(args, capsys):
@@ -167,7 +193,7 @@ def test_cli_pf_fit_roundtrip(tmp_path, capsys):
     f = tmp_path / "series.json"
     f.write_text(json.dumps(phi))
     code, out = run_cli(
-        ["pf-fit", "--series", str(f), "--max-order", "4", "--max-degree", "1", "--guard", "5"],
+        ["pf-fit", "--series", str(f), "--max-order", "4", "--max-degree", "1"],
         capsys,
     )
     assert code == 0
@@ -240,8 +266,8 @@ def _usage_error(capsys) -> str:
     (["pf-fit", "--series", SERIES, "--max-order", "0", "--max-degree", "1"], FIT_BOUNDS),
     (["pf-fit", "--series", SERIES, "--max-order", "-1", "--max-degree", "1"], FIT_BOUNDS),
     (["pf-fit", "--series", SERIES, "--max-order", "4", "--max-degree", "-3"], FIT_BOUNDS),
-    (["pf-fit", "--series", SERIES, "--max-order", "4", "--max-degree", "1", "--guard", "-5"],
-     FIT_BOUNDS),
+    (["pf-fit", "--series", SERIES, "--max-order", "4", "--max-degree", "1", "--guard", "5"],
+     "unrecognized arguments: --guard 5"),
     (["toric", "5", "12"], "C(12,5) = 792 Pluecker coordinates exceed the bound 35"),
     (["lax", "4", "8"], "C(8,4) = 70 Pluecker coordinates exceed the bound 35"),
     (["lax", "100", "200"], "Pluecker coordinates exceed the bound 35"),
