@@ -116,10 +116,7 @@ class DOp:
             out = out * self
         return out
 
-    def __eq__(self, other):
-        return isinstance(other, DOp) and self.terms == other.terms
-
-    def __hash__(self):
+    def __hash__(self):  # the record's own hash would fail on the dict field
         return hash(frozenset(self.terms.items()))
 
     # -- normal form ---------------------------------------------------------

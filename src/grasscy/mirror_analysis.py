@@ -6,7 +6,6 @@ normal-form check."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .dop import DOp
 from .errors import Mismatch
@@ -20,7 +19,7 @@ from .series import (
     series_exp,
     series_revert,
 )
-from .upoly import PZERO, Poly, padd, pmul, pnorm, pshift, ptheta
+from .upoly import PZERO, Poly, padd, pmul, pnorm, ptheta
 
 ZERO = Q(0)
 
@@ -45,14 +44,12 @@ def _check_mum(P: DOp):
         raise NotMUM("z^0 part is missing entirely")
 
 
-def _taylor_jet(coeffs: list[int], base: int, L: int) -> list[int]:
-    """sum_j coeffs[j] x^j at x = base + eps, as the jet of its first L
-    Taylor coefficients: [eps^t] = sum_j coeffs[j] C(j, t) base^(j-t)."""
-    powers = [1]
-    for _ in range(len(coeffs)):
-        powers.append(powers[-1] * base)
-    return [sum(c * comb(j, t) * powers[j - t] for j, c in enumerate(coeffs[t:], t) if c)
-            for t in range(L)]
+def _check_order_4_mum(P: DOp):
+    """The Yukawa coupling and the normal form are defined for order-4 MUM
+    operators only."""
+    if P.order != 4:
+        raise NotMUM(f"the Yukawa coupling needs an order-4 operator, got order {P.order}")
+    _check_mum(P)
 
 
 def _frobenius_jets(P: DOp, order_n: int) -> list[list[Q]]:
@@ -62,9 +59,10 @@ def _frobenius_jets(P: DOp, order_n: int) -> list[list[Q]]:
     every jet are exact once L >= 2.
 
     The recurrence runs in integers: with P's denominators cleared its z^0
-    part is c D^L, whose inverse at D = m + eps is
-    (1/c) sum_t (-1)^t C(L+t-1, t) m^(-L-t) eps^t, and A_m = N_m / S_m with
-    integer jets N_m and S_m = c^m (m!)^(2L-1), so that S_(m-i) divides S_m.
+    part is c D^L, whose inverse at D = m + eps is (1/c) m^(-L) (1 - L eps/m)
+    modulo eps^2, and A_m = N_m / S_m with integer jets N_m and
+    S_m = c^m (m!)^(2L-1), so that S_(m-i) divides S_m.  Each p_i enters
+    through its value and derivative at m - i, from one Horner pass.
     """
     _check_mum(P)
     L = P.order
@@ -85,9 +83,12 @@ def _frobenius_jets(P: DOp, order_n: int) -> list[list[Q]]:
         for i in range(1, min(m, zd) + 1):
             if i > 1:
                 ratio *= c0 * (m - i + 1) ** e
-            p, a = _taylor_jet(pi[i], m - i, 2), N[m - i]
-            rhs[0] += ratio * p[0] * a[0]
-            rhs[1] += ratio * (p[0] * a[1] + p[1] * a[0])
+            x, p, dp = m - i, 0, 0
+            for c in reversed(pi[i]):
+                p, dp = p * x + c, dp * x + p
+            a = N[m - i]
+            rhs[0] += ratio * p * a[0]
+            rhs[1] += ratio * (p * a[1] + dp * a[0])
         inv = [m ** (L - 1), -L * m ** (L - 2)]
         N.append([-rhs[0] * inv[0], -(rhs[0] * inv[1] + rhs[1] * inv[0])])
         S.append(S[-1] * c0 * m**e)
@@ -133,9 +134,7 @@ def yukawa_z(P: DOp, n0: int, order_n: int) -> PowerSeries:
     p_(j,i) the coefficient of z^i in p_j,
     K_m = -sum_{i>=1} (2 p_(4,i) (m-i) + p_(3,i)) K_(m-i) / (2 p_(4,0) m).
     """
-    if P.order != 4:
-        raise NotMUM("Yukawa normalization requires an order-4 operator")
-    _check_mum(P)
+    _check_order_4_mum(P)
     p3 = [P.terms.get((i, 3), ZERO) for i in range(P.zdeg + 1)]
     p4 = [P.terms.get((i, 4), ZERO) for i in range(P.zdeg + 1)]
     K = [Q(n0)]
@@ -179,29 +178,22 @@ def extract_instantons(kq3: PowerSeries, count: int) -> list[int]:
 
 
 def _cy_residual(P: DOp) -> Poly:
-    """8 b4^3 (a1 - (1/2 a2 a3 - 1/8 a3^3 + a2' - 3/4 a3 a3' - 1/2 a3'')) in
-    Z[z], for P = sum_i b_i(z) (d/dz)^i of order 4 and a_i = b_i / b4: zero
-    exactly when P satisfies the Calabi-Yau condition of Almkvist, van
-    Enckevort, van Straten and Zudilin (Tables of Calabi-Yau equations,
-    math/0507430), under which the exterior square of P has order 5.
+    """8 p4^3 (a1 - (1/2 a2 a3 - 1/8 a3^3 + a2' - 3/4 a3 a3' - 1/2 a3'')) in
+    Z[z], for P = sum_j p_j(z) D^j of order 4, a_j = p_j / p4 and ' = D =
+    z d/dz: zero exactly when P satisfies the Calabi-Yau condition of
+    Almkvist, van Enckevort, van Straten and Zudilin (Tables of Calabi-Yau
+    equations, math/0507430), under which the exterior square of P has
+    order 5.
 
-    D^j = sum_i S(j,i) z^i (d/dz)^i with S the Stirling numbers of the
-    second kind, so b_i = z^i sum_j S(j,i) p_j for P = sum_j p_j(z) D^j.
-    With w_i = b_i' b4 - b_i b4' the residual is
-    4 b4 (2 w2 + b2 b3 - 2 b1 b4 - w3') + (8 b4' - 6 b3) w3 - b3^3."""
+    The paper states the condition for P written in d/dz, but it is derived
+    from the Leibniz rule alone, so any derivation of Q(z) may stand for
+    d/dz: here D, on P's own coefficients.  The value is the d/dz form's
+    residual divided by z^9 (there b4 = z^4 p4, so 8 b4^3 carries z^12, and
+    the bracket, of weight 3, takes off z^3).  With w_j = p_j' p4 - p_j p4'
+    it is 4 p4 (2 w2 + p2 p3 - 2 p1 p4 - w3') + (8 p4' - 6 p3) w3 - p3^3."""
     P = P.canonical()  # integer coefficients; the residual is homogeneous in P
-    p = [pnorm(P.terms.get((i, j), ZERO).numerator for i in range(P.zdeg + 1))
-         for j in range(5)]
-    stirling = [[1, 0, 0, 0, 0]]  # S(j, i), row j
-    for _ in range(4):
-        s = stirling[-1]
-        stirling.append([i * s[i] + (s[i - 1] if i else 0) for i in range(5)])
-    b = [PZERO] * 5
-    for i in range(1, 5):
-        for j in range(i, 5):
-            b[i] = padd(b[i], pmul((stirling[j][i],), pshift(p[j], i)))
-    _, b1, b2, b3, b4 = b
-    d = lambda f: ptheta(f)[1:]  # d/dz
+    p1, p2, p3, p4 = (pnorm(P.terms.get((i, j), ZERO).numerator for i in range(P.zdeg + 1))
+                      for j in range(1, 5))
 
     def lin(*terms) -> Poly:
         """sum of c * f_1 * ... * f_r over the terms (c, f_1, ..., f_r)."""
@@ -213,10 +205,10 @@ def _cy_residual(P: DOp) -> Poly:
             out = padd(out, prod)
         return out
 
-    w2 = lin((1, d(b2), b4), (-1, b2, d(b4)))
-    w3 = lin((1, d(b3), b4), (-1, b3, d(b4)))
-    inner = lin((2, w2), (1, b2, b3), (-2, b1, b4), (-1, d(w3)))
-    return lin((4, b4, inner), (8, d(b4), w3), (-6, b3, w3), (-1, b3, b3, b3))
+    w2 = lin((1, ptheta(p2), p4), (-1, p2, ptheta(p4)))
+    w3 = lin((1, ptheta(p3), p4), (-1, p3, ptheta(p4)))
+    inner = lin((2, w2), (1, p2, p3), (-2, p1, p4), (-1, ptheta(w3)))
+    return lin((4, p4, inner), (8, ptheta(p4), w3), (-6, p3, w3), (-1, p3, p3, p3))
 
 
 def normal_form_check(P: DOp, kz3: PowerSeries, order_n: int) -> bool:
@@ -231,9 +223,7 @@ def normal_form_check(P: DOp, kz3: PowerSeries, order_n: int) -> bool:
     2 p4 D K + p3 K = 0 (`yukawa_z`), so kz3 passes when that equation's
     residual vanishes in degrees 0..order_n.
     """
-    if P.order != 4:
-        raise NotMUM("the normal form requires an order-4 operator")
-    _check_mum(P)
+    _check_order_4_mum(P)
     kz3 = kz3.truncate(order_n)  # TruncationError if K_z is known to less
     if kz3[0] == 0:
         raise SeriesDomainError("the normal form needs K_z(0) != 0")

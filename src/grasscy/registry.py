@@ -59,7 +59,7 @@ def registry_load(path: str | Path | None = None) -> dict[str, RegistryCase]:
             instantons=tuple(inst) if inst else None,
             notes=rec.get("notes", ""),
         )
-        if rec["chi"] != 2 * (rec["h11"] - rec["h21"]):
+        if rec["chi"] != case.chi:
             raise RegistryError(f"{case.name}: chi != 2(h11 - h21)")
         if rec["alpha"] != case.alpha:
             raise RegistryError(f"{case.name}: alpha != (k-1)(n-k-1)")

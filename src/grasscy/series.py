@@ -146,16 +146,6 @@ class PowerSeries:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PowerSeries)
-            and self.var == other.var
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.var, self.coeffs))
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 

@@ -101,6 +101,8 @@ def test_not_mum_rejected():
         normal_form_check(D**4 + D, kz, 5)
     with pytest.raises(NotMUM, match="order-4"):
         normal_form_check(D**5 - z, kz, 5)
+    for P in (D**4 + D, D**5 - z):
+        assert_same_order_4_rejection(P, kz)
 
 
 def test_mirror_map_inverse_pair():
@@ -118,9 +120,21 @@ def test_yukawa_z_quartic():
     assert kz == rational_series([8], [1, -1024], "z", 10)
 
 
+def assert_same_order_4_rejection(P, kz):
+    """yukawa_z and normal_form_check reject P with one NotMUM message."""
+    with pytest.raises(NotMUM) as from_yukawa:
+        yukawa_z(P, 1, 5)
+    with pytest.raises(NotMUM) as from_normal_form:
+        normal_form_check(P, kz, 5)
+    assert str(from_yukawa.value) == str(from_normal_form.value)
+
+
 def test_yukawa_requires_order_4():
-    with pytest.raises(NotMUM):
-        yukawa_z(D**3 - z, 1, 5)
+    kz = yukawa_z(QUARTIC, 8, 5)
+    for P in (D**3 - z, D**5 - z):
+        with pytest.raises(NotMUM, match="order-4"):
+            yukawa_z(P, 1, 5)
+        assert_same_order_4_rejection(P, kz)
 
 
 mum_order_4 = st.tuples(
@@ -257,11 +271,13 @@ def test_normal_form_check_matches_oracle(op_and_want, n0, order_n, d):
 @pytest.mark.parametrize("name", sorted(registry_load()))
 def test_normal_form_check_on_the_registry(name):
     """True on every registry operator and False once 1 is added to its
-    z D coefficient, as the oracle finds; and for X113_G25, K_z changed in
-    degree d is rejected at order n exactly when d <= n."""
+    z D, z^2 D^3 or z^3 D coefficient, as the oracle finds; and for
+    X113_G25, K_z changed in degree d is rejected at order n exactly when
+    d <= n."""
     rc = registry_load()[name]
     op = fit_operator(rc)
-    for P, ok in ((op, True), (op + z * D, False)):
+    for P, ok in ((op, True), (op + z * D, False), (op + z * z * D**3, False),
+                  (op + z**3 * D, False)):
         k = yukawa_z(P, rc.case.n0, 12)
         assert normal_form_check(P, k, 12) is normal_form_check_oracle(P, k, 12) is ok
     if name == "X113_G25":
