@@ -253,23 +253,6 @@ def _rational_mod_p(a: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
-def _lift_kernel(v: list[int], rows: list[list[int]]) -> list[int] | None:
-    """The integer kernel vector of `rows` from their one kernel vector v
-    modulo p: v scaled to 1 at its last nonzero entry, rational
-    reconstruction of each entry, denominators cleared.  Returned only if
-    it annihilates every row exactly; then, with nullity 1 modulo p, it
-    spans the kernel over Q.  None otherwise."""
-    p = SCREEN_PRIME
-    inv = pow(next(x for x in reversed(v) if x), -1, p)
-    lifted = [_rational_mod_p(x * inv % p) for x in v]
-    if None in lifted:
-        return None
-    ints, _ = over_common_den(lifted)
-    if any(sum(a * b for a, b in zip(row, ints)) for row in rows):
-        return None
-    return ints
-
-
 def pf_fit(f: PowerSeries, max_order: int, max_zdeg: int) -> DOp:
     """Smallest operator (graded by order+zdeg, then order) annihilating f.
 
@@ -277,18 +260,20 @@ def pf_fit(f: PowerSeries, max_order: int, max_zdeg: int) -> DOp:
     takes the first candidate (r, d) whose nullspace is nonzero; the rows
     beyond (r+1)(d+1) act as the certificate.
 
-    The system is built once, for the largest column set, with each row's
-    denominators cleared, and reduced modulo SCREEN_PRIME once.  One echelon
-    form modulo p of the whole (max_order, max_zdeg) grid gives a kernel
-    basis K modulo p.  A candidate's kernel modulo p is made of the
+    The system is built once modulo SCREEN_PRIME, for the largest column
+    set, from the series over one common denominator B (a common scale
+    leaves every kernel unchanged): entry B_(m-i) (m-i)^j modulo p.  One
+    echelon form modulo p of the whole (max_order, max_zdeg) grid gives a
+    kernel basis K modulo p.  A candidate's kernel modulo p is made of the
     combinations of K that vanish off its columns, the kernel of K on the
     other columns.  None proves full column rank over Q: the candidate is
-    skipped.  Exactly one is lifted by rational reconstruction and accepted
-    if it annihilates every integer row, guard rows included, which proves
-    nullity 1 over Q.  Every other case (two or more, a failed lift) goes
-    to the exact fraction-free nullspace, which decides between no
-    operator, one, and AmbiguousAnnihilator.  The canonical form makes the
-    operator unique.
+    skipped.  Exactly one is scaled to 1 at its last nonzero entry, lifted
+    by rational reconstruction and accepted if the operator annihilates f,
+    which is every row, guard rows included, and proves nullity 1 over Q.
+    Every other case (two or more, a failed lift) builds the candidate's
+    integer rows and goes to the exact fraction-free nullspace, which
+    decides between no operator, one, and AmbiguousAnnihilator.  The
+    canonical form makes the operator unique.
     """
     if max_order < 1 or max_zdeg < 0:
         raise UsageError(f"need max_order >= 1, max_zdeg >= 0 for a fit, "
@@ -296,16 +281,15 @@ def pf_fit(f: PowerSeries, max_order: int, max_zdeg: int) -> DOp:
     if f.trunc < (need := fit_trunc(max_order, max_zdeg)):
         raise UsageError(f"series truncation {f.trunc} too small for bounds ({max_order},"
                          f"{max_zdeg}): need {need}, the unknowns plus GUARD = {GUARD} rows")
-    b = f.coeffs
-    system = []  # row m: column (i, j) at index i * (max_order + 1) + j
+    p = SCREEN_PRIME
+    B, _ = over_common_den(f.coeffs)
+    system_p = []  # row m: column (i, j) at index i * (max_order + 1) + j
     for m in range(f.trunc + 1):
-        window, _ = over_common_den(b[max(0, m - max_zdeg): m + 1])  # b_(m-i) at [-1-i]
         row = []
         for i in range(max_zdeg + 1):
-            x = window[-1 - i] if m >= i else 0
-            row.extend(x * (m - i) ** j for j in range(max_order + 1))
-        system.append(row)
-    system_p = [[x % SCREEN_PRIME for x in row] for row in system]
+            x = B[m - i] % p if m >= i else 0
+            row.extend(x * (m - i) ** j % p for j in range(max_order + 1))
+        system_p.append(row)
     candidates = sorted(((r, d) for r in range(1, max_order + 1) for d in range(max_zdeg + 1)),
                         key=lambda rd: (rd[0] + rd[1], rd[0]))
     ncols = (max_order + 1) * (max_zdeg + 1)
@@ -318,20 +302,22 @@ def pf_fit(f: PowerSeries, max_order: int, max_zdeg: int) -> DOp:
         combos = _kernel_mod_p(_echelon_mod_p(outside, len(kernel)), len(kernel))
         if not combos:
             continue
-        rows = [[row[t] for t in index] for row in system]
-        v = _lift_kernel([sum(c * u[t] for c, u in zip(combos[0], kernel)) % SCREEN_PRIME
-                          for t in index], rows) if len(combos) == 1 else None
-        if v is None:
-            basis = [u for u in nullspace(rows) if any(x != 0 for x in u)]
-            if not basis:
-                continue
-            if len(basis) > 1:
-                raise AmbiguousAnnihilator(
-                    f"nullspace dimension {len(basis)} at minimal bounds ({r},{d})"
-                )
-            v = basis[0]
-        op = DOp({col: x for col, x in zip(cols, v) if x != 0})
-        return op.canonical()
+        if len(combos) == 1:
+            v = [sum(c * u[t] for c, u in zip(combos[0], kernel)) % p for t in index]
+            inv = pow(next(x for x in reversed(v) if x), -1, p)
+            lifted = [_rational_mod_p(x * inv % p) for x in v]
+            if None not in lifted and (op := DOp(dict(zip(cols, lifted)))).apply(f).is_zero():
+                return op.canonical()
+        rows = [[B[m - i] * (m - i) ** j if m >= i else 0 for i, j in cols]
+                for m in range(f.trunc + 1)]
+        basis = [u for u in nullspace(rows) if any(x != 0 for x in u)]
+        if not basis:
+            continue
+        if len(basis) > 1:
+            raise AmbiguousAnnihilator(
+                f"nullspace dimension {len(basis)} at minimal bounds ({r},{d})"
+            )
+        return DOp(dict(zip(cols, basis[0]))).canonical()
     raise NoAnnihilator(f"no annihilator within bounds ({max_order},{max_zdeg})")
 
 

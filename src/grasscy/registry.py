@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import json
-from importlib import resources
-from pathlib import Path
+import os
 
 from .errors import UsageError
 from .record import record
@@ -26,15 +25,14 @@ class RegistryError(UsageError):
     pass
 
 
-def _load_json(path: str | Path | None) -> dict:
+def _load_json(path: str | os.PathLike | None) -> dict:
     if path is None:
-        with resources.files("grasscy.data").joinpath("cases.json").open() as fh:
-            return json.load(fh)
+        path = os.path.join(os.path.dirname(__file__), "data", "cases.json")
     with open(path) as fh:
         return json.load(fh)
 
 
-def registry_load(path: str | Path | None = None) -> dict[str, RegistryCase]:
+def registry_load(path: str | os.PathLike | None = None) -> dict[str, RegistryCase]:
     cases = _load_json(path)["cases"]
     if not isinstance(cases, list) or not cases:
         raise RegistryError(f"cases must be a non-empty list, got {cases!r:.40}")

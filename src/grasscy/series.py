@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable
 
 from .errors import GrasscyError, UsageError
 from .record import record
@@ -38,7 +37,7 @@ class SeriesDomainError(GrasscyError):
     reciprocal of a series with constant term 0."""
 
 
-def _coerce(values: Iterable) -> tuple[Q, ...]:
+def _coerce(values) -> tuple[Q, ...]:
     return tuple(v if type(v) is Q else Q(v) for v in values)
 
 

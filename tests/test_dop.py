@@ -170,24 +170,39 @@ def exact_calls(monkeypatch):
     return calls
 
 
+def g24_phi() -> PowerSeries:
+    """The quartic in G(2,4): phi_m = (4m)! C(2m,m) / (m!)^2, annihilated by
+    an order-4 operator of z-degree 1."""
+    from math import comb, factorial
+
+    return PowerSeries("z", tuple(Q(factorial(4 * m) * comb(2 * m, m), factorial(m) ** 2)
+                                  for m in range(21)))
+
+
 def test_pf_fit_screen_fallback(exact_calls):
     """The winner's kernel is lifted from the modular screen with no exact
     nullspace.  Scaling the series by the screening prime makes every
     candidate fail the rank screen, so each one reaches the exact nullspace;
     the fit must not change."""
-    from math import comb, factorial
-
     from grasscy.dop import SCREEN_PRIME
 
-    # the quartic in G(2,4): phi_m = (4m)! C(2m,m) / (m!)^2, an order-4 operator
-    phi = PowerSeries("z", tuple(Q(factorial(4 * m) * comb(2 * m, m), factorial(m) ** 2)
-                                 for m in range(21)))
+    phi = g24_phi()
     P = pf_fit(phi, 4, 1)
     assert exact_calls == []  # the winner, (r, d) = (4, 1), was lifted
     assert P.order == 4 and P.apply(phi).is_zero()
     scaled = PowerSeries("z", tuple(c * SCREEN_PRIME for c in phi.coeffs))
     assert pf_fit(scaled, 4, 1) == P
     assert len(exact_calls) == 8  # every candidate up to and including (4, 1)
+
+
+@pytest.mark.parametrize("c", [Q(1, 7), Q(3, 2**40)])
+def test_pf_fit_is_blind_to_a_common_scale(exact_calls, c):
+    """The rows are built from the series over one common denominator, so a
+    rational multiple of it has the same rows up to that scale, the same
+    kernel, and the same fit, still lifted from the screen."""
+    phi = g24_phi()
+    assert pf_fit(PowerSeries("z", tuple(c * x for x in phi.coeffs)), 4, 1) == pf_fit(phi, 4, 1)
+    assert exact_calls == []
 
 
 def test_pf_fit_large_coefficients_take_exact_path(exact_calls):

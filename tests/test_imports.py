@@ -59,14 +59,23 @@ def test_import_grasscy_is_lazy_and_keeps_every_public_name():
 
 
 
-@pytest.mark.parametrize("code", ["import grasscy.cli",
-                                  "import grasscy; grasscy.registry_load()"])
-def test_start_up_loads_neither_dataclasses_nor_inspect(code):
+START_UP = ["import grasscy.cli", "import grasscy; grasscy.registry_load()"]
+
+
+@pytest.mark.parametrize("code, flags", [pytest.param(code, (), id=code) for code in START_UP]
+                         + [pytest.param(code, ("-S",), id=f"-S {code}") for code in START_UP])
+def test_start_up_loads_neither_dataclasses_nor_inspect(code, flags):
     """The command-line start-up and the set-up every command pays stay off
-    `dataclasses`, which loads `inspect`, `ast`, `dis` and `tokenize`."""
+    `dataclasses`, which loads `inspect`, `ast`, `dis` and `tokenize`.  A
+    stock interpreter's start-up (`-S`: no site packages, whose `.pth` files
+    may import anything) also stays off `importlib.resources`, which loads
+    `pathlib`, `zipfile` and `tempfile`, and off `typing`."""
     env = dict(os.environ, PYTHONPATH=str(Path(grasscy.__file__).resolve().parents[1]))
-    probe = f"{code}; import sys; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", probe],
+    forbidden = {"dataclasses", "inspect"}
+    if flags:
+        forbidden |= {"importlib.resources", "pathlib", "zipfile", "tempfile", "typing"}
+    probe = f"{code}; import sys; print(sorted({forbidden!r} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, *flags, "-c", probe],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
