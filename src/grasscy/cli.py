@@ -12,7 +12,8 @@ from contextlib import contextmanager
 
 from .dop import dop_to_json, pf_fit
 from .errors import GrasscyError, UsageError
-from .hypergeom import MAX_ORDER, ASeriesSpec, FactorialBundle, a_series, factorial_trick
+from .hypergeom import (MAX_ORDER, ASeriesSpec, FactorialBundle, a_series, a_series_terms,
+                        factorial_trick)
 from .laurent import laurent_from_json, laurent_to_json
 from .laxmirror import canonical_gauge_coeffs, lax_operator, mirror_system, period_ct
 from .mirror_analysis import yukawa_z
@@ -21,7 +22,7 @@ from .qh import NoDependence, scalar_operator, verify_conjecture
 from .registry import registry_load
 from .series import Q, qstr, series_from_json, series_to_json
 from .toric import (DIM_BOUND, binomial_equations, build_delta, check_pluecker_count,
-                    facets_and_reflexivity)
+                    check_vertex_entries, facets_and_reflexivity)
 
 EXIT_PASS = 0
 EXIT_MISMATCH = 1
@@ -88,22 +89,25 @@ def cmd_toric(args) -> int:
 
 
 def cmd_aseries(args) -> int:
-    spec = ASeriesSpec(args.k, args.n, args.order, keep_params=args.keep_params,
-                       param_degree_bound=args.param_bound)
-    f = a_series(spec)
+    spec = ASeriesSpec(args.k, args.n, args.order)
+    bound = args.param_bound
     if args.keep_params:
         _emit({
             "k": args.k,
             "n": args.n,
             "trunc": args.order,
-            "nparams": f.nparams,
+            "nparams": (args.k - 1) * (args.n - args.k - 1),
             "terms": [
                 {"m": m, "s": list(s), "c": qstr(c)}
-                for (m, s), c in sorted(f.terms.items())
+                for (m, s), c in sorted(a_series_terms(spec, bound).items())
             ],
         })
+    elif bound is not None:
+        raise UsageError(f"parameter degree bound {bound} must be >= 0" if bound < 0 else
+                         "a parameter degree bound needs keep_params: "
+                         "the specialized series has no parameters")
     else:
-        _emit(series_to_json(f))
+        _emit(series_to_json(a_series(spec)))
     return EXIT_PASS
 
 
@@ -181,7 +185,7 @@ def cmd_instanton(args) -> int:
 
 
 def cmd_lax(args) -> int:
-    check_pluecker_count(args.r, args.s)  # before the polynomial, whose size grows with r(s-r)
+    check_vertex_entries(args.r, args.s)  # before the polynomial, built on those entries
     with _parsing("--q", args.q):
         q = None if args.q is None else Q(args.q)
     g = lax_operator(args.r, args.s, q=q, track_q=q is None)
@@ -206,7 +210,7 @@ def cmd_period(args) -> int:
 
 
 def cmd_mirror_system(args) -> int:
-    check_pluecker_count(args.k, args.n)  # before the system, whose size grows with k(n-k)
+    check_vertex_entries(args.k, args.n)  # before the system, built on those entries
     degrees = _parse_degrees(args.degrees)
     if args.partition:
         with _parsing("--partition", args.partition):

@@ -1,11 +1,15 @@
-"""The A-hypergeometric series of the degenerate Grassmannian, its
-specialization at all auxiliary parameters = 1, and the factorial
-modification that turns it into a complete-intersection period series.
+"""The A-hypergeometric series of the degenerate Grassmannian and the
+factorial modification that turns it into a complete-intersection period
+series.
 
 The coefficient of q^m is a sum over a (k-1) x (n-k-1) grid of integers
 0 <= s_{i,j} <= m with s_{i,j} read as m outside the grid; each grid cell
 contributes binomial(s_{i+1,j}, s_{i,j}) * binomial(s_{i,j+1}, s_{i,j}),
-and the whole sum is divided by (m!)^n.
+and the whole sum is divided by (m!)^n.  Each assignment s is also the
+exponent vector of a monomial in the auxiliary parameters, one per cell:
+`a_series_terms` keeps those terms apart, keyed (m, s), and so lists every
+assignment; `a_series` is their sum at every parameter = 1, the
+specialized series in q.
 
 The specialized series sums the grid by a transfer over its cells: only
 the values a later cell still reads are kept, so the state is one value
@@ -19,8 +23,6 @@ sum_v w_v (1 + X)^v for X = 2^W large enough that no digit carries.  The
 cell no later cell reads is summed in closed form by Vandermonde; on the
 grids of at most 2 x 2 cells, the corner (1,1) is summed out together
 with its neighbours (1,2) and (2,1), in closed form over their values.
-Listing every grid assignment is kept for the multivariate series, which
-needs each assignment's exponent vector.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from operator import add, mul
 
 from .errors import UsageError
 from .record import record
-from .series import MultiSeries, PowerSeries, Q
+from .series import PowerSeries, Q
 
 MAX_ORDER = 200  # resource bound on every truncation order
 
@@ -41,8 +43,6 @@ class ASeriesSpec:
     k: int
     n: int
     trunc: int
-    keep_params: bool = False
-    param_degree_bound: int | None = None
 
     def __post_init__(self):
         if not (1 <= self.k < self.n):
@@ -51,11 +51,6 @@ class ASeriesSpec:
             raise UsageError(f"truncation must be >= 0, got {self.trunc}")
         if self.trunc > MAX_ORDER:
             raise UsageError(f"truncation {self.trunc} exceeds resource bound {MAX_ORDER}")
-        if self.param_degree_bound is not None and self.param_degree_bound < 0:
-            raise UsageError(f"parameter degree bound {self.param_degree_bound} must be >= 0")
-        if self.param_degree_bound is not None and not self.keep_params:
-            raise UsageError("a parameter degree bound needs keep_params: "
-                             "the specialized series has no parameters")
 
 
 def _grid_positions(k: int, n: int) -> list[tuple[int, int]]:
@@ -66,14 +61,16 @@ def _grid_positions(k: int, n: int) -> list[tuple[int, int]]:
     return pos
 
 
-def _grid_sum(k: int, n: int, m: int, collect):
-    """Iterate over all grid assignments with nonzero binomial weight.
+def _grid_sum(k: int, n: int, m: int):
+    """Every grid assignment with nonzero binomial weight, as (weight, s)
+    with s the cell values in row-major order.
 
     Cells are filled in decreasing i+j order; a cell is bounded by the
     already-assigned values at (i+1,j) and (i,j+1) (m outside the grid),
     which prunes everything the binomials would kill anyway.
     """
     pos = _grid_positions(k, n)
+    row_major = sorted(pos)
     values: dict[tuple[int, int], int] = {}
 
     def lookup(i: int, j: int) -> int:
@@ -83,7 +80,7 @@ def _grid_sum(k: int, n: int, m: int, collect):
 
     def rec(idx: int, weight: int):
         if idx == len(pos):
-            collect(weight, values)
+            yield weight, tuple(values[cell] for cell in row_major)
             return
         i, j = pos[idx]
         up = lookup(i + 1, j)
@@ -92,10 +89,9 @@ def _grid_sum(k: int, n: int, m: int, collect):
             w = comb(up, s) * comb(right, s)
             if w:
                 values[(i, j)] = s
-                rec(idx + 1, weight * w)
-        values.pop((i, j), None)
+                yield from rec(idx + 1, weight * w)
 
-    rec(0, 1)
+    return rec(0, 1)
 
 
 def _frontiers(k: int, n: int):
@@ -257,32 +253,29 @@ def _add_row(rows: dict, key: tuple, row: list[int]) -> None:
         rows[key] = row
 
 
-def a_series(spec: ASeriesSpec):
-    """A-series of the toric degeneration; PowerSeries in q when
-    keep_params is off, MultiSeries over the auxiliary variables otherwise."""
+def a_series(spec: ASeriesSpec) -> PowerSeries:
+    """The A-series of the toric degeneration at every auxiliary parameter
+    = 1, a PowerSeries in q."""
     k, n, N = spec.k, spec.n, spec.trunc
-    grid = [(i, j) for i in range(1, k) for j in range(1, n - k)]
-    if not spec.keep_params:
-        steps = _frontiers(min(k, n - k), n)
-        binom, vand = _pascal(N)
-        coeffs = [Q(_transfer_sum(steps, m, binom, vand), factorial(m) ** n)
-                  for m in range(N + 1)]
-        return PowerSeries("q", tuple(coeffs))
+    steps = _frontiers(min(k, n - k), n)
+    binom, vand = _pascal(N)
+    coeffs = [Q(_transfer_sum(steps, m, binom, vand), factorial(m) ** n)
+              for m in range(N + 1)]
+    return PowerSeries("q", tuple(coeffs))
 
-    bound = spec.param_degree_bound
-    terms: dict = {}
-    for m in range(N + 1):
-        fm = factorial(m) ** n
 
-        def collect(w, values, _m=m, _fm=fm):
-            s = tuple(values[(i, j)] for i, j in grid)
-            if bound is not None and sum(s) > bound:
-                return
-            key = (_m, s)
-            terms[key] = terms.get(key, Q(0)) + Q(w, _fm)
-
-        _grid_sum(k, n, m, collect)
-    return MultiSeries(len(grid), N, terms)
+def a_series_terms(spec: ASeriesSpec, bound: int | None = None) -> dict[tuple, Q]:
+    """The A-series over the auxiliary parameters, one per grid cell: the
+    coefficient of q^m times the monomial of exponents s, keyed (m, s) with
+    s in row-major cell order, for every term of parameter degree sum(s)
+    at most `bound` (all of them for None).  With no bound, its sum over s
+    at each m is `a_series`."""
+    if bound is not None and bound < 0:
+        raise UsageError(f"parameter degree bound {bound} must be >= 0")
+    return {(m, s): Q(w, factorial(m) ** spec.n)
+            for m in range(spec.trunc + 1)
+            for w, s in _grid_sum(spec.k, spec.n, m)
+            if bound is None or sum(s) <= bound}
 
 
 def a_series_qspecialized(k: int, n: int, trunc: int) -> PowerSeries:

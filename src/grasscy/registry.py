@@ -46,17 +46,20 @@ def registry_load(path: str | os.PathLike | None = None) -> dict[str, RegistryCa
         if inst is not None and not (isinstance(inst, list) and all(type(x) is int for x in inst)):
             raise RegistryError(f"{rec['name']}: instantons must be null or a list of ints, "
                                 f"got {inst!r}")
-        case = CYCase(
-            name=rec["name"],
-            k=rec["k"],
-            n=rec["n"],
-            degrees=tuple(rec["degrees"]),
-            strata_degrees=tuple(rec["strata_degrees"]),
-            h11=rec["h11"],
-            h21=rec["h21"],
-            instantons=tuple(inst) if inst else None,
-            notes=rec.get("notes", ""),
-        )
+        try:
+            case = CYCase(
+                name=rec["name"],
+                k=rec["k"],
+                n=rec["n"],
+                degrees=tuple(rec["degrees"]),
+                strata_degrees=tuple(rec["strata_degrees"]),
+                h11=rec["h11"],
+                h21=rec["h21"],
+                instantons=tuple(inst) if inst else None,
+                notes=rec.get("notes", ""),
+            )
+        except UsageError as e:  # a degree, sum or section count CYCase refuses
+            raise RegistryError(str(e)) from e
         if rec["chi"] != case.chi:
             raise RegistryError(f"{case.name}: chi != 2(h11 - h21)")
         if rec["alpha"] != case.alpha:

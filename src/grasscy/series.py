@@ -251,39 +251,6 @@ def series_revert(a: PowerSeries) -> PowerSeries:
     return PowerSeries(a.var, tuple(g))
 
 
-# ---------------------------------------------------------------------------
-# Multi-parameter series: principal variable q plus auxiliary q~ exponents.
-
-
-@record
-class MultiSeries:
-    nparams: int
-    trunc: int
-    terms: dict  # (m, tuple of aux exponents) -> Fraction
-
-    def __post_init__(self):
-        clean = {}
-        for (m, s), c in self.terms.items():
-            s = tuple(int(e) for e in s)
-            if len(s) != self.nparams:
-                raise ValueError("auxiliary exponent length mismatch")
-            if m > self.trunc or m < 0:
-                raise ValueError("principal exponent out of range")
-            if any(e < 0 for e in s):
-                raise ValueError("auxiliary exponents must be non-negative")
-            c = Q(c)
-            if c != 0:
-                clean[(m, s)] = c
-        object.__setattr__(self, "terms", clean)
-
-    def specialize_ones(self, var: str = "q") -> PowerSeries:
-        """Set every auxiliary variable to 1."""
-        out = [ZERO] * (self.trunc + 1)
-        for (m, _s), c in self.terms.items():
-            out[m] += c
-        return PowerSeries(var, tuple(out))
-
-
 def series_to_json(f: PowerSeries) -> dict:
     return {"var": f.var, "trunc": f.trunc, "coeffs": [qstr(c) for c in f.coeffs]}
 

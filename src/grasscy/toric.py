@@ -16,9 +16,13 @@ Label = tuple[str, int, int]  # ("u"|"v", i, j)
 
 # the binomial equations, the facets of Delta(k,n) and the quantum
 # cohomology matrix are indexed by the C(n,k) Pluecker coordinates; this
-# caps their count, and with it the vertex data of Delta(k,n) that the Lax
-# polynomial and the mirror system are built on
+# caps their count
 DIM_BOUND = 35  # covers G(2,7) and G(3,7)
+
+# the Lax polynomial and the mirror system are built on the vertex data of
+# Delta(k,n) alone: 2(k-1)(n-k-1) + n vertices of dimension k(n-k); this
+# caps the number of their entries
+VERTEX_ENTRY_BOUND = 2000  # covers G(1,45), G(3,8) and every G(k,n) within DIM_BOUND
 
 
 def _check_kn(k: int, n: int):
@@ -41,6 +45,20 @@ def check_pluecker_count(k: int, n: int):
     if count > DIM_BOUND:
         raise UsageError(f"C({n},{k}) = {count} Pluecker coordinates exceed "
                          f"the bound {DIM_BOUND}")
+
+
+def check_vertex_entries(k: int, n: int):
+    """Reject Delta(k,n) with more than VERTEX_ENTRY_BOUND vertex entries.
+    There are at least n vertices, each of dimension at least 1, so n past
+    the bound is refused before the count, of order n^4, is formed."""
+    _check_kn(k, n)
+    if n > VERTEX_ENTRY_BOUND:
+        raise UsageError(f"Delta({k},{n}) has at least {n} vertex entries, more than "
+                         f"the bound {VERTEX_ENTRY_BOUND}")
+    entries = (2 * (k - 1) * (n - k - 1) + n) * k * (n - k)
+    if entries > VERTEX_ENTRY_BOUND:
+        raise UsageError(f"Delta({k},{n}) has {entries} vertex entries, more than "
+                         f"the bound {VERTEX_ENTRY_BOUND}")
 
 
 def flat_index(k: int, n: int, i: int, j: int) -> int:
@@ -217,6 +235,8 @@ class CYCase:
     notes: str = ""
 
     def __post_init__(self):
+        if any(d < 1 for d in self.degrees):
+            raise UsageError(f"{self.name}: every degree must be >= 1")
         if sum(self.degrees) != self.n:
             raise UsageError(f"{self.name}: degrees must sum to n")
         if tuple(sorted(self.degrees)) != tuple(self.degrees):

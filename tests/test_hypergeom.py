@@ -13,8 +13,8 @@ from grasscy.hypergeom import (
     _frontiers,
     _pascal,
     _transfer_sum,
-    a_series,
     a_series_qspecialized,
+    a_series_terms,
     factorial_trick,
 )
 from grasscy.pipeline import PF_MAX_ORDER
@@ -62,6 +62,14 @@ def test_g27_g36_grid_sums_pinned():
         assert f.coeffs == tuple(Q(s, factorial(m) ** n) for m, s in enumerate(sums))
 
 
+def at_ones(terms: dict, trunc: int) -> PowerSeries:
+    """The multivariate series with every auxiliary parameter set to 1."""
+    coeffs = [Q(0)] * (trunc + 1)
+    for (m, _s), c in terms.items():
+        coeffs[m] += c
+    return PowerSeries("q", tuple(coeffs))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=2, max_value=4),
@@ -73,8 +81,8 @@ def test_transfer_matches_enumerator(k, n, m):
     enumeration of every grid assignment (the multivariate series at 1)."""
     if not k < n:
         return
-    full = a_series(ASeriesSpec(k, n, m, keep_params=True))
-    assert a_series_qspecialized(k, n, m) == full.specialize_ones()
+    full = a_series_terms(ASeriesSpec(k, n, m))
+    assert a_series_qspecialized(k, n, m) == at_ones(full, m)
 
 
 def _two_slots_dropped(steps) -> bool:
@@ -156,14 +164,18 @@ def test_a_series_is_symmetric_under_duality(k, n):
 
 
 def test_keep_params_specializes_to_q_series():
-    full = a_series(ASeriesSpec(2, 5, 4, keep_params=True))
-    assert full.specialize_ones() == a_series_qspecialized(2, 5, 4)
+    full = a_series_terms(ASeriesSpec(2, 5, 4))
+    assert at_ones(full, 4) == a_series_qspecialized(2, 5, 4)
+    # G(2,5) has a 1 x 2 grid: two parameters, every exponent at most m
+    assert all(len(s) == 2 and max(s, default=0) <= m and c > 0 for (m, s), c in full.items())
 
 
 def test_param_degree_bound_prunes():
-    full = a_series(ASeriesSpec(2, 5, 3, keep_params=True))
-    pruned = a_series(ASeriesSpec(2, 5, 3, keep_params=True, param_degree_bound=1))
-    assert set(pruned.terms) == {k for k in full.terms if sum(k[1]) <= 1}
+    full = a_series_terms(ASeriesSpec(2, 5, 3))
+    pruned = a_series_terms(ASeriesSpec(2, 5, 3), bound=1)
+    assert pruned == {key: c for key, c in full.items() if sum(key[1]) <= 1}
+    assert a_series_terms(ASeriesSpec(2, 5, 3), bound=0) == {(m, (0, 0)): full[m, (0, 0)]
+                                                              for m in range(4)}
 
 
 def test_spec_validation():
@@ -173,8 +185,8 @@ def test_spec_validation():
         ASeriesSpec(2, 4, -1)
     with pytest.raises(ValueError):
         ASeriesSpec(2, 4, 10**9)  # resource bound
-    with pytest.raises(ValueError, match="needs keep_params"):
-        ASeriesSpec(2, 5, 2, param_degree_bound=1)  # the q-series has no parameters
+    with pytest.raises(ValueError, match="parameter degree bound -1 must be >= 0"):
+        a_series_terms(ASeriesSpec(2, 5, 2), bound=-1)
 
 
 def test_factorial_trick_positive_degrees():

@@ -13,7 +13,7 @@ from grasscy.mirror_analysis import FrobeniusPair, MirrorMap
 from grasscy.pipeline import RunReport
 from grasscy.qh import ConjectureReport, QHMatrix
 from grasscy.registry import RegistryCase
-from grasscy.series import MultiSeries, PowerSeries
+from grasscy.series import PowerSeries
 from grasscy.toric import CYCase, DeltaKN
 
 from support import LogSeries
@@ -25,7 +25,7 @@ CY = ("X4_G24", 2, 4, (4,), (1,), 1, 89)
 # each class with the positional arguments of one valid instance
 RECORDS = {
     DOp: ({(0, 1): 1, (1, 0): 2},),
-    ASeriesSpec: (2, 4, 5, True, 3),
+    ASeriesSpec: (2, 4, 5),
     FactorialBundle: ((4,),),
     LaurentPoly: (1, {(1,): 1}),
     MirrorSystem: (2, 4, ((1, 2, 3, 4),), (), ()),
@@ -37,7 +37,6 @@ RECORDS = {
     RegistryCase: (CYCase(*CY), (2, 86, -168), 4, (Q(8),), (Q(1), Q(-1024)), 1),
     PowerSeries: ("z", (1, 2)),
     LogSeries: ((PS,),),
-    MultiSeries: (1, 2, {(1, (0,)): 1}),
     DeltaKN: (2, 4, ((1,),), ((1, 0, 0, 0),)),
     CYCase: CY + ((2875,), "note"),
 }
@@ -92,11 +91,7 @@ def test_missing_or_unknown_arguments_raise_type_error(cls):
 
 
 def test_defaults_by_position_and_keyword():
-    spec = ASeriesSpec(2, 4, 5)
-    assert (spec.keep_params, spec.param_degree_bound) == (False, None)
-    assert spec == ASeriesSpec(2, 4, 5, False) == ASeriesSpec(k=2, n=4, trunc=5, keep_params=False)
-    assert ASeriesSpec(2, 4, 5, True, 3) == ASeriesSpec(2, 4, 5, param_degree_bound=3,
-                                                          keep_params=True)
+    assert ASeriesSpec(2, 4, 5) == ASeriesSpec(2, n=4, trunc=5) == ASeriesSpec(trunc=5, k=2, n=4)
     case = CYCase(*CY)
     assert (case.instantons, case.notes) == (None, "")
     assert CYCase(*CY, notes="x") == CYCase(*CY, None, "x") != case

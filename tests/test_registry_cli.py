@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import subprocess
@@ -75,8 +76,9 @@ def test_registry_rejects_fixture_denominator_vanishing_at_zero(tmp_path):
     ("instantons", "abc", "instantons must be null or a list of ints, got 'abc'"),
     ("instantons", [1, 2.5], "instantons must be null or a list of ints, got [1, 2.5]"),
     ("alpha", 5, "alpha != (k-1)(n-k-1)"),
+    ("degrees", [0, 2, 3], "every degree must be >= 1"),
 ], ids=["zdeg-float", "zdeg-string", "zdeg-negative", "instantons-string", "instantons-float",
-        "alpha"])
+        "alpha", "degree-zero"])
 def test_cli_registry_rejects_bad_field(tmp_path, capsys, monkeypatch, field, value, message):
     """A registry field of the wrong type or sign is refused when the
     registry is loaded, before any series is built: exit 2, one JSON line
@@ -216,6 +218,33 @@ def test_cli_lax_and_period(tmp_path, capsys):
     code, out = run_cli(["period", "--poly", str(f), "--order", "2"], capsys)
     assert code == 0
     assert out["coeffs"] == ["1", "48", "15120"]
+    # C(40,1) = 40 and C(8,3) = 56 exceed DIM_BOUND, but the polynomials
+    # stay within the bound on vertex entries: 40 monomials in 39
+    # variables, and 24 in 15
+    for argv, terms in ((["lax", "1", "40"], 40), (["lax", "3", "8"], 24)):
+        code, out = run_cli(argv, capsys)
+        assert code == 0 and len(out["terms"]) == terms
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["1", "4", "--order", "4"], "a5823960316b2e160ae7580369d1daea5e383bd1538564845973f1e379880cf9"),
+    (["1", "4", "--order", "4", "--param-bound", "0"],
+     "a5823960316b2e160ae7580369d1daea5e383bd1538564845973f1e379880cf9"),
+    (["2", "5", "--order", "4"], "ecd4c365f9687e36885bc213e1767d7b96518b137ff4875c0344bc1f4d891c0a"),
+    (["2", "5", "--order", "4", "--param-bound", "2"],
+     "7eace56169118d6a0194a5f6aff1f771af7a565b8a1ab30911a15ecff3aa3070"),
+    (["3", "6", "--order", "3"], "b7fcf23ea3cb0a4c719a09f4fa3994feeafbfc05bcaca638c1d33dae39eed1e4"),
+    (["3", "6", "--order", "3", "--param-bound", "2"],
+     "d62cbcb23c7fc87dda8042975e6918ae67c4dd4f65fa530998172866c010643c"),
+    (["4", "7", "--order", "2"], "dd2bb7b71d72f36eac74fea30613dac0db35f3504030862dec4ce57a5806480c"),
+    (["4", "7", "--order", "2", "--param-bound", "2"],
+     "6de0f82a48012d0cd4b8ebd50d895fb3ad89f43a9c3acccbcdd93f4e995a14f0"),
+])
+def test_cli_aseries_keep_params_output_is_pinned(capsys, argv, digest):
+    """`aseries --keep-params` prints the multivariate series byte for byte
+    as recorded: the sha256 of its stdout."""
+    assert main(["aseries", *argv, "--keep-params"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_cli_mirror_system(capsys):
@@ -223,6 +252,9 @@ def test_cli_mirror_system(capsys):
     assert code == 0
     assert len(out["polys"]) == 5
     assert len(out["equations"]) == 3
+    code, out = run_cli(["mirror-system", "1", "40", "--degrees", "40"], capsys)  # C(40,1) = 40
+    assert code == 0
+    assert (len(out["polys"]), len(out["equations"])) == (40, 1)
 
 
 def test_cli_usage_errors(capsys):
@@ -269,15 +301,22 @@ def _usage_error(capsys) -> str:
     (["pf-fit", "--series", SERIES, "--max-order", "4", "--max-degree", "1", "--guard", "5"],
      "unrecognized arguments: --guard 5"),
     (["toric", "5", "12"], "C(12,5) = 792 Pluecker coordinates exceed the bound 35"),
-    (["lax", "4", "8"], "C(8,4) = 70 Pluecker coordinates exceed the bound 35"),
-    (["lax", "100", "200"], "Pluecker coordinates exceed the bound 35"),
-    (["mirror-system", "40", "80", "--degrees", "80"],
-     "Pluecker coordinates exceed the bound 35"),
+    (["qh-operator", "4", "8"], "C(8,4) = 70 Pluecker coordinates exceed the bound 35"),
+    (["verify-conjecture", "100", "200"], "Pluecker coordinates exceed the bound 35"),
+    (["toric", "40", "80"], "Pluecker coordinates exceed the bound 35"),
     (["toric", "1000000", "2000000"],
      "C(2000000,1000000) > 2^1024 Pluecker coordinates exceed the bound 35"),
     (["verify-all", "--bogus"], "unrecognized arguments: --bogus"),
     (["no-such-command"], "argument command: invalid choice: 'no-such-command'"),
     (["phi", "2", "5", "--degrees", "-1,3,3"], "argument --degrees: expected one argument"),
+    (["lax", "6", "12"], "Delta(6,12) has 2232 vertex entries, more than the bound 2000"),
+    (["lax", "100", "200"], "Delta(100,200) has 198020000 vertex entries, more than the bound 2000"),
+    (["mirror-system", "40", "80", "--degrees", "80"],
+     "Delta(40,80) has 4995200 vertex entries, more than the bound 2000"),
+    (["lax", "1000000", "2000000"],
+     "Delta(1000000,2000000) has at least 2000000 vertex entries, more than the bound 2000"),
+    (["aseries", "2", "5", "--order", "2", "--param-bound", "-1"],
+     "parameter degree bound -1 must be >= 0"),
 ])
 def test_cli_bad_input_is_usage_error(capsys, series_file, argv, message):
     """Rejected before any computation: exit 2, nothing on stdout, one JSON

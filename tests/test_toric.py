@@ -5,10 +5,12 @@ import pytest
 from grasscy.errors import Mismatch, UsageError
 from grasscy.linalg import rank
 from grasscy.toric import (
+    DIM_BOUND,
     CYCase,
     DeltaKN,
     binomial_equations,
     build_delta,
+    check_vertex_entries,
     degree_grassmannian,
     facets_and_reflexivity,
     hodge_after_transition,
@@ -125,6 +127,24 @@ def test_binomial_equation_counts():
         assert len(binomial_equations(2, n)) == comb(n, 4)
 
 
+def test_vertex_entry_bound():
+    """The bound on what `lax` and `mirror-system` build admits every G(k,n)
+    within DIM_BOUND, G(1,40) and G(3,8), and refuses n past it without
+    forming the count."""
+    for n in range(2, DIM_BOUND + 1):
+        for k in range(1, n):
+            if comb(n, k) <= DIM_BOUND:
+                check_vertex_entries(k, n)
+    check_vertex_entries(1, 40)  # 40 vertices of dimension 39
+    check_vertex_entries(3, 8)  # 24 vertices of dimension 15
+    with pytest.raises(UsageError, match=r"Delta\(100,200\) has 198020000 vertex entries"):
+        check_vertex_entries(100, 200)
+    with pytest.raises(UsageError, match=r"has at least 10{4000} vertex entries"):
+        check_vertex_entries(1, 10**4000)
+    with pytest.raises(UsageError, match="need 1 <= k < n"):
+        check_vertex_entries(0, 3)
+
+
 def test_binomial_equations_capped_by_pluecker_count():
     assert len(binomial_equations(3, 7)) > 0  # C(7,3) = 35, at the cap
     with pytest.raises(UsageError, match="792 Pluecker coordinates exceed the bound 35"):
@@ -176,6 +196,8 @@ def test_cy_case_validation():
         CYCase("bad", 2, 5, (1, 1, 3), (1,), 1, 1)  # wrong strata count
     with pytest.raises(ValueError, match="threefold"):
         CYCase("bad", 2, 4, (2, 2), (1,), 1, 1)  # a K3 surface
+    with pytest.raises(ValueError, match="bad: every degree must be >= 1"):
+        CYCase("bad", 2, 5, (0, 2, 3), (1, 1), 1, 1)  # sums to n, sorted, three sections
 
 
 def test_hodge_after_transition():
