@@ -1,19 +1,19 @@
 """Command-line front end.  Every subcommand prints a JSON report; exit
 codes are 0 on success/pass, 1 when a check fails, 2 on bad input (see
-grasscy.errors).  Every truncation order accepted on the command line is
-capped at hypergeom.MAX_ORDER."""
+grasscy.errors), 141 when the reader of stdout has exited.  Every truncation
+order accepted on the command line is capped at hypergeom.MAX_ORDER."""
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 
 from .dop import dop_to_json, pf_fit
 from .errors import GrasscyError, UsageError
-from .hypergeom import (MAX_ORDER, ASeriesSpec, FactorialBundle, a_series, a_series_terms,
-                        factorial_trick)
+from .hypergeom import a_series, a_series_terms, check_order, check_param_bound, factorial_trick
 from .laurent import laurent_from_json, laurent_to_json
 from .laxmirror import canonical_gauge_coeffs, lax_operator, mirror_system, period_ct
 from .mirror_analysis import yukawa_z
@@ -21,12 +21,13 @@ from .pipeline import fit_operator, rational_series, run_case
 from .qh import NoDependence, scalar_operator, verify_conjecture
 from .registry import registry_load
 from .series import Q, qstr, series_from_json, series_to_json
-from .toric import (DIM_BOUND, binomial_equations, build_delta, check_pluecker_count,
-                    check_vertex_entries, facets_and_reflexivity)
+from .toric import (DIM_BOUND, binomial_equations, build_delta, check_degrees,
+                    check_pluecker_count, check_vertex_entries, facets_and_reflexivity)
 
 EXIT_PASS = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 
 # order to which `qh-operator` certifies its operator against the A-series
 QH_CHECK_ORDER = 20
@@ -44,13 +45,6 @@ def _parsing(option: str, value):
         raise UsageError(f"bad {option} {value!r}: {type(e).__name__}: {e}") from e
 
 
-def _check_order(value: int, what: str = "order", lo: int = 0):
-    if value < lo:
-        raise UsageError(f"{what} must be >= {lo}, got {value}")
-    if value > MAX_ORDER:
-        raise UsageError(f"{what} {value} exceeds resource cap {MAX_ORDER}")
-
-
 def _emit(obj) -> None:
     json.dump(obj, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
@@ -59,8 +53,7 @@ def _emit(obj) -> None:
 def _parse_degrees(text: str) -> tuple[int, ...]:
     with _parsing("--degrees", text):
         degrees = tuple(int(x) for x in text.split(","))
-    if any(d < 1 for d in degrees):
-        raise UsageError(f"bad --degrees {text!r}: every degree must be >= 1")
+    check_degrees(degrees, f"bad --degrees {text!r}")
     return degrees
 
 
@@ -89,7 +82,6 @@ def cmd_toric(args) -> int:
 
 
 def cmd_aseries(args) -> int:
-    spec = ASeriesSpec(args.k, args.n, args.order)
     bound = args.param_bound
     if args.keep_params:
         _emit({
@@ -99,22 +91,21 @@ def cmd_aseries(args) -> int:
             "nparams": (args.k - 1) * (args.n - args.k - 1),
             "terms": [
                 {"m": m, "s": list(s), "c": qstr(c)}
-                for (m, s), c in sorted(a_series_terms(spec, bound).items())
+                for (m, s), c in sorted(a_series_terms(args.k, args.n, args.order, bound).items())
             ],
         })
     elif bound is not None:
-        raise UsageError(f"parameter degree bound {bound} must be >= 0" if bound < 0 else
-                         "a parameter degree bound needs keep_params: "
+        check_param_bound(bound)
+        raise UsageError("a parameter degree bound needs keep_params: "
                          "the specialized series has no parameters")
     else:
-        _emit(series_to_json(a_series(spec)))
+        _emit(series_to_json(a_series(args.k, args.n, args.order)))
     return EXIT_PASS
 
 
 def cmd_phi(args) -> int:
     degrees = _parse_degrees(args.degrees)
-    a = a_series(ASeriesSpec(args.k, args.n, args.order))
-    _emit(series_to_json(factorial_trick(a, FactorialBundle(degrees))))
+    _emit(series_to_json(factorial_trick(a_series(args.k, args.n, args.order), degrees)))
     return EXIT_PASS
 
 
@@ -162,7 +153,7 @@ def _case(args):
 
 
 def cmd_yukawa(args) -> int:
-    _check_order(args.order)
+    check_order(args.order)
     rc = _case(args)
     kz3 = yukawa_z(fit_operator(rc), rc.case.n0, args.order)
     fixture = rational_series(rc.kz3_numerator, rc.kz3_denominator, "z", args.order)
@@ -178,7 +169,7 @@ def cmd_yukawa(args) -> int:
 
 
 def cmd_instanton(args) -> int:
-    _check_order(args.count, "count", lo=1)
+    check_order(args.count, "count", lo=1)
     report = run_case(_case(args), count=args.count)
     _emit(report.to_json())
     return EXIT_PASS if report.passed else EXIT_MISMATCH
@@ -194,7 +185,7 @@ def cmd_lax(args) -> int:
 
 
 def cmd_period(args) -> int:
-    _check_order(args.order)
+    check_order(args.order)
     with _parsing("--poly", args.poly), open(args.poly) as fh:
         g = laurent_from_json(json.load(fh))
     result = period_ct(g, args.nparams, args.order)
@@ -238,7 +229,7 @@ def cmd_mirror_system(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    _check_order(args.count, "count", lo=1)
+    check_order(args.count, "count", lo=1)
     reg = _registry(args)
     reports = [run_case(reg[name], count=args.count) for name in sorted(reg)]
     merged = {
@@ -347,12 +338,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
     except SystemExit as e:  # --help, which has printed the usage
         return e.code or EXIT_PASS
     except GrasscyError as e:
         print(json.dumps({"error": f"{type(e).__name__}: {e}"}), file=sys.stderr)
         return EXIT_USAGE if isinstance(e, UsageError) else EXIT_MISMATCH
+    except BrokenPipeError:
+        # the reader has exited: send what is still buffered to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -9,7 +9,9 @@ and the whole sum is divided by (m!)^n.  Each assignment s is also the
 exponent vector of a monomial in the auxiliary parameters, one per cell:
 `a_series_terms` keeps those terms apart, keyed (m, s), and so lists every
 assignment; `a_series` is their sum at every parameter = 1, the
-specialized series in q.
+specialized series in q.  Each checks its plain arguments (`toric.check_kn`,
+`check_order`), and the listing is capped by MAX_TERMS.  `factorial_trick`
+checks the degrees of X (`toric.check_degrees`).
 
 The specialized series sums the grid by a transfer over its cells: only
 the values a later cell still reads are kept, so the state is one value
@@ -28,29 +30,31 @@ with its neighbours (1,2) and (2,1), in closed form over their values.
 from __future__ import annotations
 
 from itertools import accumulate, zip_longest
-from math import comb, factorial
+from math import comb, factorial, prod
 from operator import add, mul
 
 from .errors import UsageError
-from .record import record
 from .series import PowerSeries, Q
+from .toric import check_degrees, check_kn
 
-MAX_ORDER = 200  # resource bound on every truncation order
+MAX_ORDER = 200  # resource cap on every truncation order
+# resource cap on (N + 1)^(cells + 1), which bounds the number of grid
+# assignments `a_series_terms` lists to order N; it covers G(4,8) to order 3
+MAX_TERMS = 4 ** 10
 
 
-@record
-class ASeriesSpec:
-    k: int
-    n: int
-    trunc: int
+def check_order(value: int, what: str = "order", lo: int = 0):
+    """Reject an order (or count) below `lo` or past MAX_ORDER."""
+    if value < lo:
+        raise UsageError(f"{what} must be >= {lo}, got {value}")
+    if value > MAX_ORDER:
+        raise UsageError(f"{what} {value} exceeds resource cap {MAX_ORDER}")
 
-    def __post_init__(self):
-        if not (1 <= self.k < self.n):
-            raise UsageError(f"need 1 <= k < n, got ({self.k},{self.n})")
-        if self.trunc < 0:
-            raise UsageError(f"truncation must be >= 0, got {self.trunc}")
-        if self.trunc > MAX_ORDER:
-            raise UsageError(f"truncation {self.trunc} exceeds resource bound {MAX_ORDER}")
+
+def check_param_bound(bound: int | None):
+    """Reject a parameter degree bound below 0 (None is no bound)."""
+    if bound is not None and bound < 0:
+        raise UsageError(f"parameter degree bound {bound} must be >= 0")
 
 
 def _grid_positions(k: int, n: int) -> list[tuple[int, int]]:
@@ -253,51 +257,46 @@ def _add_row(rows: dict, key: tuple, row: list[int]) -> None:
         rows[key] = row
 
 
-def a_series(spec: ASeriesSpec) -> PowerSeries:
-    """The A-series of the toric degeneration at every auxiliary parameter
-    = 1, a PowerSeries in q."""
-    k, n, N = spec.k, spec.n, spec.trunc
+def a_series(k: int, n: int, trunc: int) -> PowerSeries:
+    """The A-series of the toric degeneration of G(k,n) to order `trunc`
+    at every auxiliary parameter = 1, a PowerSeries in q."""
+    check_kn(k, n)
+    check_order(trunc)
     steps = _frontiers(min(k, n - k), n)
-    binom, vand = _pascal(N)
+    binom, vand = _pascal(trunc)
     coeffs = [Q(_transfer_sum(steps, m, binom, vand), factorial(m) ** n)
-              for m in range(N + 1)]
+              for m in range(trunc + 1)]
     return PowerSeries("q", tuple(coeffs))
 
 
-def a_series_terms(spec: ASeriesSpec, bound: int | None = None) -> dict[tuple, Q]:
+def a_series_terms(k: int, n: int, trunc: int, bound: int | None = None) -> dict[tuple, Q]:
     """The A-series over the auxiliary parameters, one per grid cell: the
     coefficient of q^m times the monomial of exponents s, keyed (m, s) with
     s in row-major cell order, for every term of parameter degree sum(s)
     at most `bound` (all of them for None).  With no bound, its sum over s
-    at each m is `a_series`."""
-    if bound is not None and bound < 0:
-        raise UsageError(f"parameter degree bound {bound} must be >= 0")
-    return {(m, s): Q(w, factorial(m) ** spec.n)
-            for m in range(spec.trunc + 1)
-            for w, s in _grid_sum(spec.k, spec.n, m)
+    at each m is `a_series`.  Every assignment of the cells is listed, so
+    (trunc + 1)^(cells + 1) is capped at MAX_TERMS."""
+    check_kn(k, n)
+    check_order(trunc)
+    check_param_bound(bound)
+    cells = (k - 1) * (n - k - 1)
+    # for trunc >= 1 the power is formed only when its floor 2^(cells + 1) fits
+    if trunc and (cells >= MAX_TERMS.bit_length() or (trunc + 1) ** (cells + 1) > MAX_TERMS):
+        raise UsageError(f"(order + 1)^((k - 1)(n - k - 1) + 1) A-series terms of G({k},{n}) "
+                         f"to order {trunc} exceed the resource cap {MAX_TERMS}")
+    return {(m, s): Q(w, factorial(m) ** n)
+            for m in range(trunc + 1)
+            for w, s in _grid_sum(k, n, m)
             if bound is None or sum(s) <= bound}
 
 
 def a_series_qspecialized(k: int, n: int, trunc: int) -> PowerSeries:
-    return a_series(ASeriesSpec(k, n, trunc))
+    return a_series(k, n, trunc)
 
 
-@record
-class FactorialBundle:
-    degrees: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(d <= 0 for d in self.degrees):
-            raise UsageError(f"degrees must be positive, got {self.degrees}")
-
-
-def factorial_trick(a: PowerSeries, bundle: FactorialBundle) -> PowerSeries:
-    """Multiply the m-th coefficient by prod_i (l_i * m)!: the period of X,
-    a series in the complex-structure coordinate z."""
-    out = []
-    for m, c in enumerate(a.coeffs):
-        w = 1
-        for l in bundle.degrees:
-            w *= factorial(l * m)
-        out.append(c * w)
-    return PowerSeries("z", tuple(out))
+def factorial_trick(a: PowerSeries, degrees: tuple[int, ...]) -> PowerSeries:
+    """Multiply the m-th coefficient by prod_i (l_i * m)! over the degrees
+    l_i: the period of X, a series in the complex-structure coordinate z."""
+    check_degrees(degrees, f"degrees {degrees}")
+    return PowerSeries("z", tuple(c * prod(factorial(l * m) for l in degrees)
+                                  for m, c in enumerate(a.coeffs)))

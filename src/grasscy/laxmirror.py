@@ -14,7 +14,7 @@ from .laurent import LaurentPoly, ct_by_param_degree, tracked_split
 from .linalg import solve
 from .record import record
 from .series import PowerSeries, Q
-from .toric import nef_partition_sets, vertex_labels, vertex_vector
+from .toric import check_kn, nef_partition_sets, vertex_labels, vertex_vector
 
 ZERO = Q(0)
 
@@ -30,8 +30,7 @@ def lax_operator(r: int, s: int, q=None, track_q: bool = True) -> LaurentPoly:
     power of q, and q must not be given; otherwise q is a rational
     (default 1).
     """
-    if not (1 <= r < s):
-        raise UsageError(f"need 1 <= r < s, got ({r},{s})")
+    check_kn(r, s)
     if track_q and q is not None:
         raise UsageError(f"q = {q} is given, but track_q keeps q as a variable")
     *labels, last = vertex_labels(r, s)

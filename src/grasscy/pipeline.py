@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 
 from .dop import DOp, dop_to_json, fit_trunc, pf_fit
-from .hypergeom import ASeriesSpec, FactorialBundle, a_series, factorial_trick
+from .hypergeom import a_series, factorial_trick
 from .mirror_analysis import (
     extract_instantons,
     frobenius,
@@ -93,8 +93,8 @@ class RunReport:
 def fit_operator(rc: RegistryCase) -> DOp:
     """The Picard-Fuchs operator of a case: A-series -> phi -> pf_fit."""
     case = rc.case
-    a = a_series(ASeriesSpec(case.k, case.n, fit_trunc(PF_MAX_ORDER, rc.pf_max_zdeg)))
-    phi = factorial_trick(a, FactorialBundle(case.degrees))
+    a = a_series(case.k, case.n, fit_trunc(PF_MAX_ORDER, rc.pf_max_zdeg))
+    phi = factorial_trick(a, case.degrees)
     return pf_fit(phi, max_order=PF_MAX_ORDER, max_zdeg=rc.pf_max_zdeg)
 
 

@@ -15,7 +15,7 @@ from math import gcd
 
 from .dop import DOp
 from .errors import Mismatch, UsageError
-from .hypergeom import ASeriesSpec, a_series_qspecialized
+from .hypergeom import a_series_qspecialized, check_order
 from .record import record
 from .series import PowerSeries
 from .toric import check_pluecker_count
@@ -302,7 +302,7 @@ class ConjectureReport:
 def verify_conjecture(k: int, n: int, order: int, operator: DOp | None = None) -> ConjectureReport:
     """Apply the quantum-cohomology operator to the specialized
     hypergeometric series and report the residual coefficients."""
-    ASeriesSpec(k, n, order)  # rejects a bad order before the operator is built
+    check_order(order)  # before the operator is built
     if operator is None:
         operator = scalar_operator(k, n)
     residual = operator.apply(a_series_qspecialized(k, n, order))

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .errors import Mismatch, UsageError
 from .linalg import rank
@@ -25,9 +25,19 @@ DIM_BOUND = 35  # covers G(2,7) and G(3,7)
 VERTEX_ENTRY_BOUND = 2000  # covers G(1,45), G(3,8) and every G(k,n) within DIM_BOUND
 
 
-def _check_kn(k: int, n: int):
+def check_kn(k: int, n: int):
     if not (1 <= k < n):
         raise UsageError(f"need 1 <= k < n, got ({k},{n})")
+
+
+def check_degrees(degrees, where: str):
+    """Reject a degree below 1; `where` names the input in the error."""
+    if any(d < 1 for d in degrees):
+        raise UsageError(f"{where}: every degree must be >= 1")
+
+
+def vertex_count(k: int, n: int) -> int:
+    return 2 * (k - 1) * (n - k - 1) + n
 
 
 def check_pluecker_count(k: int, n: int):
@@ -35,7 +45,7 @@ def check_pluecker_count(k: int, n: int):
     min(k, n-k), and named in the error only while it has at most 1024 bits:
     C(2000000, 1000000) takes over a minute to compute whole, and has more
     digits than an int may be printed with."""
-    _check_kn(k, n)
+    check_kn(k, n)
     count = 1
     for i in range(min(k, n - k)):
         count = count * (n - i) // (i + 1)  # C(n, i+1)
@@ -51,11 +61,11 @@ def check_vertex_entries(k: int, n: int):
     """Reject Delta(k,n) with more than VERTEX_ENTRY_BOUND vertex entries.
     There are at least n vertices, each of dimension at least 1, so n past
     the bound is refused before the count, of order n^4, is formed."""
-    _check_kn(k, n)
+    check_kn(k, n)
     if n > VERTEX_ENTRY_BOUND:
         raise UsageError(f"Delta({k},{n}) has at least {n} vertex entries, more than "
                          f"the bound {VERTEX_ENTRY_BOUND}")
-    entries = (2 * (k - 1) * (n - k - 1) + n) * k * (n - k)
+    entries = vertex_count(k, n) * k * (n - k)
     if entries > VERTEX_ENTRY_BOUND:
         raise UsageError(f"Delta({k},{n}) has {entries} vertex entries, more than "
                          f"the bound {VERTEX_ENTRY_BOUND}")
@@ -113,12 +123,11 @@ class DeltaKN:
 
 
 def build_delta(k: int, n: int) -> DeltaKN:
-    _check_kn(k, n)
+    check_kn(k, n)
     labels = tuple(vertex_labels(k, n))
     verts = tuple(vertex_vector(k, n, lab) for lab in labels)
-    if len(verts) != 2 * (k - 1) * (n - k - 1) + n:
-        raise Mismatch(f"Delta({k},{n}) has {len(verts)} vertices, expected "
-                       f"{2 * (k - 1) * (n - k - 1) + n}")
+    if len(verts) != vertex_count(k, n):
+        raise Mismatch(f"Delta({k},{n}) has {len(verts)} vertices, expected {vertex_count(k, n)}")
     return DeltaKN(k, n, labels, verts)
 
 
@@ -142,9 +151,8 @@ def facets_and_reflexivity(delta: DeltaKN):
     k, n = delta.k, delta.n
     check_pluecker_count(k, n)
     verts = delta.vertices
-    expected = 2 * (k - 1) * (n - k - 1) + n
-    if len(verts) != expected:
-        raise Mismatch(f"Delta({k},{n}) has {expected} vertices, got {len(verts)}")
+    if len(verts) != vertex_count(k, n):
+        raise Mismatch(f"Delta({k},{n}) has {vertex_count(k, n)} vertices, got {len(verts)}")
     facets = []
     for t in itertools.combinations_with_replacement(range(n - k + 1, 0, -1), k):
         m = tuple(n * (j >= ti) - (i + j - 1)
@@ -164,7 +172,7 @@ def facets_and_reflexivity(delta: DeltaKN):
 
 
 def poset_aknn(k: int, n: int) -> list[tuple[int, ...]]:
-    _check_kn(k, n)
+    check_kn(k, n)
     return list(itertools.combinations(range(1, n + 1), k))
 
 
@@ -193,7 +201,7 @@ def binomial_equations(k: int, n: int) -> list[dict]:
 
 
 def nef_partition_sets(k: int, n: int) -> list[list[Label]]:
-    _check_kn(k, n)
+    check_kn(k, n)
     sets: list[list[Label]] = [[("u", 1, 0)]]
     for i in range(2, k + 1):
         sets.append([("u", i, j) for j in range(0, n - k)])
@@ -207,7 +215,7 @@ def nef_partition_sets(k: int, n: int) -> list[list[Label]]:
 
 def degree_grassmannian(k: int, n: int) -> int:
     """Degree of the Pluecker embedding: (k(n-k))! prod_i i!/(n-k+i)!."""
-    _check_kn(k, n)
+    check_kn(k, n)
     num = factorial(k * (n - k))
     frac = Fraction(1)
     for i in range(k):
@@ -235,8 +243,7 @@ class CYCase:
     notes: str = ""
 
     def __post_init__(self):
-        if any(d < 1 for d in self.degrees):
-            raise UsageError(f"{self.name}: every degree must be >= 1")
+        check_degrees(self.degrees, self.name)
         if sum(self.degrees) != self.n:
             raise UsageError(f"{self.name}: degrees must sum to n")
         if tuple(sorted(self.degrees)) != tuple(self.degrees):
@@ -256,19 +263,13 @@ class CYCase:
 
     @property
     def n0(self) -> int:
-        prod = 1
-        for d in self.degrees:
-            prod *= d
-        return prod * degree_grassmannian(self.k, self.n)
+        return prod(self.degrees) * degree_grassmannian(self.k, self.n)
 
 
 def node_count(case: CYCase) -> int:
     if not case.strata_degrees:
         raise UsageError("strata degrees not populated")
-    prod = 1
-    for d in case.degrees:
-        prod *= d
-    return prod * sum(case.strata_degrees)
+    return prod(case.degrees) * sum(case.strata_degrees)
 
 
 def hodge_after_transition(case: CYCase) -> tuple[int, int, int]:

@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 from math import comb, factorial
 
 from grasscy.dop import DOp, pf_fit
-from grasscy.hypergeom import FactorialBundle, a_series_qspecialized, factorial_trick
+from grasscy.hypergeom import a_series_qspecialized, factorial_trick
 from grasscy.laurent import LaurentPoly, laurent_pow_ct
 from grasscy.laxmirror import lax_operator, period_ct
 from grasscy.mirror_analysis import extract_instantons
@@ -84,7 +84,7 @@ def test_criterion_2_picard_fuchs_operators(reports):
     # G(2,7): the printed fixture must annihilate the computed series to
     # order 20 (the fit also reproduces it exactly, asserted as a bonus)
     a = a_series_qspecialized(2, 7, 20)
-    phi = factorial_trick(a, FactorialBundle((1,) * 7))
+    phi = factorial_trick(a, (1,) * 7)
     fixture = g27_pf_fixture()
     ok = ok and fixture.apply(phi).is_zero()
     ok = ok and reports["X1111111_G27"].operator == fixture

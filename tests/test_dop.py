@@ -14,7 +14,7 @@ from grasscy.dop import (
     fit_trunc,
     pf_fit,
 )
-from grasscy.hypergeom import ASeriesSpec, FactorialBundle, a_series, factorial_trick
+from grasscy.hypergeom import a_series, factorial_trick
 from grasscy.registry import registry_load
 from grasscy.series import PowerSeries
 
@@ -101,8 +101,8 @@ def test_pf_fit_matches_per_order_route(name, bounds):
 
     if name in REGISTRY:
         case = REGISTRY[name].case
-        a = a_series(ASeriesSpec(case.k, case.n, fit_trunc(*bounds)))
-        f = factorial_trick(a, FactorialBundle(case.degrees))
+        a = a_series(case.k, case.n, fit_trunc(*bounds))
+        f = factorial_trick(a, case.degrees)
     else:
         f = {
             "geometric": PowerSeries("z", (1,) * 30),

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grasscy.dop import fit_trunc
+from grasscy.errors import UsageError
 from grasscy.hypergeom import (
-    ASeriesSpec,
-    FactorialBundle,
+    MAX_TERMS,
     _folded,
     _frontiers,
     _pascal,
     _transfer_sum,
+    a_series,
     a_series_qspecialized,
     a_series_terms,
     factorial_trick,
@@ -40,7 +41,7 @@ def test_g25_first_coefficients():
     f = a_series_qspecialized(2, 5, 3)
     assert f.coeffs[:2] == (Q(1), Q(3))
     # the (1,1,3) factorial modification gives Phi_1 = 3 * 3! = 18
-    phi = factorial_trick(f, FactorialBundle((1, 1, 3)))
+    phi = factorial_trick(f, (1, 1, 3))
     assert phi.coeffs[1] == 18
 
 
@@ -48,7 +49,7 @@ def test_g36_matches_operator_recurrence():
     # independent oracle: the degree-(1,...,1) modification solves the known
     # order-4 recurrence with b_1 = 6, b_2 = 126
     f = a_series_qspecialized(3, 6, 2)
-    phi = factorial_trick(f, FactorialBundle((1,) * 6))
+    phi = factorial_trick(f, (1,) * 6)
     assert phi.coeffs[:3] == (Q(1), Q(6), Q(126))
 
 
@@ -81,7 +82,7 @@ def test_transfer_matches_enumerator(k, n, m):
     enumeration of every grid assignment (the multivariate series at 1)."""
     if not k < n:
         return
-    full = a_series_terms(ASeriesSpec(k, n, m))
+    full = a_series_terms(k, n, m)
     assert a_series_qspecialized(k, n, m) == at_ones(full, m)
 
 
@@ -164,34 +165,48 @@ def test_a_series_is_symmetric_under_duality(k, n):
 
 
 def test_keep_params_specializes_to_q_series():
-    full = a_series_terms(ASeriesSpec(2, 5, 4))
+    full = a_series_terms(2, 5, 4)
     assert at_ones(full, 4) == a_series_qspecialized(2, 5, 4)
     # G(2,5) has a 1 x 2 grid: two parameters, every exponent at most m
     assert all(len(s) == 2 and max(s, default=0) <= m and c > 0 for (m, s), c in full.items())
 
 
 def test_param_degree_bound_prunes():
-    full = a_series_terms(ASeriesSpec(2, 5, 3))
-    pruned = a_series_terms(ASeriesSpec(2, 5, 3), bound=1)
+    full = a_series_terms(2, 5, 3)
+    pruned = a_series_terms(2, 5, 3, bound=1)
     assert pruned == {key: c for key, c in full.items() if sum(key[1]) <= 1}
-    assert a_series_terms(ASeriesSpec(2, 5, 3), bound=0) == {(m, (0, 0)): full[m, (0, 0)]
-                                                              for m in range(4)}
+    assert a_series_terms(2, 5, 3, bound=0) == {(m, (0, 0)): full[m, (0, 0)] for m in range(4)}
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        ASeriesSpec(0, 4, 3)
-    with pytest.raises(ValueError):
-        ASeriesSpec(2, 4, -1)
-    with pytest.raises(ValueError):
-        ASeriesSpec(2, 4, 10**9)  # resource bound
+    """The A-series functions check the shape and the order they are given."""
+    for series in (a_series, a_series_terms, a_series_qspecialized):
+        with pytest.raises(ValueError):
+            series(0, 4, 3)
+        with pytest.raises(ValueError):
+            series(2, 4, -1)
+        with pytest.raises(ValueError):
+            series(2, 4, 10**9)  # resource cap
     with pytest.raises(ValueError, match="parameter degree bound -1 must be >= 0"):
-        a_series_terms(ASeriesSpec(2, 5, 2), bound=-1)
+        a_series_terms(2, 5, 2, bound=-1)
+
+
+def test_terms_cap():
+    """The listing is refused when (trunc + 1)^(cells + 1) exceeds MAX_TERMS,
+    before anything is enumerated; G(4,8) to order 3 is exactly at the cap."""
+    assert 4 ** ((4 - 1) * (8 - 4 - 1) + 1) == MAX_TERMS
+    assert at_ones(a_series_terms(4, 8, 3), 3) == a_series_qspecialized(4, 8, 3)
+    for k, n, trunc in ((4, 8, 4), (3, 6, 200), (2, 5, 101), (10**6, 2 * 10**6, 1)):
+        with pytest.raises(UsageError, match=rf"of G\({k},{n}\) to order {trunc} exceed "
+                                             rf"the resource cap {MAX_TERMS}"):
+            a_series_terms(k, n, trunc)
+    # to order 0 there is one assignment, whatever the grid
+    assert a_series_terms(2, 40, 0) == {(0, (0,) * 37): 1}
 
 
 def test_factorial_trick_positive_degrees():
-    with pytest.raises(ValueError):
-        FactorialBundle((1, 0, 3))
+    with pytest.raises(ValueError, match=r"degrees \(1, 0, 3\): every degree must be >= 1"):
+        factorial_trick(PowerSeries("q", (1, 1)), (1, 0, 3))
 
 
 @settings(max_examples=200, deadline=None)
@@ -214,7 +229,7 @@ def test_coefficients_positive_and_bounded(k, n, m):
 @given(st.integers(min_value=0, max_value=6), st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4))
 def test_factorial_trick_coefficientwise(m, degs):
     f = PowerSeries("q", tuple(Q(1, i + 1) for i in range(m + 1)))
-    phi = factorial_trick(f, FactorialBundle(tuple(degs)))
+    phi = factorial_trick(f, tuple(degs))
     w = 1
     for l in degs:
         w *= factorial(l * m)

@@ -1,0 +1,87 @@
+"""Each input rule is checked by one function, so every entry point that
+shares the rule refuses the same bad input with the same message: the
+library functions with a UsageError, the commands with exit 2 and one JSON
+error line on stderr."""
+
+import json
+
+import pytest
+
+from grasscy.cli import main
+from grasscy.errors import UsageError
+from grasscy.hypergeom import (
+    MAX_ORDER,
+    a_series,
+    a_series_qspecialized,
+    a_series_terms,
+    factorial_trick,
+)
+from grasscy.laxmirror import lax_operator
+from grasscy.qh import build_qh_matrix, verify_conjecture
+from grasscy.series import PowerSeries
+from grasscy.toric import CYCase, build_delta
+
+
+def _refusal(capsys, entry) -> str:
+    """The message with which `entry`, a callable or a command line, refuses
+    its input."""
+    if callable(entry):
+        with pytest.raises(UsageError) as exc:
+            entry()
+        return str(exc.value)
+    assert main(entry) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    return json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize("entry", [
+    pytest.param(lambda: a_series(0, 3, 5), id="a_series"),
+    pytest.param(lambda: a_series_terms(0, 3, 5), id="a_series_terms"),
+    pytest.param(lambda: a_series_qspecialized(0, 3, 5), id="a_series_qspecialized"),
+    pytest.param(lambda: lax_operator(0, 3), id="lax_operator"),
+    pytest.param(lambda: build_delta(0, 3), id="build_delta"),
+    pytest.param(lambda: build_qh_matrix(0, 3), id="build_qh_matrix"),
+    pytest.param(lambda: verify_conjecture(0, 3, 5), id="verify_conjecture"),
+    pytest.param(["aseries", "0", "3"], id="cli-aseries"),
+    pytest.param(["aseries", "0", "3", "--keep-params"], id="cli-aseries-keep-params"),
+    pytest.param(["phi", "0", "3", "--degrees", "3"], id="cli-phi"),
+    pytest.param(["lax", "0", "3"], id="cli-lax"),
+    pytest.param(["verify-conjecture", "0", "3"], id="cli-verify-conjecture"),
+    pytest.param(["mirror-system", "0", "3", "--degrees", "3"], id="cli-mirror-system"),
+])
+def test_shape_rule(capsys, entry):
+    assert _refusal(capsys, entry).endswith("need 1 <= k < n, got (0,3)")
+
+
+@pytest.mark.parametrize("order,message", [
+    (-1, "order must be >= 0, got -1"),
+    (MAX_ORDER + 1, f"order {MAX_ORDER + 1} exceeds resource cap {MAX_ORDER}"),
+])
+@pytest.mark.parametrize("entry", [
+    pytest.param(lambda o: a_series(2, 4, o), id="a_series"),
+    pytest.param(lambda o: a_series_terms(2, 4, o), id="a_series_terms"),
+    pytest.param(lambda o: a_series_qspecialized(2, 4, o), id="a_series_qspecialized"),
+    pytest.param(lambda o: verify_conjecture(2, 4, o), id="verify_conjecture"),
+    pytest.param(["aseries", "2", "4", "--order"], id="cli-aseries"),
+    pytest.param(["aseries", "2", "4", "--keep-params", "--order"], id="cli-aseries-keep-params"),
+    pytest.param(["phi", "2", "4", "--degrees", "4", "--order"], id="cli-phi"),
+    pytest.param(["verify-conjecture", "2", "4", "--order"], id="cli-verify-conjecture"),
+    pytest.param(["yukawa", "--case", "X4_G24", "--order"], id="cli-yukawa"),
+])
+def test_order_rule(capsys, entry, order, message):
+    if callable(entry):
+        refusal = _refusal(capsys, lambda: entry(order))
+    else:
+        refusal = _refusal(capsys, entry + [str(order)])
+    assert refusal.endswith(message)
+
+
+@pytest.mark.parametrize("entry,where", [
+    (lambda: factorial_trick(PowerSeries("q", (1, 1)), (1, 0, 4)), "degrees (1, 0, 4)"),
+    (lambda: CYCase("X", 2, 5, (1, 0, 4), (1, 1), 1, 1), "X"),
+    (["phi", "2", "5", "--degrees", "1,0,4"], "bad --degrees '1,0,4'"),
+    (["mirror-system", "2", "5", "--degrees", "1,0,4"], "bad --degrees '1,0,4'"),
+], ids=["factorial_trick", "CYCase", "cli-phi", "cli-mirror-system"])
+def test_degrees_rule(capsys, entry, where):
+    assert _refusal(capsys, entry).endswith(f"{where}: every degree must be >= 1")

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from grasscy.errors import UsageError
 from grasscy.hypergeom import (
-    ASeriesSpec,
-    FactorialBundle,
     a_series,
     a_series_qspecialized,
     factorial_trick,
@@ -349,7 +347,7 @@ def test_mirror_period_matches_factorial_trick(name):
         for _ in range(l):
             G = G * F
     ct = ct_by_param_degree(G, range(7))
-    phi = factorial_trick(a_series(ASeriesSpec(k, n, 6)), FactorialBundle(degrees))
+    phi = factorial_trick(a_series(k, n, 6), degrees)
     assert tuple(ct[m].get((), 0) for m in range(7)) == phi.coeffs
 
 

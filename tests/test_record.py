@@ -6,7 +6,6 @@ from fractions import Fraction as Q
 import pytest
 
 from grasscy.dop import DOp
-from grasscy.hypergeom import ASeriesSpec, FactorialBundle
 from grasscy.laurent import LaurentPoly
 from grasscy.laxmirror import MirrorSystem
 from grasscy.mirror_analysis import FrobeniusPair, MirrorMap
@@ -25,8 +24,6 @@ CY = ("X4_G24", 2, 4, (4,), (1,), 1, 89)
 # each class with the positional arguments of one valid instance
 RECORDS = {
     DOp: ({(0, 1): 1, (1, 0): 2},),
-    ASeriesSpec: (2, 4, 5),
-    FactorialBundle: ((4,),),
     LaurentPoly: (1, {(1,): 1}),
     MirrorSystem: (2, 4, ((1, 2, 3, 4),), (), ()),
     FrobeniusPair: (PS, PS),
@@ -91,7 +88,9 @@ def test_missing_or_unknown_arguments_raise_type_error(cls):
 
 
 def test_defaults_by_position_and_keyword():
-    assert ASeriesSpec(2, 4, 5) == ASeriesSpec(2, n=4, trunc=5) == ASeriesSpec(trunc=5, k=2, n=4)
+    delta = (2, 4, ((1,),), ((1, 0, 0, 0),))
+    assert DeltaKN(*delta) == DeltaKN(2, n=4, labels=delta[2], vertices=delta[3]) \
+        == DeltaKN(vertices=delta[3], labels=delta[2], k=2, n=4)
     case = CYCase(*CY)
     assert (case.instantons, case.notes) == (None, "")
     assert CYCase(*CY, notes="x") == CYCase(*CY, None, "x") != case

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 import grasscy.cli as cli
 from grasscy.cli import main
 from grasscy.dop import AmbiguousAnnihilator, DOp
-from grasscy.hypergeom import MAX_ORDER, ASeriesSpec, FactorialBundle, a_series, factorial_trick
+from grasscy.hypergeom import MAX_ORDER, a_series, factorial_trick
 from grasscy.mirror_analysis import NonIntegralInstanton, NotMUM
 from grasscy.qh import NoDependence
 from grasscy.registry import RegistryError, _load_json, registry_load
@@ -271,7 +272,7 @@ def test_cli_help_exits_0(capsys):
 @pytest.fixture(scope="module")
 def series_file(tmp_path_factory):
     """A valid series file: phi of the quartic in G(2,4) to order 30."""
-    phi = factorial_trick(a_series(ASeriesSpec(2, 4, 30)), FactorialBundle((4,)))
+    phi = factorial_trick(a_series(2, 4, 30), (4,))
     f = tmp_path_factory.mktemp("series") / "phi.json"
     f.write_text(json.dumps(series_to_json(phi)))
     return str(f)
@@ -317,6 +318,8 @@ def _usage_error(capsys) -> str:
      "Delta(1000000,2000000) has at least 2000000 vertex entries, more than the bound 2000"),
     (["aseries", "2", "5", "--order", "2", "--param-bound", "-1"],
      "parameter degree bound -1 must be >= 0"),
+    (["aseries", "3", "6", "--order", "200", "--keep-params"],
+     "A-series terms of G(3,6) to order 200 exceed the resource cap 1048576"),
 ])
 def test_cli_bad_input_is_usage_error(capsys, series_file, argv, message):
     """Rejected before any computation: exit 2, nothing on stdout, one JSON
@@ -499,3 +502,18 @@ def test_cli_verify_all_deterministic():
     assert r1 == r2
     assert r1["pass"] is True
     assert [c["case"] for c in r1["cases"]] == sorted(c["case"] for c in r1["cases"])
+
+
+@pytest.mark.parametrize("argv", [["verify-all"], ["lax", "2", "4"]])
+def test_cli_closed_stdout_ends_quietly(argv):
+    """Output to a reader that has exited ends the run with 128 + SIGPIPE
+    and nothing on stderr: not a traceback, and not 1, which is a mismatch."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # before the child starts, so its first write fails
+    try:
+        proc = subprocess.run([sys.executable, "-m", "grasscy.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_PIPE, b"")
+    assert cli.EXIT_PIPE == 141
