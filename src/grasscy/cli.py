@@ -347,10 +347,28 @@ def main(argv=None) -> int:
         print(json.dumps({"error": f"{type(e).__name__}: {e}"}), file=sys.stderr)
         return EXIT_USAGE if isinstance(e, UsageError) else EXIT_MISMATCH
     except BrokenPipeError:
-        # the reader has exited: send what is still buffered to devnull at exit
+        # the reader has exited: what is still buffered goes to devnull when
+        # `console` or the interpreter flushes it
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
 
 
+def console() -> None:
+    """The command's entry point, for `python -m grasscy.cli` and the
+    installed `grasscy`: run `main`, flush stdout and stderr, and end the
+    process at once with main's code.  Interpreter finalization (module
+    teardown, the last collection, atexit handlers) is skipped: it takes
+    longer than any stage of the default `verify-all` chain and does
+    nothing a finished command needs.  An exception escaping `main`, an
+    internal fault, ends the run the usual way, with its traceback."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:  # a reader gone or a full disk: the code stands
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console()

@@ -10,7 +10,8 @@ exponent vector of a monomial in the auxiliary parameters, one per cell:
 `a_series_terms` keeps those terms apart, keyed (m, s), and so lists every
 assignment; `a_series` is their sum at every parameter = 1, the
 specialized series in q.  Each checks its plain arguments (`toric.check_kn`,
-`check_order`), and the listing is capped by MAX_TERMS.  `factorial_trick`
+`check_order`), and the listing and the transfer are each capped by
+MAX_TERMS before they start.  `factorial_trick`
 checks the degrees of X (`toric.check_degrees`).
 
 The specialized series sums the grid by a transfer over its cells: only
@@ -39,7 +40,8 @@ from .toric import check_degrees, check_kn
 
 MAX_ORDER = 200  # resource cap on every truncation order
 # resource cap on (N + 1)^(cells + 1), which bounds the number of grid
-# assignments `a_series_terms` lists to order N; it covers G(4,8) to order 3
+# assignments `a_series_terms` lists to order N, and on the weights that
+# `a_series` carries through its transfer; it covers G(4,8) to order 3
 MAX_TERMS = 4 ** 10
 
 
@@ -55,6 +57,14 @@ def check_param_bound(bound: int | None):
     """Reject a parameter degree bound below 0 (None is no bound)."""
     if bound is not None and bound < 0:
         raise UsageError(f"parameter degree bound {bound} must be >= 0")
+
+
+def _check_terms(count: int, base: int, power: int, what: str):
+    """Reject count * base^power > MAX_TERMS (count, power >= 0, base >= 1)
+    before anything is built; for count, base >= 2 the power is formed only
+    when its floor 2^power is within the cap."""
+    if count and (base > 1 and power >= MAX_TERMS.bit_length() or count * base ** power > MAX_TERMS):
+        raise UsageError(f"{what} exceed the resource cap {MAX_TERMS}")
 
 
 def _grid_positions(k: int, n: int) -> list[tuple[int, int]]:
@@ -259,10 +269,17 @@ def _add_row(rows: dict, key: tuple, row: list[int]) -> None:
 
 def a_series(k: int, n: int, trunc: int) -> PowerSeries:
     """The A-series of the toric degeneration of G(k,n) to order `trunc`
-    at every auxiliary parameter = 1, a PowerSeries in q."""
+    at every auxiliary parameter = 1, a PowerSeries in q.  The transfer
+    is capped at MAX_TERMS weights before it is built."""
     check_kn(k, n)
     check_order(trunc)
-    steps = _frontiers(min(k, n - k), n)
+    w = min(k, n - k)
+    # per cell, the transfer holds at most (trunc + 1)^(w - 1) weights on a
+    # frontier of w - 1 slots: base 2 at order 0 still counts the slots
+    _check_terms((k - 1) * (n - k - 1), max(trunc + 1, 2), w - 1,
+                 f"(k - 1)(n - k - 1) x max(order + 1, 2)^(min(k, n - k) - 1) transfer weights "
+                 f"of G({k},{n}) to order {trunc}")
+    steps = _frontiers(w, n)
     binom, vand = _pascal(trunc)
     coeffs = [Q(_transfer_sum(steps, m, binom, vand), factorial(m) ** n)
               for m in range(trunc + 1)]
@@ -279,11 +296,9 @@ def a_series_terms(k: int, n: int, trunc: int, bound: int | None = None) -> dict
     check_kn(k, n)
     check_order(trunc)
     check_param_bound(bound)
-    cells = (k - 1) * (n - k - 1)
-    # for trunc >= 1 the power is formed only when its floor 2^(cells + 1) fits
-    if trunc and (cells >= MAX_TERMS.bit_length() or (trunc + 1) ** (cells + 1) > MAX_TERMS):
-        raise UsageError(f"(order + 1)^((k - 1)(n - k - 1) + 1) A-series terms of G({k},{n}) "
-                         f"to order {trunc} exceed the resource cap {MAX_TERMS}")
+    _check_terms(1, trunc + 1, (k - 1) * (n - k - 1) + 1,
+                 f"(order + 1)^((k - 1)(n - k - 1) + 1) A-series terms of G({k},{n}) "
+                 f"to order {trunc}")
     return {(m, s): Q(w, factorial(m) ** n)
             for m in range(trunc + 1)
             for w, s in _grid_sum(k, n, m)

@@ -1,0 +1,133 @@
+"""The command's entry point, `python -m grasscy.cli` and the installed
+`grasscy`: `cli.console` runs `main`, flushes stdout and stderr, and ends
+the process with os._exit.  Whatever `main` prints must reach the file or
+pipe whole, with the exit code `main` chose."""
+
+import ast
+import io
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import grasscy.cli as cli
+from grasscy.cli import main
+from grasscy.registry import _load_json
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_entry(argv, tmp_path):
+    """Run the command in a fresh interpreter with stdout to a regular file,
+    block-buffered as it is by default: (exit code, stdout bytes, stderr
+    bytes)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    out_path = tmp_path / "stdout"
+    with open(out_path, "wb") as out:
+        proc = subprocess.run([sys.executable, "-m", "grasscy.cli", *argv], stdout=out,
+                              stderr=subprocess.PIPE, timeout=120, env=env)
+    return proc.returncode, out_path.read_bytes(), proc.stderr
+
+
+def run_in_process(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out.encode(), captured.err.encode()
+
+
+def test_output_past_the_buffer_reaches_a_file_whole(tmp_path, capsys):
+    """`lax 1 40` prints more than one buffer: through the entry point its
+    bytes equal what `main` prints in-process."""
+    code, out, err = run_entry(["lax", "1", "40"], tmp_path)
+    assert (code, err) == (0, b"")
+    assert len(out) > io.DEFAULT_BUFFER_SIZE
+    assert out == run_in_process(["lax", "1", "40"], capsys)[1]
+    assert len(json.loads(out)["terms"]) == 40
+
+
+def _without_seconds(report: bytes) -> dict:
+    report = json.loads(report)
+    for case in report["cases"]:
+        case.pop("seconds")
+    return report
+
+
+def test_verify_all_through_a_file_equals_the_in_process_report(tmp_path, capsys):
+    code, out, err = run_entry(["verify-all", "--count", "30"], tmp_path)
+    assert (code, err) == (0, b"")
+    in_code, in_out, _ = run_in_process(["verify-all", "--count", "30"], capsys)
+    assert in_code == 0
+    assert _without_seconds(out) == _without_seconds(in_out)
+
+
+def test_failed_expectation_exits_1_with_the_report(tmp_path, capsys):
+    """A registry whose expected n_1 of X113_G25 is wrong: exit 1 with the
+    whole report (its "pass" false) on stdout and nothing on stderr."""
+    data = _load_json(None)
+    case = next(rec for rec in data["cases"] if rec["name"] == "X113_G25")
+    case["instantons"] = [case["instantons"][0] + 1] + case["instantons"][1:]
+    wrong = tmp_path / "wrong.json"
+    wrong.write_text(json.dumps(data))
+    argv = ["verify-all", "--registry", str(wrong)]
+    code, out, err = run_entry(argv, tmp_path)
+    assert (code, err) == (1, b"")
+    assert _without_seconds(out)["pass"] is False
+    assert _without_seconds(out) == _without_seconds(run_in_process(argv, capsys)[1])
+
+
+def _series_without_annihilator(tmp_path) -> str:
+    rng = random.Random(0)
+    coeffs = [1] + [rng.randint(-1000, 1000) for _ in range(29)]
+    f = tmp_path / "series.json"
+    f.write_text(json.dumps({"var": "z", "trunc": 29, "coeffs": [str(c) for c in coeffs]}))
+    return str(f)
+
+
+@pytest.mark.parametrize("argv,code,error", [
+    (["pf-fit", "--series", None, "--max-order", "1", "--max-degree", "1"], 1,
+     "NoAnnihilator: no annihilator within bounds (1,1)"),
+    (["verify-all", "--count", "0"], 2, "UsageError: count must be >= 1, got 0"),
+], ids=["failed-check", "bad-input"])
+def test_error_is_one_json_line_on_stderr(tmp_path, argv, code, error):
+    argv = [_series_without_annihilator(tmp_path) if a is None else a for a in argv]
+    got, out, err = run_entry(argv, tmp_path)
+    assert (got, out) == (code, b"")
+    lines = err.decode().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"].startswith(error)
+
+
+def test_help_prints_its_whole_usage(tmp_path, capsys, monkeypatch):
+    """--help through the entry point: exit 0 and the usage `main` prints,
+    at one terminal width for both."""
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_entry(["--help"], tmp_path)
+    assert (code, err) == (0, b"")
+    assert out.startswith(b"usage: grasscy")
+    assert out == run_in_process(["--help"], capsys)[1]
+
+
+def test_console_script_is_the_main_block_entry():
+    """`[project.scripts] grasscy` names the function that the module's
+    `__main__` block calls, so both commands end the same way."""
+    scripts, section = {}, None
+    for line in (ROOT / "pyproject.toml").read_text().splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            section = line
+        elif section == "[project.scripts]" and "=" in line:
+            name, _, target = line.partition("=")
+            scripts[name.strip()] = target.strip().strip('"')
+    module, _, func = scripts["grasscy"].partition(":")
+    assert module == cli.__name__
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    main_block = next(node for node in tree.body if isinstance(node, ast.If)
+                      and ast.unparse(node.test) == "__name__ == '__main__'")
+    [call] = main_block.body
+    assert ast.unparse(call) == f"{func}()"
+    assert callable(getattr(cli, func))

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from grasscy.dop import fit_trunc
 from grasscy.errors import UsageError
+import grasscy.hypergeom as hypergeom
 from grasscy.hypergeom import (
+    MAX_ORDER,
     MAX_TERMS,
     _folded,
     _frontiers,
@@ -202,6 +204,32 @@ def test_terms_cap():
             a_series_terms(k, n, trunc)
     # to order 0 there is one assignment, whatever the grid
     assert a_series_terms(2, 40, 0) == {(0, (0,) * 37): 1}
+
+
+class _Admitted(Exception):
+    pass
+
+
+def _raise_admitted(*args):
+    raise _Admitted
+
+
+def test_transfer_cap(monkeypatch):
+    """`a_series` refuses cells x max(trunc + 1, 2)^(min(k, n - k) - 1) past
+    MAX_TERMS before it builds the frontiers, and admits every shape and
+    order the registry, the tests and CI use."""
+    monkeypatch.setattr(hypergeom, "_frontiers", _raise_admitted)
+    admitted = [(2, 4, MAX_ORDER), (2, 5, MAX_ORDER), (2, 6, MAX_ORDER), (2, 7, MAX_ORDER),
+                (3, 6, MAX_ORDER), (4, 8, 3), (4, 8, 12), (4, 9, 12), (3, 7, 20), (2, 8, 20),
+                (1, 40, MAX_ORDER), (1, 10**6, MAX_ORDER), (2, 40, 0)]
+    for k, n, trunc in admitted:
+        with pytest.raises(_Admitted):
+            a_series(k, n, trunc)
+    for k, n, trunc in ((1000, 2000, 0), (10**6, 2 * 10**6, 1),
+                        (6, 12, 10), (4, 8, MAX_ORDER), (3, 40, MAX_ORDER)):
+        with pytest.raises(UsageError, match=rf"transfer weights of G\({k},{n}\) to order "
+                                             rf"{trunc} exceed the resource cap {MAX_TERMS}"):
+            a_series(k, n, trunc)
 
 
 def test_factorial_trick_positive_degrees():

@@ -11,6 +11,7 @@ from grasscy.cli import main
 from grasscy.errors import UsageError
 from grasscy.hypergeom import (
     MAX_ORDER,
+    MAX_TERMS,
     a_series,
     a_series_qspecialized,
     a_series_terms,
@@ -85,3 +86,14 @@ def test_order_rule(capsys, entry, order, message):
 ], ids=["factorial_trick", "CYCase", "cli-phi", "cli-mirror-system"])
 def test_degrees_rule(capsys, entry, where):
     assert _refusal(capsys, entry).endswith(f"{where}: every degree must be >= 1")
+
+
+@pytest.mark.parametrize("entry", [
+    pytest.param(lambda: a_series(1000, 2000, 1), id="a_series"),
+    pytest.param(lambda: a_series_qspecialized(1000, 2000, 1), id="a_series_qspecialized"),
+    pytest.param(["aseries", "1000", "2000", "--order", "1"], id="cli-aseries"),
+    pytest.param(["phi", "1000", "2000", "--degrees", "1", "--order", "1"], id="cli-phi"),
+])
+def test_transfer_size_rule(capsys, entry):
+    assert _refusal(capsys, entry).endswith(
+        f"transfer weights of G(1000,2000) to order 1 exceed the resource cap {MAX_TERMS}")
