@@ -10,6 +10,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from itertools import islice
 
 from .dop import dop_to_json, pf_fit
 from .errors import GrasscyError, UsageError
@@ -21,8 +22,7 @@ from .pipeline import fit_operator, rational_series, run_case
 from .qh import NoDependence, scalar_operator, verify_conjecture
 from .registry import registry_load
 from .series import Q, qstr, series_from_json, series_to_json
-from .toric import (DIM_BOUND, binomial_equations, build_delta, check_degrees,
-                    check_pluecker_count, check_vertex_entries, facets_and_reflexivity)
+from .toric import DIM_BOUND, binomial_equations, build_delta, check_degrees, facets_and_reflexivity
 
 EXIT_PASS = 0
 EXIT_MISMATCH = 1
@@ -45,11 +45,6 @@ def _parsing(option: str, value):
         raise UsageError(f"bad {option} {value!r}: {type(e).__name__}: {e}") from e
 
 
-def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
-
-
 def _parse_degrees(text: str) -> tuple[int, ...]:
     with _parsing("--degrees", text):
         degrees = tuple(int(x) for x in text.split(","))
@@ -57,8 +52,9 @@ def _parse_degrees(text: str) -> tuple[int, ...]:
     return degrees
 
 
-def cmd_toric(args) -> int:
-    check_pluecker_count(args.k, args.n)  # before Delta, whose size grows as n^2
+def cmd_toric(args) -> dict:
+    # the equations first: their Pluecker check refuses a Delta too large to list
+    equations = binomial_equations(args.k, args.n)
     delta = build_delta(args.k, args.n)
     out = {
         "k": args.k,
@@ -68,23 +64,22 @@ def cmd_toric(args) -> int:
             {"label": list(lab), "vector": list(v)}
             for lab, v in zip(delta.labels, delta.vertices)
         ],
+        "binomial_equations": [
+            {"a": list(r["a"]), "b": list(r["b"]), "min": list(r["min"]), "max": list(r["max"])}
+            for r in equations
+        ],
     }
     if args.facets:
         facets, reflexive = facets_and_reflexivity(delta)
         out["facets"] = [{"normal": list(m), "c": qstr(c)} for m, c in facets]
         out["reflexive"] = reflexive
-    out["binomial_equations"] = [
-        {"a": list(r["a"]), "b": list(r["b"]), "min": list(r["min"]), "max": list(r["max"])}
-        for r in binomial_equations(args.k, args.n)
-    ]
-    _emit(out)
-    return EXIT_PASS
+    return out
 
 
-def cmd_aseries(args) -> int:
+def cmd_aseries(args) -> dict:
     bound = args.param_bound
     if args.keep_params:
-        _emit({
+        return {
             "k": args.k,
             "n": args.n,
             "trunc": args.order,
@@ -93,42 +88,36 @@ def cmd_aseries(args) -> int:
                 {"m": m, "s": list(s), "c": qstr(c)}
                 for (m, s), c in sorted(a_series_terms(args.k, args.n, args.order, bound).items())
             ],
-        })
-    elif bound is not None:
+        }
+    if bound is not None:
         check_param_bound(bound)
         raise UsageError("a parameter degree bound needs keep_params: "
                          "the specialized series has no parameters")
-    else:
-        _emit(series_to_json(a_series(args.k, args.n, args.order)))
-    return EXIT_PASS
+    return series_to_json(a_series(args.k, args.n, args.order))
 
 
-def cmd_phi(args) -> int:
+def cmd_phi(args) -> dict:
     degrees = _parse_degrees(args.degrees)
-    _emit(series_to_json(factorial_trick(a_series(args.k, args.n, args.order), degrees)))
-    return EXIT_PASS
+    return series_to_json(factorial_trick(a_series(args.k, args.n, args.order), degrees))
 
 
-def cmd_pf_fit(args) -> int:
+def cmd_pf_fit(args) -> dict:
     with _parsing("--series", args.series), open(args.series) as fh:
         f = series_from_json(json.load(fh))
-    op = pf_fit(f, max_order=args.max_order, max_zdeg=args.max_degree)
-    _emit(dop_to_json(op, f.var))
-    return EXIT_PASS
+    return dop_to_json(pf_fit(f, max_order=args.max_order, max_zdeg=args.max_degree), f.var)
 
 
-def cmd_qh_operator(args) -> int:
+def cmd_qh_operator(args) -> dict:
     op = scalar_operator(args.k, args.n)
     if not verify_conjecture(args.k, args.n, QH_CHECK_ORDER, operator=op).passed:
         raise NoDependence(f"computed operator for G({args.k},{args.n}) fails to annihilate "
                            f"the hypergeometric series to order {QH_CHECK_ORDER}")
-    _emit(dop_to_json(op, "q"))
-    return EXIT_PASS
+    return dop_to_json(op, "q")
 
 
-def cmd_verify_conjecture(args) -> int:
+def cmd_verify_conjecture(args) -> dict:
     rep = verify_conjecture(args.k, args.n, args.order)
-    _emit({
+    return {
         "k": args.k,
         "n": args.n,
         "order": args.order,
@@ -136,8 +125,7 @@ def cmd_verify_conjecture(args) -> int:
         "residual_zero": rep.passed,
         "indicial_unique": rep.indicial_unique,
         "pass": rep.passed and rep.indicial_unique,
-    })
-    return EXIT_PASS if rep.passed and rep.indicial_unique else EXIT_MISMATCH
+    }
 
 
 def _registry(args):
@@ -152,92 +140,77 @@ def _case(args):
     return reg[args.case]
 
 
-def cmd_yukawa(args) -> int:
+def cmd_yukawa(args) -> dict:
     check_order(args.order)
     rc = _case(args)
     kz3 = yukawa_z(fit_operator(rc), rc.case.n0, args.order)
     fixture = rational_series(rc.kz3_numerator, rc.kz3_denominator, "z", args.order)
     ok = kz3 == fixture
-    _emit({
+    return {
         "case": args.case,
         "kz3": series_to_json(kz3),
         "fixture": series_to_json(fixture),
         "fixture_match": ok,
         "pass": ok,
-    })
-    return EXIT_PASS if ok else EXIT_MISMATCH
+    }
 
 
-def cmd_instanton(args) -> int:
+def cmd_instanton(args) -> dict:
     check_order(args.count, "count", lo=1)
-    report = run_case(_case(args), count=args.count)
-    _emit(report.to_json())
-    return EXIT_PASS if report.passed else EXIT_MISMATCH
+    return run_case(_case(args), count=args.count).to_json()
 
 
-def cmd_lax(args) -> int:
-    check_vertex_entries(args.r, args.s)  # before the polynomial, built on those entries
+def cmd_lax(args) -> dict:
     with _parsing("--q", args.q):
         q = None if args.q is None else Q(args.q)
-    g = lax_operator(args.r, args.s, q=q, track_q=q is None)
-    _emit(laurent_to_json(g))
-    return EXIT_PASS
+    return laurent_to_json(lax_operator(args.r, args.s, q=q, track_q=q is None))
 
 
-def cmd_period(args) -> int:
+def cmd_period(args) -> dict:
     check_order(args.order)
     with _parsing("--poly", args.poly), open(args.poly) as fh:
         g = laurent_from_json(json.load(fh))
     result = period_ct(g, args.nparams, args.order)
     if args.nparams == 1:
-        _emit(series_to_json(result))
-    else:
-        _emit({
-            "nparams": args.nparams,
-            "trunc": args.order,
-            "terms": [{"d": list(d), "c": qstr(c)} for d, c in sorted(result.items())],
-        })
-    return EXIT_PASS
+        return series_to_json(result)
+    return {
+        "nparams": args.nparams,
+        "trunc": args.order,
+        "terms": [{"d": list(d), "c": qstr(c)} for d, c in sorted(result.items())],
+    }
 
 
-def cmd_mirror_system(args) -> int:
-    check_vertex_entries(args.k, args.n)  # before the system, built on those entries
+def cmd_mirror_system(args) -> dict:
     degrees = _parse_degrees(args.degrees)
+    with _parsing("--q", args.q):
+        q = Q(args.q)
+    a, b = canonical_gauge_coeffs(args.k, args.n, q=q)  # refuses a Delta past the cap
     if args.partition:
         with _parsing("--partition", args.partition):
             partition = tuple(tuple(int(x) for x in block.split(","))
                               for block in args.partition.split(";"))
-    else:
-        partition, start = [], 1
-        for d in degrees:
-            partition.append(tuple(range(start, start + d)))
-            start += d
-        partition = tuple(partition)
-    with _parsing("--q", args.q):
-        q = Q(args.q)
-    a, b = canonical_gauge_coeffs(args.k, args.n, q=q)
+    else:  # consecutive blocks of the degrees' sizes, drawn from 1..n alone
+        labels = iter(range(1, args.n + 1))
+        partition = tuple(tuple(islice(labels, d)) for d in degrees)
     ms = mirror_system(args.k, args.n, degrees, partition, a, b)
-    _emit({
+    return {
         "k": args.k,
         "n": args.n,
         "degrees": list(degrees),
         "partition": [list(J) for J in ms.partition],
         "polys": [laurent_to_json(p) for p in ms.polys],
         "equations": [laurent_to_json(e) for e in ms.equations],
-    })
-    return EXIT_PASS
+    }
 
 
-def cmd_verify_all(args) -> int:
+def cmd_verify_all(args) -> dict:
     check_order(args.count, "count", lo=1)
     reg = _registry(args)
     reports = [run_case(reg[name], count=args.count) for name in sorted(reg)]
-    merged = {
+    return {
         "cases": [r.to_json() for r in reports],
         "pass": all(r.passed for r in reports),
     }
-    _emit(merged)
-    return EXIT_PASS if merged["pass"] else EXIT_MISMATCH
 
 
 class _Parser(argparse.ArgumentParser):
@@ -336,37 +309,53 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command line and return its exit code.  The command returns
+    its report, written here once as JSON on stdout; the code is then 1 if
+    the report says "pass": false, else 0.  `--help` prints its usage and
+    gives 0.  A GrasscyError gives one JSON line on stderr and 2 for a
+    UsageError, 1 otherwise.  A reader of stdout that has exited gives 141
+    and nothing on stderr; any other failed write of stdout, a full disk
+    say, gives one JSON line on stderr and 1."""
     try:
         args = build_parser().parse_args(argv)
-        code = args.func(args)
-        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
-        return code
-    except SystemExit as e:  # --help, which has printed the usage
-        return e.code or EXIT_PASS
+        report = args.func(args)
+    except SystemExit:  # --help, which has printed its usage
+        report = None
     except GrasscyError as e:
-        print(json.dumps({"error": f"{type(e).__name__}: {e}"}), file=sys.stderr)
-        return EXIT_USAGE if isinstance(e, UsageError) else EXIT_MISMATCH
-    except BrokenPipeError:
-        # the reader has exited: what is still buffered goes to devnull when
-        # `console` or the interpreter flushes it
+        return _fail(e, EXIT_USAGE if isinstance(e, UsageError) else EXIT_MISMATCH)
+    try:
+        if report is not None:
+            json.dump(report, sys.stdout, indent=2, sort_keys=True)
+            sys.stdout.write("\n")
+        sys.stdout.flush()  # so that a failed write fails here, not at exit
+    except OSError as e:
+        # what is still buffered goes to devnull when the interpreter flushes it
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_PIPE
+        return EXIT_PIPE if isinstance(e, BrokenPipeError) else _fail(e, EXIT_MISMATCH)
+    return EXIT_MISMATCH if report and report.get("pass") is False else EXIT_PASS
+
+
+def _fail(e: Exception, code: int) -> int:
+    print(json.dumps({"error": f"{type(e).__name__}: {e}"}), file=sys.stderr)
+    return code
 
 
 def console() -> None:
     """The command's entry point, for `python -m grasscy.cli` and the
-    installed `grasscy`: run `main`, flush stdout and stderr, and end the
-    process at once with main's code.  Interpreter finalization (module
-    teardown, the last collection, atexit handlers) is skipped: it takes
-    longer than any stage of the default `verify-all` chain and does
-    nothing a finished command needs.  An exception escaping `main`, an
-    internal fault, ends the run the usual way, with its traceback."""
+    installed `grasscy`: lift the interpreter's cap on the digits of an int
+    read or printed in decimal, run `main`, and end the process at once with
+    main's code.  Interpreter finalization (module teardown, the last
+    collection, atexit handlers) is skipped: it takes longer than any stage
+    of the default `verify-all` chain and does nothing a finished command
+    needs.  An exception escaping `main`, an internal fault, ends the run
+    the usual way, with its traceback."""
+    if hasattr(sys, "set_int_max_str_digits"):  # the cap came with Python 3.10.7
+        sys.set_int_max_str_digits(0)
     code = main()
-    for stream in (sys.stdout, sys.stderr):
-        try:
-            stream.flush()
-        except OSError:  # a reader gone or a full disk: the code stands
-            pass
+    try:
+        sys.stderr.flush()
+    except OSError:  # stderr is gone: the code stands
+        pass
     os._exit(code)
 
 

@@ -14,7 +14,7 @@ from .laurent import LaurentPoly, ct_by_param_degree, tracked_split
 from .linalg import solve
 from .record import record
 from .series import PowerSeries, Q
-from .toric import check_kn, nef_partition_sets, vertex_labels, vertex_vector
+from .toric import check_vertex_entries, nef_partition_sets, vertex_labels, vertex_vector
 
 ZERO = Q(0)
 
@@ -28,12 +28,11 @@ def lax_operator(r: int, s: int, q=None, track_q: bool = True) -> LaurentPoly:
     sum X_[a,b]^{-1}(X_[a+1,b] + X_[a,b+1]) + q X_[s-r,r]^{-1}.  With
     track_q the exponent vectors get one extra coordinate recording the
     power of q, and q must not be given; otherwise q is a rational
-    (default 1).
+    (default 1).  Delta(r,s) past toric.VERTEX_ENTRY_BOUND is refused.
     """
-    check_kn(r, s)
+    *labels, last = vertex_labels(r, s)
     if track_q and q is not None:
         raise UsageError(f"q = {q} is given, but track_q keeps q as a variable")
-    *labels, last = vertex_labels(r, s)
     pad = (0,) if track_q else ()
     terms = {vertex_vector(r, s, lab) + pad: Q(1) for lab in labels}
     qexp = vertex_vector(r, s, last)
@@ -116,7 +115,9 @@ def mirror_system(k: int, n: int, degrees, partition, a_coeffs: dict, b_coeffs: 
     a_coeffs maps (i,j) for the u-vertices, b_coeffs maps (l,m) for the
     v-vertices.  The (k-1)(n-k-1) compatibility constraints
     a_{k+1-i,j-1} b_{k+1-i,j} = a_{k+1-i,j} b_{k-i,j} are enforced.
+    Delta(k,n) past toric.VERTEX_ENTRY_BOUND is refused first.
     """
+    check_vertex_entries(k, n)
     degrees = tuple(degrees)
     if sum(degrees) != n:
         raise UsageError("degrees must sum to n")
@@ -158,7 +159,8 @@ def mirror_system(k: int, n: int, degrees, partition, a_coeffs: dict, b_coeffs: 
 def canonical_gauge_coeffs(k: int, n: int, q=1) -> tuple[dict, dict]:
     """All a's = 1 and the constraints solved for the b's (all 1), leaving
     the single coefficient b_{k,n-k} = q free."""
-    a = {(i, j): Q(1) for kind, i, j in vertex_labels(k, n) if kind == "u"}
-    b = {(i, j): Q(1) for kind, i, j in vertex_labels(k, n) if kind == "v"}
+    labels = vertex_labels(k, n)
+    a = {(i, j): Q(1) for kind, i, j in labels if kind == "u"}
+    b = {(i, j): Q(1) for kind, i, j in labels if kind == "v"}
     b[(k, n - k)] = Q(q)
     return a, b

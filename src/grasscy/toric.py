@@ -19,9 +19,10 @@ Label = tuple[str, int, int]  # ("u"|"v", i, j)
 # caps their count
 DIM_BOUND = 35  # covers G(2,7) and G(3,7)
 
-# the Lax polynomial and the mirror system are built on the vertex data of
-# Delta(k,n) alone: 2(k-1)(n-k-1) + n vertices of dimension k(n-k); this
-# caps the number of their entries
+# Delta(k,n), the Lax polynomial and the mirror system are built on the
+# vertex data of Delta(k,n) alone: 2(k-1)(n-k-1) + n vertices of dimension
+# k(n-k); this caps the number of their entries, checked by `vertex_labels`,
+# which they share, before anything is built
 VERTEX_ENTRY_BOUND = 2000  # covers G(1,45), G(3,8) and every G(k,n) within DIM_BOUND
 
 
@@ -98,7 +99,9 @@ def vertex_vector(k: int, n: int, label: Label) -> tuple[int, ...]:
 
 
 def vertex_labels(k: int, n: int) -> list[Label]:
-    """u's row-major, then v's, then the final v_{k,n-k}; byte-stable order."""
+    """u's row-major, then v's, then the final v_{k,n-k}; byte-stable order.
+    Refuses more than VERTEX_ENTRY_BOUND vertex entries."""
+    check_vertex_entries(k, n)
     labels: list[Label] = [("u", 1, 0)]
     for i in range(2, k + 1):
         for j in range(0, n - k):
@@ -123,7 +126,6 @@ class DeltaKN:
 
 
 def build_delta(k: int, n: int) -> DeltaKN:
-    check_kn(k, n)
     labels = tuple(vertex_labels(k, n))
     verts = tuple(vertex_vector(k, n, lab) for lab in labels)
     if len(verts) != vertex_count(k, n):

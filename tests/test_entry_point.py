@@ -1,7 +1,8 @@
 """The command's entry point, `python -m grasscy.cli` and the installed
-`grasscy`: `cli.console` runs `main`, flushes stdout and stderr, and ends
+`grasscy`: `cli.console` lifts the cap on int digits, runs `main`, and ends
 the process with os._exit.  Whatever `main` prints must reach the file or
-pipe whole, with the exit code `main` chose."""
+pipe whole, with the exit code `main` chose; a stdout that fails ends the
+run with its documented code, not a traceback."""
 
 import ast
 import io
@@ -10,26 +11,34 @@ import os
 import random
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 import grasscy.cli as cli
 from grasscy.cli import main
+from grasscy.hypergeom import a_series
 from grasscy.registry import _load_json
+from grasscy.series import series_from_json
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_entry(argv, tmp_path):
-    """Run the command in a fresh interpreter with stdout to a regular file,
-    block-buffered as it is by default: (exit code, stdout bytes, stderr
-    bytes)."""
+def _run(argv, stdout) -> subprocess.CompletedProcess:
+    """Run the command in a fresh interpreter with its stdout block-buffered,
+    as it is by default."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-m", "grasscy.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=120, env=env)
+
+
+def run_entry(argv, tmp_path):
+    """The command with stdout to a regular file: (exit code, stdout bytes,
+    stderr bytes)."""
     out_path = tmp_path / "stdout"
     with open(out_path, "wb") as out:
-        proc = subprocess.run([sys.executable, "-m", "grasscy.cli", *argv], stdout=out,
-                              stderr=subprocess.PIPE, timeout=120, env=env)
+        proc = _run(argv, out)
     return proc.returncode, out_path.read_bytes(), proc.stderr
 
 
@@ -131,3 +140,62 @@ def test_console_script_is_the_main_block_entry():
     [call] = main_block.body
     assert ast.unparse(call) == f"{func}()"
     assert callable(getattr(cli, func))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_disk_exits_1_with_one_json_line():
+    with open("/dev/full", "wb") as full:
+        proc = _run(["verify-all"], full)
+    lines = proc.stderr.decode().splitlines()
+    assert (proc.returncode, len(lines)) == (1, 1)
+    assert json.loads(lines[0])["error"].startswith("OSError: [Errno 28]")
+
+
+def test_help_into_a_closed_pipe_exits_141_quietly():
+    """Like every other command: the usage waits in stdout's buffer, and
+    the flush in `main` meets the exited reader."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run(["--help"], write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_PIPE, b"")
+
+
+@contextmanager
+def any_int_digits():
+    """Lift the interpreter's cap on the decimal digits of an int, as
+    `console` does for the command's process, for the block."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_integers_past_the_digit_cap_are_printed_whole(tmp_path):
+    """The A-series of G(1,400) to order 20 has denominators (m!)^400 of
+    more than 4300 digits, the default cap on int-to-str conversion."""
+    code, out, err = run_entry(["aseries", "1", "400", "--order", "20"], tmp_path)
+    assert (code, err) == (0, b"")
+    report = json.loads(out)
+    assert max(len(c) for c in report["coeffs"]) > 4300
+    with any_int_digits():
+        assert series_from_json(report) == a_series(1, 400, 20)
+
+
+def test_integers_past_the_digit_cap_are_read_back(tmp_path):
+    """Fifteen coefficients 10^5000, the series 10^5000 / (1 - z): its
+    operator at bounds (1,1) is D - zD - z, as for 1 / (1 - z)."""
+    series = tmp_path / "big.json"
+    series.write_text(json.dumps({"var": "z", "trunc": 14, "coeffs": ["1" + "0" * 5000] * 15}))
+    code, out, err = run_entry(["pf-fit", "--series", str(series),
+                                "--max-order", "1", "--max-degree", "1"], tmp_path)
+    assert (code, err) == (0, b"")
+    assert json.loads(out) == {"order": 1, "var": "z", "terms": [
+        {"qdeg": 0, "ddeg": 1, "coeff": "1"},
+        {"qdeg": 1, "ddeg": 1, "coeff": "-1"},
+        {"qdeg": 1, "ddeg": 0, "coeff": "-1"},
+    ]}

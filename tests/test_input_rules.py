@@ -17,10 +17,10 @@ from grasscy.hypergeom import (
     a_series_terms,
     factorial_trick,
 )
-from grasscy.laxmirror import lax_operator
+from grasscy.laxmirror import canonical_gauge_coeffs, lax_operator, mirror_system
 from grasscy.qh import build_qh_matrix, verify_conjecture
 from grasscy.series import PowerSeries
-from grasscy.toric import CYCase, build_delta
+from grasscy.toric import VERTEX_ENTRY_BOUND, CYCase, build_delta
 
 
 def _refusal(capsys, entry) -> str:
@@ -42,6 +42,8 @@ def _refusal(capsys, entry) -> str:
     pytest.param(lambda: a_series_qspecialized(0, 3, 5), id="a_series_qspecialized"),
     pytest.param(lambda: lax_operator(0, 3), id="lax_operator"),
     pytest.param(lambda: build_delta(0, 3), id="build_delta"),
+    pytest.param(lambda: canonical_gauge_coeffs(0, 3), id="canonical_gauge_coeffs"),
+    pytest.param(lambda: mirror_system(0, 3, (3,), ((1, 2, 3),), {}, {}), id="mirror_system"),
     pytest.param(lambda: build_qh_matrix(0, 3), id="build_qh_matrix"),
     pytest.param(lambda: verify_conjecture(0, 3, 5), id="verify_conjecture"),
     pytest.param(["aseries", "0", "3"], id="cli-aseries"),
@@ -97,3 +99,26 @@ def test_degrees_rule(capsys, entry, where):
 def test_transfer_size_rule(capsys, entry):
     assert _refusal(capsys, entry).endswith(
         f"transfer weights of G(1000,2000) to order 1 exceed the resource cap {MAX_TERMS}")
+
+
+
+@pytest.mark.parametrize("k,n,count", [
+    (6, 12, "2232"),
+    (1, 2000, "3998000"),  # lax_operator(1, 2000) alone would take 75 MB
+    (1, 10**9, f"at least {10**9}"),  # refused before the count is formed
+])
+@pytest.mark.parametrize("entry", [
+    pytest.param(lambda k, n: lambda: build_delta(k, n), id="build_delta"),
+    pytest.param(lambda k, n: lambda: lax_operator(k, n), id="lax_operator"),
+    pytest.param(lambda k, n: lambda: canonical_gauge_coeffs(k, n), id="canonical_gauge_coeffs"),
+    pytest.param(lambda k, n: lambda: mirror_system(k, n, (n,), (range(1, n + 1),), {}, {}),
+                 id="mirror_system"),
+    pytest.param(lambda k, n: ["lax", str(k), str(n)], id="cli-lax"),
+    pytest.param(lambda k, n: ["mirror-system", str(k), str(n), "--degrees", str(n)],
+                 id="cli-mirror-system"),
+])
+def test_vertex_entry_rule(capsys, entry, k, n, count):
+    """Each refuses Delta(k,n) past the bound before it builds anything on
+    its vertices."""
+    assert _refusal(capsys, entry(k, n)).endswith(
+        f"Delta({k},{n}) has {count} vertex entries, more than the bound {VERTEX_ENTRY_BOUND}")

@@ -128,9 +128,9 @@ def test_binomial_equation_counts():
 
 
 def test_vertex_entry_bound():
-    """The bound on what `lax` and `mirror-system` build admits every G(k,n)
-    within DIM_BOUND, G(1,40) and G(3,8), and refuses n past it without
-    forming the count."""
+    """The bound on Delta(k,n) and what is built on its vertices admits
+    every G(k,n) within DIM_BOUND, G(1,40) and G(3,8), and refuses n past
+    it without forming the count."""
     for n in range(2, DIM_BOUND + 1):
         for k in range(1, n):
             if comb(n, k) <= DIM_BOUND:
