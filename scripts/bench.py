@@ -111,7 +111,7 @@ def mirror_product(case):
     return G
 
 L24 = lax_operator(2, 4, q=1, track_q=False)
-G = mirror_product(registry_load()["X4_G24"].case)
+G = mirror_product(registry_load()["X4_G24"])
 ROUTES = {
     "laurent_pow_ct_G24_4d_le_20": lambda: [laurent_pow_ct(L24, 4 * d) for d in range(6)],
     "period_ct_G25_order_2": lambda: period_ct(lax_operator(2, 5), 1, 2).coeffs,

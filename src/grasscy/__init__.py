@@ -22,7 +22,7 @@ _EXPORTS = {
     "qh": ("build_qh_matrix", "scalar_operator", "verify_conjecture"),
     "registry": ("RegistryCase", "registry_load"),
     "series": ("PowerSeries", "Q", "TruncationError", "series_from_json", "series_to_json"),
-    "toric": ("CYCase", "build_delta", "degree_grassmannian", "facets_and_reflexivity"),
+    "toric": ("build_delta", "degree_grassmannian", "facets_and_reflexivity"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

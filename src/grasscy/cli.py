@@ -18,7 +18,7 @@ from .hypergeom import a_series, a_series_terms, check_order, check_param_bound,
 from .laurent import laurent_from_json, laurent_to_json
 from .laxmirror import canonical_gauge_coeffs, lax_operator, mirror_system, period_ct
 from .mirror_analysis import yukawa_z
-from .pipeline import fit_operator, rational_series, run_case
+from .pipeline import check_case, fit_operator, rational_series, run_case
 from .qh import NoDependence, scalar_operator, verify_conjecture
 from .registry import registry_load
 from .series import Q, qstr, series_from_json, series_to_json
@@ -137,14 +137,15 @@ def _case(args):
     reg = _registry(args)
     if args.case not in reg:
         raise UsageError(f"unknown case {args.case!r}; have {sorted(reg)}")
+    check_case(reg[args.case])
     return reg[args.case]
 
 
 def cmd_yukawa(args) -> dict:
     check_order(args.order)
-    rc = _case(args)
-    kz3 = yukawa_z(fit_operator(rc), rc.case.n0, args.order)
-    fixture = rational_series(rc.kz3_numerator, rc.kz3_denominator, "z", args.order)
+    case = _case(args)
+    kz3 = yukawa_z(fit_operator(case), case.n0, args.order)
+    fixture = rational_series(case.kz3_numerator, case.kz3_denominator, "z", args.order)
     ok = kz3 == fixture
     return {
         "case": args.case,
@@ -206,6 +207,8 @@ def cmd_mirror_system(args) -> dict:
 def cmd_verify_all(args) -> dict:
     check_order(args.count, "count", lo=1)
     reg = _registry(args)
+    for case in reg.values():
+        check_case(case)
     reports = [run_case(reg[name], count=args.count) for name in sorted(reg)]
     return {
         "cases": [r.to_json() for r in reports],
@@ -315,7 +318,19 @@ def main(argv=None) -> int:
     gives 0.  A GrasscyError gives one JSON line on stderr and 2 for a
     UsageError, 1 otherwise.  A reader of stdout that has exited gives 141
     and nothing on stderr; any other failed write of stdout, a full disk
-    say, gives one JSON line on stderr and 1."""
+    say, gives one JSON line on stderr and 1.  The cap on the decimal digits
+    of an int is lifted for the call alone."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # the cap came with Python 3.10.7
+        return _run(argv)
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
+def _run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
         report = args.func(args)
@@ -342,15 +357,12 @@ def _fail(e: Exception, code: int) -> int:
 
 def console() -> None:
     """The command's entry point, for `python -m grasscy.cli` and the
-    installed `grasscy`: lift the interpreter's cap on the digits of an int
-    read or printed in decimal, run `main`, and end the process at once with
+    installed `grasscy`: run `main`, and end the process at once with
     main's code.  Interpreter finalization (module teardown, the last
     collection, atexit handlers) is skipped: it takes longer than any stage
     of the default `verify-all` chain and does nothing a finished command
     needs.  An exception escaping `main`, an internal fault, ends the run
     the usual way, with its traceback."""
-    if hasattr(sys, "set_int_max_str_digits"):  # the cap came with Python 3.10.7
-        sys.set_int_max_str_digits(0)
     code = main()
     try:
         sys.stderr.flush()

@@ -15,3 +15,11 @@ class Mismatch(GrasscyError):
 class UsageError(GrasscyError, ValueError):
     """Bad input, rejected before any work.  It is a ValueError, so a caller
     that catches ValueError around a library call still catches it."""
+
+
+def shown(value) -> str:
+    """`value` as an input check names it: by its size if an int past 1024
+    bits, which may have more digits than Python prints by default."""
+    if isinstance(value, int) and value.bit_length() > 1024:
+        return f"<an int of {value.bit_length()} bits>"
+    return str(value)

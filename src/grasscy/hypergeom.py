@@ -34,7 +34,7 @@ from itertools import accumulate, zip_longest
 from math import comb, factorial, prod
 from operator import add, mul
 
-from .errors import UsageError
+from .errors import UsageError, shown
 from .series import PowerSeries, Q
 from .toric import check_degrees, check_kn
 
@@ -48,15 +48,15 @@ MAX_TERMS = 4 ** 10
 def check_order(value: int, what: str = "order", lo: int = 0):
     """Reject an order (or count) below `lo` or past MAX_ORDER."""
     if value < lo:
-        raise UsageError(f"{what} must be >= {lo}, got {value}")
+        raise UsageError(f"{what} must be >= {lo}, got {shown(value)}")
     if value > MAX_ORDER:
-        raise UsageError(f"{what} {value} exceeds resource cap {MAX_ORDER}")
+        raise UsageError(f"{what} {shown(value)} exceeds resource cap {MAX_ORDER}")
 
 
 def check_param_bound(bound: int | None):
     """Reject a parameter degree bound below 0 (None is no bound)."""
     if bound is not None and bound < 0:
-        raise UsageError(f"parameter degree bound {bound} must be >= 0")
+        raise UsageError(f"parameter degree bound {shown(bound)} must be >= 0")
 
 
 def _check_terms(count: int, base: int, power: int, what: str):
@@ -278,7 +278,7 @@ def a_series(k: int, n: int, trunc: int) -> PowerSeries:
     # frontier of w - 1 slots: base 2 at order 0 still counts the slots
     _check_terms((k - 1) * (n - k - 1), max(trunc + 1, 2), w - 1,
                  f"(k - 1)(n - k - 1) x max(order + 1, 2)^(min(k, n - k) - 1) transfer weights "
-                 f"of G({k},{n}) to order {trunc}")
+                 f"of G({shown(k)},{shown(n)}) to order {trunc}")
     steps = _frontiers(w, n)
     binom, vand = _pascal(trunc)
     coeffs = [Q(_transfer_sum(steps, m, binom, vand), factorial(m) ** n)
@@ -297,7 +297,7 @@ def a_series_terms(k: int, n: int, trunc: int, bound: int | None = None) -> dict
     check_order(trunc)
     check_param_bound(bound)
     _check_terms(1, trunc + 1, (k - 1) * (n - k - 1) + 1,
-                 f"(order + 1)^((k - 1)(n - k - 1) + 1) A-series terms of G({k},{n}) "
+                 f"(order + 1)^((k - 1)(n - k - 1) + 1) A-series terms of G({shown(k)},{shown(n)}) "
                  f"to order {trunc}")
     return {(m, s): Q(w, factorial(m) ** n)
             for m in range(trunc + 1)

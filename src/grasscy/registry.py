@@ -4,25 +4,102 @@ from __future__ import annotations
 
 import json
 import os
+from math import prod
 
 from .errors import UsageError
-from .record import record
+from .record import record, set_field
 from .series import Q
-from .toric import CYCase, node_count
+from .toric import check_degrees, check_kn, degree_grassmannian
+
+
+class RegistryError(UsageError):
+    pass
 
 
 @record
 class RegistryCase:
-    case: CYCase
+    """One row of the paper's table, X of the given degrees in G(k,n) and
+    Y after its conifold transition, with its K_z fixture and fit bound;
+    refused on construction unless its numbers fit together."""
+
+    name: str
+    k: int
+    n: int
+    degrees: tuple[int, ...]
+    strata_degrees: tuple[int, ...]
+    h11: int
+    h21: int
     expected_Y: tuple[int, int, int]
     expected_p: int
     kz3_numerator: tuple
     kz3_denominator: tuple
     pf_max_zdeg: int
+    instantons: tuple[int, ...] | None = None  # n_1..n_5 when published
+    notes: str = ""
 
+    def __post_init__(self):
+        for field in ("degrees", "strata_degrees", "expected_Y"):
+            set_field(self, field, tuple(getattr(self, field)))
+        for field in ("kz3_numerator", "kz3_denominator"):
+            set_field(self, field, tuple(Q(c) for c in getattr(self, field)))
+        fault = self._fault()
+        if fault is not None:
+            raise RegistryError(f"{self.name}: {fault}")
+        set_field(self, "instantons", tuple(self.instantons) if self.instantons else None)
 
-class RegistryError(UsageError):
-    pass
+    def _fault(self) -> str | None:
+        """The first rule the case breaks, or None.  The shape rule comes
+        first, as the rules after it read k(n-k) and alpha."""
+        try:
+            check_kn(self.k, self.n)
+            check_degrees(self.degrees)
+        except UsageError as e:
+            return str(e)
+        if sum(self.degrees) != self.n:
+            return "degrees must sum to n"
+        if list(self.degrees) != sorted(self.degrees):
+            return "degrees must be weakly increasing"
+        if len(self.degrees) != self.k * (self.n - self.k) - 3:
+            return "a threefold in G(k,n) is cut by k(n-k) - 3 sections"
+        if len(self.strata_degrees) != self.alpha:
+            return f"expected {self.alpha} strata degrees"
+        if self.node_count != self.expected_p:
+            return "node count disagrees with strata degrees"
+        ey = self.expected_Y
+        if ey[2] != 2 * (ey[0] - ey[1]):
+            return "chi(Y) != 2(h11(Y) - h21(Y))"
+        zdeg, inst = self.pf_max_zdeg, self.instantons
+        if type(zdeg) is not int or zdeg < 0:
+            return f"pf_max_zdeg must be an int >= 0, got {zdeg!r}"
+        if inst is not None and not (isinstance(inst, (list, tuple))
+                                     and all(type(x) is int for x in inst)):
+            return f"instantons must be null or a list of ints, got {inst!r}"
+        if not self.kz3_denominator or self.kz3_denominator[0] == 0:
+            return "the K_z fixture's denominator vanishes at z = 0"
+        return None
+
+    @property
+    def alpha(self) -> int:
+        return (self.k - 1) * (self.n - self.k - 1)
+
+    @property
+    def chi(self) -> int:
+        return 2 * (self.h11 - self.h21)
+
+    @property
+    def n0(self) -> int:
+        return prod(self.degrees) * degree_grassmannian(self.k, self.n)
+
+    @property
+    def node_count(self) -> int:
+        return prod(self.degrees) * sum(self.strata_degrees)
+
+    @property
+    def hodge_Y(self) -> tuple[int, int, int]:
+        """(h11, h21, chi) of the small resolution after the conifold transition."""
+        h11 = self.h11 + self.alpha
+        h21 = self.h21 + self.alpha - self.node_count
+        return h11, h21, 2 * (h11 - h21)
 
 
 def _load_json(path: str | os.PathLike | None) -> dict:
@@ -40,44 +117,13 @@ def registry_load(path: str | os.PathLike | None = None) -> dict[str, RegistryCa
     for rec in cases:
         if rec["name"] in out:
             raise RegistryError(f"{rec['name']}: two cases share this name")
-        zdeg, inst = rec["pf_max_zdeg"], rec["instantons"]
-        if type(zdeg) is not int or zdeg < 0:
-            raise RegistryError(f"{rec['name']}: pf_max_zdeg must be an int >= 0, got {zdeg!r}")
-        if inst is not None and not (isinstance(inst, list) and all(type(x) is int for x in inst)):
-            raise RegistryError(f"{rec['name']}: instantons must be null or a list of ints, "
-                                f"got {inst!r}")
-        try:
-            case = CYCase(
-                name=rec["name"],
-                k=rec["k"],
-                n=rec["n"],
-                degrees=tuple(rec["degrees"]),
-                strata_degrees=tuple(rec["strata_degrees"]),
-                h11=rec["h11"],
-                h21=rec["h21"],
-                instantons=tuple(inst) if inst else None,
-                notes=rec.get("notes", ""),
-            )
-        except UsageError as e:  # a degree, sum or section count CYCase refuses
-            raise RegistryError(str(e)) from e
+        # the entry's keys in field order; "p" holds expected_p
+        case = RegistryCase(*(rec[key] for key in (
+            "name", "k", "n", "degrees", "strata_degrees", "h11", "h21", "expected_Y", "p",
+            "kz3_numerator", "kz3_denominator", "pf_max_zdeg", "instantons")), rec.get("notes", ""))
         if rec["chi"] != case.chi:
             raise RegistryError(f"{case.name}: chi != 2(h11 - h21)")
         if rec["alpha"] != case.alpha:
             raise RegistryError(f"{case.name}: alpha != (k-1)(n-k-1)")
-        if rec["p"] != node_count(case):
-            raise RegistryError(f"{case.name}: node count disagrees with strata degrees")
-        ey = tuple(rec["expected_Y"])
-        if ey[2] != 2 * (ey[0] - ey[1]):
-            raise RegistryError(f"{case.name}: chi(Y) != 2(h11(Y) - h21(Y))")
-        kz3_denominator = tuple(Q(c) for c in rec["kz3_denominator"])
-        if not kz3_denominator or kz3_denominator[0] == 0:
-            raise RegistryError(f"{case.name}: the K_z fixture's denominator vanishes at z = 0")
-        out[case.name] = RegistryCase(
-            case=case,
-            expected_Y=ey,
-            expected_p=rec["p"],
-            kz3_numerator=tuple(Q(c) for c in rec["kz3_numerator"]),
-            kz3_denominator=kz3_denominator,
-            pf_max_zdeg=zdeg,
-        )
+        out[case.name] = case
     return out

@@ -1,14 +1,14 @@
 """Combinatorics of the toric degeneration of G(k,n): the polytope with
 2(k-1)(n-k-1)+n vertices, the index-tuple poset, binomial equations,
-nef-partition vertex sets, degrees, and the conifold/Hodge bookkeeping."""
+nef-partition vertex sets, and the degree of G(k,n)."""
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial
 
-from .errors import Mismatch, UsageError
+from .errors import Mismatch, UsageError, shown
 from .linalg import rank
 from .record import record
 
@@ -28,13 +28,13 @@ VERTEX_ENTRY_BOUND = 2000  # covers G(1,45), G(3,8) and every G(k,n) within DIM_
 
 def check_kn(k: int, n: int):
     if not (1 <= k < n):
-        raise UsageError(f"need 1 <= k < n, got ({k},{n})")
+        raise UsageError(f"need 1 <= k < n, got ({shown(k)},{shown(n)})")
 
 
-def check_degrees(degrees, where: str):
-    """Reject a degree below 1; `where` names the input in the error."""
+def check_degrees(degrees, where: str | None = None):
+    """Reject a degree below 1; `where`, if given, names the input in the error."""
     if any(d < 1 for d in degrees):
-        raise UsageError(f"{where}: every degree must be >= 1")
+        raise UsageError(f"{where + ': ' if where else ''}every degree must be >= 1")
 
 
 def vertex_count(k: int, n: int) -> int:
@@ -51,7 +51,7 @@ def check_pluecker_count(k: int, n: int):
     for i in range(min(k, n - k)):
         count = count * (n - i) // (i + 1)  # C(n, i+1)
         if count.bit_length() > 1024:
-            raise UsageError(f"C({n},{k}) > 2^1024 Pluecker coordinates exceed "
+            raise UsageError(f"C({shown(n)},{shown(k)}) > 2^1024 Pluecker coordinates exceed "
                              f"the bound {DIM_BOUND}")
     if count > DIM_BOUND:
         raise UsageError(f"C({n},{k}) = {count} Pluecker coordinates exceed "
@@ -64,8 +64,8 @@ def check_vertex_entries(k: int, n: int):
     the bound is refused before the count, of order n^4, is formed."""
     check_kn(k, n)
     if n > VERTEX_ENTRY_BOUND:
-        raise UsageError(f"Delta({k},{n}) has at least {n} vertex entries, more than "
-                         f"the bound {VERTEX_ENTRY_BOUND}")
+        raise UsageError(f"Delta({shown(k)},{shown(n)}) has at least {shown(n)} vertex entries, "
+                         f"more than the bound {VERTEX_ENTRY_BOUND}")
     entries = vertex_count(k, n) * k * (n - k)
     if entries > VERTEX_ENTRY_BOUND:
         raise UsageError(f"Delta({k},{n}) has {entries} vertex entries, more than "
@@ -226,57 +226,3 @@ def degree_grassmannian(k: int, n: int) -> int:
     if result.denominator != 1:
         raise Mismatch(f"degree of G({k},{n}) came out as {result}, not an integer")
     return int(result)
-
-
-# ---------------------------------------------------------------------------
-# Calabi-Yau case bookkeeping.
-
-
-@record
-class CYCase:
-    name: str
-    k: int
-    n: int
-    degrees: tuple[int, ...]
-    strata_degrees: tuple[int, ...]
-    h11: int
-    h21: int
-    instantons: tuple[int, ...] | None = None  # n_1..n_5 when published
-    notes: str = ""
-
-    def __post_init__(self):
-        check_degrees(self.degrees, self.name)
-        if sum(self.degrees) != self.n:
-            raise UsageError(f"{self.name}: degrees must sum to n")
-        if tuple(sorted(self.degrees)) != tuple(self.degrees):
-            raise UsageError(f"{self.name}: degrees must be weakly increasing")
-        if len(self.strata_degrees) != self.alpha:
-            raise UsageError(f"{self.name}: expected {self.alpha} strata degrees")
-        if len(self.degrees) != self.k * (self.n - self.k) - 3:
-            raise UsageError(f"{self.name}: a threefold in G(k,n) is cut by k(n-k) - 3 sections")
-
-    @property
-    def alpha(self) -> int:
-        return (self.k - 1) * (self.n - self.k - 1)
-
-    @property
-    def chi(self) -> int:
-        return 2 * (self.h11 - self.h21)
-
-    @property
-    def n0(self) -> int:
-        return prod(self.degrees) * degree_grassmannian(self.k, self.n)
-
-
-def node_count(case: CYCase) -> int:
-    if not case.strata_degrees:
-        raise UsageError("strata degrees not populated")
-    return prod(case.degrees) * sum(case.strata_degrees)
-
-
-def hodge_after_transition(case: CYCase) -> tuple[int, int, int]:
-    """(h11, h21, chi) of the small resolution after the conifold transition."""
-    p = node_count(case)
-    h11 = case.h11 + case.alpha
-    h21 = case.h21 + case.alpha - p
-    return h11, h21, 2 * (h11 - h21)

@@ -1,7 +1,9 @@
-"""Shared by the test modules: a fast strategy for bounded rationals, and
+"""Shared by the test modules: a fast strategy for bounded rationals,
 schoolbook Fraction oracles that the integer kernels in grasscy are
-checked against."""
+checked against, and a block with a given cap on int digits."""
 
+import sys
+from contextlib import contextmanager
 from fractions import Fraction as Q
 from itertools import combinations, zip_longest
 from math import comb, factorial, gcd, isqrt, lcm
@@ -18,6 +20,18 @@ from grasscy.record import record
 from grasscy.series import PowerSeries, SeriesDomainError, series_compose, series_exp
 from grasscy.toric import DIM_BOUND
 from grasscy.upoly import PONE, PZERO, padd, pdivexact, pmul, pnorm
+
+
+@contextmanager
+def int_digit_cap(cap: int):
+    """Set the interpreter's cap on the decimal digits of an int read or
+    printed (0 for none, 4300 by default) for the block, then restore it."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(cap)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 # every G(k,n) with 2 <= k <= n-2 that DIM_BOUND admits: twelve, up to G(3,7)

@@ -12,13 +12,7 @@ from grasscy.laxmirror import lax_operator, period_ct
 from grasscy.mirror_analysis import extract_instantons
 from grasscy.qh import build_qh_matrix, scalar_operator, verify_conjecture
 from grasscy.series import PowerSeries, series_exp
-from grasscy.toric import (
-    build_delta,
-    binomial_equations,
-    facets_and_reflexivity,
-    hodge_after_transition,
-    node_count,
-)
+from grasscy.toric import build_delta, binomial_equations, facets_and_reflexivity
 
 from support import laurent_pow_ct_bruteforce, series_log
 
@@ -40,11 +34,10 @@ INSTANTON_CASES = [
 ]
 
 
-def test_criterion_1_instanton_tables(reports):
+def test_criterion_1_instanton_tables(registry, reports):
     ok = True
     for name in INSTANTON_CASES:
-        r = reports[name]
-        ok = ok and r.instantons == list(r.expected_instantons)
+        ok = ok and reports[name].instantons == list(registry[name].instantons)
     report(1, "instanton tables n_1..n_5 for five cases", ok)
 
 
@@ -171,11 +164,11 @@ def test_criterion_6_toric_suite(registry):
         "X111111_G36": ((1, 49, -96), 16, (5, 37, -64)),
     }
     for name, (hx, p, hy) in hodge_expected.items():
-        case = registry[name].case
+        case = registry[name]
         ok = ok and (case.h11, case.h21, case.chi) == hx
-        ok = ok and node_count(case) == p
-        ok = ok and hodge_after_transition(case) == hy
-    ok = ok and sorted(node_count(rc.case) for rc in registry.values()) == [4, 6, 8, 10, 14, 16]
+        ok = ok and case.node_count == p
+        ok = ok and case.hodge_Y == hy
+    ok = ok and sorted(case.node_count for case in registry.values()) == [4, 6, 8, 10, 14, 16]
     report(6, "toric suite: vertices, facets, equations, Hodge table", ok)
 
 

@@ -100,7 +100,7 @@ def test_pf_fit_matches_per_order_route(name, bounds):
     from math import comb, factorial
 
     if name in REGISTRY:
-        case = REGISTRY[name].case
+        case = REGISTRY[name]
         a = a_series(case.k, case.n, fit_trunc(*bounds))
         f = factorial_trick(a, case.degrees)
     else:

@@ -1,8 +1,8 @@
 """The command's entry point, `python -m grasscy.cli` and the installed
-`grasscy`: `cli.console` lifts the cap on int digits, runs `main`, and ends
-the process with os._exit.  Whatever `main` prints must reach the file or
-pipe whole, with the exit code `main` chose; a stdout that fails ends the
-run with its documented code, not a traceback."""
+`grasscy`: `cli.console` runs `main`, which lifts the cap on int digits for
+its call, and ends the process with os._exit.  Whatever `main` prints must
+reach the file or pipe whole, with the exit code `main` chose; a stdout
+that fails ends the run with its documented code, not a traceback."""
 
 import ast
 import io
@@ -11,7 +11,6 @@ import os
 import random
 import subprocess
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -21,6 +20,8 @@ from grasscy.cli import main
 from grasscy.hypergeom import a_series
 from grasscy.registry import _load_json
 from grasscy.series import series_from_json
+
+from support import int_digit_cap
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -163,18 +164,6 @@ def test_help_into_a_closed_pipe_exits_141_quietly():
     assert (proc.returncode, proc.stderr) == (cli.EXIT_PIPE, b"")
 
 
-@contextmanager
-def any_int_digits():
-    """Lift the interpreter's cap on the decimal digits of an int, as
-    `console` does for the command's process, for the block."""
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
-
-
 def test_integers_past_the_digit_cap_are_printed_whole(tmp_path):
     """The A-series of G(1,400) to order 20 has denominators (m!)^400 of
     more than 4300 digits, the default cap on int-to-str conversion."""
@@ -182,8 +171,20 @@ def test_integers_past_the_digit_cap_are_printed_whole(tmp_path):
     assert (code, err) == (0, b"")
     report = json.loads(out)
     assert max(len(c) for c in report["coeffs"]) > 4300
-    with any_int_digits():
+    with int_digit_cap(0):
         assert series_from_json(report) == a_series(1, 400, 20)
+
+
+def test_main_in_process_lifts_the_digit_cap_for_its_call_alone(tmp_path, capsys):
+    """In-process, under the interpreter's default cap, `main` prints the
+    G(1,400) A-series as the entry point does, and leaves its caller's cap
+    as it was."""
+    argv = ["aseries", "1", "400", "--order", "20"]
+    with int_digit_cap(4300):
+        code, out, err = run_in_process(argv, capsys)
+        assert sys.get_int_max_str_digits() == 4300
+    assert (code, err) == (0, b"")
+    assert out == run_entry(argv, tmp_path)[1]
 
 
 def test_integers_past_the_digit_cap_are_read_back(tmp_path):

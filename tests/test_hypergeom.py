@@ -140,7 +140,7 @@ def test_packed_transfer_matches_oracle(kn, m):
 
 
 def _deep_shapes():
-    shapes = {(rc.case.k, rc.case.n): fit_trunc(PF_MAX_ORDER, rc.pf_max_zdeg)
+    shapes = {(rc.k, rc.n): fit_trunc(PF_MAX_ORDER, rc.pf_max_zdeg)
               for rc in registry_load().values()}
     return sorted(shapes.items()) + [((4, 8), 12), ((3, 6), 60), ((2, 7), 120), ((3, 5), 40)]
 

@@ -20,7 +20,7 @@ PUBLIC = {
     "qh": ["build_qh_matrix", "scalar_operator", "verify_conjecture"],
     "registry": ["RegistryCase", "registry_load"],
     "series": ["PowerSeries", "Q", "TruncationError", "series_from_json", "series_to_json"],
-    "toric": ["CYCase", "build_delta", "degree_grassmannian", "facets_and_reflexivity"],
+    "toric": ["build_delta", "degree_grassmannian", "facets_and_reflexivity"],
 }
 
 CHILD = r"""

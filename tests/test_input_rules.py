@@ -15,12 +15,16 @@ from grasscy.hypergeom import (
     a_series,
     a_series_qspecialized,
     a_series_terms,
+    check_order,
     factorial_trick,
 )
 from grasscy.laxmirror import canonical_gauge_coeffs, lax_operator, mirror_system
 from grasscy.qh import build_qh_matrix, verify_conjecture
 from grasscy.series import PowerSeries
-from grasscy.toric import VERTEX_ENTRY_BOUND, CYCase, build_delta
+from grasscy.registry import RegistryCase
+from grasscy.toric import VERTEX_ENTRY_BOUND, build_delta
+
+from support import int_digit_cap
 
 
 def _refusal(capsys, entry) -> str:
@@ -82,10 +86,11 @@ def test_order_rule(capsys, entry, order, message):
 
 @pytest.mark.parametrize("entry,where", [
     (lambda: factorial_trick(PowerSeries("q", (1, 1)), (1, 0, 4)), "degrees (1, 0, 4)"),
-    (lambda: CYCase("X", 2, 5, (1, 0, 4), (1, 1), 1, 1), "X"),
+    (lambda: RegistryCase("X", 2, 5, (1, 0, 4), (1, 1), 1, 76, (3, 72, -138), 6, (1,), (1,), 1),
+     "X"),
     (["phi", "2", "5", "--degrees", "1,0,4"], "bad --degrees '1,0,4'"),
     (["mirror-system", "2", "5", "--degrees", "1,0,4"], "bad --degrees '1,0,4'"),
-], ids=["factorial_trick", "CYCase", "cli-phi", "cli-mirror-system"])
+], ids=["factorial_trick", "RegistryCase", "cli-phi", "cli-mirror-system"])
 def test_degrees_rule(capsys, entry, where):
     assert _refusal(capsys, entry).endswith(f"{where}: every degree must be >= 1")
 
@@ -122,3 +127,17 @@ def test_vertex_entry_rule(capsys, entry, k, n, count):
     its vertices."""
     assert _refusal(capsys, entry(k, n)).endswith(
         f"Delta({k},{n}) has {count} vertex entries, more than the bound {VERTEX_ENTRY_BOUND}")
+
+
+@pytest.mark.parametrize("entry,message", [
+    (lambda: lax_operator(1, 10**5000), "Delta(1,{n}) has at least {n} vertex entries"),
+    (lambda: a_series(10**5000, 3, 1), "need 1 <= k < n, got ({n},3)"),
+    (lambda: check_order(10**5000), "order {n} exceeds resource cap"),
+], ids=["lax_operator", "a_series", "check_order"])
+def test_a_huge_integer_is_named_by_its_size(entry, message):
+    """An int past 1024 bits is named by its size, so that it is refused
+    with a UsageError also under the interpreter's default cap of 4300
+    digits, which 10^5000 passes."""
+    with int_digit_cap(4300):
+        refusal = _refusal(None, entry)
+    assert message.format(n="<an int of 16610 bits>") in refusal

@@ -331,7 +331,7 @@ def test_mirror_period_matches_factorial_trick(name):
     with F_i = sum_{j in J_i} p_j over the consecutive nef partition in the
     canonical gauge at q = 1 and G = prod F_i^(l_i),
     CT(G^m) = prod (l_i m)! a_m."""
-    case = registry_load()[name].case
+    case = registry_load()[name]
     k, n, degrees = case.k, case.n, case.degrees
     partition, start = [], 1
     for d in degrees:

@@ -157,7 +157,7 @@ def test_yukawa_q_matches_the_q_side_product(name):
     count = 30
     rc = registry_load()[name]
     op = fit_operator(rc)
-    kz = yukawa_z(op, rc.case.n0, count + 1)
+    kz = yukawa_z(op, rc.n0, count + 1)
     fp = frobenius(op, count)
     kq = yukawa_q(kz, fp, mirror_map(fp))
     assert kq.trunc == count
@@ -235,7 +235,7 @@ def test_normal_form_in_z_matches_q_oracle(name):
     op = fit_operator(rc)
     fp = frobenius(op, 13)
     maps = mirror_map(fp)
-    kz = yukawa_z(op, rc.case.n0, 13)
+    kz = yukawa_z(op, rc.n0, 13)
     bad = kz + kz.shift(3) * Q(1, 7)
     for k, ok in ((kz, True), (bad, False)):
         assert normal_form_check(op, k, 12) is ok
@@ -278,10 +278,10 @@ def test_normal_form_check_on_the_registry(name):
     op = fit_operator(rc)
     for P, ok in ((op, True), (op + z * D, False), (op + z * z * D**3, False),
                   (op + z**3 * D, False)):
-        k = yukawa_z(P, rc.case.n0, 12)
+        k = yukawa_z(P, rc.n0, 12)
         assert normal_form_check(P, k, 12) is normal_form_check_oracle(P, k, 12) is ok
     if name == "X113_G25":
-        kz = yukawa_z(op, rc.case.n0, 12)
+        kz = yukawa_z(op, rc.n0, 12)
         for d in (1, 3, 6, 7, 8, 10):
             bad = kz + PowerSeries.gen("z", 12).shift(d - 1)
             for n in (5, 6, 7, 8, 10, 12):

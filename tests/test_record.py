@@ -13,13 +13,14 @@ from grasscy.pipeline import RunReport
 from grasscy.qh import ConjectureReport, QHMatrix
 from grasscy.registry import RegistryCase
 from grasscy.series import PowerSeries
-from grasscy.toric import CYCase, DeltaKN
+from grasscy.toric import DeltaKN
 
 from support import LogSeries
 
 PS = PowerSeries("z", (1, 2))
 OP = DOp({(0, 1): 1})
-CY = ("X4_G24", 2, 4, (4,), (1,), 1, 89)
+# the fields of X4_G24 without defaults
+CY = ("X4_G24", 2, 4, (4,), (1,), 1, 89, (2, 86, -168), 4, (Q(8),), (Q(1), Q(-1024)), 1)
 
 # each class with the positional arguments of one valid instance
 RECORDS = {
@@ -28,14 +29,13 @@ RECORDS = {
     MirrorSystem: (2, 4, ((1, 2, 3, 4),), (), ()),
     FrobeniusPair: (PS, PS),
     MirrorMap: (PS, PS),
-    RunReport: ("X4_G24", OP, PS, True, [1], None, (2, 86, -168), (2, 86, -168), 4, 4, 0.5),
+    RunReport: (RegistryCase(*CY), OP, PS, True, [1], 0.5),
     QHMatrix: (2, 4, ((),), ((0,),)),
     ConjectureReport: (2, 4, 5, OP, PS, True, True),
-    RegistryCase: (CYCase(*CY), (2, 86, -168), 4, (Q(8),), (Q(1), Q(-1024)), 1),
+    RegistryCase: CY + ((2875,), "note"),
     PowerSeries: ("z", (1, 2)),
     LogSeries: ((PS,),),
     DeltaKN: (2, 4, ((1,),), ((1, 0, 0, 0),)),
-    CYCase: CY + ((2875,), "note"),
 }
 
 
@@ -91,9 +91,9 @@ def test_defaults_by_position_and_keyword():
     delta = (2, 4, ((1,),), ((1, 0, 0, 0),))
     assert DeltaKN(*delta) == DeltaKN(2, n=4, labels=delta[2], vertices=delta[3]) \
         == DeltaKN(vertices=delta[3], labels=delta[2], k=2, n=4)
-    case = CYCase(*CY)
+    case = RegistryCase(*CY)
     assert (case.instantons, case.notes) == (None, "")
-    assert CYCase(*CY, notes="x") == CYCase(*CY, None, "x") != case
+    assert RegistryCase(*CY, notes="x") == RegistryCase(*CY, None, "x") != case
     assert RunReport(*RECORDS[RunReport][:-1]).seconds == 0.0
 
 

@@ -31,11 +31,10 @@ def test_registry_has_six_cases(registry):
 
 
 def test_registry_invariants(registry):
-    for rc in registry.values():
-        case = rc.case
+    for case in registry.values():
         assert case.chi == 2 * (case.h11 - case.h21)
         assert case.alpha == (case.k - 1) * (case.n - case.k - 1)
-    assert registry["X1111111_G27"].case.alpha == 4
+    assert registry["X1111111_G27"].alpha == 4
     assert registry["X1111111_G27"].expected_p == 14
 
 
@@ -78,8 +77,9 @@ def test_registry_rejects_fixture_denominator_vanishing_at_zero(tmp_path):
     ("instantons", [1, 2.5], "instantons must be null or a list of ints, got [1, 2.5]"),
     ("alpha", 5, "alpha != (k-1)(n-k-1)"),
     ("degrees", [0, 2, 3], "every degree must be >= 1"),
+    ("k", 0, "need 1 <= k < n, got (0,4)"),
 ], ids=["zdeg-float", "zdeg-string", "zdeg-negative", "instantons-string", "instantons-float",
-        "alpha", "degree-zero"])
+        "alpha", "degree-zero", "k-zero"])
 def test_cli_registry_rejects_bad_field(tmp_path, capsys, monkeypatch, field, value, message):
     """A registry field of the wrong type or sign is refused when the
     registry is loaded, before any series is built: exit 2, one JSON line
@@ -92,6 +92,39 @@ def test_cli_registry_rejects_bad_field(tmp_path, capsys, monkeypatch, field, va
     assert main(["verify-all", "--registry", str(bad)]) == 2
     error = _usage_error(capsys)
     assert error == f"RegistryError: {data['cases'][0]['name']}: {message}"
+
+
+def _counting(calls: list, fn):
+    """`fn`, recording each call in `calls`."""
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+@pytest.mark.parametrize("argv,stage", [
+    (["verify-all"], "run_case"),
+    (["instanton", "--case", "X4_G24"], "run_case"),
+    (["yukawa", "--case", "X4_G24"], "fit_operator"),
+], ids=["verify-all", "instanton", "yukawa"])
+def test_cli_fit_bound_past_the_cap_is_refused_before_any_case_runs(
+        tmp_path, capsys, monkeypatch, argv, stage):
+    """pf_max_zdeg 40 needs the A-series to order 5 * 41 + GUARD = 215,
+    past MAX_ORDER: exit 2 with an error that names the case and the
+    bound, before any case runs, even the five that sort before it."""
+    data = _load_json(None)
+    next(rec for rec in data["cases"] if rec["name"] == "X4_G24")["pf_max_zdeg"] = 40
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    calls = []
+    monkeypatch.setattr(cli, stage, _counting(calls, getattr(cli, stage)))
+    assert main([*argv, "--registry", str(bad)]) == 2
+    assert calls == []
+    assert _usage_error(capsys) == ("RegistryError: X4_G24: pf_max_zdeg 40 needs the A-series "
+                                    "to order 215, past the resource cap 200")
+    # a command that runs another case of the registry does not check this one
+    assert main(["instanton", "--case", "X113_G25", "--count", "1", "--registry", str(bad)]) == 0
 
 
 def _registry_with_duplicate() -> dict:
