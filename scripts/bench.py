@@ -116,6 +116,8 @@ ROUTES = {
     "laurent_pow_ct_G24_4d_le_20": lambda: [laurent_pow_ct(L24, 4 * d) for d in range(6)],
     "period_ct_G25_order_2": lambda: period_ct(lax_operator(2, 5), 1, 2).coeffs,
     "period_ct_G25_order_5": lambda: period_ct(lax_operator(2, 5), 1, 5).coeffs,
+    "period_ct_G25_order_8": lambda: period_ct(lax_operator(2, 5), 1, 8).coeffs,
+    "period_ct_G26_order_4": lambda: period_ct(lax_operator(2, 6), 1, 4).coeffs,
     "mirror_period_X4_G24_m_le_6": lambda: [c.get((), 0) for c in ct_by_param_degree(G, range(7)).values()],
 }
 times, values = {}, {}

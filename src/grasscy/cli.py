@@ -168,7 +168,6 @@ def cmd_lax(args) -> dict:
 
 
 def cmd_period(args) -> dict:
-    check_order(args.order)
     with _parsing("--poly", args.poly), open(args.poly) as fh:
         g = laurent_from_json(json.load(fh))
     result = period_ct(g, args.nparams, args.order)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, gcd, isqrt
 
-from .errors import Mismatch, UsageError
+from .errors import Mismatch, UsageError, shown
 from .linalg import nullspace
 from .record import record
 from .series import PowerSeries, Q, over_common_den, qstr
@@ -277,10 +277,11 @@ def pf_fit(f: PowerSeries, max_order: int, max_zdeg: int) -> DOp:
     """
     if max_order < 1 or max_zdeg < 0:
         raise UsageError(f"need max_order >= 1, max_zdeg >= 0 for a fit, "
-                         f"got ({max_order},{max_zdeg})")
+                         f"got ({shown(max_order)},{shown(max_zdeg)})")
     if f.trunc < (need := fit_trunc(max_order, max_zdeg)):
-        raise UsageError(f"series truncation {f.trunc} too small for bounds ({max_order},"
-                         f"{max_zdeg}): need {need}, the unknowns plus GUARD = {GUARD} rows")
+        raise UsageError(f"series truncation {f.trunc} too small for bounds ({shown(max_order)},"
+                         f"{shown(max_zdeg)}): need {shown(need)}, the unknowns plus GUARD = "
+                         f"{GUARD} rows")
     p = SCREEN_PRIME
     B, _ = over_common_den(f.coeffs)
     system_p = []  # row m: column (i, j) at index i * (max_order + 1) + j

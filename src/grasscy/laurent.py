@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from .errors import UsageError
+from math import comb, factorial, lcm, prod
+
+from .errors import UsageError, shown
+from .linalg import echelon
 from .record import record
 from .series import Q, over_common_den, qstr, require_keys
 
@@ -73,23 +76,211 @@ def tracked_split(L: LaurentPoly, nparams: int, bound: int = 0) -> int:
     """The number of torus coordinates of L when its trailing nparams
     coordinates are tracked parameters, each kept in 0..bound.  Rejects with
     UsageError a split that does not exist (nparams < 0 or > L.nvars), a
-    negative bound, and a negative parameter exponent, which the pruning
-    below to parameter degrees >= 0 would silently drop."""
+    negative bound, and a negative parameter exponent, which the sweep's
+    pruning to parameter degrees >= 0 would silently drop.  Both routes of
+    ct_by_param_degree, and period_ct, start here."""
     if nparams < 0:
-        raise UsageError(f"nparams must be >= 0, got {nparams}")
+        raise UsageError(f"nparams must be >= 0, got {shown(nparams)}")
     if nparams > L.nvars:
-        raise UsageError(f"nparams must be <= nvars = {L.nvars}, got {nparams}")
+        raise UsageError(f"nparams must be <= nvars = {L.nvars}, got {shown(nparams)}")
     if bound < 0:
-        raise UsageError(f"bound must be >= 0, got {bound}")
+        raise UsageError(f"bound must be >= 0, got {shown(bound)}")
     nv = L.nvars - nparams
     if any(x < 0 for e in L.terms for x in e[nv:]):
         raise UsageError("tracked parameter exponents must be non-negative")
     return nv
 
 
+def _checked(L: LaurentPoly, powers, nparams: int, bound: int) -> tuple[int, set]:
+    """The number of torus coordinates (see tracked_split) and the set of
+    powers, each rejected with UsageError when bad."""
+    nv = tracked_split(L, nparams, bound)
+    powers = set(powers)
+    if any(m < 0 for m in powers):
+        raise UsageError("power must be non-negative")
+    return nv, powers
+
+
+def ct_by_param_degree(L: LaurentPoly, powers, nparams: int = 0, bound: int = 0) -> dict:
+    """Constant terms of L**m for every m in powers, over the leading
+    (torus) coordinates, collected by the exponents of the trailing nparams
+    coordinates (tracked parameters, non-negative, each kept <= bound):
+    m -> {parameter-degree tuple -> coefficient}, zeros left out.
+
+    Two routes give the same answer, and the one with the smaller bound on
+    its work runs, the walk on a tie.  Both bounds are counts taken from L
+    and the powers before either route starts: the count vectors the walk
+    over L's relations visits (`_walk_cost`) and the products of monomials
+    the meet-in-the-middle sweep forms (`_sweep_cost`).  The walk wins when the
+    monomials are few for their coordinates, as for the Lax polynomials;
+    the sweep when they are many in few coordinates, as for the mirror
+    products of the complete intersections.
+    """
+    nv, powers = _checked(L, powers, nparams, bound)
+    rel = _relations(L, nv)
+    walk = _walk_cost(rel, powers)
+    if _sweep_cost(L, nv, max(powers, default=0), bound, walk) < walk:
+        return _sweep(L, nv, powers, bound)
+    return _walk(L, nv, powers, bound, rel)
+
+
+def ct_by_walk(L: LaurentPoly, powers, nparams: int = 0, bound: int = 0) -> dict:
+    """`ct_by_param_degree` by the walk over the relations among L's
+    monomials, whatever its cost."""
+    nv, powers = _checked(L, powers, nparams, bound)
+    return _walk(L, nv, powers, bound, _relations(L, nv))
+
+
+def ct_by_sweep(L: LaurentPoly, powers, nparams: int = 0, bound: int = 0) -> dict:
+    """`ct_by_param_degree` by the meet-in-the-middle sweep, whatever its
+    cost."""
+    nv, powers = _checked(L, powers, nparams, bound)
+    return _sweep(L, nv, powers, bound)
+
+
+def _relations(L: LaurentPoly, nv: int) -> tuple | None:
+    """The integer relations among L's monomials, in the form the walk
+    reads them; None when no power m > 0 of L has a constant term.
+
+    A count vector k (k_i copies of monomial i) gives a term of CT(L^m)
+    when sum_i k_i a_i = (0, m), with a_i = (t_i, 1), t_i the torus part of
+    monomial i: the torus exponents cancel and the counts add up to m.  One
+    echelon form of the columns a_1, ..., a_N, e = (0, ..., 0, 1) picks the
+    first independent monomials B as pivots; if e is a pivot too, it is no
+    combination of the a_i, and only m = 0 balances.  Otherwise each other
+    (free) monomial j and e are combinations of the a_B, and clearing the
+    denominators by their lcm delta gives integer vectors with
+    delta a_j = sum_i cols[j]_i a_(B_i) and delta e = sum_i base_i a_(B_i).
+    The counts of B then follow from those of the free monomials:
+    delta k_B = m base - sum_j k_j cols[j].
+    Returns (pivots, free, delta, base, cols)."""
+    monos = list(L.terms)
+    N = len(monos)
+    rows, pivots = echelon([[e[c] for e in monos] + [0] for c in range(nv)] + [[1] * (N + 1)])
+    if N in pivots:
+        return None
+    delta = lcm(*(row[p] for row, p in zip(rows, pivots)))
+    rows = [[x * (delta // row[p]) for x in row] for row, p in zip(rows, pivots)]
+    pivot_set = set(pivots)
+    free = [j for j in range(N) if j not in pivot_set]
+    return (pivots, free, delta, [row[N] for row in rows],
+            [[row[j] for row in rows] for j in free])
+
+
+def _walk_cost(rel: tuple | None, powers: set) -> int:
+    """The count vectors of the free monomials the walk visits at most:
+    those with sum <= m, C(m + f, f) of them for f free monomials, at each
+    power m."""
+    if rel is None:
+        return len(powers)
+    f = len(rel[1])
+    return sum(comb(m + f, f) for m in powers)
+
+
+def _walk(L: LaurentPoly, nv: int, powers: set, bound: int, rel: tuple | None) -> dict:
+    """CT(L^m) as the sum over the count vectors k of the relations (see
+    `_relations`) with sum k = m, each k >= 0 giving the term
+    m! / prod k_i! prod c_i^(k_i) at parameter degree sum k_i p_i (p_i the
+    parameter part of monomial i).  The free counts are enumerated with
+    sum <= m; the last of them is not walked, but taken from the interval
+    of values that keeps every count of B >= 0.  A count of B is kept only
+    if it is an integer.  The sums run in integers on P = D L, D the lcm
+    of L's denominators, over D^m."""
+    nparams = L.nvars - nv
+    zero = (0,) * nparams
+    result: dict = {}
+    if rel is None:
+        for m in sorted(powers):
+            result[m] = {zero: Q(1)} if m == 0 else {}
+        return result
+    pivots, free, delta, base, cols = rel
+    monos = list(L.terms)
+    ints, den = over_common_den(list(L.terms.values()))
+    order = pivots + free  # the positions of a count vector kB + kF
+    coeffs = [ints[i] for i in order]
+    tracked = [(pos, monos[i][nv:]) for pos, i in enumerate(order) if any(monos[i][nv:])]
+    kF = [0] * len(free)
+    last = len(free) - 1
+
+    def leaf(mfact: int, v: list, out: dict):
+        kB = [x // delta for x in v]
+        ks = kB + kF
+        if tracked:
+            deg = tuple(sum(ks[pos] * p[c] for pos, p in tracked) for c in range(nparams))
+            if any(x > bound for x in deg):
+                return
+        else:
+            deg = zero
+        w = mfact // prod(map(factorial, ks)) * prod(map(pow, coeffs, ks))
+        out[deg] = out.get(deg, 0) + w
+
+    def rec(mfact: int, level: int, v: list, rem: int, out: dict):
+        u = cols[level]
+        if level < last:
+            for c in range(rem + 1):
+                kF[level] = c
+                rec(mfact, level + 1, v, rem - c, out)
+                v = [x - y for x, y in zip(v, u)]
+            return
+        # v - c u >= 0 holds for c in lo..hi
+        lo, hi = 0, rem
+        for x, y in zip(v, u):
+            if y > 0:
+                hi = min(hi, x // y)
+            elif y < 0:
+                lo = max(lo, -(-x // y))
+            elif x < 0:
+                return
+        for c in range(lo, hi + 1):
+            w = [x - c * y for x, y in zip(v, u)]
+            if delta == 1 or not any(x % delta for x in w):
+                kF[level] = c
+                leaf(mfact, w, out)
+
+    for m in sorted(powers):
+        out: dict = {}
+        v = [m * b for b in base]
+        if free:
+            rec(factorial(m), 0, v, m, out)
+        elif all(x >= 0 and x % delta == 0 for x in v):
+            leaf(factorial(m), v, out)
+        scale = den**m
+        result[m] = {d: Q(c, scale) for d, c in out.items() if c}
+    return result
+
+
+def _sweep_cost(L: LaurentPoly, nv: int, top: int, bound: int, cap: int) -> int:
+    """The products of monomials the sweep forms at most: N for each term
+    of each stored power L^t, t <= ceil(top / 2), where L^t has at most
+    C(t + N - 1, N - 1) terms, and no more than the box it is pruned to has
+    points.  The sum stops once it passes cap."""
+    N = len(L.terms)
+    if not N:
+        return 0
+    up, down = _reach(L)
+    cost = 0
+    for t in range((top + 1) // 2 + 1):
+        left = top - t
+        box = prod(min(t * u, left * d) + min(t * d, left * u) + 1
+                   for u, d in zip(up[:nv], down[:nv]))
+        box *= prod(min(t * u, bound) + 1 for u in up[nv:])
+        cost += N * min(comb(t + N - 1, N - 1), box)
+        if cost > cap:
+            break
+    return cost
+
+
+def _reach(L: LaurentPoly) -> tuple[list[int], list[int]]:
+    """(up, down): per factor of L, coordinate c moves by at most +up_c and
+    -down_c."""
+    n = L.nvars
+    return ([max([0] + [e[c] for e in L.terms]) for c in range(n)],
+            [max([0] + [-e[c] for e in L.terms]) for c in range(n)])
+
+
 def _times(acc: dict, terms: list, lo: int, hi: int, guard: int) -> dict:
     """acc * P on packed keys, keeping the keys that pass both guard tests
-    (the box lo <= e <= hi, see ct_by_param_degree)."""
+    (the box lo <= e <= hi, see _sweep)."""
     out: dict = {}
     get = out.get
     for k2, c2 in terms:
@@ -100,13 +291,8 @@ def _times(acc: dict, terms: list, lo: int, hi: int, guard: int) -> dict:
             if c and (k + lo) & guard == guard and (hi - k) & guard == guard}
 
 
-def ct_by_param_degree(L: LaurentPoly, powers, nparams: int = 0, bound: int = 0) -> dict:
-    """Constant terms of L**m for every m in powers, over the leading
-    (torus) coordinates, collected by the exponents of the trailing nparams
-    coordinates (tracked parameters, non-negative, each kept <= bound):
-    m -> {parameter-degree tuple -> coefficient}, zeros left out.
-
-    One sweep, meet in the middle: with a = m // 2 and b = m - a,
+def _sweep(L: LaurentPoly, nv: int, powers: set, bound: int) -> dict:
+    """The meet-in-the-middle sweep: with a = m // 2 and b = m - a,
     CT(L^m) = sum_e [L^a]_e [L^b]_(-e) over torus parts e.  L^t is built
     once for t up to ceil(M / 2), M the largest power, pruned to what the
     M - t factors left can cancel, which covers every smaller m too; only
@@ -140,18 +326,13 @@ def ct_by_param_degree(L: LaurentPoly, powers, nparams: int = 0, bound: int = 0)
     off = 2^(w-1) > S.  Only the keys are packed; coefficients stay
     separate integers.
     """
-    nv = tracked_split(L, nparams, bound)
-    powers = set(powers)
-    if any(m < 0 for m in powers):
-        raise UsageError("power must be non-negative")
     top = max(powers, default=0)
     n = L.nvars
+    nparams = n - nv
     coeffs, den = over_common_den(list(L.terms.values()))
-    # per factor a coordinate moves by at most +up / -down (down is 0 on the
-    # parameters); after t factors a torus coordinate must lie where the
-    # M - t factors left can bring it back to 0
-    up = [max([0] + [e[c] for e in L.terms]) for c in range(n)]
-    down = [max([0] + [-e[c] for e in L.terms]) for c in range(n)]
+    # down is 0 on the parameters; after t factors a torus coordinate must
+    # lie where the M - t factors left can bring it back to 0
+    up, down = _reach(L)
     span = max([top * max(u, d) for u, d in zip(up[:nv], down[:nv])]
                + [2 * bound] + [bound + p for p in up[nv:]])
     w = span.bit_length() + 1
@@ -203,7 +384,7 @@ def ct_by_param_degree(L: LaurentPoly, powers, nparams: int = 0, bound: int = 0)
 
 
 def laurent_pow_ct(L: LaurentPoly, m: int) -> Q:
-    """Constant term of L**m."""
+    """Constant term of L**m, by the cheaper route of ct_by_param_degree."""
     return ct_by_param_degree(L, {m})[m].get((), ZERO)
 
 

@@ -10,6 +10,7 @@ over the leading (torus) coordinates only.
 from __future__ import annotations
 
 from .errors import UsageError
+from .hypergeom import check_order
 from .laurent import LaurentPoly, ct_by_param_degree, tracked_split
 from .linalg import solve
 from .record import record
@@ -64,10 +65,12 @@ def period_ct(g: LaurentPoly, nparams: int, order: int) -> PowerSeries | dict:
     """Period series sum_m CT(g^m) collected by tracked-parameter degree.
 
     The grading pins down which power m feeds each parameter degree:
-    m = mu . d; one constant-term sweep serves all of them.  Returns a
-    PowerSeries for one parameter, otherwise a dict from exponent tuples
-    (total degree <= order) to coefficients.
+    m = mu . d; one call of `ct_by_param_degree` serves all of them.
+    Returns a PowerSeries for one parameter, otherwise a dict from exponent
+    tuples (total degree <= order) to coefficients.  The order is checked
+    first (`hypergeom.check_order`), then the split (`tracked_split`).
     """
+    check_order(order)
     nv = tracked_split(g, nparams, order)
     result: dict = {(0,) * nparams: Q(1)}
     if g.terms:

@@ -19,7 +19,7 @@ from .hypergeom import a_series_qspecialized, check_order
 from .record import record
 from .series import PowerSeries
 from .toric import check_pluecker_count
-from .upoly import PONE, PZERO, InexactDivision, Poly, padd, pdivexact, pmul, pshift, ptheta
+from .upoly import PONE, PZERO, InexactDivision, Poly, padd, pdivexact, pnorm, pshift
 
 Partition = tuple[int, ...]  # weakly decreasing, length k, parts <= n-k
 
@@ -84,15 +84,19 @@ def build_qh_matrix(k: int, n: int) -> QHMatrix:
 
 
 def next_functional(l: list[Poly], M: QHMatrix) -> list[Poly]:
-    """l_{j+1} = l_j M + theta(l_j); l_0 extracts the top Schubert coefficient."""
+    """l_{j+1} = l_j M + theta(l_j); l_0 extracts the top Schubert coefficient.
+    Every nonzero entry of M is q^e (the quantum Pieri rule), so each
+    product is a shift by e."""
     out = []
-    for col in range(M.dim):
-        acc = ptheta(l[col])
-        for mid in range(M.dim):
-            e = M.entries[mid][col]
-            if e and l[mid]:
-                acc = padd(acc, pmul(l[mid], e))
-        out.append(acc)
+    for lc, column in zip(l, zip(*M.entries)):
+        acc = [i * x for i, x in enumerate(lc)]
+        for e, lm in zip(column, l):
+            if e and lm:
+                shift = len(e) - 1
+                acc.extend([0] * (shift + len(lm) - len(acc)))
+                for i, x in enumerate(lm, shift):
+                    acc[i] += x
+        out.append(pnorm(acc))
     return out
 
 
@@ -217,10 +221,10 @@ def _eliminate(M: QHMatrix, ls: list[list[Poly]], B: int) -> list[tuple[int, int
 
 def _operator(trace: list[tuple[int, int]], ls: list[list[Poly]], B: int) -> DOp:
     """The dependence sum_j c_j l_j = 0 with c_j = tr_j / content, certified
-    in Z[q].  The content is q^(min v) times the primitive part of the
-    unpacked integer gcd of the packed S_j(2^B) (the heuristic gcd of
-    Char-Geddes-Gonnet), which is the gcd of the S_j once it divides every
-    tr_j and 2^B >= 2 min_j |S_j| + 2."""
+    in Z[q] (`_vanishes`).  The content is q^(min v) times the primitive
+    part of the unpacked integer gcd of the packed S_j(2^B) (the heuristic
+    gcd of Char-Geddes-Gonnet), which is the gcd of the S_j once it divides
+    every tr_j and 2^B >= 2 min_j |S_j| + 2."""
     polys, norms = [], []
     for v, x in trace:
         S = _unpack(x, B)
@@ -238,14 +242,30 @@ def _operator(trace: list[tuple[int, int]], ls: list[list[Poly]], B: int) -> DOp
         coeffs = [pdivexact(t, content) for t in polys]
     except InexactDivision:
         raise PackingOverflow(f"heuristic content fails to divide at {B} bits") from None
-    for col in range(len(ls[0])):
-        acc = PZERO
-        for c, l in zip(coeffs, ls):
-            if c and l[col]:
-                acc = padd(acc, pmul(c, l[col]))
-        if acc:
-            raise PackingOverflow(f"unpacked dependence fails at {B} bits")
+    if not _vanishes(coeffs, ls):
+        raise PackingOverflow(f"unpacked dependence fails at {B} bits")
     return DOp({(i, j): c for j, t in enumerate(coeffs) for i, c in enumerate(t)}).canonical()
+
+
+def _vanishes(coeffs: list[Poly], ls: list[list[Poly]]) -> bool:
+    """Whether sum_j c_j l_j = 0 in Z[q], by one value per column at
+    q = 2^W.  Each coefficient of sum_j c_j l_j[col] is at most
+    S = sum_j |c_j|_1 max_col |l_j[col]|_1 in size, and W = bitlength(S) + 1
+    puts S below 2^(W-1), so the value is 0 only for the zero polynomial:
+    the top nonzero coefficient would outweigh all the ones below it."""
+    pairs = [(c, l) for c, l in zip(coeffs, ls) if c]
+    S = sum(sum(map(abs, c)) * max(sum(map(abs, e)) for e in l) for c, l in pairs)
+    W = S.bit_length() + 1
+
+    def at(p: Poly) -> int:
+        x = 0
+        for c in reversed(p):
+            x = (x << W) + c
+        return x
+
+    cs = [at(c) for c, _ in pairs]
+    return not any(sum(x * at(l[col]) for x, (_, l) in zip(cs, pairs))
+                   for col in range(len(ls[0])))
 
 
 def _width_bound(ls: list[list[Poly]]) -> int:

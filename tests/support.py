@@ -15,11 +15,11 @@ from grasscy.dop import SCREEN_PRIME, AmbiguousAnnihilator, DOp, NoAnnihilator
 from grasscy.laurent import LaurentPoly
 from grasscy.linalg import echelon, nullspace, rank
 from grasscy.mirror_analysis import FrobeniusPair, MirrorMap, mirror_map
-from grasscy.qh import NoDependence, build_qh_matrix, next_functional
+from grasscy.qh import NoDependence, build_qh_matrix
 from grasscy.record import record
 from grasscy.series import PowerSeries, SeriesDomainError, series_compose, series_exp
 from grasscy.toric import DIM_BOUND
-from grasscy.upoly import PONE, PZERO, padd, pdivexact, pmul, pnorm
+from grasscy.upoly import PONE, PZERO, padd, pdivexact, pmul, pnorm, ptheta
 
 
 @contextmanager
@@ -336,11 +336,13 @@ def yukawa_z_ddz_oracle(P, n0: int, order_n: int) -> PowerSeries:
     """W'/W = -(1/2)(b3/b4 - 6/z) on the d/dz form of an order-4 MUM
     operator, with b3 = z^3 B3 and b4 = z^4 B4."""
     b = to_ddz_form(P)
-    assert not any(b[3][:3]) and not any(b[4][:4])
+    if any(b[3][:3]) or any(b[4][:4]):
+        raise AssertionError("b3 must start at z^3 and b4 at z^4")
     pad = [Q(0)] * (order_n + 2)
     B3, B4 = (b[3][3:] + pad)[: order_n + 2], (b[4][4:] + pad)[: order_n + 2]
     num = [x - 6 * y for x, y in zip(B3, B4)]
-    assert num[0] == 0  # the residue of b3/b4 at 0 is 6
+    if num[0] != 0:
+        raise AssertionError("the residue of b3/b4 at 0 must be 6")
     r = PowerSeries("z", num[1:]) / PowerSeries("z", B4[: order_n + 1])
     w_log = integrate0(r) * Q(-1, 2)
     return (series_exp(w_log) * n0).truncate(order_n)
@@ -425,6 +427,22 @@ def laurent_pow_ct_bruteforce(L: LaurentPoly, m: int) -> Q:
     for _ in range(m):
         p = p * L
     return p.constant_term()
+
+
+def ct_by_param_degree_bruteforce(L: LaurentPoly, powers, nparams: int = 0,
+                                  bound: int = 0) -> dict:
+    """`laurent.ct_by_param_degree` by full products L^0..L^M: at each
+    m in powers, the terms with torus part 0 and every parameter exponent
+    <= bound, keyed by their parameter exponents."""
+    nv = L.nvars - nparams
+    out = {}
+    p = LaurentPoly.constant(L.nvars, 1)
+    for m in range(max(powers, default=0) + 1):
+        if m in powers:
+            out[m] = {e[nv:]: c for e, c in p.terms.items()
+                      if not any(e[:nv]) and all(x <= bound for x in e[nv:])}
+        p = p * L
+    return out
 
 
 def _times_tuples(acc: dict, terms: list, lo: tuple, hi: tuple) -> dict:
@@ -547,6 +565,18 @@ def _cross(p, a, f, b, d):
     return pdivexact(psub(pmul(p, a), pmul(f, b)), d)
 
 
+def next_functional_dense(l: list, M) -> list:
+    """`qh.next_functional` by a dense product: l M + theta(l), each entry
+    product a full polynomial multiplication."""
+    out = []
+    for col in range(M.dim):
+        acc = ptheta(l[col])
+        for mid in range(M.dim):
+            acc = padd(acc, pmul(l[mid], M.entries[mid][col]))
+        out.append(acc)
+    return out
+
+
 def scalar_operator_zq_oracle(k: int, n: int) -> DOp:
     """The Bareiss elimination over Z[q] on dense coefficient tuples, with
     the same lowest-degree pivot rule, and the content removed by the monic
@@ -569,7 +599,7 @@ def scalar_operator_zq_oracle(k: int, n: int) -> DOp:
             break
         _, pcol = min((len(e), c) for c, e in enumerate(row) if e)
         pivots.append((pcol, row[pcol], row, trace))
-        l = next_functional(l, M)
+        l = next_functional_dense(l, M)
     else:
         raise NoDependence(f"no dependence among l_0..l_{dim} for G({k},{n})")
     content = PZERO

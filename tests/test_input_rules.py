@@ -8,6 +8,7 @@ import json
 import pytest
 
 from grasscy.cli import main
+from grasscy.dop import pf_fit
 from grasscy.errors import UsageError
 from grasscy.hypergeom import (
     MAX_ORDER,
@@ -18,7 +19,7 @@ from grasscy.hypergeom import (
     check_order,
     factorial_trick,
 )
-from grasscy.laxmirror import canonical_gauge_coeffs, lax_operator, mirror_system
+from grasscy.laxmirror import canonical_gauge_coeffs, lax_operator, mirror_system, period_ct
 from grasscy.qh import build_qh_matrix, verify_conjecture
 from grasscy.series import PowerSeries
 from grasscy.registry import RegistryCase
@@ -70,6 +71,7 @@ def test_shape_rule(capsys, entry):
     pytest.param(lambda o: a_series_terms(2, 4, o), id="a_series_terms"),
     pytest.param(lambda o: a_series_qspecialized(2, 4, o), id="a_series_qspecialized"),
     pytest.param(lambda o: verify_conjecture(2, 4, o), id="verify_conjecture"),
+    pytest.param(lambda o: period_ct(lax_operator(2, 4), 1, o), id="period_ct"),
     pytest.param(["aseries", "2", "4", "--order"], id="cli-aseries"),
     pytest.param(["aseries", "2", "4", "--keep-params", "--order"], id="cli-aseries-keep-params"),
     pytest.param(["phi", "2", "4", "--degrees", "4", "--order"], id="cli-phi"),
@@ -133,7 +135,10 @@ def test_vertex_entry_rule(capsys, entry, k, n, count):
     (lambda: lax_operator(1, 10**5000), "Delta(1,{n}) has at least {n} vertex entries"),
     (lambda: a_series(10**5000, 3, 1), "need 1 <= k < n, got ({n},3)"),
     (lambda: check_order(10**5000), "order {n} exceeds resource cap"),
-], ids=["lax_operator", "a_series", "check_order"])
+    (lambda: period_ct(lax_operator(2, 4), 10**5000, 3), "nparams must be <= nvars = 5, got {n}"),
+    (lambda: pf_fit(PowerSeries("z", (1,) * 30), max_order=10**5000, max_zdeg=1),
+     "too small for bounds ({n},1)"),
+], ids=["lax_operator", "a_series", "check_order", "period_ct", "pf_fit"])
 def test_a_huge_integer_is_named_by_its_size(entry, message):
     """An int past 1024 bits is named by its size, so that it is refused
     with a UsageError also under the interpreter's default cap of 4300

@@ -1,10 +1,11 @@
 from fractions import Fraction as Q
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from grasscy import laurent
 from grasscy.errors import UsageError
 from grasscy.hypergeom import (
     a_series,
@@ -14,6 +15,8 @@ from grasscy.hypergeom import (
 from grasscy.laurent import (
     LaurentPoly,
     ct_by_param_degree,
+    ct_by_sweep,
+    ct_by_walk,
     laurent_from_json,
     laurent_pow_ct,
     laurent_to_json,
@@ -28,7 +31,15 @@ from grasscy.laxmirror import (
 )
 from grasscy.registry import registry_load
 from grasscy.toric import build_delta, vertex_labels, vertex_vector
-from support import ct_by_param_degree_tuples, laurent_pow_ct_bruteforce, rationals
+from support import (
+    ct_by_param_degree_bruteforce,
+    ct_by_param_degree_tuples,
+    laurent_pow_ct_bruteforce,
+    rationals,
+)
+
+# the two constant-term routes that ct_by_param_degree chooses between
+ROUTES = {"walk": ct_by_walk, "sweep": ct_by_sweep}
 
 
 def test_laurent_arithmetic():
@@ -72,8 +83,6 @@ def test_lax_rejects_q_while_tracking_it():
 
 def test_ct_powers_projective_line():
     # L = x + q/x: CT(L^(2m)) = C(2m, m)
-    from math import comb
-
     L = LaurentPoly(1, {(1,): Q(1), (-1,): Q(1)})
     for m in range(5):
         assert laurent_pow_ct(L, 2 * m) == comb(2 * m, m)
@@ -174,6 +183,16 @@ def test_one_sweep_matches_bruteforce_at_every_power(poly, powers):
         assert got[m].get((), 0) == laurent_pow_ct_bruteforce(poly, m)
 
 
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@settings(max_examples=100, deadline=None)
+@given(small_polys(), st.sets(st.integers(min_value=0, max_value=6), max_size=4))
+def test_each_route_matches_bruteforce_at_every_power(route, poly, powers):
+    got = ROUTES[route](poly, powers)
+    assert set(got) == powers
+    for m in powers:
+        assert got[m].get((), 0) == laurent_pow_ct_bruteforce(poly, m)
+
+
 @st.composite
 def tracked_polys(draw):
     """(L, nparams): one to three torus coordinates, each with its own
@@ -207,8 +226,28 @@ def test_packed_keys_match_the_tuple_sweep(poly, powers, bound):
     # the packed kernel against the same sweep on tuple exponent keys:
     # equal coefficients at every power and parameter degree
     L, nparams = poly
-    assert ct_by_param_degree(L, powers, nparams, bound) == \
+    assert ct_by_sweep(L, powers, nparams, bound) == \
         ct_by_param_degree_tuples(L, powers, nparams, bound)
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@settings(max_examples=100, deadline=None)
+@given(tracked_polys(), st.sets(st.integers(min_value=0, max_value=6), min_size=1),
+       st.one_of(st.just(0), st.integers(min_value=0, max_value=8), st.just(10**9)))
+def test_each_route_matches_bruteforce_with_tracked_parameters(route, poly, powers, bound):
+    L, nparams = poly
+    assert ROUTES[route](L, powers, nparams, bound) == \
+        ct_by_param_degree_bruteforce(L, powers, nparams, bound)
+
+
+def test_walk_keeps_only_integral_counts():
+    # x^2 + x^-3 balances only at counts (3, 2): CT(L^5) = C(5, 2), and no
+    # power below 5 has a constant term although the rational solutions
+    # exist at every m
+    L = LaurentPoly(1, {(2,): Q(1), (-3,): Q(1)})
+    got = ct_by_walk(L, range(11))
+    assert got == ct_by_param_degree_bruteforce(L, range(11))
+    assert got[5] == {(): 10} and got[10] == {(): comb(10, 4)} and got[4] == {}
 
 
 @pytest.mark.parametrize("k,n,order", [(2, 4, 6), (2, 5, 3), (3, 6, 2)])
@@ -269,6 +308,21 @@ def graded_polys(draw):
     return LaurentPoly(nv + nparams, terms), nparams, mu
 
 
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@settings(max_examples=40, deadline=None)
+@given(graded_polys(), st.integers(min_value=1, max_value=3))
+def test_period_ct_by_each_route_matches_bruteforce(route, poly, order):
+    g, nparams, mu = poly
+    expected = _period_oracle(g, nparams, order, max(mu) * order)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("grasscy.laxmirror.ct_by_param_degree", ROUTES[route])
+        got = period_ct(g, nparams, order)
+    if nparams == 1:
+        assert got.coeffs == tuple(expected.get((d,), 0) for d in range(order + 1))
+    else:
+        assert got == expected
+
+
 def _period_oracle(g, nparams, order, mmax):
     """Full products g^0..g^mmax; torus-zero terms grouped by parameter
     degree (total degree <= order), zeros left out."""
@@ -325,13 +379,9 @@ def test_period_ct_without_parameters():
 # -- mirror systems ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", sorted(registry_load()))
-def test_mirror_period_matches_factorial_trick(name):
-    """The Batyrev-Borisov period of the mirror complete intersection:
-    with F_i = sum_{j in J_i} p_j over the consecutive nef partition in the
-    canonical gauge at q = 1 and G = prod F_i^(l_i),
-    CT(G^m) = prod (l_i m)! a_m."""
-    case = registry_load()[name]
+def _mirror_product(case) -> LaurentPoly:
+    """G = prod F_i^(l_i), F_i = sum_{j in J_i} p_j over the consecutive nef
+    partition in the canonical gauge at q = 1."""
     k, n, degrees = case.k, case.n, case.degrees
     partition, start = [], 1
     for d in degrees:
@@ -346,9 +396,39 @@ def test_mirror_period_matches_factorial_trick(name):
             F = F + ms.polys[j - 1]
         for _ in range(l):
             G = G * F
-    ct = ct_by_param_degree(G, range(7))
-    phi = factorial_trick(a_series(k, n, 6), degrees)
+    return G
+
+
+@pytest.mark.parametrize("name", sorted(registry_load()))
+def test_mirror_period_matches_factorial_trick(name):
+    """The Batyrev-Borisov period of the mirror complete intersection:
+    CT(G^m) = prod (l_i m)! a_m for the mirror product G."""
+    case = registry_load()[name]
+    ct = ct_by_param_degree(_mirror_product(case), range(7))
+    phi = factorial_trick(a_series(case.k, case.n, 6), case.degrees)
     assert tuple(ct[m].get((), 0) for m in range(7)) == phi.coeffs
+
+
+def _routes_taken(monkeypatch, call) -> list[str]:
+    taken = []
+    for route in ROUTES:
+        fn = getattr(laurent, f"_{route}")
+        monkeypatch.setattr(laurent, f"_{route}",
+                            lambda *args, route=route, fn=fn: taken.append(route) or fn(*args))
+    call()
+    return taken
+
+
+@pytest.mark.parametrize("k,n,order", [(2, 4, 8), (2, 5, 8), (3, 6, 2)])
+def test_lax_periods_take_the_walk(monkeypatch, k, n, order):
+    # 1 + alpha relations among k(n-k) + 1 + alpha monomials: few count vectors
+    assert _routes_taken(monkeypatch, lambda: period_ct(lax_operator(k, n), 1, order)) == ["walk"]
+
+
+def test_mirror_product_takes_the_sweep(monkeypatch):
+    # 105 monomials in 4 coordinates: 100 free counts, C(106, 6) count vectors at m = 6
+    G = _mirror_product(registry_load()["X4_G24"])
+    assert _routes_taken(monkeypatch, lambda: ct_by_param_degree(G, range(7))) == ["sweep"]
 
 
 def test_mirror_system_canonical_gauge():

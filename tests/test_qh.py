@@ -197,6 +197,41 @@ def test_width_bound_exhausted_is_a_mismatch(monkeypatch):
     assert issubclass(PackingOverflow, Mismatch)
 
 
+@pytest.mark.parametrize("k,n", support.GRASSMANNIANS)
+def test_next_functional_matches_the_dense_product(k, n):
+    """Each nonzero Pieri entry is q^e, so the shifts give l M + theta(l)."""
+    M = build_qh_matrix(k, n)
+    assert all(e in (PZERO, (1,), (0, 1)) for row in M.entries for e in row)
+    l = [PZERO] * M.dim
+    l[M.basis.index((n - k,) * k)] = (1,)
+    for _ in range(M.dim + 1):
+        nxt = qh.next_functional(l, M)
+        assert nxt == support.next_functional_dense(l, M)
+        l = nxt
+
+
+def _dense_vanishes(coeffs, ls) -> bool:
+    for col in range(len(ls[0])):
+        acc = PZERO
+        for c, l in zip(coeffs, ls):
+            acc = padd(acc, pmul(c, l[col]))
+        if acc:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("coeffs,ls", [
+    ([(1,)], [[(-2, 1)]]),  # q - 2, zero at q = 2
+    ([(1,)], [[(-2**40, 1)]]),  # q - 2^40, zero at q = 2^40
+    ([(2, 1), (-1,)], [[(1,), (0, 1)], [(2, 1), (0, 2, 1)]]),  # zero in both columns
+    ([(2, 1), (-1,)], [[(1,), (0, 1)], [(2, 1), (0, 2, 2)]]),  # -q^2 in the second
+    ([(1, -1), (1, 1)], [[(3, 1)], [(-3, 1)]]),  # -4q
+    ([(1, 1), (-1, -1)], [[(5, 0, -7)], [(5, 0, -7)]]),  # zero
+])
+def test_value_certificate_matches_the_dense_check(coeffs, ls):
+    assert qh._vanishes(coeffs, ls) == _dense_vanishes(coeffs, ls)
+
+
 def test_verify_conjecture_reports():
     rep = verify_conjecture(2, 4, 15)
     assert rep.passed and rep.indicial_unique
