@@ -10,7 +10,8 @@ which goes first, so both see the same machine drift.  Recorded:
   `pipeline.run_case` at COUNT instantons, each stage timed by wrapping
   its `grasscy.pipeline` attribute (median over STAGE_RUNS processes),
   plus `qh.scalar_operator` for the five Grassmannians of the registry and
-  for G(2,8) and G(3,7), the largest input `toric.DIM_BOUND` admits;
+  for G(2,8) and G(3,7), the largest input `toric.DIM_BOUND` admits, and
+  whether both trees give the same operators (their `dop_to_json`);
 - the in-process seconds of each constant-term route in CT_CHILD
   (median over STAGE_RUNS processes), and whether both trees compute the
   same values;
@@ -48,10 +49,11 @@ COUNT = 5
 
 # One process: pipeline.run_case for every registry case, each stage timed
 # by wrapping its grasscy.pipeline attribute; then the qh scalar operators.
-# Prints {case: {stage: s}}.
+# Prints {"times": {case: {stage: s}}, "operators": {shape: dop_to_json}}.
 STAGE_CHILD = r"""
 import json, sys, time
 from grasscy import pipeline as pl
+from grasscy.dop import dop_to_json
 from grasscy.qh import scalar_operator
 from grasscy.registry import registry_load
 
@@ -71,16 +73,17 @@ def timed(stage, fn):
 for attr, stage in STAGES.items():
     setattr(pl, attr, timed(stage, getattr(pl, attr)))
 count = int(sys.argv[1])
-out = {}
+out, ops = {}, {}
 for name, rc in sorted(registry_load().items()):
     t.clear()
     pl.run_case(rc, count)
     out[name] = dict(t)
 for k, n in [(2, 4), (2, 5), (2, 6), (2, 7), (3, 6), (2, 8), (3, 7)]:
     t0 = time.perf_counter()
-    scalar_operator(k, n)
+    op = scalar_operator(k, n)
     out[f"scalar_operator_G{k}{n}"] = {"scalar_operator": time.perf_counter() - t0}
-print(json.dumps(out))
+    ops[f"G{k}{n}"] = dop_to_json(op, "q")
+print(json.dumps({"times": out, "operators": ops}))
 """
 
 # One process: the constant-term routes, each timed once, with their values.
@@ -203,6 +206,7 @@ def main() -> int:
     py = sys.executable
 
     stage_runs: dict = {side: [] for side in trees}
+    qh_ops: dict = {side: [] for side in trees}
     ct_runs: dict = {side: [] for side in trees}
     facet_runs: dict = {side: [] for side in trees}
     cli_walls: dict = {side: [] for side in trees}
@@ -212,7 +216,9 @@ def main() -> int:
     for i in range(STAGE_RUNS):
         for side in (list(trees) if i % 2 == 0 else list(reversed(trees))):
             _, out = run([py, "-c", STAGE_CHILD, str(COUNT)], trees[side])
-            stage_runs[side].append(json.loads(out))
+            staged = json.loads(out)
+            stage_runs[side].append(staged["times"])
+            qh_ops[side].append(staged["operators"])
             _, out = run([py, "-c", CT_CHILD], trees[side])
             ct_runs[side].append(json.loads(out))
             _, out = run([py, "-c", FACET_CHILD, json.dumps(FACET_CASES)], trees[side])
@@ -237,6 +243,8 @@ def main() -> int:
         "stage_runs": STAGE_RUNS,
         "cli_runs": CLI_RUNS,
         "verify_all_report_identical": reports["before"] == reports["after"],
+        "qh_operators_identical": all(ops == qh_ops["before"][0]
+                                      for side in trees for ops in qh_ops[side]),
         "stages": {},
         "stage_totals": {},
         "ct_routes_identical": all(r["values"] == ct_runs["before"][0]["values"]

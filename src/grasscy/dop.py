@@ -51,9 +51,6 @@ class DOp:
     def zdeg(self) -> int:
         return max((i for i, _ in self.terms), default=0)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     # -- algebra ------------------------------------------------------------
 
     @classmethod
@@ -89,9 +86,6 @@ class DOp:
         if not isinstance(other, DOp):
             other = DOp.const(other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         """Operator composition; D^j z^i = z^i (D + i)^j."""

@@ -36,9 +36,6 @@ class LaurentPoly:
     def constant(cls, nvars: int, c) -> "LaurentPoly":
         return cls(nvars, {(0,) * nvars: Q(c)})
 
-    def __len__(self):
-        return len(self.terms)
-
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.nvars != other.nvars:
             raise ValueError("nvars mismatch")

@@ -1,12 +1,16 @@
 """Small quantum cohomology of G(k,n) in the Schubert basis, the quantum
 differential system D S = M(q) S, and its reduction to a scalar operator.
 
-Multiplication is by the hyperplane class only: the classical part adds one
-box to the partition inside the k x (n-k) box, and the quantum part drops
-the full first row and one box from every other row, picking up one power
-of q.  The rule is validated operationally: iterated multiplication is
-associative, the grading (q of degree n) holds, and the reduced scalar
-operators reproduce the published quantum differential operators.
+The Schubert classes are indexed by the k-subsets a of {1..n}, the Pluecker
+coordinates that `toric.poset_aknn` lists; a stands for the partition
+lambda_i = a_(k+1-i) - (k+1-i) in the k x (n-k) box.  Multiplication is by
+the hyperplane class only, and on subsets it is the cyclic shift
+(Bertram 1997, Postnikov 2005): sigma_1 sigma_a is the sum, over each x in a
+whose successor y (x+1, or 1 after n) is not in a, of sigma_(a-x+y), times
+q when x = n.  The rule is validated operationally: iterated multiplication
+is associative, the grading (q of degree n) holds, it agrees with the
+rim-hook Pieri rule on partitions, and the reduced scalar operators
+reproduce the published quantum differential operators.
 """
 
 from __future__ import annotations
@@ -14,58 +18,23 @@ from __future__ import annotations
 from math import gcd
 
 from .dop import DOp
-from .errors import Mismatch, UsageError
+from .errors import Mismatch
 from .hypergeom import a_series_qspecialized, check_order
 from .record import record
 from .series import PowerSeries
-from .toric import check_pluecker_count
-from .upoly import PONE, PZERO, InexactDivision, Poly, padd, pdivexact, pnorm, pshift
+from .toric import check_pluecker_count, poset_aknn
+from .upoly import PONE, PZERO, InexactDivision, Poly, pdivexact, pnorm
 
-Partition = tuple[int, ...]  # weakly decreasing, length k, parts <= n-k
-
-
-def partitions_in_box(k: int, n: int) -> list[Partition]:
-    """All partitions fitting the k x (n-k) box, graded-lex order."""
-    box = n - k
-    out: list[Partition] = []
-
-    def rec(prefix: list[int], maxpart: int):
-        if len(prefix) == k:
-            out.append(tuple(prefix))
-            return
-        for p in range(maxpart, -1, -1):
-            rec(prefix + [p], p)
-
-    rec([], box)
-    out.sort(key=lambda lam: (sum(lam), tuple(-p for p in lam)))
-    return out
-
-
-def quantum_pieri_sigma1(lam: Partition, k: int, n: int) -> list[tuple[Partition, int]]:
-    """sigma_1 * sigma_lam as a list of (partition, q-power)."""
-    box = n - k
-    if len(lam) != k or any(p > box for p in lam) or any(
-        lam[i] < lam[i + 1] for i in range(k - 1)
-    ):
-        raise UsageError(f"partition {lam} does not fit the {k}x{box} box")
-    out: list[tuple[Partition, int]] = []
-    for i in range(k):
-        upper = box if i == 0 else lam[i - 1]
-        if lam[i] + 1 <= upper:
-            mu = lam[:i] + (lam[i] + 1,) + lam[i + 1 :]
-            out.append((mu, 0))
-    if lam[0] == box and lam[-1] >= 1:
-        nu = tuple(p - 1 for p in lam[1:]) + (0,)
-        out.append((nu, 1))
-    return out
+Subset = tuple[int, ...]  # increasing, length k, entries in 1..n
 
 
 @record
 class QHMatrix:
     k: int
     n: int
-    basis: tuple[Partition, ...]
-    entries: tuple  # entries[mu_idx][lam_idx] is a Poly in q
+    basis: tuple[Subset, ...]
+    # columns[c] holds the (row, e) with sigma_1 sigma_(basis[c]) = sum q^e sigma_(basis[row])
+    columns: tuple
 
     @property
     def dim(self) -> int:
@@ -73,28 +42,34 @@ class QHMatrix:
 
 
 def build_qh_matrix(k: int, n: int) -> QHMatrix:
+    """sigma_1 by the cyclic rule, on the basis in graded-lex order of the
+    partitions: by degree, then by the subset read from its last entry,
+    larger entries first."""
     check_pluecker_count(k, n)
-    basis = partitions_in_box(k, n)
-    index = {lam: i for i, lam in enumerate(basis)}
-    entries = [[PZERO for _ in basis] for _ in basis]
-    for col, lam in enumerate(basis):
-        for mu, qpow in quantum_pieri_sigma1(lam, k, n):
-            entries[index[mu]][col] = padd(entries[index[mu]][col], pshift(PONE, qpow))
-    return QHMatrix(k, n, basis, tuple(tuple(row) for row in entries))
+    basis = sorted(poset_aknn(k, n), key=lambda a: (sum(a), [-x for x in reversed(a)]))
+    index = {a: i for i, a in enumerate(basis)}
+    columns = []
+    for a in basis:
+        column = []
+        for i, x in enumerate(a):
+            y = x % n + 1
+            if y not in a:
+                column.append((index[tuple(sorted(a[:i] + (y,) + a[i + 1:]))], int(x == n)))
+        columns.append(tuple(column))
+    return QHMatrix(k, n, tuple(basis), tuple(columns))
 
 
 def next_functional(l: list[Poly], M: QHMatrix) -> list[Poly]:
     """l_{j+1} = l_j M + theta(l_j); l_0 extracts the top Schubert coefficient.
-    Every nonzero entry of M is q^e (the quantum Pieri rule), so each
-    product is a shift by e."""
+    Every nonzero entry of M is q^e, so each product is a shift by e."""
     out = []
-    for lc, column in zip(l, zip(*M.entries)):
+    for lc, column in zip(l, M.columns):
         acc = [i * x for i, x in enumerate(lc)]
-        for e, lm in zip(column, l):
-            if e and lm:
-                shift = len(e) - 1
-                acc.extend([0] * (shift + len(lm) - len(acc)))
-                for i, x in enumerate(lm, shift):
+        for row, e in column:
+            lm = l[row]
+            if lm:
+                acc.extend([0] * (e + len(lm) - len(acc)))
+                for i, x in enumerate(lm, e):
                     acc[i] += x
         out.append(pnorm(acc))
     return out
@@ -197,25 +172,25 @@ def _eliminate(M: QHMatrix, ls: list[list[Poly]], B: int) -> list[tuple[int, int
     never gives up early."""
     dim = M.dim
     crowded = 1 << (B - 2)
-    pivots = []  # (column, entry, row, trace padded to dim + 1)
+    pivots = []  # (column, entry, row padded to 2 dim + 1)
     for rho in range(dim + 1):
         if rho == len(ls):
             ls.append(next_functional(ls[-1], M))
-        row = [_pack(e, B) for e in ls[rho]]
-        trace = [_ZERO] * rho + [(0, 1)]
+        # l_rho, then its trace: its combination of l_0..l_rho
+        row = [_pack(e, B) for e in ls[rho]] + [_ZERO] * rho + [(0, 1)]
         prev = (0, 1)
-        for pcol, piv, prow, ptrace in pivots:
-            f = row[pcol]
-            row = _reduce(row, prow, piv, f, prev, B)
-            trace = _reduce(trace, ptrace, piv, f, prev, B)
+        for pcol, piv, prow in pivots:
+            row = _reduce(row, prow, piv, row[pcol], prev, B)
             prev = piv
-        if not any(x for _, x in row):
-            return trace
+        functional = row[:dim]
+        if not any(x for _, x in functional):
+            return row[dim:]
         # lowest degree first: S has bit_length(|x|) // B digits above the lowest
-        _, pcol = min((v + abs(x).bit_length() // B, c) for c, (v, x) in enumerate(row) if x)
+        _, pcol = min((v + abs(x).bit_length() // B, c)
+                      for c, (v, x) in enumerate(functional) if x)
         if any(abs(d) >= crowded for d in _unpack(row[pcol][1], B)) and B < _width_bound(ls):
             raise PackingOverflow(f"pivot digits crowd their {B}-bit fields")
-        pivots.append((pcol, row[pcol], row, trace + [_ZERO] * (dim - rho)))
+        pivots.append((pcol, row[pcol], row + [_ZERO] * (dim - rho)))
     raise NoDependence(f"no dependence among l_0..l_{dim} for G({M.k},{M.n})")
 
 
@@ -281,13 +256,14 @@ def _width_bound(ls: list[list[Poly]]) -> int:
 def scalar_operator(k: int, n: int) -> DOp:
     """Minimal-order operator sum_j c_j(q) D^j annihilating the pairing with
     the fundamental class, found by fraction-free (Bareiss) elimination over
-    Z[q] evaluated at q = 2^B.  Each new functional l_j and its trace (its
-    combination of l_0..l_j) are reduced against the stored pivot rows in
-    order, row <- (p_i row - row[c_i] prow_i) / p_{i-1}, with p_i the i-th
-    pivot entry (lowest degree first) and p_{-1} = 1; by Sylvester's identity
-    every division is exact.  The q-power of every entry is kept apart from
-    its packed value, so the pivots' large valuations cost no bits.  The
-    unpacked dependence, divided by its content, is certified:
+    Z[q] evaluated at q = 2^B.  Each new functional l_j, followed by its
+    trace (its combination of l_0..l_j), is one row, reduced against the
+    stored pivot rows in order, row <- (p_i row - row[c_i] prow_i) / p_{i-1},
+    with p_i the i-th pivot entry (lowest degree first) and p_{-1} = 1; by
+    Sylvester's identity every division is exact.  The q-power of every
+    entry is kept apart from its packed value, so the pivots' large
+    valuations cost no bits.  The unpacked dependence, divided by its
+    content, is certified:
     sum_j c_j l_j = 0 in Z[q].  B starts at START_BITS and
     doubles on a failed check up to `_width_bound`, past which
     PackingOverflow is raised.  The operator's certificate against the
@@ -295,7 +271,7 @@ def scalar_operator(k: int, n: int) -> DOp:
     """
     M = build_qh_matrix(k, n)
     top = [PZERO] * M.dim
-    top[M.basis.index((n - k,) * k)] = PONE
+    top[M.basis.index(tuple(range(n - k + 1, n + 1)))] = PONE
     ls = [top]
     B = START_BITS
     while True:

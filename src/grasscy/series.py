@@ -124,9 +124,6 @@ class PowerSeries:
     def __sub__(self, other):
         return self + (-other if isinstance(other, PowerSeries) else -Q(other))
 
-    def __rsub__(self, other):
-        return (-self) + Q(other)
-
     def __mul__(self, other):
         if isinstance(other, PowerSeries):
             self._check(other)

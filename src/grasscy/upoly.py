@@ -66,13 +66,6 @@ def pdivexact(a: Poly, b: Poly) -> Poly:
     return pnorm(q)
 
 
-def pshift(a: Poly, i: int) -> Poly:
-    """Multiply by q^i."""
-    if not a:
-        return PZERO
-    return (0,) * i + a
-
-
 def ptheta(a: Poly) -> Poly:
     """q d/dq."""
     return pnorm(i * x for i, x in enumerate(a))

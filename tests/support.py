@@ -15,7 +15,7 @@ from grasscy.dop import SCREEN_PRIME, AmbiguousAnnihilator, DOp, NoAnnihilator
 from grasscy.laurent import LaurentPoly
 from grasscy.linalg import echelon, nullspace, rank
 from grasscy.mirror_analysis import FrobeniusPair, MirrorMap, mirror_map
-from grasscy.qh import NoDependence, build_qh_matrix
+from grasscy.qh import NoDependence
 from grasscy.record import record
 from grasscy.series import PowerSeries, SeriesDomainError, series_compose, series_exp
 from grasscy.toric import DIM_BOUND
@@ -565,26 +565,84 @@ def _cross(p, a, f, b, d):
     return pdivexact(psub(pmul(p, a), pmul(f, b)), d)
 
 
-def next_functional_dense(l: list, M) -> list:
-    """`qh.next_functional` by a dense product: l M + theta(l), each entry
-    product a full polynomial multiplication."""
+Partition = tuple[int, ...]  # weakly decreasing, length k, parts <= n-k
+
+
+def partitions_in_box(k: int, n: int) -> list[Partition]:
+    """All partitions fitting the k x (n-k) box, graded-lex order."""
+    box = n - k
+    out: list[Partition] = []
+
+    def rec(prefix: list[int], maxpart: int):
+        if len(prefix) == k:
+            out.append(tuple(prefix))
+            return
+        for p in range(maxpart, -1, -1):
+            rec(prefix + [p], p)
+
+    rec([], box)
+    out.sort(key=lambda lam: (sum(lam), tuple(-p for p in lam)))
+    return out
+
+
+def quantum_pieri_sigma1(lam: Partition, k: int, n: int) -> list[tuple[Partition, int]]:
+    """sigma_1 * sigma_lam as a list of (partition, q-power), by the rim-hook
+    rule: one box added to a row, or, when the first row is full and the
+    last is not empty, the first row dropped and one box taken from every
+    other row, with one power of q."""
+    box = n - k
     out = []
-    for col in range(M.dim):
+    for i in range(k):
+        upper = box if i == 0 else lam[i - 1]
+        if lam[i] + 1 <= upper:
+            out.append((lam[:i] + (lam[i] + 1,) + lam[i + 1:], 0))
+    if lam[0] == box and lam[-1] >= 1:
+        out.append((tuple(p - 1 for p in lam[1:]) + (0,), 1))
+    return out
+
+
+def pieri_matrix_oracle(k: int, n: int) -> tuple[list[Partition], list[list[tuple]]]:
+    """The partitions of the k x (n-k) box and the dense matrix of sigma_1
+    on them, entries[mu][lam] a polynomial in q, from `quantum_pieri_sigma1`."""
+    basis = partitions_in_box(k, n)
+    index = {lam: i for i, lam in enumerate(basis)}
+    entries = [[PZERO] * len(basis) for _ in basis]
+    for col, lam in enumerate(basis):
+        for mu, qpow in quantum_pieri_sigma1(lam, k, n):
+            entries[index[mu]][col] = padd(entries[index[mu]][col], (0,) * qpow + PONE)
+    return basis, entries
+
+
+def dense_matrix(M) -> tuple:
+    """The sparse columns of a `qh.QHMatrix` as a dim x dim grid of
+    polynomials in q."""
+    E = [[PZERO] * M.dim for _ in range(M.dim)]
+    for col, column in enumerate(M.columns):
+        for row, e in column:
+            E[row][col] = (0,) * e + PONE
+    return tuple(map(tuple, E))
+
+
+def next_functional_dense(l: list, entries: list[list[tuple]]) -> list:
+    """`qh.next_functional` by a dense product with the oracle's matrix:
+    l M + theta(l), each entry product a full polynomial multiplication."""
+    out = []
+    for col in range(len(l)):
         acc = ptheta(l[col])
-        for mid in range(M.dim):
-            acc = padd(acc, pmul(l[mid], M.entries[mid][col]))
+        for mid in range(len(l)):
+            acc = padd(acc, pmul(l[mid], entries[mid][col]))
         out.append(acc)
     return out
 
 
 def scalar_operator_zq_oracle(k: int, n: int) -> DOp:
-    """The Bareiss elimination over Z[q] on dense coefficient tuples, with
-    the same lowest-degree pivot rule, and the content removed by the monic
-    gcd over Q."""
-    M = build_qh_matrix(k, n)
-    dim = M.dim
+    """The Bareiss elimination over Z[q] on dense coefficient tuples and the
+    oracle's Pieri matrix, with the same lowest-degree pivot rule, and the
+    content removed by the monic gcd over Q."""
+    basis, entries = pieri_matrix_oracle(k, n)
+    dim = len(basis)
     l = [PZERO] * dim
-    l[M.basis.index((n - k,) * k)] = PONE
+    l[basis.index((n - k,) * k)] = PONE
     pivots = []  # (column, entry, row, trace)
     for rho in range(dim + 1):
         row, trace = l, [PZERO] * rho + [PONE]
@@ -599,7 +657,7 @@ def scalar_operator_zq_oracle(k: int, n: int) -> DOp:
             break
         _, pcol = min((len(e), c) for c, e in enumerate(row) if e)
         pivots.append((pcol, row[pcol], row, trace))
-        l = next_functional_dense(l, M)
+        l = next_functional_dense(l, entries)
     else:
         raise NoDependence(f"no dependence among l_0..l_{dim} for G({k},{n})")
     content = PZERO

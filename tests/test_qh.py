@@ -6,14 +6,8 @@ import pytest
 from grasscy import qh
 from grasscy.dop import DOp
 from grasscy.errors import Mismatch
-from grasscy.qh import (
-    PackingOverflow,
-    build_qh_matrix,
-    partitions_in_box,
-    quantum_pieri_sigma1,
-    scalar_operator,
-    verify_conjecture,
-)
+from grasscy.qh import PackingOverflow, build_qh_matrix, scalar_operator, verify_conjecture
+from grasscy.toric import DIM_BOUND
 from grasscy.upoly import PZERO, padd, pmul
 
 import support
@@ -22,33 +16,52 @@ D = DOp.D()
 q = DOp.z()
 
 
-def test_partitions_in_box_count_and_order():
-    basis = partitions_in_box(2, 4)
-    assert len(basis) == comb(4, 2)
-    assert basis[0] == (0, 0)
-    assert basis[-1] == (2, 2)
-    sizes = [sum(p) for p in basis]
+# every G(k,n) that DIM_BOUND admits: 79, up to G(1,35) and G(34,35)
+SHAPES = [(k, n) for n in range(2, DIM_BOUND + 1) for k in range(1, n) if comb(n, k) <= DIM_BOUND]
+
+
+def partition(a):
+    """The partition of the k-subset a: lambda_i = a_(k+1-i) - (k+1-i)."""
+    return tuple(x - i for i, x in reversed(list(enumerate(a, 1))))
+
+
+def sigma1(M, a):
+    """sigma_1 sigma_a as a set of (subset, q-power)."""
+    return {(M.basis[row], e) for row, e in M.columns[M.basis.index(a)]}
+
+
+def test_basis_count_and_order():
+    M = build_qh_matrix(2, 4)
+    assert M.dim == len(M.basis) == comb(4, 2)
+    assert M.basis[0] == (1, 2)
+    assert M.basis[-1] == (3, 4)
+    sizes = [sum(a) for a in M.basis]
     assert sizes == sorted(sizes)
 
 
 def test_pieri_classical():
-    assert quantum_pieri_sigma1((0, 0), 2, 4) == [((1, 0), 0)]
-    assert set(quantum_pieri_sigma1((1, 1), 2, 4)) == {((2, 1), 0)}
-    assert set(quantum_pieri_sigma1((1, 0), 2, 4)) == {((2, 0), 0), ((1, 1), 0)}
+    M = build_qh_matrix(2, 4)
+    assert sigma1(M, (1, 2)) == {((1, 3), 0)}
+    assert sigma1(M, (2, 3)) == {((2, 4), 0)}
+    assert sigma1(M, (1, 3)) == {((1, 4), 0), ((2, 3), 0)}
 
 
 def test_pieri_quantum_term():
-    # top class sigma_(2,2) in G(2,4): sigma_1 * sigma_(2,2) = q sigma_(1,0)
-    assert quantum_pieri_sigma1((2, 2), 2, 4) == [((1, 0), 1)]
-    # sigma_(2,1): classical (2,2) plus quantum q sigma_(0,0)
-    assert set(quantum_pieri_sigma1((2, 1), 2, 4)) == {((2, 2), 0), ((0, 0), 1)}
+    M = build_qh_matrix(2, 4)
+    # top class sigma_(3,4) in G(2,4): sigma_1 * sigma_(3,4) = q sigma_(1,3)
+    assert sigma1(M, (3, 4)) == {((1, 3), 1)}
+    # sigma_(2,4): classical (3,4) plus quantum q sigma_(1,2)
+    assert sigma1(M, (2, 4)) == {((3, 4), 0), ((1, 2), 1)}
 
 
-def test_pieri_rejects_bad_partition():
-    with pytest.raises(ValueError):
-        quantum_pieri_sigma1((3, 0), 2, 4)
-    with pytest.raises(ValueError):
-        quantum_pieri_sigma1((0, 1), 2, 4)
+@pytest.mark.parametrize("k,n", SHAPES)
+def test_cyclic_rule_matches_the_rim_hook_rule(k, n):
+    """Under a -> partition(a), the basis is the oracle's, in its order,
+    and each column of sigma_1 is the oracle's column."""
+    M = build_qh_matrix(k, n)
+    basis, entries = support.pieri_matrix_oracle(k, n)
+    assert [partition(a) for a in M.basis] == basis
+    assert support.dense_matrix(M) == tuple(map(tuple, entries))
 
 
 def _matmul(A, B, dim):
@@ -71,12 +84,9 @@ def _psum(polys):
 def test_grading(k, n):
     """Multiplication by sigma_1 raises degree by 1 with q of degree n."""
     M = build_qh_matrix(k, n)
-    for col, lam in enumerate(M.basis):
-        for row, mu in enumerate(M.basis):
-            p = M.entries[row][col]
-            for qpow, c in enumerate(p):
-                if c:
-                    assert sum(mu) + qpow * n == sum(lam) + 1
+    for a, column in zip(M.basis, M.columns):
+        for row, e in column:
+            assert sum(M.basis[row]) + e * n == sum(a) + 1
 
 
 @pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (3, 6)])
@@ -85,7 +95,7 @@ def test_associativity_of_iterated_multiplication(k, n):
     matrix identities M^a M^b = M^(a+b)."""
     M = build_qh_matrix(k, n)
     dim = M.dim
-    E = M.entries
+    E = support.dense_matrix(M)
     M2 = _matmul(E, E, dim)
     M3a = _matmul(M2, E, dim)
     M3b = _matmul(E, M2, dim)
@@ -201,13 +211,20 @@ def test_width_bound_exhausted_is_a_mismatch(monkeypatch):
 def test_next_functional_matches_the_dense_product(k, n):
     """Each nonzero Pieri entry is q^e, so the shifts give l M + theta(l)."""
     M = build_qh_matrix(k, n)
-    assert all(e in (PZERO, (1,), (0, 1)) for row in M.entries for e in row)
+    assert all(e in (0, 1) for column in M.columns for _, e in column)
+    _, entries = support.pieri_matrix_oracle(k, n)
     l = [PZERO] * M.dim
-    l[M.basis.index((n - k,) * k)] = (1,)
+    l[M.basis.index(tuple(range(n - k + 1, n + 1)))] = (1,)
     for _ in range(M.dim + 1):
         nxt = qh.next_functional(l, M)
-        assert nxt == support.next_functional_dense(l, M)
+        assert nxt == support.next_functional_dense(l, entries)
         l = nxt
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k, n in SHAPES if 2 * k < n])
+def test_scalar_operator_of_the_dual_grassmannian(k, n):
+    """G(k,n) and G(n-k,n) are the same variety, so they have one operator."""
+    assert scalar_operator(k, n) == scalar_operator(n - k, n)
 
 
 def _dense_vanishes(coeffs, ls) -> bool:

@@ -30,7 +30,7 @@ RECORDS = {
     FrobeniusPair: (PS, PS),
     MirrorMap: (PS, PS),
     RunReport: (RegistryCase(*CY), OP, PS, True, [1], 0.5),
-    QHMatrix: (2, 4, ((),), ((0,),)),
+    QHMatrix: (1, 2, ((1,), (2,)), (((1, 0),), ((0, 1),))),
     ConjectureReport: (2, 4, 5, OP, PS, True, True),
     RegistryCase: CY + ((2875,), "note"),
     PowerSeries: ("z", (1, 2)),
