@@ -14,7 +14,11 @@ which goes first, so both see the same machine drift.  Recorded:
   whether both trees give the same operators (their `dop_to_json`);
 - the in-process seconds of each constant-term route in CT_CHILD
   (median over STAGE_RUNS processes), and whether both trees compute the
-  same values;
+  same values on the routes they share.  The mirror periods of the six
+  registry cases to m <= 6 run by `laxmirror.mirror_period` on a tree that
+  has it, and otherwise by `ct_by_param_degree` on each product multiplied
+  out (built before the clock starts); to m <= 10 they run only on a tree
+  that has `mirror_period`;
 - the in-process seconds of `toric.facets_and_reflexivity` on each of
   FACET_CASES (median over STAGE_RUNS processes), and whether both trees
   list the same facets;
@@ -90,19 +94,22 @@ print(json.dumps({"times": out, "operators": ops}))
 # Prints {"times": {route: s}, "values": {route: [str]}}.
 CT_CHILD = r"""
 import json, time
+from grasscy import laxmirror
 from grasscy.laurent import LaurentPoly, ct_by_param_degree, laurent_pow_ct
 from grasscy.laxmirror import canonical_gauge_coeffs, lax_operator, mirror_system, period_ct
 from grasscy.registry import registry_load
 
-def mirror_product(case):
-    # G = prod F_i^(l_i), F_i the sum of the vertex polynomials of block J_i
-    # of the consecutive nef partition, in the canonical gauge at q = 1
+def mirror_route(case, order):
+    # sum_m CT(prod F_i^(l_i m)) z^m, F_i the sum of the vertex polynomials of
+    # block J_i of the consecutive nef partition, in the canonical gauge at q = 1
     partition, start = [], 1
     for d in case.degrees:
         partition.append(tuple(range(start, start + d)))
         start += d
     ms = mirror_system(case.k, case.n, case.degrees, partition,
                        *canonical_gauge_coeffs(case.k, case.n, q=1))
+    if hasattr(laxmirror, "mirror_period"):
+        return lambda: laxmirror.mirror_period(ms, order).coeffs
     nv = case.k * (case.n - case.k)
     G = LaurentPoly.constant(nv, 1)
     for J, l in zip(ms.partition, case.degrees):
@@ -111,18 +118,22 @@ def mirror_product(case):
             F = F + ms.polys[j - 1]
         for _ in range(l):
             G = G * F
-    return G
+    return lambda: [c.get((), 0) for c in ct_by_param_degree(G, range(order + 1)).values()]
 
 L24 = lax_operator(2, 4, q=1, track_q=False)
-G = mirror_product(registry_load()["X4_G24"])
+CASES = sorted(registry_load().items())
 ROUTES = {
     "laurent_pow_ct_G24_4d_le_20": lambda: [laurent_pow_ct(L24, 4 * d) for d in range(6)],
     "period_ct_G25_order_2": lambda: period_ct(lax_operator(2, 5), 1, 2).coeffs,
     "period_ct_G25_order_5": lambda: period_ct(lax_operator(2, 5), 1, 5).coeffs,
     "period_ct_G25_order_8": lambda: period_ct(lax_operator(2, 5), 1, 8).coeffs,
     "period_ct_G26_order_4": lambda: period_ct(lax_operator(2, 6), 1, 4).coeffs,
-    "mirror_period_X4_G24_m_le_6": lambda: [c.get((), 0) for c in ct_by_param_degree(G, range(7)).values()],
 }
+for name, case in CASES:
+    ROUTES[f"mirror_period_{name}_m_le_6"] = mirror_route(case, 6)
+if hasattr(laxmirror, "mirror_period"):
+    for name, case in CASES:
+        ROUTES[f"mirror_period_{name}_m_le_10"] = mirror_route(case, 10)
 times, values = {}, {}
 for name, route in ROUTES.items():
     t0 = time.perf_counter()
@@ -247,8 +258,9 @@ def main() -> int:
                                       for side in trees for ops in qh_ops[side]),
         "stages": {},
         "stage_totals": {},
-        "ct_routes_identical": all(r["values"] == ct_runs["before"][0]["values"]
-                                   for side in trees for r in ct_runs[side]),
+        "ct_routes_identical": all(r["values"][route] == ct_runs["before"][0]["values"][route]
+                                   for side in trees for r in ct_runs[side]
+                                   for route in ct_runs["before"][0]["values"]),
         "ct_routes_s": {side: {route: round(statistics.median(r["times"][route]
                                                                for r in ct_runs[side]), 5)
                                for route in ct_runs[side][0]["times"]}

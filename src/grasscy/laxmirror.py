@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import UsageError
 from .hypergeom import check_order
-from .laurent import LaurentPoly, ct_by_param_degree, tracked_split
+from .laurent import LaurentPoly, ct_by_param_degree, ct_of_product, tracked_split
 from .linalg import solve
 from .record import record
 from .series import PowerSeries, Q
@@ -157,6 +157,19 @@ def mirror_system(k: int, n: int, degrees, partition, a_coeffs: dict, b_coeffs: 
             acc = acc - polys[j - 1]
         equations.append(acc)
     return MirrorSystem(k, n, partition, tuple(polys), tuple(equations))
+
+
+def mirror_period(ms: MirrorSystem, order: int) -> PowerSeries:
+    """The period of the mirror complete intersection from its nef-partition
+    factors: sum_(m <= order) CT(prod_i F_i^(|J_i| m)) z^m, with
+    F_i = sum_(j in J_i) p_j, by one `ct_of_product` call.  In the canonical
+    gauge at q = 1 it equals factorial_trick(a_series(k, n, order), degrees)
+    (Batyrev-Borisov).  The order is checked first (`hypergeom.check_order`)."""
+    check_order(order)
+    zero = LaurentPoly.zero(ms.k * (ms.n - ms.k))
+    factors = [(sum((ms.polys[j - 1] for j in J), zero), len(J)) for J in ms.partition]
+    ct = ct_of_product(factors, range(order + 1))
+    return PowerSeries("z", tuple(ct[m].get((), ZERO) for m in range(order + 1)))
 
 
 def canonical_gauge_coeffs(k: int, n: int, q=1) -> tuple[dict, dict]:

@@ -456,10 +456,13 @@ def _times_tuples(acc: dict, terms: list, lo: tuple, hi: tuple) -> dict:
 
 
 def ct_by_param_degree_tuples(L: LaurentPoly, powers, nparams: int = 0, bound: int = 0) -> dict:
-    """`laurent.ct_by_param_degree` on tuple exponent keys: the same pruned
-    meet-in-the-middle sweep, with each product of monomials a tuple sum and
-    each box test a comparison per coordinate.  It does not validate its
-    input (a negative parameter exponent gives a wrong answer)."""
+    """`laurent.ct_by_param_degree` by a route independent of the walk, the
+    meet-in-the-middle sweep CT(L^m) = sum_e [L^a]_e [L^b]_(-e), a = m // 2,
+    b = m - a: L^t is built for t up to ceil(M / 2), M the largest power,
+    pruned to what the M - t factors left can cancel, with each product of
+    monomials a tuple sum and each box test a comparison per coordinate.
+    It does not validate its input (a negative parameter exponent gives a
+    wrong answer)."""
     powers = set(powers)
     top = max(powers, default=0)
     nv = L.nvars - nparams

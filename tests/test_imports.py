@@ -13,7 +13,8 @@ PUBLIC = {
     "dop": ["DOp", "dop_from_json", "dop_to_json", "pf_fit"],
     "hypergeom": ["a_series", "a_series_qspecialized", "a_series_terms", "factorial_trick"],
     "laurent": ["LaurentPoly", "laurent_from_json", "laurent_pow_ct", "laurent_to_json"],
-    "laxmirror": ["canonical_gauge_coeffs", "lax_operator", "mirror_system", "period_ct"],
+    "laxmirror": ["canonical_gauge_coeffs", "lax_operator", "mirror_period", "mirror_system",
+                  "period_ct"],
     "mirror_analysis": ["FrobeniusPair", "MirrorMap", "extract_instantons", "frobenius",
                         "mirror_map", "normal_form_check", "yukawa_q", "yukawa_z"],
     "pipeline": ["RunReport", "rational_series", "run_case"],

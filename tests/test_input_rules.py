@@ -19,9 +19,16 @@ from grasscy.hypergeom import (
     check_order,
     factorial_trick,
 )
-from grasscy.laxmirror import canonical_gauge_coeffs, lax_operator, mirror_system, period_ct
+from grasscy.laurent import LaurentPoly, ct_of_product
+from grasscy.laxmirror import (
+    canonical_gauge_coeffs,
+    lax_operator,
+    mirror_period,
+    mirror_system,
+    period_ct,
+)
 from grasscy.qh import build_qh_matrix, verify_conjecture
-from grasscy.series import PowerSeries
+from grasscy.series import PowerSeries, Q
 from grasscy.registry import RegistryCase
 from grasscy.toric import VERTEX_ENTRY_BOUND, build_delta
 
@@ -72,6 +79,9 @@ def test_shape_rule(capsys, entry):
     pytest.param(lambda o: a_series_qspecialized(2, 4, o), id="a_series_qspecialized"),
     pytest.param(lambda o: verify_conjecture(2, 4, o), id="verify_conjecture"),
     pytest.param(lambda o: period_ct(lax_operator(2, 4), 1, o), id="period_ct"),
+    pytest.param(lambda o: mirror_period(mirror_system(2, 4, (4,), ((1, 2, 3, 4),),
+                                                       *canonical_gauge_coeffs(2, 4)), o),
+                 id="mirror_period"),
     pytest.param(["aseries", "2", "4", "--order"], id="cli-aseries"),
     pytest.param(["aseries", "2", "4", "--keep-params", "--order"], id="cli-aseries-keep-params"),
     pytest.param(["phi", "2", "4", "--degrees", "4", "--order"], id="cli-phi"),
@@ -108,6 +118,23 @@ def test_transfer_size_rule(capsys, entry):
         f"transfer weights of G(1000,2000) to order 1 exceed the resource cap {MAX_TERMS}")
 
 
+LINE = LaurentPoly(2, {(1, 0): Q(1), (-1, 0): Q(1)})  # x + 1/x
+
+
+@pytest.mark.parametrize("factors,message", [
+    ([], "need at least one factor"),
+    ([(LINE, 1), (LaurentPoly(3, {(1, 0, 0): Q(1)}), 2)], "factors must have one nvars, got 2, 3"),
+    ([(LINE, 1), (LINE, 0)], "weight must be an int >= 1, got 0"),
+    ([(LINE, -2)], "weight must be an int >= 1, got -2"),
+    ([(LINE, Q(3, 2))], "weight must be an int >= 1, got 3/2"),
+    ([(LINE, 2.0)], "weight must be an int >= 1, got 2.0"),
+], ids=["no-factors", "nvars", "zero-weight", "negative-weight", "fraction-weight",
+        "float-weight"])
+def test_product_form_rule(monkeypatch, factors, message):
+    """The factors of `ct_of_product` are refused before the echelon."""
+    monkeypatch.setattr("grasscy.laurent.echelon", lambda rows: pytest.fail("echelon reached"))
+    assert _refusal(None, lambda: ct_of_product(factors, {2})).endswith(message)
+
 
 @pytest.mark.parametrize("k,n,count", [
     (6, 12, "2232"),
@@ -136,9 +163,10 @@ def test_vertex_entry_rule(capsys, entry, k, n, count):
     (lambda: a_series(10**5000, 3, 1), "need 1 <= k < n, got ({n},3)"),
     (lambda: check_order(10**5000), "order {n} exceeds resource cap"),
     (lambda: period_ct(lax_operator(2, 4), 10**5000, 3), "nparams must be <= nvars = 5, got {n}"),
+    (lambda: ct_of_product([(LINE, -10**5000)], {1}), "weight must be an int >= 1, got {n}"),
     (lambda: pf_fit(PowerSeries("z", (1,) * 30), max_order=10**5000, max_zdeg=1),
      "too small for bounds ({n},1)"),
-], ids=["lax_operator", "a_series", "check_order", "period_ct", "pf_fit"])
+], ids=["lax_operator", "a_series", "check_order", "period_ct", "ct_of_product", "pf_fit"])
 def test_a_huge_integer_is_named_by_its_size(entry, message):
     """An int past 1024 bits is named by its size, so that it is refused
     with a UsageError also under the interpreter's default cap of 4300

@@ -1,3 +1,5 @@
+import json
+import time
 from fractions import Fraction as Q
 from math import comb, factorial
 
@@ -5,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grasscy import laurent
+from grasscy.cli import main
 from grasscy.errors import UsageError
 from grasscy.hypergeom import (
+    MAX_TERMS,
     a_series,
     a_series_qspecialized,
     factorial_trick,
@@ -15,8 +18,7 @@ from grasscy.hypergeom import (
 from grasscy.laurent import (
     LaurentPoly,
     ct_by_param_degree,
-    ct_by_sweep,
-    ct_by_walk,
+    ct_of_product,
     laurent_from_json,
     laurent_pow_ct,
     laurent_to_json,
@@ -26,6 +28,7 @@ from grasscy.laxmirror import (
     UnboundedPeriod,
     canonical_gauge_coeffs,
     lax_operator,
+    mirror_period,
     mirror_system,
     period_ct,
 )
@@ -37,10 +40,6 @@ from support import (
     laurent_pow_ct_bruteforce,
     rationals,
 )
-
-# the two constant-term routes that ct_by_param_degree chooses between
-ROUTES = {"walk": ct_by_walk, "sweep": ct_by_sweep}
-
 
 def test_laurent_arithmetic():
     a = LaurentPoly(2, {(1, 0): Q(2), (-1, 1): Q(3)})
@@ -175,19 +174,8 @@ def test_pruned_ct_matches_bruteforce(poly, m):
 @settings(max_examples=200, deadline=None)
 @given(small_polys(), st.sets(st.integers(min_value=0, max_value=6), max_size=4))
 def test_one_sweep_matches_bruteforce_at_every_power(poly, powers):
-    # one kernel call prunes every power to the box of the largest one,
-    # so the smaller powers are checked against their own full products
+    # one walk serves every power, each checked against its own full product
     got = ct_by_param_degree(poly, powers)
-    assert set(got) == powers
-    for m in powers:
-        assert got[m].get((), 0) == laurent_pow_ct_bruteforce(poly, m)
-
-
-@pytest.mark.parametrize("route", sorted(ROUTES))
-@settings(max_examples=100, deadline=None)
-@given(small_polys(), st.sets(st.integers(min_value=0, max_value=6), max_size=4))
-def test_each_route_matches_bruteforce_at_every_power(route, poly, powers):
-    got = ROUTES[route](poly, powers)
     assert set(got) == powers
     for m in powers:
         assert got[m].get((), 0) == laurent_pow_ct_bruteforce(poly, m)
@@ -223,20 +211,19 @@ def tracked_polys(draw):
          {0, 1, 3, 5}, 10**9)
 @example((LaurentPoly(2, {(1, 0): Q(1), (-1, 0): Q(-2, 3)}), 0), {0}, 0)
 def test_packed_keys_match_the_tuple_sweep(poly, powers, bound):
-    # the packed kernel against the same sweep on tuple exponent keys:
+    # the walk against the meet-in-the-middle sweep on tuple exponent keys:
     # equal coefficients at every power and parameter degree
     L, nparams = poly
-    assert ct_by_sweep(L, powers, nparams, bound) == \
+    assert ct_by_param_degree(L, powers, nparams, bound) == \
         ct_by_param_degree_tuples(L, powers, nparams, bound)
 
 
-@pytest.mark.parametrize("route", sorted(ROUTES))
 @settings(max_examples=100, deadline=None)
 @given(tracked_polys(), st.sets(st.integers(min_value=0, max_value=6), min_size=1),
        st.one_of(st.just(0), st.integers(min_value=0, max_value=8), st.just(10**9)))
-def test_each_route_matches_bruteforce_with_tracked_parameters(route, poly, powers, bound):
+def test_ct_matches_bruteforce_with_tracked_parameters(poly, powers, bound):
     L, nparams = poly
-    assert ROUTES[route](L, powers, nparams, bound) == \
+    assert ct_by_param_degree(L, powers, nparams, bound) == \
         ct_by_param_degree_bruteforce(L, powers, nparams, bound)
 
 
@@ -245,7 +232,7 @@ def test_walk_keeps_only_integral_counts():
     # power below 5 has a constant term although the rational solutions
     # exist at every m
     L = LaurentPoly(1, {(2,): Q(1), (-3,): Q(1)})
-    got = ct_by_walk(L, range(11))
+    got = ct_by_param_degree(L, range(11))
     assert got == ct_by_param_degree_bruteforce(L, range(11))
     assert got[5] == {(): 10} and got[10] == {(): comb(10, 4)} and got[4] == {}
 
@@ -308,21 +295,6 @@ def graded_polys(draw):
     return LaurentPoly(nv + nparams, terms), nparams, mu
 
 
-@pytest.mark.parametrize("route", sorted(ROUTES))
-@settings(max_examples=40, deadline=None)
-@given(graded_polys(), st.integers(min_value=1, max_value=3))
-def test_period_ct_by_each_route_matches_bruteforce(route, poly, order):
-    g, nparams, mu = poly
-    expected = _period_oracle(g, nparams, order, max(mu) * order)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("grasscy.laxmirror.ct_by_param_degree", ROUTES[route])
-        got = period_ct(g, nparams, order)
-    if nparams == 1:
-        assert got.coeffs == tuple(expected.get((d,), 0) for d in range(order + 1))
-    else:
-        assert got == expected
-
-
 def _period_oracle(g, nparams, order, mmax):
     """Full products g^0..g^mmax; torus-zero terms grouped by parameter
     degree (total degree <= order), zeros left out."""
@@ -340,8 +312,7 @@ def _period_oracle(g, nparams, order, mmax):
 @settings(max_examples=60, deadline=None)
 @given(graded_polys(), st.integers(min_value=1, max_value=3))
 def test_period_ct_matches_bruteforce(poly, order):
-    # m = mu . d runs over odd and even powers, so both the one-sided split
-    # and the even square of the meet-in-the-middle kernel are exercised
+    # m = mu . d runs over several powers, all served by one walk
     g, nparams, mu = poly
     expected = _period_oracle(g, nparams, order, max(mu) * order)
     got = period_ct(g, nparams, order)
@@ -379,56 +350,99 @@ def test_period_ct_without_parameters():
 # -- mirror systems ------------------------------------------------------------
 
 
-def _mirror_product(case) -> LaurentPoly:
-    """G = prod F_i^(l_i), F_i = sum_{j in J_i} p_j over the consecutive nef
-    partition in the canonical gauge at q = 1."""
+def _mirror_system(case):
+    """The mirror system of the case over the consecutive nef partition, in
+    the canonical gauge at q = 1."""
     k, n, degrees = case.k, case.n, case.degrees
     partition, start = [], 1
     for d in degrees:
         partition.append(tuple(range(start, start + d)))
         start += d
-    ms = mirror_system(k, n, degrees, partition, *canonical_gauge_coeffs(k, n, q=1))
-    nv = k * (n - k)
-    G = LaurentPoly.constant(nv, 1)
-    for J, l in zip(ms.partition, degrees):
+    return mirror_system(k, n, degrees, partition, *canonical_gauge_coeffs(k, n, q=1))
+
+
+def _expanded(factors) -> LaurentPoly:
+    """prod_b F_b^(w_b), multiplied out."""
+    G = LaurentPoly.constant(factors[0][0].nvars, 1)
+    for F, w in factors:
+        for _ in range(w):
+            G = G * F
+    return G
+
+
+def _mirror_product(case) -> LaurentPoly:
+    """G = prod F_i^(l_i), F_i = sum_{j in J_i} p_j, multiplied out."""
+    ms = _mirror_system(case)
+    nv = case.k * (case.n - case.k)
+    factors = []
+    for J in ms.partition:
         F = LaurentPoly.zero(nv)
         for j in J:
             F = F + ms.polys[j - 1]
-        for _ in range(l):
-            G = G * F
-    return G
+        factors.append((F, len(J)))
+    return _expanded(factors)
 
 
 @pytest.mark.parametrize("name", sorted(registry_load()))
 def test_mirror_period_matches_factorial_trick(name):
     """The Batyrev-Borisov period of the mirror complete intersection:
-    CT(G^m) = prod (l_i m)! a_m for the mirror product G."""
+    CT(prod F_i^(l_i m)) = prod (l_i m)! a_m."""
     case = registry_load()[name]
-    ct = ct_by_param_degree(_mirror_product(case), range(7))
-    phi = factorial_trick(a_series(case.k, case.n, 6), case.degrees)
-    assert tuple(ct[m].get((), 0) for m in range(7)) == phi.coeffs
+    phi = factorial_trick(a_series(case.k, case.n, 10), case.degrees)
+    assert mirror_period(_mirror_system(case), 10) == phi
 
 
-def _routes_taken(monkeypatch, call) -> list[str]:
-    taken = []
-    for route in ROUTES:
-        fn = getattr(laurent, f"_{route}")
-        monkeypatch.setattr(laurent, f"_{route}",
-                            lambda *args, route=route, fn=fn: taken.append(route) or fn(*args))
-    call()
-    return taken
+@pytest.mark.parametrize("name", ["X4_G24", "X113_G25"])
+def test_mirror_period_matches_the_tuple_oracle_on_the_expanded_product(name):
+    case = registry_load()[name]
+    ct = ct_by_param_degree_tuples(_mirror_product(case), range(5))
+    assert mirror_period(_mirror_system(case), 4).coeffs == tuple(ct[m].get((), 0) for m in range(5))
 
 
-@pytest.mark.parametrize("k,n,order", [(2, 4, 8), (2, 5, 8), (3, 6, 2)])
-def test_lax_periods_take_the_walk(monkeypatch, k, n, order):
-    # 1 + alpha relations among k(n-k) + 1 + alpha monomials: few count vectors
-    assert _routes_taken(monkeypatch, lambda: period_ct(lax_operator(k, n), 1, order)) == ["walk"]
+@st.composite
+def weighted_factors(draw):
+    """(factors, nparams): two or three factors (F, w) over one or two torus
+    coordinates and nparams in 0..1 tracked parameters, each F one to three
+    monomials with torus exponents in [-1, 1], parameter exponents in 0..2
+    and nonzero rational coefficients, each weight w in 1..3."""
+    nv = draw(st.integers(min_value=1, max_value=2))
+    nparams = draw(st.integers(min_value=0, max_value=1))
+    exps = st.tuples(*[st.integers(-1, 1)] * nv, *[st.integers(0, 2)] * nparams)
+    coeff = rationals(3, 3).filter(bool)
+    factors = []
+    for _ in range(draw(st.integers(min_value=2, max_value=3))):
+        terms = draw(st.dictionaries(exps, coeff, min_size=1, max_size=3))
+        factors.append((LaurentPoly(nv + nparams, terms), draw(st.integers(1, 3))))
+    return factors, nparams
 
 
-def test_mirror_product_takes_the_sweep(monkeypatch):
-    # 105 monomials in 4 coordinates: 100 free counts, C(106, 6) count vectors at m = 6
+@settings(max_examples=100, deadline=None)
+@given(weighted_factors(), st.sets(st.integers(min_value=0, max_value=3), min_size=1),
+       st.integers(min_value=0, max_value=4))
+def test_product_matches_the_tuple_oracle_on_the_expanded_product(poly, powers, bound):
+    # each factor's counts add up to w m: the per-factor multinomials and
+    # budgets against the sweep over the product multiplied out
+    factors, nparams = poly
+    assert ct_of_product(factors, powers, nparams, bound) == \
+        ct_by_param_degree_tuples(_expanded(factors), powers, nparams, bound)
+
+
+def test_expanded_mirror_product_is_refused(tmp_path, capsys):
+    """The product of X4_G24 multiplied out has 105 monomials in 4
+    coordinates, so 100 free counts: its count bound passes MAX_TERMS, and
+    it is refused before the walk starts, by the library and by `period`."""
     G = _mirror_product(registry_load()["X4_G24"])
-    assert _routes_taken(monkeypatch, lambda: ct_by_param_degree(G, range(7))) == ["sweep"]
+    t0 = time.perf_counter()
+    with pytest.raises(UsageError, match=f"f = 100 .* resource cap {MAX_TERMS}$"):
+        ct_by_param_degree(G, range(7))
+    assert time.perf_counter() - t0 < 1
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(laurent_to_json(
+        LaurentPoly(5, {e + (1,): c for e, c in G.terms.items()}))))
+    assert main(["period", "--poly", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert json.loads(captured.err)["error"].endswith(f"resource cap {MAX_TERMS}")
 
 
 def test_mirror_system_canonical_gauge():
