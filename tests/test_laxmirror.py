@@ -41,6 +41,12 @@ from support import (
     rationals,
 )
 
+# the two constant-term routes: the library's walk, and the meet-in-the-middle
+# sweep on tuple keys that the tests use as an oracle; both must agree with
+# the brute-force products
+ROUTES = {"walk": ct_by_param_degree, "sweep": ct_by_param_degree_tuples}
+
+
 def test_laurent_arithmetic():
     a = LaurentPoly(2, {(1, 0): Q(2), (-1, 1): Q(3)})
     b = LaurentPoly(2, {(-1, 0): Q(1)})
@@ -181,6 +187,16 @@ def test_one_sweep_matches_bruteforce_at_every_power(poly, powers):
         assert got[m].get((), 0) == laurent_pow_ct_bruteforce(poly, m)
 
 
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@settings(max_examples=100, deadline=None)
+@given(small_polys(), st.sets(st.integers(min_value=0, max_value=6), max_size=4))
+def test_each_route_matches_bruteforce_at_every_power(route, poly, powers):
+    got = ROUTES[route](poly, powers)
+    assert set(got) == powers
+    for m in powers:
+        assert got[m].get((), 0) == laurent_pow_ct_bruteforce(poly, m)
+
+
 @st.composite
 def tracked_polys(draw):
     """(L, nparams): one to three torus coordinates, each with its own
@@ -218,12 +234,13 @@ def test_packed_keys_match_the_tuple_sweep(poly, powers, bound):
         ct_by_param_degree_tuples(L, powers, nparams, bound)
 
 
+@pytest.mark.parametrize("route", sorted(ROUTES))
 @settings(max_examples=100, deadline=None)
 @given(tracked_polys(), st.sets(st.integers(min_value=0, max_value=6), min_size=1),
        st.one_of(st.just(0), st.integers(min_value=0, max_value=8), st.just(10**9)))
-def test_ct_matches_bruteforce_with_tracked_parameters(poly, powers, bound):
+def test_each_route_matches_bruteforce_with_tracked_parameters(route, poly, powers, bound):
     L, nparams = poly
-    assert ct_by_param_degree(L, powers, nparams, bound) == \
+    assert ROUTES[route](L, powers, nparams, bound) == \
         ct_by_param_degree_bruteforce(L, powers, nparams, bound)
 
 
@@ -293,6 +310,21 @@ def graded_polys(draw):
         first = 1 - sum(rest) - sum(m * x for m, x in zip(mu, t))
         terms[(first, *rest, *t)] = draw(coeff)
     return LaurentPoly(nv + nparams, terms), nparams, mu
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@settings(max_examples=40, deadline=None)
+@given(graded_polys(), st.integers(min_value=1, max_value=3))
+def test_period_ct_by_each_route_matches_bruteforce(route, poly, order):
+    g, nparams, mu = poly
+    expected = _period_oracle(g, nparams, order, max(mu) * order)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("grasscy.laxmirror.ct_by_param_degree", ROUTES[route])
+        got = period_ct(g, nparams, order)
+    if nparams == 1:
+        assert got.coeffs == tuple(expected.get((d,), 0) for d in range(order + 1))
+    else:
+        assert got == expected
 
 
 def _period_oracle(g, nparams, order, mmax):
