@@ -14,11 +14,9 @@ which goes first, so both see the same machine drift.  Recorded:
   whether both trees give the same operators (their `dop_to_json`);
 - the in-process seconds of each constant-term route in CT_CHILD
   (median over STAGE_RUNS processes), and whether both trees compute the
-  same values on the routes they share.  The mirror periods of the six
-  registry cases to m <= 6 run by `laxmirror.mirror_period` on a tree that
-  has it, and otherwise by `ct_by_param_degree` on each product multiplied
-  out (built before the clock starts); to m <= 10 they run only on a tree
-  that has `mirror_period`;
+  same values on the routes they share, among them the mirror periods of
+  the six registry cases to m <= 6 and m <= 10 by
+  `laxmirror.mirror_period`;
 - the in-process seconds of `toric.facets_and_reflexivity` on each of
   FACET_CASES (median over STAGE_RUNS processes), and whether both trees
   list the same facets;
@@ -94,9 +92,8 @@ print(json.dumps({"times": out, "operators": ops}))
 # Prints {"times": {route: s}, "values": {route: [str]}}.
 CT_CHILD = r"""
 import json, time
-from grasscy import laxmirror
-from grasscy.laurent import LaurentPoly, ct_by_param_degree, laurent_pow_ct
-from grasscy.laxmirror import canonical_gauge_coeffs, lax_operator, mirror_system, period_ct
+from grasscy.laurent import laurent_pow_ct
+from grasscy.laxmirror import canonical_gauge_coeffs, lax_operator, mirror_period, mirror_system, period_ct
 from grasscy.registry import registry_load
 
 def mirror_route(case, order):
@@ -108,17 +105,7 @@ def mirror_route(case, order):
         start += d
     ms = mirror_system(case.k, case.n, case.degrees, partition,
                        *canonical_gauge_coeffs(case.k, case.n, q=1))
-    if hasattr(laxmirror, "mirror_period"):
-        return lambda: laxmirror.mirror_period(ms, order).coeffs
-    nv = case.k * (case.n - case.k)
-    G = LaurentPoly.constant(nv, 1)
-    for J, l in zip(ms.partition, case.degrees):
-        F = LaurentPoly.zero(nv)
-        for j in J:
-            F = F + ms.polys[j - 1]
-        for _ in range(l):
-            G = G * F
-    return lambda: [c.get((), 0) for c in ct_by_param_degree(G, range(order + 1)).values()]
+    return lambda: mirror_period(ms, order).coeffs
 
 L24 = lax_operator(2, 4, q=1, track_q=False)
 CASES = sorted(registry_load().items())
@@ -129,11 +116,9 @@ ROUTES = {
     "period_ct_G25_order_8": lambda: period_ct(lax_operator(2, 5), 1, 8).coeffs,
     "period_ct_G26_order_4": lambda: period_ct(lax_operator(2, 6), 1, 4).coeffs,
 }
-for name, case in CASES:
-    ROUTES[f"mirror_period_{name}_m_le_6"] = mirror_route(case, 6)
-if hasattr(laxmirror, "mirror_period"):
+for order in (6, 10):
     for name, case in CASES:
-        ROUTES[f"mirror_period_{name}_m_le_10"] = mirror_route(case, 10)
+        ROUTES[f"mirror_period_{name}_m_le_{order}"] = mirror_route(case, order)
 times, values = {}, {}
 for name, route in ROUTES.items():
     t0 = time.perf_counter()

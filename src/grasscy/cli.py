@@ -170,14 +170,7 @@ def cmd_lax(args) -> dict:
 def cmd_period(args) -> dict:
     with _parsing("--poly", args.poly), open(args.poly) as fh:
         g = laurent_from_json(json.load(fh))
-    result = period_ct(g, args.nparams, args.order)
-    if args.nparams == 1:
-        return series_to_json(result)
-    return {
-        "nparams": args.nparams,
-        "trunc": args.order,
-        "terms": [{"d": list(d), "c": qstr(c)} for d, c in sorted(result.items())],
-    }
+    return series_to_json(period_ct(g, 1, args.order))
 
 
 def cmd_mirror_system(args) -> dict:
@@ -291,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("period", help="constant-term period series of a Laurent polynomial file")
     sp.add_argument("--poly", required=True)
     sp.add_argument("--order", type=int, default=12)
-    sp.add_argument("--nparams", type=int, default=1)
     sp.set_defaults(func=cmd_period)
 
     sp = sub.add_parser("mirror-system", help="complete-intersection mirror equations")

@@ -75,37 +75,29 @@ def _grid_positions(k: int, n: int) -> list[tuple[int, int]]:
     return pos
 
 
-def _grid_sum(k: int, n: int, m: int):
+def _grid_sum(k: int, n: int, m: int) -> list:
     """Every grid assignment with nonzero binomial weight, as (weight, s)
     with s the cell values in row-major order.
 
-    Cells are filled in decreasing i+j order; a cell is bounded by the
+    Cells are filled in decreasing i+j order, one layer per cell that
+    extends every partial assignment: a cell is bounded by the
     already-assigned values at (i+1,j) and (i,j+1) (m outside the grid),
-    which prunes everything the binomials would kill anyway.
+    which prunes everything the binomials would kill anyway.  Every partial
+    assignment extends to a full one, so no layer outgrows the listing.
     """
     pos = _grid_positions(k, n)
-    row_major = sorted(pos)
-    values: dict[tuple[int, int], int] = {}
-
-    def lookup(i: int, j: int) -> int:
-        if i > k - 1 or j > n - k - 1:
-            return m
-        return values[(i, j)]
-
-    def rec(idx: int, weight: int):
-        if idx == len(pos):
-            yield weight, tuple(values[cell] for cell in row_major)
-            return
-        i, j = pos[idx]
-        up = lookup(i + 1, j)
-        right = lookup(i, j + 1)
-        for s in range(min(up, right) + 1):
-            w = comb(up, s) * comb(right, s)
-            if w:
-                values[(i, j)] = s
-                yield from rec(idx + 1, weight * w)
-
-    return rec(0, 1)
+    slot = {cell: t for t, cell in enumerate(pos)}
+    layer = [(1, ())]
+    for i, j in pos:
+        up, right = slot.get((i + 1, j)), slot.get((i, j + 1))
+        extended = []
+        for weight, values in layer:
+            a = m if up is None else values[up]
+            b = m if right is None else values[right]
+            extended += [(weight * comb(a, s) * comb(b, s), values + (s,)) for s in range(min(a, b) + 1)]
+        layer = extended
+    order = [slot[cell] for cell in sorted(pos)]
+    return [(weight, tuple(values[t] for t in order)) for weight, values in layer]
 
 
 def _frontiers(k: int, n: int):

@@ -70,45 +70,15 @@ class LaurentPoly:
         return self.terms.get((0,) * self.nvars, ZERO)
 
 
-def tracked_split(L: LaurentPoly, nparams: int, bound: int = 0) -> int:
-    """The number of torus coordinates of L when its trailing nparams
-    coordinates are tracked parameters, each kept in 0..bound.  Rejects with
-    UsageError a split that does not exist (nparams < 0 or > L.nvars), a
-    negative bound, and a negative parameter exponent: a tracked parameter
-    is a power-series variable, its degrees run over 0..bound, and
-    period_ct's grading needs mu >= 0.  ct_of_product, once per factor, and
-    period_ct start here."""
-    if nparams < 0:
-        raise UsageError(f"nparams must be >= 0, got {shown(nparams)}")
-    if nparams > L.nvars:
-        raise UsageError(f"nparams must be <= nvars = {L.nvars}, got {shown(nparams)}")
-    if bound < 0:
-        raise UsageError(f"bound must be >= 0, got {shown(bound)}")
-    nv = L.nvars - nparams
-    if any(x < 0 for e in L.terms for x in e[nv:]):
-        raise UsageError("tracked parameter exponents must be non-negative")
-    return nv
-
-
-def ct_by_param_degree(L: LaurentPoly, powers, nparams: int = 0, bound: int = 0) -> dict:
-    """Constant terms of L**m for every m in powers, over the leading
-    (torus) coordinates, collected by the exponents of the trailing nparams
-    coordinates (tracked parameters, non-negative, each kept <= bound):
-    m -> {parameter-degree tuple -> coefficient}, zeros left out.  The
-    one-factor case of `ct_of_product`."""
-    return ct_of_product([(L, 1)], powers, nparams, bound)
-
-
-def ct_of_product(factors, powers, nparams: int = 0, bound: int = 0) -> dict:
+def ct_of_product(factors, powers) -> dict:
     """Constant terms of prod_b F_b^(w_b m) for every m in powers, for the
-    factors (F_b, w_b), keyed as `ct_by_param_degree` keys them, by one
-    walk over the relations among the monomials of all the factors (see
-    `_relations` and `_walk`).
+    factors (F_b, w_b): m -> coefficient, by one walk over the relations
+    among the monomials of all the factors (see `_relations` and `_walk`).
 
     Refused with UsageError before the echelon: no factors, factors whose
-    nvars differ, a weight that is not an int >= 1, a bad split of any
-    factor (`tracked_split`) and a negative power.  Refused after it, before
-    the enumeration: a count bound past MAX_TERMS (`_check_count`)."""
+    nvars differ, a weight that is not an int >= 1 and a negative power.
+    Refused after it, before the enumeration: a walk past MAX_TERMS
+    (`_check_count`)."""
     factors = [(F, w) for F, w in factors]
     if not factors:
         raise UsageError("need at least one factor")
@@ -118,31 +88,29 @@ def ct_of_product(factors, powers, nparams: int = 0, bound: int = 0) -> dict:
     for _, w in factors:
         if not isinstance(w, int) or w < 1:
             raise UsageError(f"weight must be an int >= 1, got {shown(w)}")
-    for F, _ in factors:
-        nv = tracked_split(F, nparams, bound)
     powers = set(powers)
     if any(m < 0 for m in powers):
         raise UsageError("power must be non-negative")
-    rel = _relations(factors, nv)
+    rel = _relations(factors)
     _check_count(factors, powers, rel)
-    return _walk(factors, nv, powers, bound, rel)
+    return _walk(factors, powers, rel)
 
 
-def _relations(factors: list, nv: int) -> tuple | None:
+def _relations(factors: list) -> tuple | None:
     """The integer relations among the factors' monomials, in the form the
     walk reads them; None when no power m > 0 of the product has a
     constant term.
 
     By the Cayley trick, monomial i of factor b gets the column
-    a_i = (t_i, e_b), t_i its torus part and e_b the b-th unit vector over
-    the factors.  A count vector k (k_i copies of monomial i) gives a term
-    of CT(prod_b F_b^(w_b m)) when sum_i k_i a_i = m e, e = (0, w_1, ...,
-    w_r): the torus exponents cancel and the counts of factor b add up to
-    w_b m.  One echelon form of the columns a_1, ..., a_N, e picks the first
-    independent monomials B as pivots; if e is a pivot too, it is no
-    combination of the a_i, and only m = 0 balances.  Otherwise each other
-    (free) monomial j and e are combinations of the a_B, and clearing the
-    denominators by their lcm delta gives integer vectors with
+    a_i = (t_i, e_b), t_i its exponent vector and e_b the b-th unit vector
+    over the factors.  A count vector k (k_i copies of monomial i) gives a
+    term of CT(prod_b F_b^(w_b m)) when sum_i k_i a_i = m e,
+    e = (0, w_1, ..., w_r): the exponents cancel and the counts of factor b
+    add up to w_b m.  One echelon form of the columns a_1, ..., a_N, e picks
+    the first independent monomials B as pivots; if e is a pivot too, it is
+    no combination of the a_i, and only m = 0 balances.  Otherwise each
+    other (free) monomial j and e are combinations of the a_B, and clearing
+    the denominators by their lcm delta gives integer vectors with
     delta a_j = sum_i cols[j]_i a_(B_i) and delta e = sum_i base_i a_(B_i).
     The counts of B then follow from those of the free monomials:
     delta k_B = m base - sum_j k_j cols[j].
@@ -151,7 +119,7 @@ def _relations(factors: list, nv: int) -> tuple | None:
     monos = [e for F, _ in factors for e in F.terms]
     blocks = [b for b, (F, _) in enumerate(factors) for _ in F.terms]
     N = len(monos)
-    rows = [[e[c] for e in monos] + [0] for c in range(nv)]
+    rows = [[e[c] for e in monos] + [0] for c in range(factors[0][0].nvars)]
     rows += [[int(x == b) for x in blocks] + [w] for b, (_, w) in enumerate(factors)]
     rows, pivots = echelon(rows)
     if N in pivots:
@@ -165,10 +133,11 @@ def _relations(factors: list, nv: int) -> tuple | None:
 
 
 def _check_count(factors: list, powers: set, rel: tuple | None):
-    """Refuse with UsageError a walk whose count vectors may pass MAX_TERMS.
-    The free counts of factor b, f_b of them, are enumerated with sum
-    <= w_b m, so the walk visits at most
-    sum_m prod_b C(w_b m + f_b, f_b) count vectors."""
+    """Refuse with UsageError a walk past MAX_TERMS, counted two ways.  The
+    free counts of factor b, f_b of them, are enumerated with sum <= w_b m,
+    so the walk visits at most sum_m prod_b C(w_b m + f_b, f_b) count
+    vectors.  Each term is a multinomial over N = sum_b w_b m, so the top
+    power's N! has about N log2 N bits, counted as N times N's bit length."""
     if rel is None:
         return
     f = [0] * len(factors)
@@ -182,90 +151,88 @@ def _check_count(factors: list, powers: set, rel: tuple | None):
             raise UsageError(f"the walk over f = {named} free monomials to power "
                              f"{shown(max(powers))} visits more count vectors than "
                              f"the resource cap {MAX_TERMS}")
+    top = max(powers, default=0) * sum(w for _, w in factors)
+    if top * top.bit_length() > MAX_TERMS:
+        raise UsageError(f"the walk to power {shown(max(powers))} takes factorials up to "
+                         f"{shown(top)}!, of more bits than the resource cap {MAX_TERMS}")
 
 
-def _walk(factors: list, nv: int, powers: set, bound: int, rel: tuple | None) -> dict:
+def _walk(factors: list, powers: set, rel: tuple | None) -> dict:
     """CT(prod_b F_b^(w_b m)) as the sum over the count vectors k of the
-    relations (see `_relations`), each k >= 0 giving the term
-    prod_b (w_b m)! / prod_i k_i! prod c_i^(k_i) at parameter degree
-    sum k_i p_i (p_i the parameter part of monomial i).  The free counts of
-    factor b are enumerated with sum <= w_b m; the last of them all is not
-    walked, but taken from the interval of values that keeps every count
-    of B >= 0.  A count of B is kept only if it is an integer.  The sums
-    run in integers on D F_b, D the lcm of all the denominators, over
+    relations (see `_relations` and `_count_vectors`), each k >= 0 giving
+    the term prod_b (w_b m)! / prod_i k_i! prod c_i^(k_i).  The sums run in
+    integers on D F_b, D the lcm of all the denominators, over
     D^(m sum_b w_b)."""
-    nparams = factors[0][0].nvars - nv
-    zero = (0,) * nparams
-    result: dict = {}
     if rel is None:
-        for m in sorted(powers):
-            result[m] = {zero: Q(1)} if m == 0 else {}
-        return result
+        return {m: Q(int(m == 0)) for m in powers}
     pivots, free, fblock, delta, base, cols = rel
-    monos = [e for F, _ in factors for e in F.terms]
     ints, den = over_common_den([c for F, _ in factors for c in F.terms.values()])
-    weights = [w for _, w in factors]
-    order = pivots + free  # the positions of a count vector kB + kF
-    coeffs = [ints[i] for i in order]
-    tracked = [(pos, monos[i][nv:]) for pos, i in enumerate(order) if any(monos[i][nv:])]
+    coeffs = [ints[i] for i in pivots + free]  # in the order of a count vector kB + kF
     kF = [0] * len(free)
-    last = len(free) - 1
-    caps = [0] * len(factors)  # w_b m, the budget of each factor's free counts
+    result: dict = {}
+    for m in sorted(powers):
+        caps = [w * m for _, w in factors]  # w_b m, the budget of each factor's counts
+        mfact = prod(map(factorial, caps))
+        total = 0
+        for v in _count_vectors([m * b for b in base], fblock, cols, caps, delta, kF):
+            ks = [x // delta for x in v] + kF
+            total += mfact // prod(map(factorial, ks)) * prod(map(pow, coeffs, ks))
+        result[m] = Q(total, den ** sum(caps))
+    return result
 
-    def leaf(mfact: int, v: list, out: dict):
-        kB = [x // delta for x in v]
-        ks = kB + kF
-        if tracked:
-            deg = tuple(sum(ks[pos] * p[c] for pos, p in tracked) for c in range(nparams))
-            if any(x > bound for x in deg):
-                return
-        else:
-            deg = zero
-        w = mfact // prod(map(factorial, ks)) * prod(map(pow, coeffs, ks))
-        out[deg] = out.get(deg, 0) + w
 
-    def rec(mfact: int, level: int, v: list, rem: int, out: dict):
-        u = cols[level]
-        if level < last:
-            nxt = fblock[level + 1]
-            same = nxt == fblock[level]
-            for c in range(rem + 1):
-                kF[level] = c
-                rec(mfact, level + 1, v, rem - c if same else caps[nxt], out)
-                v = [x - y for x, y in zip(v, u)]
-            return
+def _count_vectors(v: list, fblock: list, cols: list, caps: list, delta: int, kF: list):
+    """delta k_B = v - sum_j kF_j cols[j] for every count vector of one
+    power with every count of B a non-negative integer, the free counts
+    set in kF as each is yielded.  The free counts of factor b run with sum
+    <= caps[b], by an odometer: each but the last steps by one while its
+    factor's budget lasts, v and the budget following it, and a carry
+    resets the counts after it to 0.  The last free count is not walked,
+    but taken from the interval of values that keeps every count of B
+    >= 0."""
+    if not kF:
+        if all(x >= 0 and x % delta == 0 for x in v):
+            yield v
+        return
+    last = len(kF) - 1
+    vs = [v] * (last + 1)  # vs[j], v less the free counts before j
+    rems = [caps[fblock[0]]] + [0] * last  # rems[j], the budget left for count j
+    j = 0  # the counts from j on restart at 0
+    while True:
+        for i in range(j, last):
+            kF[i] = 0
+            vs[i + 1] = vs[i]
+            rems[i + 1] = rems[i] if fblock[i + 1] == fblock[i] else caps[fblock[i + 1]]
         # v - c u >= 0 holds for c in lo..hi
-        lo, hi = 0, rem
+        v, u = vs[last], cols[last]
+        lo, hi = 0, rems[last]
         for x, y in zip(v, u):
             if y > 0:
                 hi = min(hi, x // y)
             elif y < 0:
                 lo = max(lo, -(-x // y))
             elif x < 0:
-                return
+                hi = -1
         for c in range(lo, hi + 1):
             w = [x - c * y for x, y in zip(v, u)]
             if delta == 1 or not any(x % delta for x in w):
-                kF[level] = c
-                leaf(mfact, w, out)
-
-    for m in sorted(powers):
-        out: dict = {}
-        v = [m * b for b in base]
-        caps[:] = [w * m for w in weights]
-        mfact = prod(factorial(c) for c in caps)
-        if free:
-            rec(mfact, 0, v, caps[fblock[0]], out)
-        elif all(x >= 0 and x % delta == 0 for x in v):
-            leaf(mfact, v, out)
-        scale = den ** sum(caps)
-        result[m] = {d: Q(c, scale) for d, c in out.items() if c}
-    return result
+                kF[last] = c
+                yield w
+        j = last - 1
+        while j >= 0 and kF[j] == rems[j]:
+            j -= 1
+        if j < 0:
+            return
+        kF[j] += 1
+        vs[j + 1] = [x - y for x, y in zip(vs[j + 1], cols[j])]
+        if fblock[j + 1] == fblock[j]:
+            rems[j + 1] -= 1
+        j += 1
 
 
 def laurent_pow_ct(L: LaurentPoly, m: int) -> Q:
-    """Constant term of L**m, by the walk of ct_by_param_degree."""
-    return ct_by_param_degree(L, {m})[m].get((), ZERO)
+    """Constant term of L**m, by the walk of ct_of_product."""
+    return ct_of_product([(L, 1)], {m})[m]
 
 
 def laurent_to_json(L: LaurentPoly) -> dict:

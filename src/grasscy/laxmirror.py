@@ -2,16 +2,16 @@
 G(r,s), the complete-intersection mirror equation system, and constant-term
 period series used as an independent oracle for the hypergeometric side.
 
-Tracked parameters are carried as extra trailing coordinates of the
-exponent vectors, with non-negative exponents; the constant term is taken
-over the leading (torus) coordinates only.
+A period tracks one parameter q as the last coordinate of the exponent
+vectors, with non-negative exponents; the constant term is taken over the
+leading (torus) coordinates only.
 """
 
 from __future__ import annotations
 
-from .errors import UsageError
+from .errors import UsageError, shown
 from .hypergeom import check_order
-from .laurent import LaurentPoly, ct_by_param_degree, ct_of_product, tracked_split
+from .laurent import LaurentPoly, ct_of_product
 from .linalg import solve
 from .record import record
 from .series import PowerSeries, Q
@@ -45,52 +45,49 @@ def lax_operator(r: int, s: int, q=None, track_q: bool = True) -> LaurentPoly:
 
 
 class UnboundedPeriod(UsageError):
-    """No grading makes the per-parameter-degree contributions finite."""
+    """No grading makes the per-degree contributions finite."""
 
 
-def _grading(g: LaurentPoly, nparams: int):
-    """Weights (w, mu) with w.e + mu.t = 1 on every monomial of g."""
-    nv = g.nvars - nparams
+def _grading(g: LaurentPoly) -> Q:
+    """The weight mu of q in a grading w.e + mu.t = 1 on every monomial of
+    g, t its last exponent."""
     rows = [[Q(x) for x in e] for e in g.terms]
     sol = solve(rows, [Q(1)] * len(rows))
     if sol is None:
         raise UnboundedPeriod("monomials do not lie on an affine hyperplane at height 1")
-    w, mu = sol[:nv], sol[nv:]
-    if any(m < 0 for m in mu):
-        raise UnboundedPeriod(f"parameter weights {mu} must be non-negative")
-    return w, mu
+    if sol[-1] < 0:
+        raise UnboundedPeriod(f"parameter weights {sol[-1:]} must be non-negative")
+    return sol[-1]
 
 
-def period_ct(g: LaurentPoly, nparams: int, order: int) -> PowerSeries | dict:
-    """Period series sum_m CT(g^m) collected by tracked-parameter degree.
+def period_ct(g: LaurentPoly, nparams: int, order: int) -> PowerSeries:
+    """Period series sum_d CT(g^m) q^d of g, whose last coordinate is the
+    tracked parameter q (nparams must be 1).
 
-    The grading pins down which power m feeds each parameter degree:
-    m = mu . d; one call of `ct_by_param_degree` serves all of them.
-    Returns a PowerSeries for one parameter, otherwise a dict from exponent
-    tuples (total degree <= order) to coefficients.  The order is checked
-    first (`hypergeom.check_order`), then the split (`tracked_split`).
-    """
+    The grading fixes the power that feeds each degree: a constant term of
+    g^m has q-degree d = m/mu, so at q = 1 one `ct_of_product` call over the
+    powers m = mu.d, d = 1..order, serves them all.  With mu > 0 no two
+    monomials of g share their torus exponents, so setting q = 1 merges
+    none; with mu = 0 no power m > 0 has a constant term.  The order is
+    checked first (`hypergeom.check_order`), then nparams and the exponents
+    of q."""
     check_order(order)
-    nv = tracked_split(g, nparams, order)
-    result: dict = {(0,) * nparams: Q(1)}
+    if nparams != 1:
+        raise UsageError(f"a period tracks one parameter, so nparams must be 1, "
+                         f"got {shown(nparams)}")
+    if g.nvars and any(e[-1] < 0 for e in g.terms):
+        raise UsageError("tracked parameter exponents must be non-negative")
+    coeffs = [Q(1)] + [ZERO] * order
     if g.terms:
-        if nv == 0:
+        if g.nvars < 2:
             raise UsageError("no torus coordinates left after the tracked parameters")
-        _, mu = _grading(g, nparams)
-        # the powers m = mu . d over 0 < |d| <= order, one degree at a time
-        reachable: set = set()
-        layer = {ZERO}
-        for _ in range(order):
-            layer = {s + mi for s in layer for mi in mu}
-            reachable |= layer
-        powers = {int(m) for m in reachable if m.denominator == 1}
-        for by_degree in ct_by_param_degree(g, powers, nparams, order).values():
-            for dd, c in by_degree.items():
-                if sum(dd) <= order and any(dd):
-                    result[dd] = c
-    if nparams == 1:
-        return PowerSeries("q", tuple(result.get((d,), ZERO) for d in range(order + 1)))
-    return result
+        mu = _grading(g)
+        if mu > 0:
+            torus = LaurentPoly(g.nvars - 1, {e[:-1]: c for e, c in g.terms.items()})
+            degree = {int(mu * d): d for d in range(1, order + 1) if (mu * d).denominator == 1}
+            for m, c in ct_of_product([(torus, 1)], degree).items():
+                coeffs[degree[m]] = c
+    return PowerSeries("q", tuple(coeffs))
 
 
 @record
@@ -169,7 +166,7 @@ def mirror_period(ms: MirrorSystem, order: int) -> PowerSeries:
     zero = LaurentPoly.zero(ms.k * (ms.n - ms.k))
     factors = [(sum((ms.polys[j - 1] for j in J), zero), len(J)) for J in ms.partition]
     ct = ct_of_product(factors, range(order + 1))
-    return PowerSeries("z", tuple(ct[m].get((), ZERO) for m in range(order + 1)))
+    return PowerSeries("z", tuple(ct[m] for m in range(order + 1)))
 
 
 def canonical_gauge_coeffs(k: int, n: int, q=1) -> tuple[dict, dict]:

@@ -431,9 +431,12 @@ def laurent_pow_ct_bruteforce(L: LaurentPoly, m: int) -> Q:
 
 def ct_by_param_degree_bruteforce(L: LaurentPoly, powers, nparams: int = 0,
                                   bound: int = 0) -> dict:
-    """`laurent.ct_by_param_degree` by full products L^0..L^M: at each
-    m in powers, the terms with torus part 0 and every parameter exponent
-    <= bound, keyed by their parameter exponents."""
+    """Constant terms of L^m over the leading (torus) coordinates of L,
+    its trailing nparams coordinates being tracked parameters, by full
+    products L^0..L^M: at each m in powers, the terms with torus part 0 and
+    every parameter exponent <= bound, keyed by their parameter exponents.
+    Summed at each m, with no bound reached, they are `laurent.ct_of_product`
+    of L with its parameters set to 1."""
     nv = L.nvars - nparams
     out = {}
     p = LaurentPoly.constant(L.nvars, 1)
@@ -456,8 +459,8 @@ def _times_tuples(acc: dict, terms: list, lo: tuple, hi: tuple) -> dict:
 
 
 def ct_by_param_degree_tuples(L: LaurentPoly, powers, nparams: int = 0, bound: int = 0) -> dict:
-    """`laurent.ct_by_param_degree` by a route independent of the walk, the
-    meet-in-the-middle sweep CT(L^m) = sum_e [L^a]_e [L^b]_(-e), a = m // 2,
+    """`ct_by_param_degree_bruteforce` by a route independent of the
+    library's walk, the meet-in-the-middle sweep CT(L^m) = sum_e [L^a]_e [L^b]_(-e), a = m // 2,
     b = m - a: L^t is built for t up to ceil(M / 2), M the largest power,
     pruned to what the M - t factors left can cancel, with each product of
     monomials a tuple sum and each box test a comparison per coordinate.

@@ -202,8 +202,10 @@ def test_terms_cap():
         with pytest.raises(UsageError, match=rf"of G\({k},{n}\) to order {trunc} exceed "
                                              rf"the resource cap {MAX_TERMS}"):
             a_series_terms(k, n, trunc)
-    # to order 0 there is one assignment, whatever the grid
+    # to order 0 there is one assignment, whatever the grid; the listing
+    # goes one cell at a time, so a grid of a thousand cells is listed too
     assert a_series_terms(2, 40, 0) == {(0, (0,) * 37): 1}
+    assert a_series_terms(2, 1003, 0) == {(0, (0,) * 1000): 1}
 
 
 class _Admitted(Exception):

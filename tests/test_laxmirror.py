@@ -17,7 +17,6 @@ from grasscy.hypergeom import (
 )
 from grasscy.laurent import (
     LaurentPoly,
-    ct_by_param_degree,
     ct_of_product,
     laurent_from_json,
     laurent_pow_ct,
@@ -41,10 +40,36 @@ from support import (
     rationals,
 )
 
-# the two constant-term routes: the library's walk, and the meet-in-the-middle
-# sweep on tuple keys that the tests use as an oracle; both must agree with
-# the brute-force products
-ROUTES = {"walk": ct_by_param_degree, "sweep": ct_by_param_degree_tuples}
+# a parameter degree bound that no term of the tests reaches: the walk has
+# no parameters, so the oracles must not prune any
+UNPRUNED = 10**9
+
+
+def _summed(by_degree: dict) -> dict:
+    """An oracle's m -> {parameter degree -> coefficient}, summed at each m:
+    the constant terms with every parameter set to 1."""
+    return {m: sum(by.values(), Q(0)) for m, by in by_degree.items()}
+
+
+def _params_at_one(L: LaurentPoly, nparams: int) -> LaurentPoly:
+    """L with its trailing nparams coordinates set to 1."""
+    nv = L.nvars - nparams
+    terms: dict = {}
+    for e, c in L.terms.items():
+        terms[e[:nv]] = terms.get(e[:nv], 0) + c
+    return LaurentPoly(nv, terms)
+
+
+def _sweep_product(factors, powers) -> dict:
+    """`ct_of_product` by the tuple sweep on the product multiplied out."""
+    return _summed(ct_by_param_degree_tuples(_expanded(factors), powers))
+
+
+# the two constant-term routes, m -> CT(L^m): the library's walk, and the
+# meet-in-the-middle sweep on tuple keys that the tests use as an oracle;
+# both must agree with the brute-force products
+ROUTES = {"walk": lambda L, powers: ct_of_product([(L, 1)], powers),
+          "sweep": lambda L, powers: _sweep_product([(L, 1)], powers)}
 
 
 def test_laurent_arithmetic():
@@ -126,6 +151,7 @@ def test_period_ct_quartic_subfamily():
 
 
 def test_period_ct_two_parameters():
+    # a period tracks one parameter, the last coordinate: two are refused
     terms = {}
     for i in range(4):
         e = [0] * 6
@@ -134,19 +160,8 @@ def test_period_ct_two_parameters():
     terms[(-1, -1, -1, 0, 1, 0)] = Q(1)
     terms[(1, 1, 0, -1, 0, 1)] = Q(1)
     g = LaurentPoly(6, terms)
-    res = period_ct(g, 2, 3)
-    for (s, l), c in res.items():
-        if s + l == 0:
-            assert c == 1
-        elif l > s:
-            assert c == 0
-        else:
-            k = s - l
-            assert c == Q(
-                factorial(4 * s),
-                factorial(k) ** 2 * factorial(l) ** 2 * factorial(s) ** 2,
-            )
-    assert (1, 0) in res and (2, 1) in res
+    with pytest.raises(UsageError, match="nparams must be 1, got 2$"):
+        period_ct(g, 2, 3)
 
 
 def test_period_unbounded_rejected():
@@ -157,7 +172,7 @@ def test_period_unbounded_rejected():
 
 
 def test_period_rejects_negative_nparams():
-    with pytest.raises(UsageError, match="nparams must be >= 0, got -1"):
+    with pytest.raises(UsageError, match="nparams must be 1, got -1$"):
         period_ct(lax_operator(2, 4), -1, 2)
 
 
@@ -181,10 +196,10 @@ def test_pruned_ct_matches_bruteforce(poly, m):
 @given(small_polys(), st.sets(st.integers(min_value=0, max_value=6), max_size=4))
 def test_one_sweep_matches_bruteforce_at_every_power(poly, powers):
     # one walk serves every power, each checked against its own full product
-    got = ct_by_param_degree(poly, powers)
+    got = ct_of_product([(poly, 1)], powers)
     assert set(got) == powers
     for m in powers:
-        assert got[m].get((), 0) == laurent_pow_ct_bruteforce(poly, m)
+        assert got[m] == laurent_pow_ct_bruteforce(poly, m)
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
@@ -194,7 +209,7 @@ def test_each_route_matches_bruteforce_at_every_power(route, poly, powers):
     got = ROUTES[route](poly, powers)
     assert set(got) == powers
     for m in powers:
-        assert got[m].get((), 0) == laurent_pow_ct_bruteforce(poly, m)
+        assert got[m] == laurent_pow_ct_bruteforce(poly, m)
 
 
 @st.composite
@@ -221,27 +236,26 @@ def tracked_polys(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(tracked_polys(), st.sets(st.integers(min_value=0, max_value=6), min_size=1),
-       st.one_of(st.just(0), st.integers(min_value=0, max_value=8), st.just(10**9)))
+@given(tracked_polys(), st.sets(st.integers(min_value=0, max_value=6), min_size=1))
 @example((LaurentPoly(2, {(40, 0): Q(-1, 2), (-1, 3): Q(2, 3), (-39, 1): Q(3)}), 1),
-         {0, 1, 3, 5}, 10**9)
-@example((LaurentPoly(2, {(1, 0): Q(1), (-1, 0): Q(-2, 3)}), 0), {0}, 0)
-def test_packed_keys_match_the_tuple_sweep(poly, powers, bound):
-    # the walk against the meet-in-the-middle sweep on tuple exponent keys:
-    # equal coefficients at every power and parameter degree
+         {0, 1, 3, 5})
+@example((LaurentPoly(2, {(1, 0): Q(1), (-1, 0): Q(-2, 3)}), 0), {0})
+def test_packed_keys_match_the_tuple_sweep(poly, powers):
+    # the walk on L with its parameters set to 1 against the
+    # meet-in-the-middle sweep on tuple exponent keys over L, its parameter
+    # degrees summed: equal coefficients at every power
     L, nparams = poly
-    assert ct_by_param_degree(L, powers, nparams, bound) == \
-        ct_by_param_degree_tuples(L, powers, nparams, bound)
+    assert ct_of_product([(_params_at_one(L, nparams), 1)], powers) == \
+        _summed(ct_by_param_degree_tuples(L, powers, nparams, UNPRUNED))
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
 @settings(max_examples=100, deadline=None)
-@given(tracked_polys(), st.sets(st.integers(min_value=0, max_value=6), min_size=1),
-       st.one_of(st.just(0), st.integers(min_value=0, max_value=8), st.just(10**9)))
-def test_each_route_matches_bruteforce_with_tracked_parameters(route, poly, powers, bound):
+@given(tracked_polys(), st.sets(st.integers(min_value=0, max_value=6), min_size=1))
+def test_each_route_matches_bruteforce_with_tracked_parameters(route, poly, powers):
     L, nparams = poly
-    assert ROUTES[route](L, powers, nparams, bound) == \
-        ct_by_param_degree_bruteforce(L, powers, nparams, bound)
+    assert ROUTES[route](_params_at_one(L, nparams), powers) == \
+        _summed(ct_by_param_degree_bruteforce(L, powers, nparams, UNPRUNED))
 
 
 def test_walk_keeps_only_integral_counts():
@@ -249,120 +263,98 @@ def test_walk_keeps_only_integral_counts():
     # power below 5 has a constant term although the rational solutions
     # exist at every m
     L = LaurentPoly(1, {(2,): Q(1), (-3,): Q(1)})
-    got = ct_by_param_degree(L, range(11))
-    assert got == ct_by_param_degree_bruteforce(L, range(11))
-    assert got[5] == {(): 10} and got[10] == {(): comb(10, 4)} and got[4] == {}
+    got = ct_of_product([(L, 1)], range(11))
+    assert got == _summed(ct_by_param_degree_bruteforce(L, range(11)))
+    assert got[5] == 10 and got[10] == comb(10, 4) and got[4] == 0
 
 
 @pytest.mark.parametrize("k,n,order", [(2, 4, 6), (2, 5, 3), (3, 6, 2)])
 def test_period_ct_of_lax_matches_the_tuple_sweep(k, n, order, monkeypatch):
     got = period_ct(lax_operator(k, n), 1, order)
-    monkeypatch.setattr("grasscy.laxmirror.ct_by_param_degree", ct_by_param_degree_tuples)
+    monkeypatch.setattr("grasscy.laxmirror.ct_of_product", _sweep_product)
     assert got == period_ct(lax_operator(k, n), 1, order)
 
 
 def test_negative_tracked_exponent_rejected():
-    # the pruning keeps parameter degrees in 0..bound, so the (1, -1) factor
-    # would be dropped: the tuple sweep returns nothing, while
-    # CT(L^2) = 2 q^1 by full expansion
+    # pruning to parameter degrees in 0..bound would drop the (1, -1)
+    # factor: the tuple sweep returns nothing, while CT(L^2) = 2 q^1 by full
+    # expansion; q is a power-series variable, so period_ct refuses it
     L = LaurentPoly(2, {(1, -1): Q(1), (-1, 2): Q(1)})
     assert ct_by_param_degree_tuples(L, {2}, 1, 3) == {2: {}}
     assert (L * L).terms[(0, 1)] == 2
     with pytest.raises(UsageError, match="tracked parameter exponents must be non-negative"):
-        ct_by_param_degree(L, {2}, 1, 3)
-    with pytest.raises(UsageError, match="tracked parameter exponents must be non-negative"):
         period_ct(L, 1, 3)
-
-
-@pytest.mark.parametrize("nparams,bound,message", [
-    (-1, 0, "nparams must be >= 0, got -1"),
-    (3, 0, "nparams must be <= nvars = 2, got 3"),
-    (1, -1, "bound must be >= 0, got -1"),
-])
-def test_bad_tracked_split_rejected(nparams, bound, message):
-    L = LaurentPoly(2, {(1, 0): Q(1), (-1, 1): Q(1)})
-    with pytest.raises(UsageError, match=message):
-        ct_by_param_degree(L, {2}, nparams, bound)
 
 
 def test_negative_power_rejected():
     with pytest.raises(UsageError, match="power must be non-negative"):
-        ct_by_param_degree(LaurentPoly(1, {(1,): Q(1)}), {-1})
+        ct_of_product([(LaurentPoly(1, {(1,): Q(1)}), 1)], {-1})
 
 
 @st.composite
 def graded_polys(draw):
-    """(g, nparams, mu): a Laurent polynomial over nv torus coordinates and
-    nparams tracked parameters whose only grading is w = (1, ..., 1) on the
-    torus and mu on the parameters (the unit monomials x_i pin w, one
-    monomial q_j x^e per parameter pins mu_j); rational coefficients."""
+    """(g, mu): a Laurent polynomial over nv torus coordinates and the
+    tracked parameter q whose only grading is w = (1, ..., 1) on the torus
+    and mu on q (the unit monomials x_i pin w, a monomial q x^e pins mu);
+    rational coefficients."""
     nv = draw(st.integers(min_value=1, max_value=2))
-    nparams = draw(st.integers(min_value=1, max_value=2))
-    mu = draw(st.lists(st.integers(min_value=1, max_value=2), min_size=nparams, max_size=nparams))
+    mu = draw(st.integers(min_value=1, max_value=2))
     coeff = rationals(3, 3).filter(bool)
-    tracked = [tuple(int(i == j) for i in range(nparams)) for j in range(nparams)]
-    extra = draw(st.lists(st.tuples(*[st.integers(min_value=0, max_value=1)] * nparams), max_size=2))
     terms = {}
     for i in range(nv):
-        terms[tuple(int(c == i) for c in range(nv)) + (0,) * nparams] = draw(coeff)
-    for t in tracked + extra:
+        terms[tuple(int(c == i) for c in range(nv)) + (0,)] = draw(coeff)
+    for t in [1] + draw(st.lists(st.integers(min_value=0, max_value=1), max_size=2)):
         rest = draw(st.lists(st.integers(min_value=-1, max_value=1), min_size=nv - 1, max_size=nv - 1))
-        first = 1 - sum(rest) - sum(m * x for m, x in zip(mu, t))
-        terms[(first, *rest, *t)] = draw(coeff)
-    return LaurentPoly(nv + nparams, terms), nparams, mu
+        terms[(1 - sum(rest) - mu * t, *rest, t)] = draw(coeff)
+    return LaurentPoly(nv + 1, terms), mu
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
 @settings(max_examples=40, deadline=None)
 @given(graded_polys(), st.integers(min_value=1, max_value=3))
 def test_period_ct_by_each_route_matches_bruteforce(route, poly, order):
-    g, nparams, mu = poly
-    expected = _period_oracle(g, nparams, order, max(mu) * order)
+    g, mu = poly
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("grasscy.laxmirror.ct_by_param_degree", ROUTES[route])
-        got = period_ct(g, nparams, order)
-    if nparams == 1:
-        assert got.coeffs == tuple(expected.get((d,), 0) for d in range(order + 1))
-    else:
-        assert got == expected
+        if route == "sweep":
+            mp.setattr("grasscy.laxmirror.ct_of_product", _sweep_product)
+        got = period_ct(g, 1, order)
+    assert got.coeffs == _period_oracle(g, order, mu * order)
 
 
-def _period_oracle(g, nparams, order, mmax):
-    """Full products g^0..g^mmax; torus-zero terms grouped by parameter
-    degree (total degree <= order), zeros left out."""
-    nv = g.nvars - nparams
-    out = {}
+def _period_oracle(g, order, mmax):
+    """Full products g^0..g^mmax; the torus-zero terms summed by their
+    q-degree, for degrees 0..order."""
+    out = [0] * (order + 1)
     power = LaurentPoly.constant(g.nvars, 1)
     for _ in range(mmax + 1):
         for e, c in power.terms.items():
-            if not any(e[:nv]) and sum(e[nv:]) <= order:
-                out[e[nv:]] = out.get(e[nv:], 0) + c
+            if not any(e[:-1]) and e[-1] <= order:
+                out[e[-1]] += c
         power = power * g
-    return {d: c for d, c in out.items() if c}
+    return tuple(out)
 
 
 @settings(max_examples=60, deadline=None)
 @given(graded_polys(), st.integers(min_value=1, max_value=3))
 def test_period_ct_matches_bruteforce(poly, order):
-    # m = mu . d runs over several powers, all served by one walk
-    g, nparams, mu = poly
-    expected = _period_oracle(g, nparams, order, max(mu) * order)
-    got = period_ct(g, nparams, order)
-    if nparams == 1:
-        assert got.coeffs == tuple(expected.get((d,), 0) for d in range(order + 1))
-    else:
-        assert got == expected
+    # m = mu d runs over several powers, all served by one walk
+    g, mu = poly
+    assert period_ct(g, 1, order).coeffs == _period_oracle(g, order, mu * order)
 
 
 def test_period_ct_three_parameters_matches_bruteforce():
-    # g = x + t1/x + t2/x^2 + t3: the grading w = 1 gives mu = (2, 3, 1), so
-    # the parameter degrees of one power m mix all three parameters
+    # g = x + t1/x + t2/x^2 + t3: the grading w = 1 gives mu = (2, 3, 1).  A
+    # period tracks one parameter, so three are refused; with all three set
+    # to 1 the walk gives, at each power, the brute-force constant terms
+    # summed over their parameter degrees
     g = LaurentPoly(4, {(1, 0, 0, 0): Q(1), (-1, 1, 0, 0): Q(2),
                         (-2, 0, 1, 0): Q(1, 3), (0, 0, 0, 1): Q(-1)})
-    got = period_ct(g, 3, 4)
-    assert got == _period_oracle(g, 3, 4, 3 * 4)
+    with pytest.raises(UsageError, match="nparams must be 1, got 3$"):
+        period_ct(g, 3, 4)
+    by_degree = ct_by_param_degree_bruteforce(g, range(13), 3, UNPRUNED)
+    assert ct_of_product([(_params_at_one(g, 3), 1)], range(13)) == _summed(by_degree)
     # CT(g^6) at t1 t2 t3: the 6!/3! orderings of x, x, x, t1/x, t2/x^2, t3
-    assert got[(1, 1, 1)] == 120 * 2 * Q(1, 3) * (-1)
+    assert by_degree[6][(1, 1, 1)] == 120 * 2 * Q(1, 3) * (-1)
 
 
 def test_period_ct_fractional_weight():
@@ -373,10 +365,45 @@ def test_period_ct_fractional_weight():
 
 
 def test_period_ct_without_parameters():
-    # every monomial of g^m lies at height m, so only m = 0 has a constant term
+    # a period tracks one parameter, so none is refused; the zero
+    # polynomial's period is 1
     g = LaurentPoly(2, {(1, 0): Q(1), (0, 1): Q(2)})
-    assert period_ct(g, 0, 4) == {(): 1}
-    assert period_ct(LaurentPoly.zero(2), 0, 4) == {(): 1}
+    for h in (g, LaurentPoly.zero(2)):
+        with pytest.raises(UsageError, match="nparams must be 1, got 0$"):
+            period_ct(h, 0, 4)
+    assert period_ct(LaurentPoly.zero(2), 1, 4).coeffs == (1, 0, 0, 0, 0)
+
+
+def test_period_ct_refuses_an_unbounded_factorial(tmp_path, capsys):
+    """g = x + q x^-999 has mu = 1000: CT(g^(1000 d)) at q^d takes d copies
+    of q x^-999 and 999 d of x, so it is C(1000 d, d).  At order 200 the top
+    factorial, 200000!, has more bits than MAX_TERMS, while the count bound
+    sees one count vector per power: it is refused at once, by the library
+    and by `period`."""
+    g = LaurentPoly(2, {(1, 0): Q(1), (-999, 1): Q(1)})
+    assert period_ct(g, 1, 20).coeffs == tuple(comb(1000 * d, d) for d in range(21))
+    t0 = time.perf_counter()
+    with pytest.raises(UsageError, match=f"200000!, of more bits than the resource cap {MAX_TERMS}$"):
+        period_ct(g, 1, 200)
+    assert time.perf_counter() - t0 < 1
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(laurent_to_json(g)))
+    assert main(["period", "--poly", str(path), "--order", "200"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert json.loads(captured.err)["error"].endswith(f"resource cap {MAX_TERMS}")
+
+
+def test_walk_over_two_thousand_free_counts(tmp_path, capsys):
+    """g = x + sum_(j < 2000) x^-j q^(j+1) has mu = 1: at q = 1 its 2001
+    monomials in x have 1999 free counts, each walked by the odometer, and
+    only the monomial q balances at m = 1."""
+    g = LaurentPoly(2, {(1, 0): Q(1), **{(-j, j + 1): Q(1) for j in range(2000)}})
+    assert period_ct(g, 1, 1).coeffs == (1, 1)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(laurent_to_json(g)))
+    assert main(["period", "--poly", str(path), "--order", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["coeffs"] == ["1", "1"]
 
 
 # -- mirror systems ------------------------------------------------------------
@@ -433,30 +460,25 @@ def test_mirror_period_matches_the_tuple_oracle_on_the_expanded_product(name):
 
 @st.composite
 def weighted_factors(draw):
-    """(factors, nparams): two or three factors (F, w) over one or two torus
-    coordinates and nparams in 0..1 tracked parameters, each F one to three
-    monomials with torus exponents in [-1, 1], parameter exponents in 0..2
-    and nonzero rational coefficients, each weight w in 1..3."""
+    """Two or three factors (F, w) over one or two torus coordinates, each
+    F one to three monomials with exponents in [-1, 1] and nonzero rational
+    coefficients, each weight w in 1..3."""
     nv = draw(st.integers(min_value=1, max_value=2))
-    nparams = draw(st.integers(min_value=0, max_value=1))
-    exps = st.tuples(*[st.integers(-1, 1)] * nv, *[st.integers(0, 2)] * nparams)
+    exps = st.tuples(*[st.integers(-1, 1)] * nv)
     coeff = rationals(3, 3).filter(bool)
     factors = []
     for _ in range(draw(st.integers(min_value=2, max_value=3))):
         terms = draw(st.dictionaries(exps, coeff, min_size=1, max_size=3))
-        factors.append((LaurentPoly(nv + nparams, terms), draw(st.integers(1, 3))))
-    return factors, nparams
+        factors.append((LaurentPoly(nv, terms), draw(st.integers(1, 3))))
+    return factors
 
 
 @settings(max_examples=100, deadline=None)
-@given(weighted_factors(), st.sets(st.integers(min_value=0, max_value=3), min_size=1),
-       st.integers(min_value=0, max_value=4))
-def test_product_matches_the_tuple_oracle_on_the_expanded_product(poly, powers, bound):
+@given(weighted_factors(), st.sets(st.integers(min_value=0, max_value=3), min_size=1))
+def test_product_matches_the_tuple_oracle_on_the_expanded_product(factors, powers):
     # each factor's counts add up to w m: the per-factor multinomials and
     # budgets against the sweep over the product multiplied out
-    factors, nparams = poly
-    assert ct_of_product(factors, powers, nparams, bound) == \
-        ct_by_param_degree_tuples(_expanded(factors), powers, nparams, bound)
+    assert ct_of_product(factors, powers) == _sweep_product(factors, powers)
 
 
 def test_expanded_mirror_product_is_refused(tmp_path, capsys):
@@ -466,7 +488,7 @@ def test_expanded_mirror_product_is_refused(tmp_path, capsys):
     G = _mirror_product(registry_load()["X4_G24"])
     t0 = time.perf_counter()
     with pytest.raises(UsageError, match=f"f = 100 .* resource cap {MAX_TERMS}$"):
-        ct_by_param_degree(G, range(7))
+        ct_of_product([(G, 1)], range(7))
     assert time.perf_counter() - t0 < 1
     path = tmp_path / "g.json"
     path.write_text(json.dumps(laurent_to_json(

@@ -281,6 +281,15 @@ def test_cli_aseries_keep_params_output_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def test_cli_aseries_keep_params_of_a_thousand_cells(capsys):
+    """G(2,1003) to order 0: the count cap admits every grid at order 0,
+    and the listing of its 1000 cells is one report, not a recursion per
+    cell."""
+    code, out = run_cli(["aseries", "2", "1003", "--order", "0", "--keep-params"], capsys)
+    assert code == 0
+    assert out["terms"] == [{"m": 0, "s": [0] * 1000, "c": "1"}]
+
+
 def test_cli_mirror_system(capsys):
     code, out = run_cli(["mirror-system", "2", "5", "--degrees", "1,1,3"], capsys)
     assert code == 0
@@ -353,6 +362,7 @@ def _usage_error(capsys) -> str:
      "parameter degree bound -1 must be >= 0"),
     (["aseries", "3", "6", "--order", "200", "--keep-params"],
      "A-series terms of G(3,6) to order 200 exceed the resource cap 1048576"),
+    (["period", "--poly", SERIES, "--nparams", "1"], "unrecognized arguments: --nparams 1"),
 ])
 def test_cli_bad_input_is_usage_error(capsys, series_file, argv, message):
     """Rejected before any computation: exit 2, nothing on stdout, one JSON
@@ -361,16 +371,16 @@ def test_cli_bad_input_is_usage_error(capsys, series_file, argv, message):
     assert message in _usage_error(capsys)
 
 
-@pytest.mark.parametrize("terms,nparams,message", [
+@pytest.mark.parametrize("terms,order,message", [
     ([{"exp": [1, -1], "c": "1"}, {"exp": [-1, 2], "c": "1"}], "1",
      "tracked parameter exponents must be non-negative"),
-    ([{"exp": [1, 0], "c": "1"}], "3", "nparams must be <= nvars = 2, got 3"),
-    ([{"exp": [1, 0], "c": "1"}], "-1", "nparams must be >= 0, got -1"),
+    ([{"exp": [1, 0], "c": "1"}, {"exp": [1, 1], "c": "1"}, {"exp": [-1, 0], "c": "1"}], "3",
+     "monomials do not lie on an affine hyperplane at height 1"),
 ])
-def test_cli_period_bad_tracked_input_is_usage_error(tmp_path, capsys, terms, nparams, message):
+def test_cli_period_bad_tracked_input_is_usage_error(tmp_path, capsys, terms, order, message):
     f = tmp_path / "poly.json"
     f.write_text(json.dumps({"nvars": 2, "terms": terms}))
-    assert main(["period", "--poly", str(f), "--nparams", nparams, "--order", "3"]) == 2
+    assert main(["period", "--poly", str(f), "--order", order]) == 2
     assert message in _usage_error(capsys)
 
 
