@@ -18,7 +18,7 @@ from .hypergeom import a_series, a_series_terms, check_order, check_param_bound,
 from .laurent import laurent_from_json, laurent_to_json
 from .laxmirror import canonical_gauge_coeffs, lax_operator, mirror_system, period_ct
 from .mirror_analysis import yukawa_z
-from .pipeline import check_case, fit_operator, rational_series, run_case
+from .pipeline import INSTANTON_COUNT, KZ_ORDER, check_case, fit_operator, rational_series, run_case
 from .qh import NoDependence, scalar_operator, verify_conjecture
 from .registry import registry_load
 from .series import Q, qstr, series_from_json, series_to_json
@@ -157,7 +157,6 @@ def cmd_yukawa(args) -> dict:
 
 
 def cmd_instanton(args) -> dict:
-    check_order(args.count, "count", lo=1)
     return run_case(_case(args), count=args.count).to_json()
 
 
@@ -197,7 +196,6 @@ def cmd_mirror_system(args) -> dict:
 
 
 def cmd_verify_all(args) -> dict:
-    check_order(args.count, "count", lo=1)
     reg = _registry(args)
     for case in reg.values():
         check_case(case)
@@ -265,13 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("yukawa", help="Yukawa coupling in the z coordinate")
     sp.add_argument("--case", required=True)
-    sp.add_argument("--order", type=int, default=12)
+    sp.add_argument("--order", type=int, default=KZ_ORDER)
     sp.add_argument("--registry", default=None)
     sp.set_defaults(func=cmd_yukawa)
 
     sp = sub.add_parser("instanton", help="full pipeline for one case")
     sp.add_argument("--case", required=True)
-    sp.add_argument("--count", type=int, default=5)
+    sp.add_argument("--count", type=int, default=INSTANTON_COUNT)
     sp.add_argument("--registry", default=None)
     sp.set_defaults(func=cmd_instanton)
 
@@ -295,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_mirror_system)
 
     sp = sub.add_parser("verify-all", help="run every registry case")
-    sp.add_argument("--count", type=int, default=5)
+    sp.add_argument("--count", type=int, default=INSTANTON_COUNT)
     sp.add_argument("--registry", default=None)
     sp.set_defaults(func=cmd_verify_all)
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from .dop import DOp
 from .errors import Mismatch
+from .hypergeom import check_order
 from .record import record
 from .series import (
     PowerSeries,
@@ -104,6 +105,7 @@ class FrobeniusPair:
 def frobenius(P: DOp, order_n: int) -> FrobeniusPair:
     """phi0 and psi from the jets modulo eps^2: the log coefficient of
     Phi_1 is phi0 by construction."""
+    check_order(order_n)
     jets = _frobenius_jets(P, order_n)
     phi0 = PowerSeries("z", tuple(jet[0] for jet in jets))
     psi = PowerSeries("z", tuple(jet[1] for jet in jets))
@@ -134,6 +136,7 @@ def yukawa_z(P: DOp, n0: int, order_n: int) -> PowerSeries:
     p_(j,i) the coefficient of z^i in p_j,
     K_m = -sum_{i>=1} (2 p_(4,i) (m-i) + p_(3,i)) K_(m-i) / (2 p_(4,0) m).
     """
+    check_order(order_n)
     _check_order_4_mum(P)
     p3 = [P.terms.get((i, 3), ZERO) for i in range(P.zdeg + 1)]
     p4 = [P.terms.get((i, 4), ZERO) for i in range(P.zdeg + 1)]

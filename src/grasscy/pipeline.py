@@ -19,7 +19,7 @@ import time
 
 from .dop import DOp, dop_to_json, fit_trunc, pf_fit
 from .errors import shown
-from .hypergeom import MAX_ORDER, a_series, factorial_trick
+from .hypergeom import MAX_ORDER, a_series, check_order, factorial_trick
 from .mirror_analysis import (
     extract_instantons,
     frobenius,
@@ -34,6 +34,7 @@ from .series import PowerSeries, Q, series_to_json
 ZERO = Q(0)
 PF_MAX_ORDER = 4
 KZ_ORDER = 12
+INSTANTON_COUNT = 5  # the published tables list n_1..n_5
 
 
 def rational_series(numerator, denominator, var: str, order: int) -> PowerSeries:
@@ -98,7 +99,8 @@ def fit_operator(case: RegistryCase) -> DOp:
     return pf_fit(phi, max_order=PF_MAX_ORDER, max_zdeg=case.pf_max_zdeg)
 
 
-def run_case(case: RegistryCase, count: int = 5) -> RunReport:
+def run_case(case: RegistryCase, count: int = INSTANTON_COUNT) -> RunReport:
+    check_order(count, "count", lo=1)
     t0 = time.monotonic()
     order = max(KZ_ORDER, count + 1)
     op = fit_operator(case)

@@ -19,7 +19,7 @@ from math import gcd
 
 from .dop import DOp
 from .errors import Mismatch
-from .hypergeom import a_series_qspecialized, check_order
+from .hypergeom import a_series, check_order
 from .record import record
 from .series import PowerSeries
 from .toric import check_pluecker_count, poset_aknn
@@ -89,8 +89,6 @@ class NoDependence(Mismatch):
 # entry's exact value at q = 2^B, but x unpacks to S only while the
 # coefficients fit their fields, so the result is unpacked and certified in
 # Z[q], and a failed check doubles B.
-START_BITS = 128
-
 _ZERO = (0, 0)
 
 
@@ -163,19 +161,10 @@ def _reduce(vec, pvec, p, f, d, B: int) -> list[tuple[int, int]]:
 
 
 def _eliminate(M: QHMatrix, ls: list[list[Poly]], B: int) -> list[tuple[int, int]]:
-    """The packed trace of the first dependence among l_0, l_1, ...; extends
-    `ls` with the functionals it reaches.  Below `_width_bound`, it gives
-    up on B at once, with PackingOverflow, when a balanced digit of a new
-    pivot reaches 2^(B-2): the products of the steps to come would all but
-    surely outgrow their fields.  Giving up only moves to the next width
-    sooner, as the Z[q] certificate decides either way; at the bound it
-    never gives up early."""
+    """The packed trace of the first dependence among l_0..l_dim."""
     dim = M.dim
-    crowded = 1 << (B - 2)
     pivots = []  # (column, entry, row padded to 2 dim + 1)
     for rho in range(dim + 1):
-        if rho == len(ls):
-            ls.append(next_functional(ls[-1], M))
         # l_rho, then its trace: its combination of l_0..l_rho
         row = [_pack(e, B) for e in ls[rho]] + [_ZERO] * rho + [(0, 1)]
         prev = (0, 1)
@@ -188,8 +177,6 @@ def _eliminate(M: QHMatrix, ls: list[list[Poly]], B: int) -> list[tuple[int, int
         # lowest degree first: S has bit_length(|x|) // B digits above the lowest
         _, pcol = min((v + abs(x).bit_length() // B, c)
                       for c, (v, x) in enumerate(functional) if x)
-        if any(abs(d) >= crowded for d in _unpack(row[pcol][1], B)) and B < _width_bound(ls):
-            raise PackingOverflow(f"pivot digits crowd their {B}-bit fields")
         pivots.append((pcol, row[pcol], row + [_ZERO] * (dim - rho)))
     raise NoDependence(f"no dependence among l_0..l_{dim} for G({M.k},{M.n})")
 
@@ -253,6 +240,12 @@ def _width_bound(ls: list[list[Poly]]) -> int:
     return 2 * H + 2
 
 
+def _first_width(bound: int) -> int:
+    """The width of the first pass, about H/2: on every shape `DIM_BOUND`
+    admits, the checks pass at a quarter of the bound."""
+    return max(2, bound // 4)
+
+
 def scalar_operator(k: int, n: int) -> DOp:
     """Minimal-order operator sum_j c_j(q) D^j annihilating the pairing with
     the fundamental class, found by fraction-free (Bareiss) elimination over
@@ -263,22 +256,23 @@ def scalar_operator(k: int, n: int) -> DOp:
     Sylvester's identity every division is exact.  The q-power of every
     entry is kept apart from its packed value, so the pivots' large
     valuations cost no bits.  The unpacked dependence, divided by its
-    content, is certified:
-    sum_j c_j l_j = 0 in Z[q].  B starts at START_BITS and
-    doubles on a failed check up to `_width_bound`, past which
-    PackingOverflow is raised.  The operator's certificate against the
-    A-series is `verify_conjecture`.
+    content, is certified: sum_j c_j l_j = 0 in Z[q].  B starts at
+    `_first_width` of `_width_bound` and doubles on a failed check up to
+    that bound, past which PackingOverflow is raised.  The operator's
+    certificate against the A-series is `verify_conjecture`.
     """
     M = build_qh_matrix(k, n)
     top = [PZERO] * M.dim
     top[M.basis.index(tuple(range(n - k + 1, n + 1)))] = PONE
     ls = [top]
-    B = START_BITS
+    for _ in range(M.dim):
+        ls.append(next_functional(ls[-1], M))
+    bound = _width_bound(ls)
+    B = _first_width(bound)
     while True:
         try:
             return _operator(_eliminate(M, ls, B), ls, B)
         except PackingOverflow as exc:
-            bound = _width_bound(ls)
             if B >= bound:
                 raise PackingOverflow(f"G({k},{n}): {exc}, the width bound for its minors") from None
             B = min(2 * B, bound)
@@ -301,7 +295,7 @@ def verify_conjecture(k: int, n: int, order: int, operator: DOp | None = None) -
     check_order(order)  # before the operator is built
     if operator is None:
         operator = scalar_operator(k, n)
-    residual = operator.apply(a_series_qspecialized(k, n, order))
+    residual = operator.apply(a_series(k, n, order))
     # a solution with a_0 = 1 needs 0 to be a root of the indicial polynomial;
     # only that is checked.  A root m >= 1 leaves a_m free: the operators of
     # G(2,5), G(2,6) and G(3,6) have one at m = 1, that of G(2,7) at 1 and 2

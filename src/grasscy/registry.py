@@ -121,9 +121,5 @@ def registry_load(path: str | os.PathLike | None = None) -> dict[str, RegistryCa
         case = RegistryCase(*(rec[key] for key in (
             "name", "k", "n", "degrees", "strata_degrees", "h11", "h21", "expected_Y", "p",
             "kz3_numerator", "kz3_denominator", "pf_max_zdeg", "instantons")), rec.get("notes", ""))
-        if rec["chi"] != case.chi:
-            raise RegistryError(f"{case.name}: chi != 2(h11 - h21)")
-        if rec["alpha"] != case.alpha:
-            raise RegistryError(f"{case.name}: alpha != (k-1)(n-k-1)")
         out[case.name] = case
     return out

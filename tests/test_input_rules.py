@@ -8,7 +8,7 @@ import json
 import pytest
 
 from grasscy.cli import main
-from grasscy.dop import pf_fit
+from grasscy.dop import DOp, pf_fit
 from grasscy.errors import UsageError
 from grasscy.hypergeom import (
     MAX_ORDER,
@@ -27,12 +27,18 @@ from grasscy.laxmirror import (
     mirror_system,
     period_ct,
 )
+from grasscy.mirror_analysis import frobenius, yukawa_z
+from grasscy.pipeline import run_case
 from grasscy.qh import build_qh_matrix, verify_conjecture
 from grasscy.series import PowerSeries, Q
-from grasscy.registry import RegistryCase
+from grasscy.registry import RegistryCase, registry_load
 from grasscy.toric import VERTEX_ENTRY_BOUND, build_delta
 
 from support import int_digit_cap
+
+
+D, z = DOp.D(), DOp.z()
+QUINTIC = D**4 - 5 * z * (5 * D + 1) * (5 * D + 2) * (5 * D + 3) * (5 * D + 4)
 
 
 def _refusal(capsys, entry) -> str:
@@ -82,6 +88,8 @@ def test_shape_rule(capsys, entry):
     pytest.param(lambda o: mirror_period(mirror_system(2, 4, (4,), ((1, 2, 3, 4),),
                                                        *canonical_gauge_coeffs(2, 4)), o),
                  id="mirror_period"),
+    pytest.param(lambda o: frobenius(QUINTIC, o), id="frobenius"),
+    pytest.param(lambda o: yukawa_z(QUINTIC, 5, o), id="yukawa_z"),
     pytest.param(["aseries", "2", "4", "--order"], id="cli-aseries"),
     pytest.param(["aseries", "2", "4", "--keep-params", "--order"], id="cli-aseries-keep-params"),
     pytest.param(["phi", "2", "4", "--degrees", "4", "--order"], id="cli-phi"),
@@ -93,6 +101,25 @@ def test_order_rule(capsys, entry, order, message):
         refusal = _refusal(capsys, lambda: entry(order))
     else:
         refusal = _refusal(capsys, entry + [str(order)])
+    assert refusal.endswith(message)
+
+
+@pytest.mark.parametrize("count,message", [
+    (0, "count must be >= 1, got 0"),
+    (MAX_ORDER + 1, f"count {MAX_ORDER + 1} exceeds resource cap {MAX_ORDER}"),
+])
+@pytest.mark.parametrize("entry", [
+    pytest.param(lambda c: run_case(registry_load()["X1111111_G27"], c), id="run_case"),
+    pytest.param(["instanton", "--case", "X1111111_G27", "--count"], id="cli-instanton"),
+    pytest.param(["verify-all", "--count"], id="cli-verify-all"),
+])
+def test_count_rule(capsys, monkeypatch, entry, count, message):
+    """The instanton count is refused before any stage runs."""
+    monkeypatch.setattr("grasscy.pipeline.fit_operator", lambda case: pytest.fail("a stage ran"))
+    if callable(entry):
+        refusal = _refusal(capsys, lambda: entry(count))
+    else:
+        refusal = _refusal(capsys, entry + [str(count)])
     assert refusal.endswith(message)
 
 

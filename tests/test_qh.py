@@ -169,41 +169,42 @@ def test_scalar_operator_matches_zq_oracle(k, n):
     assert scalar_operator(k, n) == oracle(k, n)
 
 
+def _spy_widths(monkeypatch) -> list[int]:
+    """The width of each `qh._eliminate` pass, in order."""
+    widths = []
+    eliminate = qh._eliminate
+
+    def spy(M, ls, B):
+        widths.append(B)
+        return eliminate(M, ls, B)
+
+    monkeypatch.setattr(qh, "_eliminate", spy)
+    return widths
+
+
+@pytest.mark.parametrize("k,n", SHAPES)
+def test_scalar_operator_settles_in_one_pass(monkeypatch, k, n):
+    """The first width, read off the bound on the minors, passes every
+    check: one elimination, and the operator of the Z[q] oracle."""
+    widths = _spy_widths(monkeypatch)
+    assert scalar_operator(k, n) == oracle(k, n)
+    assert len(widths) == 1
+
+
 @pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (2, 6), (3, 6), (2, 7)])
 def test_scalar_operator_from_a_width_far_too_small(monkeypatch, k, n):
     """Starting at 4 bits, the checks fail and B doubles until the unpacked
     dependence is certified; the operator is the same."""
-    monkeypatch.setattr(qh, "START_BITS", 4)
+    monkeypatch.setattr(qh, "_first_width", lambda bound: 4)
     assert scalar_operator(k, n) == oracle(k, n)
 
 
-def test_g27_leaves_the_64_bit_pass_early(monkeypatch):
-    """Started at 64 bits, G(2,7) settles at 128.  Its 64-bit elimination
-    gives up at the first pivot whose digits crowd their fields, before it
-    reaches the dependence, and the operator is the same."""
-    monkeypatch.setattr(qh, "START_BITS", 64)
-    passes = []
-    eliminate = qh._eliminate
-
-    def spy(M, ls, B):
-        try:
-            trace = eliminate(M, ls, B)
-        except PackingOverflow:
-            passes.append((B, "abort"))
-            raise
-        passes.append((B, "dependence"))
-        return trace
-
-    monkeypatch.setattr(qh, "_eliminate", spy)
-    assert scalar_operator(2, 7) == oracle(2, 7)
-    assert passes == [(64, "abort"), (128, "dependence")]
-
-
 def test_width_bound_exhausted_is_a_mismatch(monkeypatch):
-    monkeypatch.setattr(qh, "START_BITS", 4)
     monkeypatch.setattr(qh, "_width_bound", lambda ls: 8)
+    widths = _spy_widths(monkeypatch)
     with pytest.raises(PackingOverflow, match=r"G\(2,6\): .* at 8 bits"):
         scalar_operator(2, 6)
+    assert widths == [2, 4, 8]
     assert issubclass(PackingOverflow, Mismatch)
 
 

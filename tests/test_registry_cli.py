@@ -38,15 +38,16 @@ def test_registry_invariants(registry):
     assert registry["X1111111_G27"].expected_p == 14
 
 
-def test_registry_rejects_bad_chi(tmp_path):
-    import grasscy.registry as regmod
-
-    data = regmod._load_json(None)
-    data["cases"][0]["chi"] += 2
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
-    with pytest.raises(RegistryError):
-        registry_load(bad)
+def test_registry_holds_no_derived_chi_or_alpha(tmp_path, registry):
+    """chi and alpha are computed from the case, so the shipped registry
+    lists neither, and a stale copy of either in a registry is ignored."""
+    data = _load_json(None)
+    assert not any({"chi", "alpha"} & set(rec) for rec in data["cases"])
+    for rec in data["cases"]:
+        rec["chi"], rec["alpha"] = 1, -1
+    stale = tmp_path / "stale.json"
+    stale.write_text(json.dumps(data))
+    assert registry_load(stale) == registry
 
 
 def test_registry_rejects_bad_node_count(tmp_path):
@@ -75,11 +76,10 @@ def test_registry_rejects_fixture_denominator_vanishing_at_zero(tmp_path):
     ("pf_max_zdeg", -1, "pf_max_zdeg must be an int >= 0, got -1"),
     ("instantons", "abc", "instantons must be null or a list of ints, got 'abc'"),
     ("instantons", [1, 2.5], "instantons must be null or a list of ints, got [1, 2.5]"),
-    ("alpha", 5, "alpha != (k-1)(n-k-1)"),
     ("degrees", [0, 2, 3], "every degree must be >= 1"),
     ("k", 0, "need 1 <= k < n, got (0,4)"),
 ], ids=["zdeg-float", "zdeg-string", "zdeg-negative", "instantons-string", "instantons-float",
-        "alpha", "degree-zero", "k-zero"])
+        "degree-zero", "k-zero"])
 def test_cli_registry_rejects_bad_field(tmp_path, capsys, monkeypatch, field, value, message):
     """A registry field of the wrong type or sign is refused when the
     registry is loaded, before any series is built: exit 2, one JSON line
