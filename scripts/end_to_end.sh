@@ -11,7 +11,6 @@ set -eu
 
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
-unset PYTHONUNBUFFERED  # --help exits 141 into a closed pipe only when stdout is block-buffered
 PY=${PYTHON:-python}
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT

@@ -6,10 +6,11 @@ order accepted on the command line is capped at hypergeom.MAX_ORDER."""
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from itertools import islice
 
 from .dop import dop_to_json, pf_fit
@@ -320,14 +321,17 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
+    usage = io.StringIO()  # --help's, written below: argparse ignores its own failed write
     try:
-        args = build_parser().parse_args(argv)
+        with redirect_stdout(usage):
+            args = build_parser().parse_args(argv)
         report = args.func(args)
-    except SystemExit:  # --help, which has printed its usage
+    except SystemExit:  # --help, which has put its usage in `usage`
         report = None
     except GrasscyError as e:
         return _fail(e, EXIT_USAGE if isinstance(e, UsageError) else EXIT_MISMATCH)
     try:
+        sys.stdout.write(usage.getvalue())
         if report is not None:
             json.dump(report, sys.stdout, indent=2, sort_keys=True)
             sys.stdout.write("\n")

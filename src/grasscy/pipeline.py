@@ -9,8 +9,10 @@ No truncation is stored; each follows from the request:
 - the Frobenius pair, the mirror map and K_q run to count, the degree to
   which `extract_instantons` reads K_q; K_q keeps the truncation of its
   inputs;
-- K_z runs to max(12, count + 1), the order the report prints it to; 12
-  is the order of the K_z fixtures.
+- K_z runs to max(12, count + 1) within MAX_ORDER, the order the report
+  prints it to; 12 is the order of the K_z fixtures.  At the count
+  MAX_ORDER that is one short of count + 1, a term K_q, truncated at
+  count, does not read.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ def fit_operator(case: RegistryCase) -> DOp:
 def run_case(case: RegistryCase, count: int = INSTANTON_COUNT) -> RunReport:
     check_order(count, "count", lo=1)
     t0 = time.monotonic()
-    order = max(KZ_ORDER, count + 1)
+    order = max(KZ_ORDER, min(count + 1, MAX_ORDER))
     op = fit_operator(case)
     fp = frobenius(op, count)
     maps = mirror_map(fp)

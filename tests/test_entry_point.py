@@ -26,10 +26,12 @@ from support import int_digit_cap
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run(argv, stdout) -> subprocess.CompletedProcess:
+def _run(argv, stdout, unbuffered=False) -> subprocess.CompletedProcess:
     """Run the command in a fresh interpreter with its stdout block-buffered,
-    as it is by default."""
+    as it is by default, or unbuffered."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, "-m", "grasscy.cli", *argv], stdout=stdout,
                           stderr=subprocess.PIPE, timeout=120, env=env)
 
@@ -153,15 +155,16 @@ def test_full_disk_exits_1_with_one_json_line():
 
 
 def test_help_into_a_closed_pipe_exits_141_quietly():
-    """Like every other command: the usage waits in stdout's buffer, and
-    the flush in `main` meets the exited reader."""
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = _run(["--help"], write_end)
-    finally:
-        os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (cli.EXIT_PIPE, b"")
+    """Like every other command: `main` writes the usage, and its write or
+    flush meets the exited reader, with stdout buffered or not."""
+    for unbuffered in (False, True):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _run(["--help"], write_end, unbuffered)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_PIPE, b""), unbuffered
 
 
 def test_integers_past_the_digit_cap_are_printed_whole(tmp_path):

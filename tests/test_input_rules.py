@@ -123,6 +123,26 @@ def test_count_rule(capsys, monkeypatch, entry, count, message):
     assert refusal.endswith(message)
 
 
+@pytest.mark.parametrize("entry", [
+    pytest.param(lambda c: run_case(registry_load()["X1111111_G27"], c), id="run_case"),
+    pytest.param(["instanton", "--case", "X1111111_G27", "--count"], id="cli-instanton"),
+    pytest.param(["verify-all", "--count"], id="cli-verify-all"),
+])
+def test_count_at_the_cap_runs(capsys, monkeypatch, entry):
+    """The count MAX_ORDER reaches every stage, and no stage refuses the
+    order it derives from it.  The two stages that take seconds there are
+    stubs; the stubbed K_q gives zeros, not the published numbers."""
+    monkeypatch.setattr("grasscy.pipeline.mirror_map", lambda fp: None)
+    monkeypatch.setattr("grasscy.pipeline.yukawa_q",
+                        lambda kz3, fp, maps: PowerSeries("q", (Q(0),) * (MAX_ORDER + 1)))
+    if callable(entry):
+        assert entry(MAX_ORDER).instantons == [0] * MAX_ORDER
+    else:
+        assert main(entry + [str(MAX_ORDER)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "" and '"pass": false' in captured.out
+
+
 @pytest.mark.parametrize("entry,where", [
     (lambda: factorial_trick(PowerSeries("q", (1, 1)), (1, 0, 4)), "degrees (1, 0, 4)"),
     (lambda: RegistryCase("X", 2, 5, (1, 0, 4), (1, 1), 1, 76, (3, 72, -138), 6, (1,), (1,), 1),
