@@ -21,8 +21,8 @@ which goes first, so both see the same machine drift.  Recorded:
   FACET_CASES (median over STAGE_RUNS processes), and whether both trees
   list the same facets;
 - the wall time of `python -m grasscy.cli verify-all --count COUNT` (median
-  and quartiles over CLI_RUNS processes), and whether its report, apart
-  from `seconds`, is the same for both trees;
+  and quartiles over CLI_RUNS processes), and whether its report is the
+  same for both trees (`strip_seconds`);
 - the wall time of `python -c "import grasscy.cli"` (median and quartiles
   over CLI_RUNS processes), the start-up every command pays;
 - the in-process seconds of `import grasscy` plus `registry_load()` in a
@@ -186,6 +186,9 @@ def quartiles(xs: list[float]) -> dict:
 
 
 def strip_seconds(report: str) -> dict:
+    """The verify-all report without its per-case `seconds`.  Reports today
+    carry no timing, but a tree whose `RunReport` still timed its run
+    prints one, and such a tree can be the --before side."""
     data = json.loads(report)
     for case in data["cases"]:
         case.pop("seconds", None)

@@ -103,11 +103,19 @@ timeout 60 "$PY" -m grasscy.cli toric 3 7 --facets > "$tmp/toric37.json"
 "$PY" -c 'import json, sys; d = json.load(open(sys.argv[1]))
 sys.exit(len(d["facets"]) != 35 or any(f["c"] != "1" for f in d["facets"]) or d["reflexive"] is not True)' "$tmp/toric37.json"
 
-step "verify-all through the real entry point (its report, apart from seconds, must equal the benchmark's reference)"
+step "verify-all through the real entry point (its report, as printed, must equal the benchmark's reference)"
 "$PY" -m grasscy.cli verify-all > "$tmp/verify_all.json"
-"$PY" -c 'import json, sys; sys.path.insert(0, "perfbench"); from check import first_difference, load_reference, normalize
-diff = first_difference(normalize("verify_all", json.load(open(sys.argv[1]))), load_reference("verify_all"))
+"$PY" -c 'import json, sys; sys.path.insert(0, "perfbench"); from check import first_difference, load_reference
+diff = first_difference(json.load(open(sys.argv[1])), load_reference("verify_all"))
 sys.exit(diff and f"verify-all report differs from perfbench/reference/verify_all.json at {diff}")' "$tmp/verify_all.json"
+
+step "verify-all and instanton --case X1111111_G27 through the real entry point print the same bytes on a second run"
+for args in "verify-all" "instanton --case X1111111_G27"; do
+  "$PY" -m grasscy.cli $args > "$tmp/first.json"
+  "$PY" -m grasscy.cli $args > "$tmp/second.json"
+  test -s "$tmp/first.json"
+  cmp "$tmp/first.json" "$tmp/second.json"
+done
 
 step "Picard-Fuchs fit of the G(2,7) period at bounds (5,6) through the real entry point (its variable and terms must equal the registry operator's)"
 "$PY" -m grasscy.cli phi 2 7 --degrees 1,1,1,1,1,1,1 --order 52 > "$tmp/phi27.json"

@@ -19,7 +19,7 @@ from .hypergeom import a_series, a_series_terms, check_order, check_param_bound,
 from .laurent import laurent_from_json, laurent_to_json
 from .laxmirror import canonical_gauge_coeffs, lax_operator, mirror_system, period_ct
 from .mirror_analysis import yukawa_z
-from .pipeline import INSTANTON_COUNT, KZ_ORDER, check_case, fit_operator, rational_series, run_case
+from .pipeline import INSTANTON_COUNT, KZ_ORDER, check_case, fit_operator, run_case
 from .qh import NoDependence, scalar_operator, verify_conjecture
 from .registry import registry_load
 from .series import Q, qstr, series_from_json, series_to_json
@@ -146,7 +146,7 @@ def cmd_yukawa(args) -> dict:
     check_order(args.order)
     case = _case(args)
     kz3 = yukawa_z(fit_operator(case), case.n0, args.order)
-    fixture = rational_series(case.kz3_numerator, case.kz3_denominator, "z", args.order)
+    fixture = case.kz3_fixture(args.order)
     ok = kz3 == fixture
     return {
         "case": args.case,

@@ -242,4 +242,6 @@ def laurent_to_json(L: LaurentPoly) -> dict:
 
 def laurent_from_json(d: dict) -> LaurentPoly:
     require_keys(d, ("nvars", "terms"), "Laurent polynomial")
+    for t in d["terms"]:
+        require_keys(t, ("exp", "c"), "Laurent term")
     return LaurentPoly(d["nvars"], {tuple(t["exp"]): Q(t["c"]) for t in d["terms"]})

@@ -112,17 +112,11 @@ def frobenius(P: DOp, order_n: int) -> FrobeniusPair:
     return FrobeniusPair(phi0, psi)
 
 
-@record
-class MirrorMap:
-    q_of_z: PowerSeries  # in z, q = z exp(psi/phi0)
-    z_of_q: PowerSeries  # in q, compositional inverse
-
-
-def mirror_map(fp: FrobeniusPair) -> MirrorMap:
+def mirror_map(fp: FrobeniusPair) -> PowerSeries:
+    """z(q), a series in q: the compositional inverse of q = z exp(psi/phi0)."""
     u = series_exp(fp.psi / fp.phi0)  # q/z
     qz = PowerSeries("z", (ZERO,) + u.coeffs)  # z * u, known one order further
-    zq = series_revert(qz)
-    return MirrorMap(qz, PowerSeries("q", zq.coeffs))
+    return PowerSeries("q", series_revert(qz).coeffs)
 
 
 def yukawa_z(P: DOp, n0: int, order_n: int) -> PowerSeries:
@@ -147,20 +141,20 @@ def yukawa_z(P: DOp, n0: int, order_n: int) -> PowerSeries:
     return PowerSeries("z", tuple(K))
 
 
-def _flat_weight(fp: FrobeniusPair) -> tuple[PowerSeries, PowerSeries]:
-    """(theta t, phi0^2 (theta t)^3) in z, for t = log z + psi/phi0 the flat
-    coordinate and theta = z d/dz, so theta t = 1 + theta(psi/phi0).  The
-    coupling pushed to t is K_z / (phi0^2 (theta t)^3)."""
+def _flat_weight(fp: FrobeniusPair) -> PowerSeries:
+    """phi0^2 (theta t)^3 in z, for t = log z + psi/phi0 the flat coordinate
+    and theta = z d/dz, so theta t = 1 + theta(psi/phi0).  The coupling
+    pushed to t is K_z / (phi0^2 (theta t)^3)."""
     dt = 1 + (fp.psi / fp.phi0).theta()
-    return dt, fp.phi0 * fp.phi0 * dt * dt * dt
+    return fp.phi0 * fp.phi0 * dt * dt * dt
 
 
-def yukawa_q(kz3: PowerSeries, fp: FrobeniusPair, maps: MirrorMap) -> PowerSeries:
-    """Push the coupling to the flat coordinate in one composition: since
-    q z'(q)/z(q) = 1/(theta t)(z(q)),
+def yukawa_q(kz3: PowerSeries, fp: FrobeniusPair, z_of_q: PowerSeries) -> PowerSeries:
+    """Push the coupling to the flat coordinate in one composition with
+    z(q) (`mirror_map`): since q z'(q)/z(q) = 1/(theta t)(z(q)),
     K_q(q) = [K_z / phi0^2](z(q)) (q z'(q)/z(q))^3 = [K_z / (phi0^2 (theta t)^3)](z(q)).
     Its truncation is the least of its inputs'."""
-    return series_compose(kz3 / _flat_weight(fp)[1], maps.z_of_q)
+    return series_compose(kz3 / _flat_weight(fp), z_of_q)
 
 
 def extract_instantons(kq3: PowerSeries, count: int) -> list[int]:

@@ -7,17 +7,17 @@ No truncation is stored; each follows from the request:
   (`dop.fit_trunc`), with max_order 4 and the case's pf_max_zdeg, which
   `check_case` holds within MAX_ORDER;
 - the Frobenius pair, the mirror map and K_q run to count, the degree to
-  which `extract_instantons` reads K_q; K_q keeps the truncation of its
-  inputs;
+  which `extract_instantons` reads K_q; the mirror stage hands on z(q)
+  alone, the series in q that K_q is composed with, and K_q keeps the
+  truncation of its inputs;
 - K_z runs to max(12, count + 1) within MAX_ORDER, the order the report
-  prints it to; 12 is the order of the K_z fixtures.  At the count
-  MAX_ORDER that is one short of count + 1, a term K_q, truncated at
-  count, does not read.
+  prints it to and compares with the case's fixture
+  (`RegistryCase.kz3_fixture`); 12 is the order of the K_z fixtures.  At
+  the count MAX_ORDER that is one short of count + 1, a term K_q,
+  truncated at count, does not read.
 """
 
 from __future__ import annotations
-
-import time
 
 from .dop import DOp, dop_to_json, fit_trunc, pf_fit
 from .errors import shown
@@ -31,20 +31,11 @@ from .mirror_analysis import (
 )
 from .record import record
 from .registry import RegistryCase, RegistryError
-from .series import PowerSeries, Q, series_to_json
+from .series import PowerSeries, series_to_json
 
-ZERO = Q(0)
 PF_MAX_ORDER = 4
 KZ_ORDER = 12
 INSTANTON_COUNT = 5  # the published tables list n_1..n_5
-
-
-def rational_series(numerator, denominator, var: str, order: int) -> PowerSeries:
-    """Exact expansion of a rational function given by coefficient lists."""
-    pad = lambda c: tuple(c) + (ZERO,) * (order + 1 - len(c))
-    num = PowerSeries(var, pad(tuple(Q(x) for x in numerator))[: order + 1])
-    den = PowerSeries(var, pad(tuple(Q(x) for x in denominator))[: order + 1])
-    return num / den
 
 
 @record
@@ -54,7 +45,6 @@ class RunReport:
     kz3: PowerSeries
     kz3_fixture_match: bool
     instantons: list[int]
-    seconds: float = 0.0
 
     @property
     def name(self) -> str:
@@ -81,7 +71,6 @@ class RunReport:
             "expected_Y": list(case.expected_Y),
             "node_count": case.node_count,
             "expected_p": case.expected_p,
-            "seconds": round(self.seconds, 3),
         }
 
 
@@ -103,13 +92,11 @@ def fit_operator(case: RegistryCase) -> DOp:
 
 def run_case(case: RegistryCase, count: int = INSTANTON_COUNT) -> RunReport:
     check_order(count, "count", lo=1)
-    t0 = time.monotonic()
     order = max(KZ_ORDER, min(count + 1, MAX_ORDER))
     op = fit_operator(case)
     fp = frobenius(op, count)
-    maps = mirror_map(fp)
+    z_of_q = mirror_map(fp)
     kz3 = yukawa_z(op, case.n0, order)
-    fixture = rational_series(case.kz3_numerator, case.kz3_denominator, "z", order)
-    kq3 = yukawa_q(kz3, fp, maps)
+    kq3 = yukawa_q(kz3, fp, z_of_q)
     inst = extract_instantons(kq3, count)
-    return RunReport(case, op, kz3, kz3 == fixture, inst, time.monotonic() - t0)
+    return RunReport(case, op, kz3, kz3 == case.kz3_fixture(order), inst)

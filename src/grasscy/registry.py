@@ -8,7 +8,7 @@ from math import prod
 
 from .errors import UsageError
 from .record import record, set_field
-from .series import Q
+from .series import PowerSeries, Q, require_keys
 from .toric import check_degrees, check_kn, degree_grassmannian
 
 
@@ -78,6 +78,12 @@ class RegistryCase:
             return "the K_z fixture's denominator vanishes at z = 0"
         return None
 
+    def kz3_fixture(self, order: int) -> PowerSeries:
+        """The K_z fixture, kz3_numerator / kz3_denominator, expanded in z
+        to the given order."""
+        pad = lambda c: PowerSeries("z", (c + (Q(0),) * (order + 1))[: order + 1])
+        return pad(self.kz3_numerator) / pad(self.kz3_denominator)
+
     @property
     def alpha(self) -> int:
         return (self.k - 1) * (self.n - self.k - 1)
@@ -109,17 +115,22 @@ def _load_json(path: str | os.PathLike | None) -> dict:
         return json.load(fh)
 
 
+# an entry's keys in RegistryCase's field order, "notes" aside; "p" holds expected_p
+ENTRY_KEYS = ("name", "k", "n", "degrees", "strata_degrees", "h11", "h21", "expected_Y", "p",
+              "kz3_numerator", "kz3_denominator", "pf_max_zdeg", "instantons")
+
+
 def registry_load(path: str | os.PathLike | None = None) -> dict[str, RegistryCase]:
-    cases = _load_json(path)["cases"]
+    doc = _load_json(path)
+    require_keys(doc, ("cases",), "case registry")
+    cases = doc["cases"]
     if not isinstance(cases, list) or not cases:
         raise RegistryError(f"cases must be a non-empty list, got {cases!r:.40}")
     out: dict[str, RegistryCase] = {}
     for rec in cases:
+        require_keys(rec, ENTRY_KEYS, "registry case")
         if rec["name"] in out:
             raise RegistryError(f"{rec['name']}: two cases share this name")
-        # the entry's keys in field order; "p" holds expected_p
-        case = RegistryCase(*(rec[key] for key in (
-            "name", "k", "n", "degrees", "strata_degrees", "h11", "h21", "expected_Y", "p",
-            "kz3_numerator", "kz3_denominator", "pf_max_zdeg", "instantons")), rec.get("notes", ""))
+        case = RegistryCase(*(rec[key] for key in ENTRY_KEYS), rec.get("notes", ""))
         out[case.name] = case
     return out

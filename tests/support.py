@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from grasscy.dop import SCREEN_PRIME, AmbiguousAnnihilator, DOp, NoAnnihilator
 from grasscy.laurent import LaurentPoly
 from grasscy.linalg import echelon, nullspace, rank
-from grasscy.mirror_analysis import FrobeniusPair, MirrorMap, mirror_map
+from grasscy.mirror_analysis import FrobeniusPair, mirror_map
 from grasscy.qh import NoDependence
 from grasscy.record import record
 from grasscy.series import PowerSeries, SeriesDomainError, series_compose, series_exp
@@ -298,13 +298,13 @@ def frobenius_basis_oracle(P, order_n: int) -> list:
 # -- Yukawa coupling in the flat coordinate, by products in q ------------------
 
 
-def yukawa_q_oracle(kz3: PowerSeries, fp: FrobeniusPair, maps: MirrorMap) -> PowerSeries:
+def yukawa_q_oracle(kz3: PowerSeries, fp: FrobeniusPair, z_of_q: PowerSeries) -> PowerSeries:
     """K_q(q) = [K_z / phi0^2](z(q)) (q z'(q)/z(q))^3 with the last factor
     formed in q, as the quotient of two series divisible by q; known to one
     degree less than its inputs."""
-    n = min(kz3.trunc, fp.phi0.trunc, maps.z_of_q.trunc)
+    n = min(kz3.trunc, fp.phi0.trunc, z_of_q.trunc)
     base = kz3.truncate(n) / (fp.phi0.truncate(n) * fp.phi0.truncate(n))
-    zq = maps.z_of_q.truncate(n)
+    zq = z_of_q.truncate(n)
     in_q = series_compose(base, zq)
     num = PowerSeries("q", tuple(Q(m) * c for m, c in enumerate(zq.coeffs))[1:])
     den = PowerSeries("q", zq.coeffs[1:])
@@ -403,9 +403,9 @@ def normal_form_check_q_oracle(P, kq3: PowerSeries, order_n: int) -> bool:
     min(order_n, kq3.trunc - 1)."""
     basis = frobenius_basis_oracle(P, max(order_n, kq3.trunc))
     phi0 = basis[0].component(0)
-    maps = mirror_map(FrobeniusPair(phi0, basis[1].component(0)))
-    n = min(phi0.trunc, maps.z_of_q.trunc, kq3.trunc)
-    zq = maps.z_of_q.truncate(n)
+    z_of_q = mirror_map(FrobeniusPair(phi0, basis[1].component(0)))
+    n = min(phi0.trunc, z_of_q.trunc, kq3.trunc)
+    zq = z_of_q.truncate(n)
     log_corr = series_log(PowerSeries("q", zq.coeffs[1:]))  # log(z(q)/q)
     inv_k = kq3.truncate(n).reciprocal()
     inv_phi0_q = series_compose(phi0.truncate(n), zq).reciprocal()

@@ -15,9 +15,9 @@ PUBLIC = {
     "laurent": ["LaurentPoly", "laurent_from_json", "laurent_pow_ct", "laurent_to_json"],
     "laxmirror": ["canonical_gauge_coeffs", "lax_operator", "mirror_period", "mirror_system",
                   "period_ct"],
-    "mirror_analysis": ["FrobeniusPair", "MirrorMap", "extract_instantons", "frobenius",
-                        "mirror_map", "normal_form_check", "yukawa_q", "yukawa_z"],
-    "pipeline": ["RunReport", "rational_series", "run_case"],
+    "mirror_analysis": ["FrobeniusPair", "extract_instantons", "frobenius", "mirror_map",
+                        "normal_form_check", "yukawa_q", "yukawa_z"],
+    "pipeline": ["RunReport", "run_case"],
     "qh": ["build_qh_matrix", "scalar_operator", "verify_conjecture"],
     "registry": ["RegistryCase", "registry_load"],
     "series": ["PowerSeries", "Q", "TruncationError", "series_from_json", "series_to_json"],

@@ -86,6 +86,17 @@ def test_laurent_json_roundtrip():
     assert laurent_from_json(laurent_to_json(a)).terms == a.terms
 
 
+@pytest.mark.parametrize("terms,message", [
+    ([{"c": "1"}], "not a Laurent term: missing 'exp'"),
+    ([{"exp": [1], "c": "1"}, {"exp": [2]}], "not a Laurent term: missing 'c'"),
+    ([[1]], "not a Laurent term: missing 'exp', 'c'"),
+], ids=["no-exp", "no-c", "not-an-object"])
+def test_laurent_from_json_names_missing_keys(terms, message):
+    with pytest.raises(UsageError) as e:
+        laurent_from_json({"nvars": 1, "terms": terms})
+    assert str(e.value) == message
+
+
 def test_lax_support_is_polytope_vertex_set():
     for r, s in [(1, 3), (2, 4), (2, 5), (2, 7), (3, 6), (3, 7), (4, 8)]:
         g = lax_operator(r, s, q=1, track_q=False)

@@ -15,9 +15,15 @@ from grasscy.mirror_analysis import (
     yukawa_q,
     yukawa_z,
 )
-from grasscy.pipeline import fit_operator, rational_series
+from grasscy.pipeline import fit_operator
 from grasscy.registry import registry_load
-from grasscy.series import PowerSeries, SeriesDomainError, TruncationError, series_compose
+from grasscy.series import (
+    PowerSeries,
+    SeriesDomainError,
+    TruncationError,
+    series_compose,
+    series_exp,
+)
 
 from support import (
     apply_log,
@@ -106,18 +112,19 @@ def test_not_mum_rejected():
 
 
 def test_mirror_map_inverse_pair():
+    """z(q) composed into q(z) = z exp(psi/phi0), built here from the pair
+    itself, gives back z."""
     fp = frobenius(QUARTIC, 12)
-    maps = mirror_map(fp)
-    n = min(maps.q_of_z.trunc, maps.z_of_q.trunc)
-    back = series_compose(
-        maps.q_of_z.truncate(n), PowerSeries("z", maps.z_of_q.coeffs[: n + 1])
-    )
+    z_of_q = mirror_map(fp)
+    q_of_z = PowerSeries("z", (Q(0),) + series_exp(fp.psi / fp.phi0).coeffs)
+    n = min(q_of_z.trunc, z_of_q.trunc)
+    back = series_compose(q_of_z.truncate(n), PowerSeries("z", z_of_q.coeffs[: n + 1]))
     assert back == PowerSeries.gen("z", n)
 
 
 def test_yukawa_z_quartic():
     kz = yukawa_z(QUARTIC, 8, 10)
-    assert kz == rational_series([8], [1, -1024], "z", 10)
+    assert kz == PowerSeries("z", tuple(8 * Q(1024) ** m for m in range(11)))
 
 
 def assert_same_order_4_rejection(P, kz):
@@ -204,9 +211,8 @@ def test_instanton_roundtrip_property(table, n0):
 
 def test_quartic_pipeline_normal_form():
     fp = frobenius(QUARTIC, 16)
-    maps = mirror_map(fp)
     kz = yukawa_z(QUARTIC, 8, 13)
-    kq = yukawa_q(kz, fp, maps)
+    kq = yukawa_q(kz, fp, mirror_map(fp))
     assert normal_form_check(QUARTIC, kz, 10)
     assert normal_form_check_q_oracle(QUARTIC, kq, 10)
     bad = PowerSeries("z", kz.coeffs[:4] + (kz.coeffs[4] + 1,) + kz.coeffs[5:])
@@ -234,12 +240,12 @@ def test_normal_form_in_z_matches_q_oracle(name):
     rc = registry_load()[name]
     op = fit_operator(rc)
     fp = frobenius(op, 13)
-    maps = mirror_map(fp)
+    z_of_q = mirror_map(fp)
     kz = yukawa_z(op, rc.n0, 13)
     bad = kz + kz.shift(3) * Q(1, 7)
     for k, ok in ((kz, True), (bad, False)):
         assert normal_form_check(op, k, 12) is ok
-        assert normal_form_check_q_oracle(op, yukawa_q(k, fp, maps), 12) is ok
+        assert normal_form_check_q_oracle(op, yukawa_q(k, fp, z_of_q), 12) is ok
 
 
 def hypergeometric_cy(a, b, c):

@@ -11,11 +11,13 @@ import pytest
 import grasscy.cli as cli
 from grasscy.cli import main
 from grasscy.dop import AmbiguousAnnihilator, DOp
+from grasscy.errors import UsageError
 from grasscy.hypergeom import MAX_ORDER, a_series, factorial_trick
-from grasscy.mirror_analysis import NonIntegralInstanton, NotMUM
+from grasscy.mirror_analysis import NonIntegralInstanton, NotMUM, yukawa_z
+from grasscy.pipeline import fit_operator
 from grasscy.qh import NoDependence
-from grasscy.registry import RegistryError, _load_json, registry_load
-from grasscy.series import TruncationError, series_to_json
+from grasscy.registry import ENTRY_KEYS, RegistryError, _load_json, registry_load
+from grasscy.series import PowerSeries, TruncationError, series_to_json
 from grasscy.upoly import InexactDivision
 
 
@@ -68,6 +70,38 @@ def test_registry_rejects_fixture_denominator_vanishing_at_zero(tmp_path):
     bad.write_text(json.dumps(data))
     with pytest.raises(RegistryError, match="denominator vanishes at z = 0"):
         registry_load(bad)
+
+
+def test_kz3_fixture_of_the_quartic(registry):
+    """X4_G24's fixture 8 / (1 - 1024 z) expands to 8 * 1024^m."""
+    want = PowerSeries("z", tuple(8 * Q(1024) ** m for m in range(21)))
+    assert registry["X4_G24"].kz3_fixture(20) == want
+
+
+@pytest.mark.parametrize("name", sorted(registry_load()))
+def test_kz3_fixture_equals_the_fitted_yukawa_z(registry, name):
+    case = registry[name]
+    assert case.kz3_fixture(30) == yukawa_z(fit_operator(case), case.n0, 30)
+
+
+def _registry_without_k() -> dict:
+    data = _load_json(None)
+    del data["cases"][0]["k"]
+    return data
+
+
+@pytest.mark.parametrize("content,message", [
+    ([], "not a case registry: missing 'cases'"),
+    ({"case": []}, "not a case registry: missing 'cases'"),
+    ({"cases": [1]}, "not a registry case: missing " + ", ".join(map(repr, ENTRY_KEYS))),
+    (_registry_without_k(), "not a registry case: missing 'k'"),
+], ids=["list", "no-cases", "entry-not-an-object", "entry-without-k"])
+def test_registry_load_names_missing_keys(tmp_path, content, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    with pytest.raises(UsageError) as e:
+        registry_load(bad)
+    assert str(e.value) == message
 
 
 @pytest.mark.parametrize("field,value,message", [
@@ -384,12 +418,6 @@ def test_cli_period_bad_tracked_input_is_usage_error(tmp_path, capsys, terms, or
     assert message in _usage_error(capsys)
 
 
-def _registry_without_k() -> dict:
-    data = _load_json(None)
-    del data["cases"][0]["k"]
-    return data
-
-
 @pytest.mark.parametrize("argv,content,message", [
     (["lax", "2", "4", "--q", "1/0"], None, "bad --q '1/0': ZeroDivisionError"),
     (["mirror-system", "2", "5", "--degrees", "1,1,3", "--q", "1/0"], None,
@@ -397,15 +425,19 @@ def _registry_without_k() -> dict:
     (["lax", "2", "4", "--q", "abc"], None, "bad --q 'abc': ValueError"),
     (["mirror-system", "2", "5", "--degrees", "1,1,3", "--partition", "1;2;x"], None,
      "bad --partition '1;2;x': ValueError"),
-    (["verify-all", "--registry", "FILE"], [], "TypeError"),
-    (["verify-all", "--registry", "FILE"], _registry_without_k(), "KeyError: 'k'"),
-    (["period", "--poly", "FILE"], {"nvars": 1, "terms": [{"c": "1"}]}, "KeyError: 'exp'"),
+    (["verify-all", "--registry", "FILE"], [], "not a case registry: missing 'cases'"),
+    (["verify-all", "--registry", "FILE"], _registry_without_k(),
+     "not a registry case: missing 'k'"),
+    (["period", "--poly", "FILE"], {"nvars": 1, "terms": [{"c": "1"}]},
+     "not a Laurent term: missing 'exp'"),
     (["period", "--poly", "FILE"], None, "FileNotFoundError"),
     (["period", "--poly", "FILE"], "{not json", "JSONDecodeError"),
 ])
 def test_cli_unparsable_input_is_usage_error(tmp_path, capsys, argv, content, message):
     """A file or string that cannot be read or parsed exits 2 with one JSON
-    error line, whatever the parser raised; no traceback."""
+    error line, whatever the parser raised; no traceback.  A JSON file
+    without a key its reader needs is refused by the reader, which names
+    the key."""
     f = tmp_path / "input.json"
     if isinstance(content, str):
         f.write_text(content)
@@ -413,7 +445,10 @@ def test_cli_unparsable_input_is_usage_error(tmp_path, capsys, argv, content, me
         f.write_text(json.dumps(content))
     assert main([str(f) if a == "FILE" else a for a in argv]) == 2
     error = _usage_error(capsys)
-    assert error.startswith("UsageError: bad ") and message in error
+    if message.startswith("not a "):
+        assert error == f"UsageError: {message}"
+    else:
+        assert error.startswith("UsageError: bad ") and message in error
 
 
 @pytest.mark.parametrize("producer,consumer,message", [
@@ -519,6 +554,15 @@ def test_cli_instanton_count_beyond_kz_order(capsys):
     assert out["instantons"][:5] == [540, 12555, 621315, 44892765, 3995437590]
 
 
+def test_run_report_holds_no_timing(reports):
+    """The report is a function of the registry case: every key is one of
+    its deterministic facts."""
+    for report in reports.values():
+        assert sorted(report.to_json()) == [
+            "case", "expected_Y", "expected_instantons", "expected_p", "hodge_Y", "instantons",
+            "kz3", "kz3_fixture_match", "node_count", "operator", "pass"]
+
+
 def test_cli_yukawa_fixture(capsys):
     code, out = run_cli(["yukawa", "--case", "X113_G25"], capsys)
     assert code == 0
@@ -527,7 +571,7 @@ def test_cli_yukawa_fixture(capsys):
 
 
 def test_cli_verify_all_deterministic():
-    """Two runs produce byte-identical reports modulo timing fields."""
+    """Two runs print byte-identical reports."""
 
     def run():
         proc = subprocess.run(
@@ -536,13 +580,11 @@ def test_cli_verify_all_deterministic():
             text=True,
         )
         assert proc.returncode == 0
-        report = json.loads(proc.stdout)
-        for c in report["cases"]:
-            c.pop("seconds")
-        return report
+        return proc.stdout
 
-    r1, r2 = run(), run()
-    assert r1 == r2
+    out1, out2 = run(), run()
+    assert out1 == out2
+    r1 = json.loads(out1)
     assert r1["pass"] is True
     assert [c["case"] for c in r1["cases"]] == sorted(c["case"] for c in r1["cases"])
 
