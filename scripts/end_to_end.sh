@@ -19,7 +19,7 @@ step() { printf '== %s\n' "$1"; }
 step "bad input through the real entry point exits 2 with one JSON object on stderr"
 echo '{"cases": []}' > "$tmp/empty.json"
 "$PY" -c 'import json, sys
-for field, value in (("k", 0), ("pf_max_zdeg", 40)):
+for field, value in (("k", 0), ("pf_max_zdeg", 40), ("h11", [1]), ("n", 4.0), ("name", 7)):
     data = json.load(open("src/grasscy/data/cases.json"))
     data["cases"][0][field] = value
     json.dump(data, open(f"{sys.argv[1]}/{field}.json", "w"))' "$tmp"
@@ -34,7 +34,7 @@ json.dump(laurent_to_json(LaurentPoly(5, {e + (1,): c for e, c in G.terms.items(
 # x + q x^-999: mu = 1000, so order 200 reaches the power 200000, whose factorial is past the cap
 "$PY" -c 'import json, sys
 json.dump({"nvars": 2, "terms": [{"exp": [1, 0], "c": "1"}, {"exp": [-999, 1], "c": "1"}]}, open(sys.argv[1], "w"))' "$tmp/mu1000.json"
-for args in "qh-operator 0 3" "toric 5 12" "toric 4 8 --facets" "toric 2 400" "lax 100 200" "mirror-system 40 80 --degrees 80" "verify-all --bogus" "phi 2 5 --degrees -1,3,3" "pf-fit --series x --max-order 4 --max-degree 1" "verify-all --registry $tmp/empty.json" "verify-all --registry $tmp/k.json" "verify-all --registry $tmp/pf_max_zdeg.json" "aseries 3 6 --order 200 --keep-params" "aseries 1000 2000 --order 1" "phi 1000 2000 --degrees 1 --order 1" "period --poly $tmp/g24.json" "period --poly $tmp/mu1000.json --order 200"; do
+for args in "qh-operator 0 3" "toric 5 12" "toric 4 8 --facets" "toric 2 400" "lax 100 200" "mirror-system 40 80 --degrees 80" "verify-all --bogus" "phi 2 5 --degrees -1,3,3" "pf-fit --series x --max-order 4 --max-degree 1" "verify-all --registry $tmp/empty.json" "verify-all --registry $tmp/k.json" "verify-all --registry $tmp/pf_max_zdeg.json" "verify-all --registry $tmp/h11.json" "verify-all --registry $tmp/n.json" "verify-all --registry $tmp/name.json" "aseries 3 6 --order 200 --keep-params" "aseries 1000 2000 --order 1" "phi 1000 2000 --degrees 1 --order 1" "period --poly $tmp/g24.json" "period --poly $tmp/mu1000.json --order 200"; do
   code=0
   timeout 60 "$PY" -m grasscy.cli $args > "$tmp/out" 2> "$tmp/err" || code=$?
   test "$code" -eq 2

@@ -8,7 +8,7 @@ from .errors import UsageError, shown
 from .hypergeom import MAX_TERMS
 from .linalg import echelon
 from .record import record
-from .series import Q, over_common_den, qstr, require_keys
+from .series import Q, int_list, over_common_den, qstr, rational, require_keys
 
 ZERO = Q(0)
 
@@ -65,9 +65,6 @@ class LaurentPoly:
         return LaurentPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     __rmul__ = __mul__
-
-    def constant_term(self) -> Q:
-        return self.terms.get((0,) * self.nvars, ZERO)
 
 
 def ct_of_product(factors, powers) -> dict:
@@ -242,6 +239,13 @@ def laurent_to_json(L: LaurentPoly) -> dict:
 
 def laurent_from_json(d: dict) -> LaurentPoly:
     require_keys(d, ("nvars", "terms"), "Laurent polynomial")
-    for t in d["terms"]:
+    nvars, terms = d["nvars"], d["terms"]
+    if type(nvars) is not int or nvars < 0:
+        raise UsageError(f"nvars must be an int >= 0, got {nvars!r:.40}")
+    if not isinstance(terms, list):
+        raise UsageError(f"terms must be a list, got {terms!r:.40}")
+    out = {}
+    for t in terms:
         require_keys(t, ("exp", "c"), "Laurent term")
-    return LaurentPoly(d["nvars"], {tuple(t["exp"]): Q(t["c"]) for t in d["terms"]})
+        out[int_list(t["exp"], "exp")] = rational(t["c"], "c")
+    return LaurentPoly(nvars, out)

@@ -54,33 +54,31 @@ def _check_order_4_mum(P: DOp):
 
 
 def _frobenius_jets(P: DOp, order_n: int) -> list[list[Q]]:
-    """A_0..A_order_n of the deformed recurrence as jets modulo eps^2: P's
-    solutions are the eps^j coefficients of z^eps * sum A_m(eps) z^m, j < L
-    = order, and reduction modulo eps^2 is a ring map, so both entries of
-    every jet are exact once L >= 2.
+    """A_0..A_order_n of the deformed recurrence as jets modulo eps^2, for P
+    MUM of any order L >= 1: P's solutions are the eps^j coefficients of
+    z^eps * sum A_m(eps) z^m, j < L, and reduction modulo eps^2 is a ring
+    map, so both entries of every jet are exact.
 
     The recurrence runs in integers: with P's denominators cleared its z^0
-    part is c D^L, whose inverse at D = m + eps is (1/c) m^(-L) (1 - L eps/m)
-    modulo eps^2, and A_m = N_m / S_m with integer jets N_m and
-    S_m = c^m (m!)^(2L-1), so that S_(m-i) divides S_m.  Each p_i enters
-    through its value and derivative at m - i, from one Horner pass.
+    part is c D^L, and A_m = N_m / S_m with integer jets N_m and
+    S_m = c^m (m!)^(L+1), so that S_(m-i) divides S_m.  Modulo eps^2,
+    m^(L+1) (m+eps)^(-L) = m - L eps, so N_m is an integer combination of
+    the right-hand side.  Each p_i enters through its value and derivative
+    at m - i, from one Horner pass.
     """
-    _check_mum(P)
     L = P.order
-    if L < 2:
-        raise NotMUM("operator order must be >= 2")
     zd = P.zdeg
     P = P.canonical()  # integer coefficients; a scalar multiple has the same solutions
     pi = [[c.numerator for c in P.coeff_poly(i)] for i in range(zd + 1)]
     c0 = pi[0][L]
-    e = 2 * L - 1
+    e = L + 1
     N = [[1, 0]]  # A_0 = 1
     S = [1]
     for m in range(1, order_n + 1):
         # rhs = S_(m-1) sum_{i>=1} p_i(m-i+eps) A_(m-i), then
-        # A_m = -rhs m^(2L-1) (m+eps)^(-L) / (c m^(2L-1) S_(m-1))
+        # N_m = S_m A_m = -rhs m^(L+1) (m+eps)^(-L) = -rhs (m - L eps)
         rhs = [0, 0]
-        ratio = 1  # S_(m-1) / S_(m-i) = c^(i-1) ((m-1)!/(m-i)!)^(2L-1)
+        ratio = 1  # S_(m-1) / S_(m-i) = c^(i-1) ((m-1)!/(m-i)!)^(L+1)
         for i in range(1, min(m, zd) + 1):
             if i > 1:
                 ratio *= c0 * (m - i + 1) ** e
@@ -90,8 +88,7 @@ def _frobenius_jets(P: DOp, order_n: int) -> list[list[Q]]:
             a = N[m - i]
             rhs[0] += ratio * p * a[0]
             rhs[1] += ratio * (p * a[1] + dp * a[0])
-        inv = [m ** (L - 1), -L * m ** (L - 2)]
-        N.append([-rhs[0] * inv[0], -(rhs[0] * inv[1] + rhs[1] * inv[0])])
+        N.append([-m * rhs[0], L * rhs[0] - m * rhs[1]])
         S.append(S[-1] * c0 * m**e)
     return [[Q(x, s) for x in jet] for jet, s in zip(N, S)]
 
@@ -106,6 +103,9 @@ def frobenius(P: DOp, order_n: int) -> FrobeniusPair:
     """phi0 and psi from the jets modulo eps^2: the log coefficient of
     Phi_1 is phi0 by construction."""
     check_order(order_n)
+    _check_mum(P)
+    if P.order < 2:
+        raise NotMUM("operator order must be >= 2")
     jets = _frobenius_jets(P, order_n)
     phi0 = PowerSeries("z", tuple(jet[0] for jet in jets))
     psi = PowerSeries("z", tuple(jet[1] for jet in jets))
@@ -119,26 +119,26 @@ def mirror_map(fp: FrobeniusPair) -> PowerSeries:
     return PowerSeries("q", series_revert(qz).coeffs)
 
 
+def _yukawa_operator(P: DOp) -> DOp:
+    """2 p4 D + p3, for P = sum_j p_j(z) D^j of order 4 and MUM.  MUM makes
+    p3(0) = 0 and p4(0) != 0, so the operator is MUM of order 1."""
+    _check_order_4_mum(P)
+    return DOp({(i, j - 3): (j - 2) * c for (i, j), c in P.terms.items() if j >= 3})
+
+
 def yukawa_z(P: DOp, n0: int, order_n: int) -> PowerSeries:
     """Series expansion of the z-coordinate Yukawa coupling, normalized so
     that its value at z = 0 is n0.
 
-    With P = sum_j p_j(z) D^j of order 4 and MUM, the coupling solves the
-    first-order equation 2 p4 D K + p3 K = 0, i.e. K'/K = -(1/2) p3 / (z p4).
-    (In d/dz form b4 = z^4 p4 and b3 = z^3 (p3 + 6 p4), so this is
-    -(1/2)(b3/b4 - 6/z).)  MUM makes p3(0) = 0 and p4(0) != 0, so with
-    p_(j,i) the coefficient of z^i in p_j,
-    K_m = -sum_{i>=1} (2 p_(4,i) (m-i) + p_(3,i)) K_(m-i) / (2 p_(4,0) m).
+    With P of order 4 and MUM, the coupling solves the first-order equation
+    2 p4 D K + p3 K = 0, i.e. K'/K = -(1/2) p3 / (z p4).  (In d/dz form
+    b4 = z^4 p4 and b3 = z^3 (p3 + 6 p4), so this is
+    -(1/2)(b3/b4 - 6/z).)  K is n0 times the holomorphic solution of that
+    operator (`_yukawa_operator`), from the Frobenius recurrence.
     """
     check_order(order_n)
-    _check_order_4_mum(P)
-    p3 = [P.terms.get((i, 3), ZERO) for i in range(P.zdeg + 1)]
-    p4 = [P.terms.get((i, 4), ZERO) for i in range(P.zdeg + 1)]
-    K = [Q(n0)]
-    for m in range(1, order_n + 1):
-        acc = sum((2 * p4[i] * (m - i) + p3[i]) * K[m - i] for i in range(1, min(m, P.zdeg) + 1))
-        K.append(-acc / (2 * p4[0] * m))
-    return PowerSeries("z", tuple(K))
+    jets = _frobenius_jets(_yukawa_operator(P), order_n)
+    return PowerSeries("z", tuple(n0 * jet[0] for jet in jets))
 
 
 def _flat_weight(fp: FrobeniusPair) -> PowerSeries:
@@ -220,10 +220,8 @@ def normal_form_check(P: DOp, kz3: PowerSeries, order_n: int) -> bool:
     2 p4 D K + p3 K = 0 (`yukawa_z`), so kz3 passes when that equation's
     residual vanishes in degrees 0..order_n.
     """
-    _check_order_4_mum(P)
+    first_order = _yukawa_operator(P)
     kz3 = kz3.truncate(order_n)  # TruncationError if K_z is known to less
     if kz3[0] == 0:
         raise SeriesDomainError("the normal form needs K_z(0) != 0")
-    first_order = DOp({(i, j - 3): (j - 2) * c  # 2 p4 D + p3
-                       for (i, j), c in P.terms.items() if j >= 3})
     return not _cy_residual(P) and first_order.apply(kz3).is_zero()

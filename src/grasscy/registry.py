@@ -8,7 +8,7 @@ from math import prod
 
 from .errors import UsageError
 from .record import record, set_field
-from .series import PowerSeries, Q, require_keys
+from .series import PowerSeries, Q, int_list, rationals, require_keys
 from .toric import check_degrees, check_kn, degree_grassmannian
 
 
@@ -38,14 +38,35 @@ class RegistryCase:
     notes: str = ""
 
     def __post_init__(self):
-        for field in ("degrees", "strata_degrees", "expected_Y"):
-            set_field(self, field, tuple(getattr(self, field)))
-        for field in ("kz3_numerator", "kz3_denominator"):
-            set_field(self, field, tuple(Q(c) for c in getattr(self, field)))
+        try:
+            self._hold_typed()
+        except UsageError as e:
+            raise RegistryError(f"{self.name}: {e}") from None
         fault = self._fault()
         if fault is not None:
             raise RegistryError(f"{self.name}: {fault}")
-        set_field(self, "instantons", tuple(self.instantons) if self.instantons else None)
+
+    def _hold_typed(self) -> None:
+        """Refuse the first field of the wrong JSON type, naming it, and
+        hold each list as a tuple.  These rules come first, as every rule
+        after them does arithmetic on the fields."""
+        if type(self.name) is not str:
+            raise UsageError(f"name must be a str, got {self.name!r:.40}")
+        for field, value in (("k", self.k), ("n", self.n), ("h11", self.h11),
+                             ("h21", self.h21), ("p", self.expected_p)):
+            if type(value) is not int:
+                raise UsageError(f"{field} must be an int, got {value!r:.40}")
+        zdeg, inst = self.pf_max_zdeg, self.instantons
+        if type(zdeg) is not int or zdeg < 0:
+            raise UsageError(f"pf_max_zdeg must be an int >= 0, got {zdeg!r}")
+        if inst is not None and not (isinstance(inst, (list, tuple))
+                                     and all(type(x) is int for x in inst)):
+            raise UsageError(f"instantons must be null or a list of ints, got {inst!r}")
+        for field in ("degrees", "strata_degrees", "expected_Y"):
+            set_field(self, field, int_list(getattr(self, field), field))
+        for field in ("kz3_numerator", "kz3_denominator"):
+            set_field(self, field, rationals(getattr(self, field), field))
+        set_field(self, "instantons", tuple(inst) if inst else None)
 
     def _fault(self) -> str | None:
         """The first rule the case breaks, or None.  The shape rule comes
@@ -68,12 +89,6 @@ class RegistryCase:
         ey = self.expected_Y
         if ey[2] != 2 * (ey[0] - ey[1]):
             return "chi(Y) != 2(h11(Y) - h21(Y))"
-        zdeg, inst = self.pf_max_zdeg, self.instantons
-        if type(zdeg) is not int or zdeg < 0:
-            return f"pf_max_zdeg must be an int >= 0, got {zdeg!r}"
-        if inst is not None and not (isinstance(inst, (list, tuple))
-                                     and all(type(x) is int for x in inst)):
-            return f"instantons must be null or a list of ints, got {inst!r}"
         if not self.kz3_denominator or self.kz3_denominator[0] == 0:
             return "the K_z fixture's denominator vanishes at z = 0"
         return None
@@ -129,8 +144,8 @@ def registry_load(path: str | os.PathLike | None = None) -> dict[str, RegistryCa
     out: dict[str, RegistryCase] = {}
     for rec in cases:
         require_keys(rec, ENTRY_KEYS, "registry case")
-        if rec["name"] in out:
-            raise RegistryError(f"{rec['name']}: two cases share this name")
         case = RegistryCase(*(rec[key] for key in ENTRY_KEYS), rec.get("notes", ""))
+        if case.name in out:
+            raise RegistryError(f"{case.name}: two cases share this name")
         out[case.name] = case
     return out

@@ -86,12 +86,6 @@ class PowerSeries:
     def one(cls, var: str, trunc: int) -> "PowerSeries":
         return cls(var, (ONE,) + (ZERO,) * trunc)
 
-    @classmethod
-    def gen(cls, var: str, trunc: int) -> "PowerSeries":
-        if trunc < 1:
-            raise ValueError("trunc must be >= 1 for the generator")
-        return cls(var, (ZERO, ONE) + (ZERO,) * (trunc - 1))
-
     def __getitem__(self, m: int) -> Q:
         if m < 0:
             raise IndexError("negative degree")
@@ -259,9 +253,31 @@ def require_keys(d, keys, what: str) -> None:
         raise UsageError(f"not a {what}: missing {', '.join(map(repr, missing))}")
 
 
+def int_list(values, what: str) -> tuple[int, ...]:
+    """A JSON list of ints as a tuple; a bool is not an int."""
+    if not isinstance(values, (list, tuple)) or any(type(x) is not int for x in values):
+        raise UsageError(f"{what} must be a list of ints, got {values!r:.40}")
+    return tuple(values)
+
+
+def rational(value, what: str) -> Q:
+    """A JSON rational, an int or a string such as "-3/4"."""
+    try:
+        return Q(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise UsageError(f"{what} must be a rational, got {value!r:.40}") from None
+
+
+def rationals(values, what: str) -> tuple[Q, ...]:
+    """A JSON list of rationals as a tuple."""
+    if not isinstance(values, (list, tuple)):
+        raise UsageError(f"{what} must be a list of rationals, got {values!r:.40}")
+    return tuple(rational(c, f"every entry of {what}") for c in values)
+
+
 def series_from_json(d: dict) -> PowerSeries:
     require_keys(d, ("var", "trunc", "coeffs"), "power series")
-    f = PowerSeries(d["var"], tuple(Q(c) for c in d["coeffs"]))
+    f = PowerSeries(d["var"], rationals(d["coeffs"], "coeffs"))
     if f.trunc != d["trunc"]:
         raise UsageError("trunc field disagrees with coefficient count")
     return f

@@ -426,7 +426,7 @@ def laurent_pow_ct_bruteforce(L: LaurentPoly, m: int) -> Q:
     p = LaurentPoly.constant(L.nvars, 1)
     for _ in range(m):
         p = p * L
-    return p.constant_term()
+    return p.terms.get((0,) * p.nvars, Q(0))
 
 
 def ct_by_param_degree_bruteforce(L: LaurentPoly, powers, nparams: int = 0,

@@ -13,11 +13,12 @@ from grasscy.cli import main
 from grasscy.dop import AmbiguousAnnihilator, DOp
 from grasscy.errors import UsageError
 from grasscy.hypergeom import MAX_ORDER, a_series, factorial_trick
+from grasscy.laurent import laurent_from_json
 from grasscy.mirror_analysis import NonIntegralInstanton, NotMUM, yukawa_z
 from grasscy.pipeline import fit_operator
 from grasscy.qh import NoDependence
 from grasscy.registry import ENTRY_KEYS, RegistryError, _load_json, registry_load
-from grasscy.series import PowerSeries, TruncationError, series_to_json
+from grasscy.series import PowerSeries, TruncationError, series_from_json, series_to_json
 from grasscy.upoly import InexactDivision
 
 
@@ -112,8 +113,23 @@ def test_registry_load_names_missing_keys(tmp_path, content, message):
     ("instantons", [1, 2.5], "instantons must be null or a list of ints, got [1, 2.5]"),
     ("degrees", [0, 2, 3], "every degree must be >= 1"),
     ("k", 0, "need 1 <= k < n, got (0,4)"),
+    ("h11", [1], "h11 must be an int, got [1]"),
+    ("h21", "86", "h21 must be an int, got '86'"),
+    ("n", 4.0, "n must be an int, got 4.0"),
+    ("k", True, "k must be an int, got True"),
+    ("p", None, "p must be an int, got None"),
+    ("name", 7, "name must be a str, got 7"),
+    ("degrees", [4.0], "degrees must be a list of ints, got [4.0]"),
+    ("degrees", 4, "degrees must be a list of ints, got 4"),
+    ("strata_degrees", "1", "strata_degrees must be a list of ints, got '1'"),
+    ("expected_Y", [1, 2, 3.0], "expected_Y must be a list of ints, got [1, 2, 3.0]"),
+    ("kz3_numerator", ["1/0"], "every entry of kz3_numerator must be a rational, got '1/0'"),
+    ("kz3_denominator", ["x"], "every entry of kz3_denominator must be a rational, got 'x'"),
+    ("kz3_denominator", 1, "kz3_denominator must be a list of rationals, got 1"),
 ], ids=["zdeg-float", "zdeg-string", "zdeg-negative", "instantons-string", "instantons-float",
-        "degree-zero", "k-zero"])
+        "degree-zero", "k-zero", "h11-list", "h21-string", "n-float", "k-bool", "p-null",
+        "name-int", "degrees-float", "degrees-int", "strata-string", "expected-Y-float",
+        "kz3-zero-denominator", "kz3-not-rational", "kz3-not-a-list"])
 def test_cli_registry_rejects_bad_field(tmp_path, capsys, monkeypatch, field, value, message):
     """A registry field of the wrong type or sign is refused when the
     registry is loaded, before any series is built: exit 2, one JSON line
@@ -126,6 +142,26 @@ def test_cli_registry_rejects_bad_field(tmp_path, capsys, monkeypatch, field, va
     assert main(["verify-all", "--registry", str(bad)]) == 2
     error = _usage_error(capsys)
     assert error == f"RegistryError: {data['cases'][0]['name']}: {message}"
+
+
+@pytest.mark.parametrize("reader,content,message", [
+    (laurent_from_json, {"nvars": 1, "terms": 5}, "terms must be a list, got 5"),
+    (laurent_from_json, {"nvars": "1", "terms": []}, "nvars must be an int >= 0, got '1'"),
+    (laurent_from_json, {"nvars": 1, "terms": [{"exp": 1, "c": "1"}]},
+     "exp must be a list of ints, got 1"),
+    (laurent_from_json, {"nvars": 1, "terms": [{"exp": [1], "c": "1/0"}]},
+     "c must be a rational, got '1/0'"),
+    (series_from_json, {"var": "z", "trunc": 0, "coeffs": 5},
+     "coeffs must be a list of rationals, got 5"),
+    (series_from_json, {"var": "z", "trunc": 1, "coeffs": ["1", "x"]},
+     "every entry of coeffs must be a rational, got 'x'"),
+], ids=["terms-int", "nvars-string", "exp-int", "c-zero-denominator", "coeffs-int",
+        "coeffs-not-rational"])
+def test_readers_refuse_wrong_types(reader, content, message):
+    """A JSON value of the wrong type is bad input, named by the reader."""
+    with pytest.raises(UsageError) as e:
+        reader(content)
+    assert type(e.value) is UsageError and str(e.value) == message
 
 
 def _counting(calls: list, fn):
