@@ -124,8 +124,8 @@ step "Picard-Fuchs fit of the G(2,7) period at bounds (5,6) through the real ent
 "$PY" -c 'import json, sys; fit, inst = (json.load(open(f)) for f in sys.argv[1:])
 sys.exit((fit["var"], fit["terms"]) != (inst["operator"]["var"], inst["operator"]["terms"]) and "pf-fit at (5,6) differs from the registry operator")' "$tmp/fit27.json" "$tmp/inst27.json"
 
-step "verify-all to d = 100 (exits 1 on any non-integral instanton number)"
-"$PY" -m grasscy.cli verify-all --count 100 > /dev/null
+step "verify-all to d = 200, the count cap (exits 1 on any non-integral instanton number)"
+timeout 300 "$PY" -m grasscy.cli verify-all --count 200 > /dev/null
 
 step "Lax period of G(2,4) to order 8 through the real entry point (coefficient d must be (4d)! a_d)"
 "$PY" -m grasscy.cli lax 2 4 > "$tmp/lax.json"

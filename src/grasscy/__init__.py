@@ -12,7 +12,7 @@ The public names below are imported from their modules on first use
 from importlib import import_module
 
 _EXPORTS = {
-    "dop": ("DOp", "dop_from_json", "dop_to_json", "pf_fit"),
+    "dop": ("DOp", "dop_to_json", "pf_fit"),
     "hypergeom": ("a_series", "a_series_qspecialized", "a_series_terms", "factorial_trick"),
     "laurent": ("LaurentPoly", "laurent_from_json", "laurent_pow_ct", "laurent_to_json"),
     "laxmirror": ("canonical_gauge_coeffs", "lax_operator", "mirror_period", "mirror_system",

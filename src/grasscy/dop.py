@@ -323,7 +323,3 @@ def dop_to_json(P: DOp, varname: str = "z") -> dict:
         "var": varname,
         "terms": [{"qdeg": i, "ddeg": j, "coeff": qstr(c)} for (i, j), c in items],
     }
-
-
-def dop_from_json(d: dict) -> DOp:
-    return DOp({(t["qdeg"], t["ddeg"]): Q(t["coeff"]) for t in d["terms"]})

@@ -247,5 +247,8 @@ def laurent_from_json(d: dict) -> LaurentPoly:
     out = {}
     for t in terms:
         require_keys(t, ("exp", "c"), "Laurent term")
-        out[int_list(t["exp"], "exp")] = rational(t["c"], "c")
+        exp = int_list(t["exp"], "exp")
+        if len(exp) != nvars:
+            raise UsageError(f"exp must hold nvars = {nvars} ints, got {list(exp)!r:.40}")
+        out[exp] = rational(t["c"], "c")
     return LaurentPoly(nvars, out)

@@ -10,11 +10,9 @@ No truncation is stored; each follows from the request:
   which `extract_instantons` reads K_q; the mirror stage hands on z(q)
   alone, the series in q that K_q is composed with, and K_q keeps the
   truncation of its inputs;
-- K_z runs to max(12, count + 1) within MAX_ORDER, the order the report
-  prints it to and compares with the case's fixture
-  (`RegistryCase.kz3_fixture`); 12 is the order of the K_z fixtures.  At
-  the count MAX_ORDER that is one short of count + 1, a term K_q,
-  truncated at count, does not read.
+- K_z runs to max(12, count), the order the report prints it to and
+  compares with the case's fixture (`RegistryCase.kz3_fixture`); 12 is
+  the order of the K_z fixtures, and K_q reads K_z to count.
 """
 
 from __future__ import annotations
@@ -92,7 +90,7 @@ def fit_operator(case: RegistryCase) -> DOp:
 
 def run_case(case: RegistryCase, count: int = INSTANTON_COUNT) -> RunReport:
     check_order(count, "count", lo=1)
-    order = max(KZ_ORDER, min(count + 1, MAX_ORDER))
+    order = max(KZ_ORDER, count)
     op = fit_operator(case)
     fp = frobenius(op, count)
     z_of_q = mirror_map(fp)

@@ -64,6 +64,9 @@ class RegistryCase:
             raise UsageError(f"instantons must be null or a list of ints, got {inst!r}")
         for field in ("degrees", "strata_degrees", "expected_Y"):
             set_field(self, field, int_list(getattr(self, field), field))
+        if len(self.expected_Y) != 3:
+            raise UsageError(f"expected_Y must hold h11, h21 and chi, "
+                             f"got {list(self.expected_Y)!r:.40}")
         for field in ("kz3_numerator", "kz3_denominator"):
             set_field(self, field, rationals(getattr(self, field), field))
         set_field(self, "instantons", tuple(inst) if inst else None)

@@ -5,9 +5,10 @@ for degrees 0..trunc and nothing beyond.  Arithmetic returns the minimum
 truncation of its operands; asking for a coefficient past the truncation
 raises instead of silently returning zero.
 
-The kernels (`*`, reciprocal and `/`, `series_exp`, `series_compose`,
-`series_revert`) clear their inputs to integers over one common
-denominator and build one Fraction per output coefficient.
+The kernels (`*`, reciprocal and `/`, `series_compose`, `series_revert`)
+clear their inputs to integers over one common denominator and build one
+Fraction per output coefficient; `series_exp` keeps its coefficients
+reduced and sums each degree over the lcm of the denominators before it.
 """
 
 from __future__ import annotations
@@ -178,25 +179,16 @@ def series_exp(a: PowerSeries) -> PowerSeries:
     """Formal exponential; requires a(0) = 0."""
     if a.coeffs[0] != 0:
         raise SeriesDomainError("exp needs constant term 0")
-    # m E_m = sum_{j=1..m} j a_j E_(m-j); with a = A / D and
-    # E_m = X_m / (m! D^m) this is
-    # X_m = sum_j j A_j D^(j-1) (m-1)!/(m-j)! X_(m-j), all in integers
+    # m E_m = sum_{j=1..m} j a_j E_(m-j) with a = A / D: over den, the lcm
+    # of the denominators of E_0..E_(m-1), the sum runs in integers
     A, D = over_common_den(a.coeffs)
-    weights = _weights(A, D)
-    X = [1]
-    out = [ONE]
-    scale = 1
+    E = [ONE]
+    den = 1
     for m in range(1, len(A)):
-        acc = 0
-        falling = 1  # (m-1)! / (m-j)!
-        for j in range(1, m + 1):
-            if weights[j]:
-                acc += j * weights[j] * falling * X[m - j]
-            falling *= m - j
-        X.append(acc)
-        scale *= m * D
-        out.append(Q(acc, scale))
-    return PowerSeries(a.var, tuple(out))
+        den = lcm(den, E[-1].denominator)
+        E.append(Q(sum(j * A[j] * E[m - j].numerator * (den // E[m - j].denominator)
+                       for j in range(1, m + 1) if A[j]), m * D * den))
+    return PowerSeries(a.var, tuple(E))
 
 
 def series_compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:
@@ -277,7 +269,10 @@ def rationals(values, what: str) -> tuple[Q, ...]:
 
 def series_from_json(d: dict) -> PowerSeries:
     require_keys(d, ("var", "trunc", "coeffs"), "power series")
-    f = PowerSeries(d["var"], rationals(d["coeffs"], "coeffs"))
+    coeffs = rationals(d["coeffs"], "coeffs")
+    if not coeffs:
+        raise UsageError("coeffs must hold at least the constant coefficient")
+    f = PowerSeries(d["var"], coeffs)
     if f.trunc != d["trunc"]:
         raise UsageError("trunc field disagrees with coefficient count")
     return f

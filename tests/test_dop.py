@@ -9,8 +9,6 @@ from grasscy.dop import (
     AmbiguousAnnihilator,
     DOp,
     NoAnnihilator,
-    dop_from_json,
-    dop_to_json,
     fit_trunc,
     pf_fit,
 )
@@ -236,11 +234,6 @@ def test_pf_fit_ambiguous(exact_calls):
     with pytest.raises(AmbiguousAnnihilator, match="dimension 2 at minimal bounds \\(2,2\\)"):
         pf_fit(f, 2, 2)
     assert exact_calls[-1] == 9
-
-
-def test_json_roundtrip():
-    P = D**4 - 3 * z * (2 * D + 1)
-    assert dop_from_json(dop_to_json(P)) == P
 
 
 ops = st.lists(

@@ -29,6 +29,7 @@ from grasscy.series import (
 
 from support import (
     apply_log,
+    exp_oracle,
     frobenius_basis_oracle,
     normal_form_check_oracle,
     normal_form_check_q_oracle,
@@ -172,9 +173,10 @@ def test_yukawa_z_matches_ddz_route(P, n0, order_n):
 
 @pytest.mark.parametrize("name", sorted(registry_load()))
 def test_yukawa_q_matches_the_q_side_product(name):
-    """On every registry case at count 30, with the truncations `run_case`
-    uses: K_q by one composition in z keeps the truncation count, and equals
-    the q-side product, run one degree further, on degrees 0..count."""
+    """On every registry case at count 30: K_q by one composition in z
+    keeps the truncation count, and equals the q-side product on degrees
+    0..count.  The q-side product loses one degree, so it is given K_z
+    and a Frobenius pair to count + 1; `run_case` builds K_z to count."""
     count = 30
     rc = registry_load()[name]
     op = fit_operator(rc)
@@ -184,6 +186,18 @@ def test_yukawa_q_matches_the_q_side_product(name):
     assert kq.trunc == count
     fp1 = frobenius(op, count + 1)
     assert kq.coeffs == yukawa_q_oracle(kz, fp1, mirror_map(fp1)).coeffs[: count + 1]
+
+
+@pytest.mark.parametrize("name", sorted(registry_load()))
+def test_exp_of_the_flat_coordinate_is_integral(name):
+    """u = q/z = exp(psi/phi0) on every registry case at order 60, where
+    psi/phi0 has a denominator of about 100 bits: equal to the Fraction
+    recurrence, and in Z[[z]] (Lian-Yau)."""
+    fp = frobenius(fit_operator(registry_load()[name]), 60)
+    a = fp.psi / fp.phi0
+    u = series_exp(a).coeffs
+    assert u == exp_oracle(a)
+    assert all(c.denominator == 1 for c in u)
 
 
 def test_extract_instantons_lambert_inversion():

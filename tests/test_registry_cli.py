@@ -15,7 +15,7 @@ from grasscy.errors import UsageError
 from grasscy.hypergeom import MAX_ORDER, a_series, factorial_trick
 from grasscy.laurent import laurent_from_json
 from grasscy.mirror_analysis import NonIntegralInstanton, NotMUM, yukawa_z
-from grasscy.pipeline import fit_operator
+from grasscy.pipeline import fit_operator, run_case
 from grasscy.qh import NoDependence
 from grasscy.registry import ENTRY_KEYS, RegistryError, _load_json, registry_load
 from grasscy.series import PowerSeries, TruncationError, series_from_json, series_to_json
@@ -162,6 +162,40 @@ def test_readers_refuse_wrong_types(reader, content, message):
     with pytest.raises(UsageError) as e:
         reader(content)
     assert type(e.value) is UsageError and str(e.value) == message
+
+
+def _registry_with_expected_Y(value) -> dict:
+    data = _load_json(None)
+    data["cases"][0]["expected_Y"] = value
+    return data
+
+
+@pytest.mark.parametrize("argv,option,content,error", [
+    (["verify-all"], "--registry", _registry_with_expected_Y([1, 2]),
+     RegistryError("X4_G24: expected_Y must hold h11, h21 and chi, got [1, 2]")),
+    (["verify-all"], "--registry", _registry_with_expected_Y([]),
+     RegistryError("X4_G24: expected_Y must hold h11, h21 and chi, got []")),
+    (["pf-fit", "--max-order", "1", "--max-degree", "0"], "--series",
+     {"var": "z", "trunc": -1, "coeffs": []},
+     UsageError("coeffs must hold at least the constant coefficient")),
+    (["period", "--order", "2"], "--poly", {"nvars": 2, "terms": [{"exp": [1], "c": "1"}]},
+     UsageError("exp must hold nvars = 2 ints, got [1]")),
+], ids=["expected-Y-short", "expected-Y-empty", "coeffs-empty", "exp-short"])
+def test_readers_refuse_wrong_values(tmp_path, argv, option, content, error):
+    """A JSON value of the right type but the wrong length is bad input,
+    named by the reader in-process, and exit 2 with one JSON line through
+    the command line."""
+    read = {"--registry": registry_load, "--series": series_from_json,
+            "--poly": laurent_from_json}[option]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    with pytest.raises(UsageError) as e:
+        read(bad if option == "--registry" else content)
+    assert type(e.value) is type(error) and str(e.value) == str(error)
+    proc = subprocess.run([sys.executable, "-m", "grasscy.cli", *argv, option, str(bad)],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (2, "", 1)
+    assert json.loads(proc.stderr)["error"] == f"{type(error).__name__}: {error}"
 
 
 def _counting(calls: list, fn):
@@ -582,12 +616,19 @@ def test_cli_internal_fault_is_exit_1(monkeypatch, capsys):
 
 
 def test_cli_instanton_count_beyond_kz_order(capsys):
-    """count 12 needs Yukawa order 13, one past the K_z fixture order."""
+    """count 12, past the five published numbers, reads K_z to order 12,
+    the order of the K_z fixture."""
     code, out = run_cli(["instanton", "--case", "X113_G25", "--count", "12"], capsys)
     assert code == 0
     assert out["pass"] is True
     assert len(out["instantons"]) == 12
     assert out["instantons"][:5] == [540, 12555, 621315, 44892765, 3995437590]
+
+
+def test_run_case_builds_kz_to_count(registry):
+    """K_q reads K_z to count, so past the fixture order the report's K_z
+    stops there."""
+    assert run_case(registry["X4_G24"], 30).kz3.trunc == 30
 
 
 def test_run_report_holds_no_timing(reports):
