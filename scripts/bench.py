@@ -25,6 +25,10 @@ which goes first, so both see the same machine drift.  Recorded:
   same for both trees (`strip_seconds`);
 - the wall time of `python -c "import grasscy.cli"` (median and quartiles
   over CLI_RUNS processes), the start-up every command pays;
+- the command line's own share: the wall time of `python -m grasscy.cli
+  --help`, and the in-process seconds of `cli.main(["verify-all", "--count",
+  COUNT])` minus its `run_case` calls, stdout to devnull, in a fresh
+  interpreter (median and quartiles over CLI_RUNS processes each);
 - the in-process seconds of `import grasscy` plus `registry_load()` in a
   fresh interpreter (median and quartiles over CLI_RUNS processes), the
   set-up that perfbench's probe times;
@@ -157,6 +161,35 @@ print(time.perf_counter() - t)
 """
 
 
+# One fresh process: `cli.main` on the command line in argv[1:], stdout to
+# devnull, timed from inside, less the seconds of its `run_case` calls.
+# Prints the seconds.
+CLI_OWN_CHILD = r"""
+import os, sys, time
+from grasscy import cli
+
+inner = []
+run_case = cli.run_case
+
+def timed(*args, **kw):
+    t0 = time.perf_counter()
+    try:
+        return run_case(*args, **kw)
+    finally:
+        inner.append(time.perf_counter() - t0)
+
+cli.run_case = timed
+sys.stdout = open(os.devnull, "w")
+t0 = time.perf_counter()
+code = cli.main(sys.argv[1:])
+own = time.perf_counter() - t0 - sum(inner)
+sys.stdout = sys.__stdout__
+if code:
+    sys.exit(f"exit {code}")
+print(own)
+"""
+
+
 def env_for(tree: Path) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(tree / "src")
@@ -210,6 +243,8 @@ def main() -> int:
     facet_runs: dict = {side: [] for side in trees}
     cli_walls: dict = {side: [] for side in trees}
     import_walls: dict = {side: [] for side in trees}
+    help_walls: dict = {side: [] for side in trees}
+    cli_owns: dict = {side: [] for side in trees}
     setups: dict = {side: [] for side in trees}
     reports: dict = {}
     for i in range(STAGE_RUNS):
@@ -232,6 +267,11 @@ def main() -> int:
             reports[side] = strip_seconds(out)
             wall, _ = run([py, "-c", "import grasscy.cli"], trees[side])
             import_walls[side].append(wall)
+            wall, _ = run([py, "-m", "grasscy.cli", "--help"], trees[side])
+            help_walls[side].append(wall)
+            _, out = run([py, "-c", CLI_OWN_CHILD, "verify-all", "--count", str(COUNT)],
+                         trees[side])
+            cli_owns[side].append(float(out))
             _, out = run([py, "-c", SETUP_CHILD], trees[side])
             setups[side].append(float(out))
 
@@ -262,6 +302,8 @@ def main() -> int:
                            for side in trees},
         "verify_all_wall_s": {side: quartiles(cli_walls[side]) for side in trees},
         "import_wall_s": {side: quartiles(import_walls[side]) for side in trees},
+        "help_wall_s": {side: quartiles(help_walls[side]) for side in trees},
+        "cli_main_own_s": {side: quartiles(cli_owns[side]) for side in trees},
         "setup_s": {side: quartiles(setups[side]) for side in trees},
     }
     cases = list(stage_runs["before"][0])
@@ -290,6 +332,8 @@ def main() -> int:
     print(json.dumps(result["facet_routes_s"], indent=1))
     print(json.dumps(result["verify_all_wall_s"]))
     print(json.dumps(result["import_wall_s"]))
+    print(json.dumps(result["help_wall_s"]))
+    print(json.dumps(result["cli_main_own_s"]))
     print(json.dumps(result["setup_s"]))
     return 0
 

@@ -68,6 +68,13 @@ sys.exit(subprocess.run([sys.executable, "-m", "grasscy.cli", "--help"], stdout=
 test "$code" -eq 141
 test ! -s "$tmp/help_err"
 
+step "--help of every command through the real entry point (exit 0, its usage on stdout, nothing on stderr)"
+for cmd in toric aseries phi pf-fit qh-operator verify-conjecture yukawa instanton lax period mirror-system verify-all; do
+  "$PY" -m grasscy.cli "$cmd" --help > "$tmp/help_out" 2> "$tmp/help_err"
+  "$PY" -c 'import sys; sys.exit(not open(sys.argv[1]).read().startswith(f"usage: grasscy {sys.argv[2]} "))' "$tmp/help_out" "$cmd"
+  test ! -s "$tmp/help_err"
+done
+
 step "verify-all to a full disk exits 1 with one JSON object on stderr, not a traceback"
 code=0
 "$PY" -m grasscy.cli verify-all > /dev/full 2> "$tmp/full_err" || code=$?

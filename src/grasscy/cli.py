@@ -16,11 +16,8 @@ from itertools import islice
 from .dop import dop_to_json, pf_fit
 from .errors import GrasscyError, UsageError
 from .hypergeom import a_series, a_series_terms, check_order, check_param_bound, factorial_trick
-from .laurent import laurent_from_json, laurent_to_json
-from .laxmirror import canonical_gauge_coeffs, lax_operator, mirror_system, period_ct
 from .mirror_analysis import yukawa_z
 from .pipeline import INSTANTON_COUNT, KZ_ORDER, check_case, fit_operator, run_case
-from .qh import NoDependence, scalar_operator, verify_conjecture
 from .registry import registry_load
 from .series import Q, qstr, series_from_json, series_to_json
 from .toric import DIM_BOUND, binomial_equations, build_delta, check_degrees, facets_and_reflexivity
@@ -109,6 +106,8 @@ def cmd_pf_fit(args) -> dict:
 
 
 def cmd_qh_operator(args) -> dict:
+    from .qh import NoDependence, scalar_operator, verify_conjecture
+
     op = scalar_operator(args.k, args.n)
     if not verify_conjecture(args.k, args.n, QH_CHECK_ORDER, operator=op).passed:
         raise NoDependence(f"computed operator for G({args.k},{args.n}) fails to annihilate "
@@ -117,6 +116,8 @@ def cmd_qh_operator(args) -> dict:
 
 
 def cmd_verify_conjecture(args) -> dict:
+    from .qh import verify_conjecture
+
     rep = verify_conjecture(args.k, args.n, args.order)
     return {
         "k": args.k,
@@ -162,18 +163,27 @@ def cmd_instanton(args) -> dict:
 
 
 def cmd_lax(args) -> dict:
+    from .laurent import laurent_to_json
+    from .laxmirror import lax_operator
+
     with _parsing("--q", args.q):
         q = None if args.q is None else Q(args.q)
     return laurent_to_json(lax_operator(args.r, args.s, q=q, track_q=q is None))
 
 
 def cmd_period(args) -> dict:
+    from .laurent import laurent_from_json
+    from .laxmirror import period_ct
+
     with _parsing("--poly", args.poly), open(args.poly) as fh:
         g = laurent_from_json(json.load(fh))
     return series_to_json(period_ct(g, 1, args.order))
 
 
 def cmd_mirror_system(args) -> dict:
+    from .laurent import laurent_to_json
+    from .laxmirror import canonical_gauge_coeffs, mirror_system
+
     degrees = _parse_degrees(args.degrees)
     with _parsing("--q", args.q):
         q = Q(args.q)
@@ -207,6 +217,84 @@ def cmd_verify_all(args) -> dict:
     }
 
 
+def _arg(*flags, **options) -> tuple:
+    """One `add_argument` call of a command, held in COMMANDS."""
+    return flags, options
+
+
+# Every command, in the order `--help` lists them: (name, help, arguments,
+# handler).  The handler returns the command's report.
+COMMANDS = (
+    ("toric", "polytope vertices, equations, facets", (
+        _arg("k", type=int),
+        _arg("n", type=int),
+        _arg("--facets", action="store_true",
+             help="also list the facets <m_F, x> >= -1, one per up-set F of the "
+                  "grid [k]x[n-k], m_F(i,j) = n[(i,j) in F] - (i+j-1), each certified "
+                  "on the vertices; complete as Delta(k,n) is the polar of the grid's "
+                  f"order polytope (Stanley 1986); C(n,k) <= DIM_BOUND = {DIM_BOUND}"),
+    ), cmd_toric),
+    ("aseries", "specialized hypergeometric series", (
+        _arg("k", type=int),
+        _arg("n", type=int),
+        _arg("--order", type=int, default=20),
+        _arg("--keep-params", action="store_true"),
+        _arg("--param-bound", type=int, default=None,
+             help="keep only terms of parameter degree <= this (needs --keep-params)"),
+    ), cmd_aseries),
+    ("phi", "factorially modified series", (
+        _arg("k", type=int),
+        _arg("n", type=int),
+        _arg("--degrees", required=True),
+        _arg("--order", type=int, default=20),
+    ), cmd_phi),
+    ("pf-fit", "fit a differential operator to a series file", (
+        _arg("--series", required=True),
+        _arg("--max-order", type=int, required=True),
+        _arg("--max-degree", type=int, required=True),
+    ), cmd_pf_fit),
+    ("qh-operator", "quantum-cohomology scalar operator", (
+        _arg("k", type=int),
+        _arg("n", type=int),
+    ), cmd_qh_operator),
+    ("verify-conjecture", "operator annihilates the series", (
+        _arg("k", type=int),
+        _arg("n", type=int),
+        _arg("--order", type=int, default=QH_CHECK_ORDER),
+    ), cmd_verify_conjecture),
+    ("yukawa", "Yukawa coupling in the z coordinate", (
+        _arg("--case", required=True),
+        _arg("--order", type=int, default=KZ_ORDER),
+        _arg("--registry", default=None),
+    ), cmd_yukawa),
+    ("instanton", "full pipeline for one case", (
+        _arg("--case", required=True),
+        _arg("--count", type=int, default=INSTANTON_COUNT),
+        _arg("--registry", default=None),
+    ), cmd_instanton),
+    ("lax", "Lax Laurent polynomial of G(r,s)", (
+        _arg("r", type=int),
+        _arg("s", type=int),
+        _arg("--q", default=None, help="fix q to this rational instead of tracking it"),
+    ), cmd_lax),
+    ("period", "constant-term period series of a Laurent polynomial file", (
+        _arg("--poly", required=True),
+        _arg("--order", type=int, default=12),
+    ), cmd_period),
+    ("mirror-system", "complete-intersection mirror equations", (
+        _arg("k", type=int),
+        _arg("n", type=int),
+        _arg("--degrees", required=True),
+        _arg("--partition", default=None, help="blocks like 1;2,3;4,5"),
+        _arg("--q", default=1),
+    ), cmd_mirror_system),
+    ("verify-all", "run every registry case", (
+        _arg("--count", type=int, default=INSTANTON_COUNT),
+        _arg("--registry", default=None),
+    ), cmd_verify_all),
+)
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors are UsageErrors, reported as one JSON
     line like every other bad input; its subparsers are of this class too."""
@@ -215,89 +303,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of the command line `argv`.  Only the command that
+    argv[0] names is registered; when it names none (no argument, `--help`,
+    an unknown name) every command is, so that `--help` and the parser's
+    errors list them all.  A command's own usage, help and errors do not
+    depend on which others are registered."""
     p = _Parser(prog="grasscy", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("toric", help="polytope vertices, equations, facets")
-    sp.add_argument("k", type=int)
-    sp.add_argument("n", type=int)
-    sp.add_argument("--facets", action="store_true",
-                    help="also list the facets <m_F, x> >= -1, one per up-set F of the "
-                         "grid [k]x[n-k], m_F(i,j) = n[(i,j) in F] - (i+j-1), each certified "
-                         "on the vertices; complete as Delta(k,n) is the polar of the grid's "
-                         f"order polytope (Stanley 1986); C(n,k) <= DIM_BOUND = {DIM_BOUND}")
-    sp.set_defaults(func=cmd_toric)
-
-    sp = sub.add_parser("aseries", help="specialized hypergeometric series")
-    sp.add_argument("k", type=int)
-    sp.add_argument("n", type=int)
-    sp.add_argument("--order", type=int, default=20)
-    sp.add_argument("--keep-params", action="store_true")
-    sp.add_argument("--param-bound", type=int, default=None,
-                    help="keep only terms of parameter degree <= this (needs --keep-params)")
-    sp.set_defaults(func=cmd_aseries)
-
-    sp = sub.add_parser("phi", help="factorially modified series")
-    sp.add_argument("k", type=int)
-    sp.add_argument("n", type=int)
-    sp.add_argument("--degrees", required=True)
-    sp.add_argument("--order", type=int, default=20)
-    sp.set_defaults(func=cmd_phi)
-
-    sp = sub.add_parser("pf-fit", help="fit a differential operator to a series file")
-    sp.add_argument("--series", required=True)
-    sp.add_argument("--max-order", type=int, required=True)
-    sp.add_argument("--max-degree", type=int, required=True)
-    sp.set_defaults(func=cmd_pf_fit)
-
-    sp = sub.add_parser("qh-operator", help="quantum-cohomology scalar operator")
-    sp.add_argument("k", type=int)
-    sp.add_argument("n", type=int)
-    sp.set_defaults(func=cmd_qh_operator)
-
-    sp = sub.add_parser("verify-conjecture", help="operator annihilates the series")
-    sp.add_argument("k", type=int)
-    sp.add_argument("n", type=int)
-    sp.add_argument("--order", type=int, default=QH_CHECK_ORDER)
-    sp.set_defaults(func=cmd_verify_conjecture)
-
-    sp = sub.add_parser("yukawa", help="Yukawa coupling in the z coordinate")
-    sp.add_argument("--case", required=True)
-    sp.add_argument("--order", type=int, default=KZ_ORDER)
-    sp.add_argument("--registry", default=None)
-    sp.set_defaults(func=cmd_yukawa)
-
-    sp = sub.add_parser("instanton", help="full pipeline for one case")
-    sp.add_argument("--case", required=True)
-    sp.add_argument("--count", type=int, default=INSTANTON_COUNT)
-    sp.add_argument("--registry", default=None)
-    sp.set_defaults(func=cmd_instanton)
-
-    sp = sub.add_parser("lax", help="Lax Laurent polynomial of G(r,s)")
-    sp.add_argument("r", type=int)
-    sp.add_argument("s", type=int)
-    sp.add_argument("--q", default=None, help="fix q to this rational instead of tracking it")
-    sp.set_defaults(func=cmd_lax)
-
-    sp = sub.add_parser("period", help="constant-term period series of a Laurent polynomial file")
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--order", type=int, default=12)
-    sp.set_defaults(func=cmd_period)
-
-    sp = sub.add_parser("mirror-system", help="complete-intersection mirror equations")
-    sp.add_argument("k", type=int)
-    sp.add_argument("n", type=int)
-    sp.add_argument("--degrees", required=True)
-    sp.add_argument("--partition", default=None, help="blocks like 1;2,3;4,5")
-    sp.add_argument("--q", default=1)
-    sp.set_defaults(func=cmd_mirror_system)
-
-    sp = sub.add_parser("verify-all", help="run every registry case")
-    sp.add_argument("--count", type=int, default=INSTANTON_COUNT)
-    sp.add_argument("--registry", default=None)
-    sp.set_defaults(func=cmd_verify_all)
-
+    named = [c for c in COMMANDS if c[0] in argv[:1]]
+    for name, summary, arguments, handler in named or COMMANDS:
+        sp = sub.add_parser(name, help=summary)
+        for flags, options in arguments:
+            sp.add_argument(*flags, **options)
+        sp.set_defaults(func=handler)
     return p
 
 
@@ -321,20 +340,19 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     usage = io.StringIO()  # --help's, written below: argparse ignores its own failed write
     try:
         with redirect_stdout(usage):
-            args = build_parser().parse_args(argv)
+            args = build_parser(argv).parse_args(argv)
         report = args.func(args)
     except SystemExit:  # --help, which has put its usage in `usage`
         report = None
     except GrasscyError as e:
         return _fail(e, EXIT_USAGE if isinstance(e, UsageError) else EXIT_MISMATCH)
     try:
-        sys.stdout.write(usage.getvalue())
-        if report is not None:
-            json.dump(report, sys.stdout, indent=2, sort_keys=True)
-            sys.stdout.write("\n")
+        sys.stdout.write(usage.getvalue() if report is None
+                         else json.dumps(report, indent=2, sort_keys=True) + "\n")
         sys.stdout.flush()  # so that a failed write fails here, not at exit
     except OSError as e:
         # what is still buffered goes to devnull when the interpreter flushes it

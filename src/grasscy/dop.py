@@ -278,12 +278,20 @@ def pf_fit(f: PowerSeries, max_order: int, max_zdeg: int) -> DOp:
                          f"{GUARD} rows")
     p = SCREEN_PRIME
     B, _ = over_common_den(f.coeffs)
+    blocks = []  # blocks[k]: B_k k^j modulo p for j <= max_order, row k + i at columns (i, j)
+    for k, b in enumerate(B):
+        x = b % p
+        block = [x]
+        for _ in range(max_order):
+            x = x * k % p
+            block.append(x)
+        blocks.append(block)
+    zeros = [0] * (max_order + 1)
     system_p = []  # row m: column (i, j) at index i * (max_order + 1) + j
     for m in range(f.trunc + 1):
         row = []
         for i in range(max_zdeg + 1):
-            x = B[m - i] % p if m >= i else 0
-            row.extend(x * (m - i) ** j % p for j in range(max_order + 1))
+            row.extend(blocks[m - i] if m >= i else zeros)
         system_p.append(row)
     candidates = sorted(((r, d) for r in range(1, max_order + 1) for d in range(max_zdeg + 1)),
                         key=lambda rd: (rd[0] + rd[1], rd[0]))

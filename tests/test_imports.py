@@ -79,3 +79,20 @@ def test_start_up_loads_neither_dataclasses_nor_inspect(code, flags):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [["verify-all"], ["instanton", "--case", "X4_G24"]],
+                         ids=["verify-all", "instanton"])
+def test_pipeline_commands_load_no_other_route(argv):
+    """A fresh `grasscy verify-all` or `grasscy instanton` loads none of the
+    modules that only the other commands use: the quantum operator, the
+    Laurent constant terms and the Lax periods.  `-X importtime` lists every
+    module the run imports, on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(grasscy.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "grasscy.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:") and "|" in line}
+    assert "grasscy.pipeline" in loaded
+    assert not {"grasscy.laurent", "grasscy.laxmirror", "grasscy.qh"} & loaded

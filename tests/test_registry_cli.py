@@ -1,14 +1,17 @@
 import hashlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from fractions import Fraction as Q
 
 import pytest
 
 import grasscy.cli as cli
+import grasscy.qh as qh
 from grasscy.cli import main
 from grasscy.dop import AmbiguousAnnihilator, DOp
 from grasscy.errors import UsageError
@@ -415,6 +418,58 @@ def test_cli_help_exits_0(capsys):
     assert captured.out.startswith("usage: grasscy verify-all") and captured.err == ""
 
 
+# every command, in the order `grasscy --help` lists them
+COMMAND_NAMES = ["toric", "aseries", "phi", "pf-fit", "qh-operator", "verify-conjecture",
+                 "yukawa", "instanton", "lax", "period", "mirror-system", "verify-all"]
+
+
+def _full_parser_help(argv) -> str:
+    """What the parser with every command registered prints for `argv`."""
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit):
+        cli.build_parser([]).parse_args(argv)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", COMMAND_NAMES)
+def test_cli_command_help_equals_the_full_parsers(capsys, name):
+    """A command's parser is built alone, and its help is the same bytes as
+    the parser with every command registered prints."""
+    assert main([name, "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith(f"usage: grasscy {name} ")
+    assert captured.out == _full_parser_help([name, "--help"])
+
+
+def test_cli_help_lists_every_command(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out == _full_parser_help(["--help"])
+    listed = out.split("{", 1)[1].split("}", 1)[0]
+    assert listed.split(",") == COMMAND_NAMES
+
+
+def test_cli_missing_or_unknown_command_keeps_argparses_message(capsys):
+    """No command, or a name that is none of the twelve, is refused by the
+    parser with every command registered: its messages name them all."""
+    assert main([]) == 2
+    assert _usage_error(capsys) == ("UsageError: grasscy: the following arguments are required: "
+                                    "command")
+    assert main(["no-such-command"]) == 2
+    message = _usage_error(capsys)
+    head = "UsageError: grasscy: argument command: invalid choice: 'no-such-command' (choose from "
+    assert message.startswith(head)
+    assert [c.strip(" ')") for c in message[len(head):].split(",")] == COMMAND_NAMES
+
+
+def test_cli_verify_all_report_bytes_are_pinned(capsys):
+    """Default `verify-all` prints the recorded bytes: the sha256 of its stdout."""
+    assert main(["verify-all"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "ec8a8a37740d0c6d9c12d45f630dab1a12dbf5e094c7878f6629a546762cc428"
+
+
 @pytest.fixture(scope="module")
 def series_file(tmp_path_factory):
     """A valid series file: phi of the quartic in G(2,4) to order 30."""
@@ -559,7 +614,7 @@ def test_cli_non_integral_instanton_is_mismatch(monkeypatch, capsys):
 
 
 def test_cli_no_dependence_is_mismatch(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "scalar_operator", _raise(NoDependence("no dependence")))
+    monkeypatch.setattr(qh, "scalar_operator", _raise(NoDependence("no dependence")))
     assert main(["qh-operator", "2", "5"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "NoDependence: no dependence"
@@ -569,7 +624,7 @@ def test_cli_qh_operator_certifies_its_operator(monkeypatch, capsys):
     """`qh-operator` prints no operator that fails to annihilate the A-series."""
     D, q = DOp.D(), DOp.z()
     wrong = (D**5 - 3 * q * (2 * D + 1)).canonical()  # G(2,4) has 2q, not 3q
-    monkeypatch.setattr(cli, "scalar_operator", lambda k, n: wrong)
+    monkeypatch.setattr(qh, "scalar_operator", lambda k, n: wrong)
     assert main(["qh-operator", "2", "4"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -598,7 +653,8 @@ def test_cli_pf_fit_no_annihilator_is_mismatch(tmp_path, capsys):
     ("scalar_operator", ["qh-operator", "2", "5"], InexactDivision("(2,) does not divide (0, 1)")),
 ])
 def test_cli_failed_check_is_mismatch(monkeypatch, capsys, target, argv, exc):
-    monkeypatch.setattr(cli, target, _raise(exc))
+    # `qh-operator` imports its stage from grasscy.qh when it runs
+    monkeypatch.setattr(qh if target == "scalar_operator" else cli, target, _raise(exc))
     assert main(argv) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == f"{type(exc).__name__}: {exc}"
