@@ -116,6 +116,13 @@ step "verify-all through the real entry point (its report, as printed, must equa
 diff = first_difference(json.load(open(sys.argv[1])), load_reference("verify_all"))
 sys.exit(diff and f"verify-all report differs from perfbench/reference/verify_all.json at {diff}")' "$tmp/verify_all.json"
 
+step "a fresh verify-all imports none of fractions, decimal and numbers (the package's rationals are its own Q; -X importtime lists every import on stderr)"
+"$PY" -X importtime -m grasscy.cli verify-all > /dev/null 2> "$tmp/importtime"
+"$PY" -c 'import sys
+loaded = {line.rsplit("|", 1)[1].strip() for line in open(sys.argv[1]) if line.startswith("import time:") and "|" in line}
+bad = sorted({"fractions", "decimal", "numbers"} & loaded)
+sys.exit(bad and f"a fresh verify-all imports {bad}" or 0)' "$tmp/importtime"
+
 step "verify-all and instanton --case X1111111_G27 through the real entry point print the same bytes on a second run"
 for args in "verify-all" "instanton --case X1111111_G27"; do
   "$PY" -m grasscy.cli $args > "$tmp/first.json"

@@ -8,7 +8,6 @@ term, where "leading" means highest D-degree, then lowest z-degree.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, gcd, isqrt
 
 from .errors import Mismatch, UsageError, shown
@@ -31,7 +30,7 @@ class AmbiguousAnnihilator(Mismatch):
 
 @record
 class DOp:
-    terms: dict  # (i, j) -> Fraction, z-degree i, D-degree j
+    terms: dict  # (i, j) -> Q, z-degree i, D-degree j
 
     def __post_init__(self):
         clean = {}
@@ -130,7 +129,7 @@ class DOp:
 
     def indicial(self, m) -> Q:
         """z^0 part evaluated at D = m."""
-        return sum((c * Fraction(m) ** j for (i, j), c in self.terms.items() if i == 0), ZERO)
+        return sum((c * Q(m) ** j for (i, j), c in self.terms.items() if i == 0), ZERO)
 
     def coeff_poly(self, i: int) -> list[Q]:
         """Coefficients of the polynomial p_i(x) = sum_j c_{i,j} x^j."""
@@ -233,7 +232,7 @@ def _kernel_mod_p(echelon: dict[int, list[int]], ncols: int) -> list[list[int]]:
     return basis
 
 
-def _rational_mod_p(a: int) -> Fraction | None:
+def _rational_mod_p(a: int) -> Q | None:
     """The n/d with n = a d modulo SCREEN_PRIME and |n|, d <= sqrt(p/2),
     by the half extended Euclidean algorithm; None when there is none."""
     p = SCREEN_PRIME
@@ -244,7 +243,7 @@ def _rational_mod_p(a: int) -> Fraction | None:
         r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
     if abs(t1) > bound or gcd(r1, t1) != 1:
         return None
-    return Fraction(r1, t1)
+    return Q(r1, t1)
 
 
 def pf_fit(f: PowerSeries, max_order: int, max_zdeg: int) -> DOp:

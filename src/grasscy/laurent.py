@@ -16,7 +16,7 @@ ZERO = Q(0)
 @record
 class LaurentPoly:
     nvars: int
-    terms: dict  # tuple[int, ...] of length nvars -> Fraction
+    terms: dict  # tuple[int, ...] of length nvars -> Q
 
     def __post_init__(self):
         clean = {}

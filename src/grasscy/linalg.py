@@ -3,12 +3,9 @@ solve, nullspace and rank."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
-from .series import over_common_den
-
-Q = Fraction
+from .series import Q, over_common_den
 
 
 def _integer_row(r) -> list[int]:

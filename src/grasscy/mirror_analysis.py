@@ -5,8 +5,6 @@ normal-form check."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .dop import DOp
 from .errors import Mismatch
 from .hypergeom import check_order
@@ -31,7 +29,7 @@ class NotMUM(Mismatch):
 
 
 class NonIntegralInstanton(Mismatch):
-    def __init__(self, index: int, value: Fraction):
+    def __init__(self, index: int, value: Q):
         super().__init__(f"instanton number n_{index} = {value} is not an integer")
         self.index = index
         self.value = value

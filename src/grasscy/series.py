@@ -7,19 +7,236 @@ raises instead of silently returning zero.
 
 The kernels (`*`, reciprocal and `/`, `series_compose`, `series_revert`)
 clear their inputs to integers over one common denominator and build one
-Fraction per output coefficient; `series_exp` keeps its coefficients
-reduced and sums each degree over the lcm of the denominators before it.
+`Q` per output coefficient; `series_exp` keeps its coefficients reduced
+and sums each degree over the lcm of the denominators before it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from sys import hash_info
 
 from .errors import GrasscyError, UsageError
 from .record import record
 
-Q = Fraction
+
+class Q:
+    """An exact rational numerator/denominator: reduced, denominator > 0,
+    never changed once made.
+
+    It prints, compares and hashes as `fractions.Fraction` does and mixes
+    with ints and Fractions in either operand order, but it needs neither
+    `fractions` nor the `decimal` and `numbers` modules that `fractions`
+    imports.  Q(int), Q(Q), Q(int, int) and strings "[-]digits[/digits]"
+    are made here; any other argument (a Fraction, a float, "1.5",
+    " 3/4 ") is read by `fractions.Fraction`, imported then, so that the
+    same inputs are taken and the same errors raised.  Floats do not mix
+    with a Q."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __new__(cls, numerator=0, denominator=None):
+        if denominator is None:
+            if type(numerator) is int:
+                return _q(numerator, 1)
+            if type(numerator) is Q:
+                return numerator
+            p = _parse(numerator) if type(numerator) is str else None
+            if p is None:
+                return _via_fraction(numerator)
+            numerator, denominator = p
+        elif type(numerator) is not int or type(denominator) is not int:
+            return _via_fraction(numerator, denominator)
+        if denominator == 0:
+            raise ZeroDivisionError(f"Q({numerator}, 0)")
+        g = gcd(numerator, denominator)
+        if denominator < 0:
+            g = -g
+        self = _new(cls)
+        self.numerator = numerator // g
+        self.denominator = denominator // g
+        return self
+
+    def __repr__(self):
+        return f"Q({self.numerator}, {self.denominator})"
+
+    def __str__(self):
+        n, d = self.numerator, self.denominator
+        return str(n) if d == 1 else f"{n}/{d}"
+
+    def __hash__(self):
+        # Python's numeric hash, which `fractions.Fraction` follows too, so
+        # that an equal int, Q or Fraction is the same dict key
+        n, d = self.numerator, self.denominator
+        if d == 1:
+            return hash(n)
+        try:
+            h = hash(hash(abs(n)) * pow(d, -1, hash_info.modulus))
+        except ValueError:  # d is a multiple of the modulus
+            h = hash_info.inf
+        h = h if n >= 0 else -h
+        return -2 if h == -1 else h
+
+    def __eq__(a, b):
+        if type(b) is int:
+            return a.denominator == 1 and a.numerator == b
+        p = _parts(b)
+        return NotImplemented if p is None else a.numerator == p[0] and a.denominator == p[1]
+
+    def __lt__(a, b):
+        p = _parts(b)
+        return NotImplemented if p is None else a.numerator * p[1] < p[0] * a.denominator
+
+    def __le__(a, b):
+        p = _parts(b)
+        return NotImplemented if p is None else a.numerator * p[1] <= p[0] * a.denominator
+
+    def __gt__(a, b):
+        p = _parts(b)
+        return NotImplemented if p is None else a.numerator * p[1] > p[0] * a.denominator
+
+    def __ge__(a, b):
+        p = _parts(b)
+        return NotImplemented if p is None else a.numerator * p[1] >= p[0] * a.denominator
+
+    def __bool__(self):
+        return self.numerator != 0
+
+    def __int__(self):
+        """Rounded towards 0."""
+        n, d = self.numerator, self.denominator
+        return n // d if n >= 0 else -(-n // d)
+
+    def __neg__(self):
+        return _q(-self.numerator, self.denominator)
+
+    def __abs__(self):
+        return self if self.numerator >= 0 else -self
+
+    def __add__(a, b):
+        if type(b) is int:  # (n + b d) / d is reduced
+            return _q(a.numerator + b * a.denominator, a.denominator)
+        p = _parts(b)
+        return NotImplemented if p is None else _sum(a.numerator, a.denominator, *p)
+
+    __radd__ = __add__
+
+    def __sub__(a, b):
+        if type(b) is int:
+            return _q(a.numerator - b * a.denominator, a.denominator)
+        p = _parts(b)
+        return NotImplemented if p is None else _sum(a.numerator, a.denominator, -p[0], p[1])
+
+    def __rsub__(a, b):
+        p = _parts(b)
+        return NotImplemented if p is None else _sum(p[0], p[1], -a.numerator, a.denominator)
+
+    def __mul__(a, b):
+        p = _parts(b)
+        return NotImplemented if p is None else _product(a.numerator, a.denominator, *p)
+
+    __rmul__ = __mul__
+
+    def __truediv__(a, b):
+        p = _parts(b)
+        return NotImplemented if p is None else _quotient(a.numerator, a.denominator, *p)
+
+    def __rtruediv__(a, b):
+        p = _parts(b)
+        return NotImplemented if p is None else _quotient(*p, a.numerator, a.denominator)
+
+    def __pow__(a, b):
+        """a ** b for an integer b."""
+        p = _parts(b)
+        if p is None or p[1] != 1:
+            return NotImplemented
+        e, n, d = p[0], a.numerator, a.denominator
+        if e >= 0:
+            return _q(n ** e, d ** e)
+        if n == 0:
+            raise ZeroDivisionError(f"Q({d ** -e}, 0)")
+        return _q(d ** -e, n ** -e) if n > 0 else _q((-d) ** -e, (-n) ** -e)
+
+
+_new = object.__new__
+
+
+def _q(n: int, d: int) -> Q:
+    """The Q n/d of a reduced pair with d > 0, made without a gcd."""
+    q = _new(Q)
+    q.numerator = n
+    q.denominator = d
+    return q
+
+
+def _parts(x) -> tuple[int, int] | None:
+    """(numerator, denominator) of an int, a Q or any other rational in
+    lowest terms with integer parts, such as a `fractions.Fraction`; None
+    for anything else."""
+    if type(x) is Q:
+        return x.numerator, x.denominator
+    if type(x) is int:
+        return x, 1
+    n, d = getattr(x, "numerator", None), getattr(x, "denominator", None)
+    if isinstance(n, int) and isinstance(d, int) and d > 0:
+        return int(n), int(d)
+    return None
+
+
+def _parse(s: str) -> tuple[int, int] | None:
+    """(p, q) of an ASCII "[-]digits[/digits]" with q nonzero, or None."""
+    num, slash, den = s.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if not (digits.isdigit() and digits.isascii()):
+        return None
+    if not slash:
+        return int(num), 1
+    if den.isdigit() and den.isascii() and (d := int(den)):
+        return int(num), d
+    return None
+
+
+def _via_fraction(*args) -> Q:
+    """Q(*args) for what only `fractions.Fraction` reads: its inputs, its errors."""
+    from fractions import Fraction
+
+    f = Fraction(*args)
+    return _q(f.numerator, f.denominator)
+
+
+# The sum, product and quotient of reduced pairs come out reduced after
+# gcds of the smaller factors, as in `fractions.Fraction`.
+
+
+def _sum(na: int, da: int, nb: int, db: int) -> Q:
+    g = gcd(da, db)
+    if g == 1:
+        return _q(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _q(t, s * db)
+    return _q(t // g2, s * (db // g2))
+
+
+def _product(na: int, da: int, nb: int, db: int) -> Q:
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return _q(na * nb, da * db)
+
+
+def _quotient(na: int, da: int, nb: int, db: int) -> Q:
+    if nb == 0:
+        raise ZeroDivisionError(f"Q({na * db}, 0)")
+    return _product(na, da, db, nb) if nb > 0 else _product(na, da, -db, -nb)
+
 
 ZERO = Q(0)
 ONE = Q(1)
@@ -253,7 +470,10 @@ def int_list(values, what: str) -> tuple[int, ...]:
 
 
 def rational(value, what: str) -> Q:
-    """A JSON rational, an int or a string such as "-3/4"."""
+    """A JSON rational, an int or a string such as "-3/4"; a float or a
+    bool is not one."""
+    if isinstance(value, (bool, float)):
+        raise UsageError(f"{what} must be a rational, got {value!r:.40}")
     try:
         return Q(value)
     except (TypeError, ValueError, ZeroDivisionError):

@@ -5,12 +5,12 @@ nef-partition vertex sets, and the degree of G(k,n)."""
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import factorial
 
 from .errors import Mismatch, UsageError, shown
 from .linalg import rank
 from .record import record
+from .series import Q
 
 Label = tuple[str, int, int]  # ("u"|"v", i, j)
 
@@ -165,7 +165,7 @@ def facets_and_reflexivity(delta: DeltaKN):
             raise Mismatch(f"the up-set inequality {m} is not a facet of Delta({k},{n}): "
                            f"minimum {min(vals)} over the vertices, contact rank "
                            f"{rank(contact)}, dimension {delta.dim}")
-        facets.append((m, Fraction(1)))
+        facets.append((m, Q(1)))
     return sorted(facets), True
 
 
@@ -219,9 +219,9 @@ def degree_grassmannian(k: int, n: int) -> int:
     """Degree of the Pluecker embedding: (k(n-k))! prod_i i!/(n-k+i)!."""
     check_kn(k, n)
     num = factorial(k * (n - k))
-    frac = Fraction(1)
+    frac = Q(1)
     for i in range(k):
-        frac *= Fraction(factorial(i), factorial(n - k + i))
+        frac *= Q(factorial(i), factorial(n - k + i))
     result = num * frac
     if result.denominator != 1:
         raise Mismatch(f"degree of G({k},{n}) came out as {result}, not an integer")

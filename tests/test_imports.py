@@ -59,19 +59,22 @@ def test_import_grasscy_is_lazy_and_keeps_every_public_name():
 
 
 
-START_UP = ["import grasscy.cli", "import grasscy; grasscy.registry_load()"]
+START_UP = ["import grasscy.cli", "import grasscy; grasscy.registry_load()",
+            "from grasscy import hypergeom, laurent, laxmirror, qh, toric"]
 
 
 @pytest.mark.parametrize("code, flags", [pytest.param(code, (), id=code) for code in START_UP]
                          + [pytest.param(code, ("-S",), id=f"-S {code}") for code in START_UP])
 def test_start_up_loads_neither_dataclasses_nor_inspect(code, flags):
-    """The command-line start-up and the set-up every command pays stay off
-    `dataclasses`, which loads `inspect`, `ast`, `dis` and `tokenize`.  A
-    stock interpreter's start-up (`-S`: no site packages, whose `.pth` files
-    may import anything) also stays off `importlib.resources`, which loads
+    """The command-line start-up, the set-up every command pays and the
+    crosscheck routes stay off `dataclasses`, which loads `inspect`, `ast`,
+    `dis` and `tokenize`, and off `fractions`, which loads `decimal` and
+    `numbers`: the package's rationals are its own `Q`.  A stock
+    interpreter's start-up (`-S`: no site packages, whose `.pth` files may
+    import anything) also stays off `importlib.resources`, which loads
     `pathlib`, `zipfile` and `tempfile`, and off `typing`."""
     env = dict(os.environ, PYTHONPATH=str(Path(grasscy.__file__).resolve().parents[1]))
-    forbidden = {"dataclasses", "inspect"}
+    forbidden = {"dataclasses", "inspect", "fractions", "decimal", "numbers"}
     if flags:
         forbidden |= {"importlib.resources", "pathlib", "zipfile", "tempfile", "typing"}
     probe = f"{code}; import sys; print(sorted({forbidden!r} & set(sys.modules)))"
@@ -86,8 +89,9 @@ def test_start_up_loads_neither_dataclasses_nor_inspect(code, flags):
 def test_pipeline_commands_load_no_other_route(argv):
     """A fresh `grasscy verify-all` or `grasscy instanton` loads none of the
     modules that only the other commands use: the quantum operator, the
-    Laurent constant terms and the Lax periods.  `-X importtime` lists every
-    module the run imports, on stderr."""
+    Laurent constant terms and the Lax periods; nor `fractions`, `decimal`
+    or `numbers`.  `-X importtime` lists every module the run imports, on
+    stderr."""
     env = dict(os.environ, PYTHONPATH=str(Path(grasscy.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "grasscy.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
@@ -95,4 +99,5 @@ def test_pipeline_commands_load_no_other_route(argv):
     loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
               if line.startswith("import time:") and "|" in line}
     assert "grasscy.pipeline" in loaded
-    assert not {"grasscy.laurent", "grasscy.laxmirror", "grasscy.qh"} & loaded
+    assert not {"grasscy.laurent", "grasscy.laxmirror", "grasscy.qh",
+                "fractions", "decimal", "numbers"} & loaded

@@ -1,8 +1,6 @@
 """The value classes are frozen records: fields by position or keyword with
 defaults, equality and hash by class and fields, no assignment."""
 
-from fractions import Fraction as Q
-
 import pytest
 
 from grasscy.dop import DOp
@@ -13,7 +11,7 @@ from grasscy.pipeline import RunReport
 from grasscy.qh import ConjectureReport, QHMatrix
 from grasscy.record import record
 from grasscy.registry import RegistryCase
-from grasscy.series import PowerSeries
+from grasscy.series import PowerSeries, Q
 from grasscy.toric import DeltaKN
 
 from support import LogSeries

@@ -129,10 +129,13 @@ def test_registry_load_names_missing_keys(tmp_path, content, message):
     ("kz3_numerator", ["1/0"], "every entry of kz3_numerator must be a rational, got '1/0'"),
     ("kz3_denominator", ["x"], "every entry of kz3_denominator must be a rational, got 'x'"),
     ("kz3_denominator", 1, "kz3_denominator must be a list of rationals, got 1"),
+    ("kz3_numerator", [0.1], "every entry of kz3_numerator must be a rational, got 0.1"),
+    ("kz3_denominator", [True], "every entry of kz3_denominator must be a rational, got True"),
 ], ids=["zdeg-float", "zdeg-string", "zdeg-negative", "instantons-string", "instantons-float",
         "degree-zero", "k-zero", "h11-list", "h21-string", "n-float", "k-bool", "p-null",
         "name-int", "degrees-float", "degrees-int", "strata-string", "expected-Y-float",
-        "kz3-zero-denominator", "kz3-not-rational", "kz3-not-a-list"])
+        "kz3-zero-denominator", "kz3-not-rational", "kz3-not-a-list", "kz3-float",
+        "kz3-bool"])
 def test_cli_registry_rejects_bad_field(tmp_path, capsys, monkeypatch, field, value, message):
     """A registry field of the wrong type or sign is refused when the
     registry is loaded, before any series is built: exit 2, one JSON line
@@ -158,8 +161,16 @@ def test_cli_registry_rejects_bad_field(tmp_path, capsys, monkeypatch, field, va
      "coeffs must be a list of rationals, got 5"),
     (series_from_json, {"var": "z", "trunc": 1, "coeffs": ["1", "x"]},
      "every entry of coeffs must be a rational, got 'x'"),
+    (series_from_json, {"var": "z", "trunc": 1, "coeffs": [0.1, "1"]},
+     "every entry of coeffs must be a rational, got 0.1"),
+    (series_from_json, {"var": "z", "trunc": 1, "coeffs": ["0", True]},
+     "every entry of coeffs must be a rational, got True"),
+    (laurent_from_json, {"nvars": 1, "terms": [{"exp": [1], "c": 1.5}]},
+     "c must be a rational, got 1.5"),
+    (laurent_from_json, {"nvars": 1, "terms": [{"exp": [1], "c": False}]},
+     "c must be a rational, got False"),
 ], ids=["terms-int", "nvars-string", "exp-int", "c-zero-denominator", "coeffs-int",
-        "coeffs-not-rational"])
+        "coeffs-not-rational", "coeffs-float", "coeffs-bool", "c-float", "c-bool"])
 def test_readers_refuse_wrong_types(reader, content, message):
     """A JSON value of the wrong type is bad input, named by the reader."""
     with pytest.raises(UsageError) as e:
